@@ -13,10 +13,7 @@ from .presentation import (
     generic_hilbert_profile,
     generic_module,
     graded_piece_matrix,
-    hilbert_function,
-    multiplication_map,
     random_presentation,
-    socle,
 )
 from .groebner import GroebnerBasis, IdealMeasure, buchberger, intersect, measure, saturate
 from .lefschetz import dual_matrix, is_lefschetz, locus_ideal, locus_ideal_at
@@ -66,7 +63,6 @@ __all__ = [
     "generic_module",
     "graded_piece_matrix",
     "h0",
-    "hilbert_function",
     "intersect",
     "is_jumping",
     "is_lefschetz",
@@ -77,7 +73,6 @@ __all__ = [
     "locus_ideal_at",
     "measure",
     "monomial_basis",
-    "multiplication_map",
     "multiplication_matrix",
     "predict",
     "predicted_codimension",
@@ -86,7 +81,6 @@ __all__ = [
     "rank",
     "restrict",
     "saturate",
-    "socle",
     "splitting_type",
     "substitute_line",
 ]

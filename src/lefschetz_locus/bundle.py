@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .presentation import DegreeData, GradedModule
+from .presentation import DegreeData
 
 
 class InconsistencyError(ArithmeticError):
@@ -130,10 +130,9 @@ def _instability_index(degrees: DegreeData, t0: int) -> int:
     raise InconsistencyError("no sections found in the scan window")
 
 
-def classify_stability(degrees: DegreeData, m: GradedModule | None = None) -> StabilityReport:
+def classify_stability(degrees: DegreeData) -> StabilityReport:
     """Stability of the kernel bundle from section vanishing at the
-    normalized twists.  ``m`` is accepted for interface symmetry; the
-    classification is determined by the degree data."""
+    normalized twists; the classification is determined by the degree data."""
     d = degrees.d
     if d % 2 == 0:
         t0 = d // 2

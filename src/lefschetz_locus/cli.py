@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, bundle, jumping, lefschetz, predictor
 from .field_linalg import DEFAULT_PRIME
-from .groebner import buchberger, measure, same_ideal, saturate
+from .groebner import GroebnerBasis, buchberger, measure, saturate
 from .presentation import (
     DegreeData,
     GradedModule,
@@ -149,7 +149,7 @@ def _structural_claims(mod: GradedModule) -> list[tuple[str, bool]]:
     deg = mod.degrees
     expected_socle = tuple(sorted(deg.d - bj - 3 for bj in deg.b))
     return [
-        ("finite-length", True),
+        ("finite-length", True),  # GradedModule.build raises NonFiniteLengthError otherwise
         ("unimodal", unimodal),
         ("socle-formula", tuple(sorted(mod.socle())) == expected_socle),
     ]
@@ -167,15 +167,23 @@ def analyze_hilbert(job: dict) -> dict:
     return report
 
 
-def analyze_locus(job: dict, mod: GradedModule | None = None) -> dict:
-    if mod is None:
-        mod = build_module(job)
+def _middle_basis(mod: GradedModule) -> GroebnerBasis:
+    """Reduced deg-lex basis of the middle-degree minor ideal; one per row,
+    shared by the measurement and the localization check."""
+    mid = lefschetz.locus_ideal_at(mod, mod.degrees.middle_degree)
+    return buchberger(list(mid.gens), "deglex", ring=lefschetz.dual_ring(mod))
+
+
+def analyze_locus(job: dict) -> dict:
+    mod = build_module(job)
+    return _locus_report(job, mod, _middle_basis(mod))
+
+
+def _locus_report(job: dict, mod: GradedModule, gb_mid: GroebnerBasis) -> dict:
     degrees = mod.degrees
-    stab = bundle.classify_stability(degrees, mod)
+    stab = bundle.classify_stability(degrees)
     chern_data = bundle.chern(degrees)
-    mid = lefschetz.locus_ideal_at(mod, degrees.middle_degree)
-    gb = buchberger(list(mid.gens), "deglex", ring=lefschetz.dual_ring(mod))
-    measured = measure(gb)
+    measured = measure(gb_mid)
     comp = predictor.compare(mod, stab, chern_data, measured)
 
     report = _base_report(job, "locus")
@@ -208,7 +216,7 @@ def analyze_line(job: dict, line_coords) -> dict:
     check = lefschetz.is_lefschetz(mod, coords)  # raises on the zero line
     point = jumping.line_point(coords, prime)
     split = jumping.splitting_type(jumping.restrict(mod.pres, point))
-    stab = bundle.classify_stability(degrees, mod)
+    stab = bundle.classify_stability(degrees)
     normalized = split.shifted(stab.t0)
     oracle = bundle.lefschetz_oracle(stab, normalized)
     jump = jumping.is_jumping(mod.pres, point, seed=job["seed"])
@@ -232,15 +240,16 @@ def analyze_line(job: dict, line_coords) -> dict:
 
 def survey_row(job: dict) -> dict:
     mod = build_module(job)
-    row = analyze_locus(job, mod)
+    gb_mid = _middle_basis(mod)
+    row = _locus_report(job, mod, gb_mid)
     claims = _structural_claims(mod)
     witness = lefschetz.find_lefschetz_line(mod, job["seed"], tries=25)
     claims.append(("wlp-witness", witness is not None))
-    stab = bundle.classify_stability(mod.degrees)
-    if stab.unstable or stab.c1_norm == 0:
+    stab = row["stability"]
+    if stab["class"] == "unstable" or stab["c1_normalized"] == 0:
         claims.append(("expected-codim-one", predictor.expected_codimension(mod) == 1))
     if job.get("localization"):
-        claims.append(("middle-localization", _middle_localization_ok(mod)))
+        claims.append(("middle-localization", _middle_localization_ok(mod, gb_mid)))
     row["claims"] = row["claims"] + [{"claim": name, "ok": ok} for name, ok in claims]
     row["ok"] = all(c["ok"] for c in row["claims"]) and row["verdict"] in (
         "match",
@@ -249,18 +258,12 @@ def survey_row(job: dict) -> dict:
     return row
 
 
-def _middle_localization_ok(mod: GradedModule) -> bool:
-    """Scheme equality of the middle ideal and the full intersection:
-    equal dimension and degree plus mutual saturated containment."""
-    ring = lefschetz.dual_ring(mod)
-    pair = lefschetz.locus_ideal(mod)
-    gb_mid = buchberger(list(pair.middle.gens), "deglex", ring=ring)
-    gb_full = buchberger(list(pair.intersection.gens), "deglex", ring=ring)
-    if same_ideal(gb_mid, gb_full):
+def _middle_localization_ok(mod: GradedModule, gb_mid: GroebnerBasis) -> bool:
+    """Scheme equality of the middle ideal and the full intersection: equal
+    reduced bases, or else mutual saturated containment."""
+    gb_full = lefschetz.locus_ideal(mod, gb_mid)
+    if gb_full.basis == gb_mid.basis:
         return True
-    m_mid, m_full = measure(gb_mid), measure(gb_full)
-    if (m_mid.dim_projective, m_mid.degree) != (m_full.dim_projective, m_full.degree):
-        return False
     sat_mid, sat_full = saturate(gb_mid), saturate(gb_full)
     return all(sat_full.contains(g) for g in sat_mid.basis) and all(
         sat_mid.contains(g) for g in sat_full.basis
@@ -313,6 +316,9 @@ def _survey_jobs(args, parser: _Parser) -> list[dict]:
 
 
 def analyze_survey(jobs: list[dict], workers: int = 1) -> dict:
+    # the fork start method launches every worker up front, so never ask for
+    # more than there are jobs or cores
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(survey_row, jobs))

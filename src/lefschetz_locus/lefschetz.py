@@ -4,9 +4,8 @@ For each degree i the module carries an h_{i+1} x h_i matrix of linear
 forms in the dual variables whose specialization at a line reproduces
 the multiplication map by that line.  The locus at degree i is cut out
 by the maximal minors; the total locus is the intersection over all
-degrees, which the engine computes honestly (with a sound containment
-shortcut) and returns next to the middle-degree ideal so the
-localization claim stays checkable.
+degrees, which the engine folds onto the middle-degree basis (with a sound
+containment shortcut) so the localization claim stays checkable.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import rand
 from .field_linalg import Matrix, rank
-from .groebner import buchberger, intersect
+from .groebner import GroebnerBasis, buchberger, intersect
 from .polyring import Polynomial, Ring
 from .presentation import GradedModule
 
@@ -62,15 +61,6 @@ class LocusIdeal:
     @property
     def is_unit(self) -> bool:
         return any(not g.is_zero() and g.degree() == 0 for g in self.gens)
-
-
-@dataclass(frozen=True)
-class LocusPair:
-    """Full intersection ideal next to the middle-degree ideal."""
-
-    intersection: LocusIdeal
-    middle: LocusIdeal
-    middle_degree: int
 
 
 def dual_ring(m: GradedModule) -> Ring:
@@ -155,43 +145,30 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     return LocusIdeal(gens, (i,))
 
 
-def locus_ideal(m: GradedModule) -> LocusPair:
+def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> GroebnerBasis:
     """Intersection of the per-degree ideals over every degree with a
-    nontrivial map, plus the middle-degree ideal on the side.
+    nontrivial map, folded onto ``middle``, the reduced deg-lex basis of the
+    middle-degree ideal.
 
-    The fold starts from the middle ideal and skips any degree whose ideal
-    provably contains the running intersection (normal forms of all its
-    generators vanish); remaining degrees are intersected honestly via the
-    auxiliary-variable construction.
+    A degree whose basis provably contains the running intersection (normal
+    forms of all its generators vanish) is skipped; remaining degrees are
+    intersected honestly via the auxiliary-variable construction.  The
+    result is a reduced deg-lex basis, so it equals ``middle`` exactly when
+    the middle ideal is the whole intersection.
     """
     ring = dual_ring(m)
     deg = m.degrees
-    i_star = deg.middle_degree
-    middle = locus_ideal_at(m, i_star)
-    lo, e = deg.b[0], deg.socle_degree
-    contributing: list[tuple[int, LocusIdeal]] = []
-    for i in range(lo - 1, e + 1):
+    running = middle
+    for i in range(deg.b[0] - 1, deg.socle_degree + 1):
+        if i == deg.middle_degree:
+            continue
         li = locus_ideal_at(m, i)
         if li.is_unit:
             continue
-        contributing.append((i, li))
-    if not contributing:
-        unit = LocusIdeal((Polynomial.constant(ring, 1),), tuple(range(lo - 1, e + 1)))
-        return LocusPair(unit, middle, i_star)
-
-    ordered = sorted(contributing, key=lambda pair: (pair[0] != i_star, pair[0]))
-    first_i, first = ordered[0]
-    running = buchberger(list(first.gens), "deglex", ring=ring)
-    used = [first_i]
-    for i, li in ordered[1:]:
         gb_i = buchberger(list(li.gens), "deglex", ring=ring)
-        if all(gb_i.contains(g) for g in running.basis):
-            used.append(i)
-            continue
-        running = intersect(running, gb_i)
-        used.append(i)
-    result = LocusIdeal(tuple(running.basis), tuple(sorted(used)))
-    return LocusPair(result, middle, i_star)
+        if not all(gb_i.contains(g) for g in running.basis):
+            running = intersect(running, gb_i)
+    return running
 
 
 @dataclass(frozen=True)

@@ -188,11 +188,14 @@ class GradedModule:
         self.audit = audit if audit is not None else dict(_EMPTY_AUDIT)
 
     @classmethod
-    def build(cls, pres: PresentationMatrix, margin: int = 3) -> "GradedModule":
+    def build(cls, pres: PresentationMatrix) -> "GradedModule":
+        """Pieces from b_1 through max(e + 1, b_n).  The module is generated
+        in degrees <= b_n, so it has finite length with socle degree <= e
+        exactly when every piece from e + 1 on to there vanishes."""
         deg = pres.degrees
         lo = deg.b[0]
         e = deg.socle_degree
-        hi = max(e, lo) + margin
+        hi = max(e + 1, deg.b[-1])
         pieces: dict[int, _Piece] = {}
         for t in range(lo, hi + 1):
             pieces[t] = cls._build_piece(pres, t)
@@ -286,21 +289,6 @@ class GradedModule:
             dim = len(kernel_basis(Matrix(stacked, self.prime)))
             out.extend([t] * dim)
         return tuple(out)
-
-
-# -- free-function forms of the module operations ------------------------
-
-
-def hilbert_function(m: GradedModule) -> dict[int, int]:
-    return m.hilbert()
-
-
-def multiplication_map(m: GradedModule, ell: Polynomial, t: int) -> Matrix:
-    return m.multiplication_map(ell, t)
-
-
-def socle(m: GradedModule) -> tuple[int, ...]:
-    return m.socle()
 
 
 # -- genericity ----------------------------------------------------------

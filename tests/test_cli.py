@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from helpers import hilbert_series_ci
+from lefschetz_locus import cli
 from lefschetz_locus.cli import main
 
 
@@ -166,6 +168,44 @@ def test_survey_parallel_matches_serial(capsys):
                                             "--jobs", "2"])
     assert serial_code == parallel_code
     assert serial == parallel
+
+
+def test_survey_jobs_capped_by_fixture_and_core_counts(capsys, monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    argv = ["survey", "--a", "2,2,3", "--b", "0", "--samples", "3", "--jobs", "1000000"]
+    reports = []
+    for cores in (2, 64, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        reports.append(_run(capsys, argv))
+    assert asked == [2, 3]  # no pool at all when the core count is unknown
+    assert reports[0][0] == 0
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_hilbert_rejects_generator_alive_far_past_socle(tmp_path, capsys):
+    # the second generator sits in degree 15, ten past the nominal socle
+    # degree 5, and only x1^5 acts on it, so the module has infinite length
+    grid = tmp_path / "late.json"
+    grid.write_text(json.dumps([["x1", "x2", "x3", "0"], ["0", "0", "0", "x1^5"]]))
+    code, report = _run(capsys, ["hilbert", "--a", "1,1,1,20", "--b", "0,15",
+                                 "--matrix", str(grid)])
+    assert code == 1
+    assert "nonzero graded piece in degree 15" in report["error"]
 
 
 def test_pretty_goes_to_stderr_only(capsys):

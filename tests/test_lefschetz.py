@@ -2,7 +2,7 @@ import pytest
 
 from helpers import det_mod
 from lefschetz_locus import rand
-from lefschetz_locus.groebner import buchberger, measure, same_ideal, saturate
+from lefschetz_locus.groebner import buchberger, intersect, measure, same_ideal, saturate
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
     dual_matrix,
@@ -14,13 +14,17 @@ from lefschetz_locus.lefschetz import (
     random_line,
 )
 from lefschetz_locus.polyring import Polynomial, Ring
-from lefschetz_locus.presentation import DegreeData, generic_module, multiplication_map
+from lefschetz_locus.presentation import DegreeData, generic_module
 
 R = Ring()
 
 
 def _module(a, b, seed=1):
     return generic_module(DegreeData(a, b), seed)
+
+
+def _basis(m, i):
+    return buchberger(list(locus_ideal_at(m, i).gens), "deglex", ring=dual_ring(m))
 
 
 def test_dual_matrix_shape_and_linearity():
@@ -47,7 +51,7 @@ def test_specialization_at_coordinate_lines_and_random_lines():
         coords_list += [random_line(m.prime, stream) for _ in range(10)]
         for coords in coords_list:
             ell = Polynomial.linear_form(R, coords)
-            direct = multiplication_map(m, ell, i)
+            direct = m.multiplication_map(ell, i)
             assert dm.specialize(coords) == direct
 
 
@@ -90,22 +94,35 @@ def test_degenerate_shapes_contribute_unit_ideal():
     for i in (-1, 0, 1):
         li = locus_ideal_at(m, i)
         assert li.is_unit
-    pair = locus_ideal(m)
-    assert pair.intersection.is_unit
+    assert locus_ideal(m, _basis(m, m.degrees.middle_degree)).is_unit
 
 
 def test_locus_intersection_equals_middle_on_generic_fixtures():
     for a, b in (((2, 2, 3), (0,)), ((2, 2, 2), (0,)), ((1, 1, 1, 2), (0, 0))):
         m = _module(a, b, seed=2)
-        ring = dual_ring(m)
-        pair = locus_ideal(m)
-        gb_full = buchberger(list(pair.intersection.gens), "deglex", ring=ring)
-        gb_mid = buchberger(list(pair.middle.gens), "deglex", ring=ring)
+        gb_mid = _basis(m, m.degrees.middle_degree)
+        gb_full = locus_ideal(m, gb_mid)
         mf, mm = measure(gb_full), measure(gb_mid)
         assert (mf.dim_projective, mf.degree) == (mm.dim_projective, mm.degree)
         sat_full, sat_mid = saturate(gb_full), saturate(gb_mid)
         assert all(sat_full.contains(g) for g in sat_mid.basis)
         assert all(sat_mid.contains(g) for g in sat_full.basis)
+
+
+def test_fold_intersects_degrees_that_miss_the_running_ideal():
+    # l1 lies in no cubic minor ideal of (2,2,3), so folding onto (l1) must
+    # take the honest intersection; an unconditional intersect fold over the
+    # per-degree bases is the reference
+    m = _module((2, 2, 3), (0,))
+    ring = dual_ring(m)
+    middle = buchberger([Polynomial.variable(ring, 0)], "deglex", ring=ring)
+    expected = middle
+    for i in range(m.degrees.b[0] - 1, m.degrees.socle_degree + 1):
+        if i != m.degrees.middle_degree and not locus_ideal_at(m, i).is_unit:
+            expected = intersect(expected, _basis(m, i))
+    result = locus_ideal(m, middle)
+    assert result.basis != middle.basis
+    assert result.basis == expected.basis
 
 
 def test_middle_pair_selfduality_for_odd_total_twist():
