@@ -4,7 +4,7 @@ the associated rank-2 kernel bundle on the projective plane."""
 
 __version__ = "0.1.0"
 
-from .field_linalg import DEFAULT_PRIME, Matrix, PrimeField, cokernel_basis, kernel_basis, rank
+from .field_linalg import DEFAULT_PRIME, Matrix, cokernel_basis, kernel_basis, rank
 from .polyring import Polynomial, Ring, monomial_basis, multiplication_matrix, substitute_line
 from .presentation import (
     DegreeData,
@@ -47,7 +47,6 @@ __all__ = [
     "Matrix",
     "Polynomial",
     "PresentationMatrix",
-    "PrimeField",
     "Ring",
     "SplittingType",
     "StabilityReport",

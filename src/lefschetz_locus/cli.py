@@ -168,10 +168,10 @@ def analyze_hilbert(job: dict) -> dict:
 
 
 def _middle_basis(mod: GradedModule) -> GroebnerBasis:
-    """Reduced deg-lex basis of the middle-degree minor ideal; one per row,
+    """Reduced Groebner basis of the middle-degree minor ideal; one per row,
     shared by the measurement and the localization check."""
     mid = lefschetz.locus_ideal_at(mod, mod.degrees.middle_degree)
-    return buchberger(list(mid.gens), "deglex", ring=lefschetz.dual_ring(mod))
+    return buchberger(list(mid.gens), ring=lefschetz.dual_ring(mod))
 
 
 def analyze_locus(job: dict) -> dict:
@@ -283,6 +283,8 @@ def _survey_jobs(args, parser: _Parser) -> list[dict]:
                 for a2 in range(a1, hi + 1):
                     for a3 in range(a2, hi + 1):
                         fixtures.append(((a1, a2, a3), (0,), None))
+            if not fixtures:
+                parser.error(f"grid {args.grid!r} yields no fixture")
         elif args.grid == "n2":
             fixtures.extend((a, b, None) for a, b in _N2_GRID)
         else:
@@ -399,6 +401,8 @@ def main(argv=None) -> int:
             _emit(report, args.pretty)
             return 0 if report["verdict"] == "match" else 2
         if args.command == "line":
+            if len(args.line) != 3:
+                parser.error("--line takes exactly three coordinates l1,l2,l3")
             if not any(c % job["prime"] for c in args.line):
                 parser.error("--line must be a nonzero coordinate triple")
             report = analyze_line(job, args.line)

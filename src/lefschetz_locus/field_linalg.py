@@ -32,37 +32,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic mod p; elements are plain ints kept in [0, p)."""
-
-    p: int = DEFAULT_PRIME
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def rand(self, stream: Stream) -> int:
-        return stream.below(self.p)
-
-
 class Matrix:
     """Dense matrix over F_p."""
 
@@ -203,7 +172,11 @@ class CokernelBasis:
         if len(self.pivots) == 0:
             return free_part % self.p
         r_free = self.image_rref[:, list(self.coset)]
-        return (free_part - r_free.T @ v[list(self.pivots), :]) % self.p
+        pivot_part, out = v[list(self.pivots), :], free_part
+        step = (np.iinfo(np.int64).max - self.p) // (self.p - 1) ** 2  # terms per int64 sum
+        for lo in range(0, len(self.pivots), step):
+            out = (out - r_free[lo:lo + step].T @ pivot_part[lo:lo + step]) % self.p
+        return out
 
 
 def cokernel_basis(m: Matrix) -> CokernelBasis:

@@ -1,10 +1,11 @@
 """Buchberger engine over the dual coordinate ring.
 
-Reduced Groebner bases under deg-lex (with lex and first-variable
-elimination orders available), ideal dimension and degree through the
-Hilbert series of the leading-term ideal, intersection by the auxiliary
-variable construction, colon ideals and saturation by the irrelevant
-ideal, and rational point extraction for measured loci.
+Reduced Groebner bases under graded reverse-lex, the one public order
+(lex and first-variable elimination stay private to point extraction and
+intersection), ideal dimension and degree through the Hilbert series of the
+leading-term ideal, intersection by the auxiliary variable construction,
+colon ideals and saturation by the irrelevant ideal, and rational point
+extraction for measured loci.
 
 Internally polynomials are plain dicts mapping exponent tuples (of any
 length, so the auxiliary-variable lift is just a longer tuple) to
@@ -13,6 +14,7 @@ residues; the public surface speaks :class:`~.polyring.Polynomial`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,25 +28,20 @@ RawPoly = dict[tuple, int]
 # -- monomial orders -----------------------------------------------------
 
 
-def deglex_key(m: tuple) -> tuple:
-    return (sum(m), m)
+@functools.lru_cache(maxsize=1 << 16)
+def grevlex_key(m: tuple) -> tuple:
+    """Graded reverse-lex; cached (bounded), as reductions rank the same
+    monomials over and over."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def lex_key(m: tuple) -> tuple:
+def _lex_key(m: tuple) -> tuple:
     return m
 
 
-def elim1_key(m: tuple) -> tuple:
+def _elim1_key(m: tuple) -> tuple:
     """Block order eliminating the first variable: lex on it, deg-lex after."""
     return (m[0], sum(m[1:]), m[1:])
-
-
-def grevlex_key(m: tuple) -> tuple:
-    return (sum(m), tuple(-m[i] for i in range(len(m) - 1, -1, -1)))
-
-
-_ORDERS = {"deglex": deglex_key, "lex": lex_key, "elim1": elim1_key,
-           "grevlex": grevlex_key}
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -100,10 +97,11 @@ def _normal_form(f: RawPoly, basis: list[tuple[tuple, RawPoly]], key, p: int) ->
 
 
 def _buchberger_raw(gens: Iterable[RawPoly], key, p: int) -> list[RawPoly]:
-    """Reduced Groebner basis of the raw generators under ``key``."""
+    """Reduced Groebner basis of the raw generators under ``key``; pairs go
+    by lcm degree first, so non-graded orders stay low on homogeneous input."""
     basis: list[RawPoly] = []
     lms: list[tuple] = []
-    pairs: dict[tuple[int, int], tuple] = {}
+    pairs: dict[tuple[int, int], tuple] = {}  # -> (deg, key(lcm), (i, j), lcm)
 
     def prepared() -> list[tuple[tuple, RawPoly]]:
         return list(zip(lms, basis))
@@ -118,15 +116,16 @@ def _buchberger_raw(gens: Iterable[RawPoly], key, p: int) -> list[RawPoly]:
         basis.append(r)
         lms.append(lm_new)
         for i in range(k):
-            pairs[(i, k)] = _mono_lcm(lms[i], lm_new)
+            lcm = _mono_lcm(lms[i], lm_new)
+            pairs[(i, k)] = (sum(lcm), key(lcm), (i, k), lcm)
 
     for g in gens:
         if g:
             add(g)
 
     while pairs:
-        (i, j) = min(pairs, key=lambda ij: (key(pairs[ij]), ij))
-        lcm = pairs.pop((i, j))
+        _, _, (i, j), lcm = min(pairs.values())
+        del pairs[(i, j)]
         if lcm == _mono_mul(lms[i], lms[j]):
             continue  # coprime leading monomials
         skip = False
@@ -203,34 +202,20 @@ def _divide_exact(g: RawPoly, f: RawPoly, key, p: int) -> RawPoly:
 @dataclass(frozen=True)
 class GroebnerBasis:
     ring: Ring
-    order: str
     basis: tuple[Polynomial, ...]
-
-    @property
-    def prime(self) -> int:
-        return self.ring.prime
 
     @property
     def is_unit(self) -> bool:
         return any(f.degree() == 0 for f in self.basis)
 
-    @property
-    def is_zero(self) -> bool:
-        return len(self.basis) == 0
-
     def leading_monomials(self) -> list[tuple[int, int, int]]:
-        key = _ORDERS[self.order]
-        return [max(f.terms, key=key) for f in self.basis]
-
-    def _prepared(self) -> list[tuple[tuple, RawPoly]]:
-        key = _ORDERS[self.order]
-        return [(max(f.terms, key=key), f.terms) for f in self.basis]
+        return [max(f.terms, key=grevlex_key) for f in self.basis]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise ValueError("polynomial lives in the wrong ring")
-        key = _ORDERS[self.order]
-        return Polynomial(self.ring, _normal_form(f.terms, self._prepared(), key, self.prime))
+        prepared = list(zip(self.leading_monomials(), (g.terms for g in self.basis)))
+        return Polynomial(self.ring, _normal_form(f.terms, prepared, grevlex_key, self.ring.prime))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -246,11 +231,8 @@ def _as_gens(ideal) -> tuple[list[Polynomial], Ring]:
     return gens, gens[0].ring
 
 
-def buchberger(gens: Sequence[Polynomial], order: str = "deglex",
-               ring: Ring | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the given generators."""
-    if order not in _ORDERS:
-        raise ValueError(f"unknown order {order!r}")
+def buchberger(gens: Sequence[Polynomial], ring: Ring | None = None) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of the given generators."""
     gens = list(gens)
     if ring is None:
         if not gens:
@@ -259,15 +241,13 @@ def buchberger(gens: Sequence[Polynomial], order: str = "deglex",
     for g in gens:
         if g.ring != ring:
             raise ValueError("mixed rings in generator list")
-    raw = _buchberger_raw([g.terms for g in gens], _ORDERS[order], ring.prime)
-    return GroebnerBasis(ring, order, tuple(Polynomial(ring, f) for f in raw))
+    raw = _buchberger_raw([g.terms for g in gens], grevlex_key, ring.prime)
+    return GroebnerBasis(ring, tuple(Polynomial(ring, f) for f in raw))
 
 
 def same_ideal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
-    """Equality of reduced deg-lex bases (recomputing if order differs)."""
-    ga = a if a.order == "deglex" else buchberger(a.basis, "deglex", a.ring)
-    gb = b if b.order == "deglex" else buchberger(b.basis, "deglex", b.ring)
-    return ga.basis == gb.basis
+    """Ideal equality: reduced Groebner bases are unique."""
+    return a.basis == b.basis
 
 
 # -- dimension and degree ------------------------------------------------
@@ -387,9 +367,9 @@ def intersect(i1, i2) -> GroebnerBasis:
     if ring != ring2:
         raise ValueError("ideals live in different rings")
     if any(g.degree() == 0 and not g.is_zero() for g in gens1):
-        return buchberger(gens2, "deglex", ring=ring)
+        return buchberger(gens2, ring=ring)
     if any(g.degree() == 0 and not g.is_zero() for g in gens2):
-        return buchberger(gens1, "deglex", ring=ring)
+        return buchberger(gens1, ring=ring)
     p = ring.prime
     raw: list[RawPoly] = []
     for f in gens1:
@@ -400,10 +380,10 @@ def intersect(i1, i2) -> GroebnerBasis:
             key4 = (1,) + m
             lifted[key4] = (lifted.get(key4, 0) - c) % p
         raw.append({m: c for m, c in lifted.items() if c})
-    gb4 = _buchberger_raw(raw, elim1_key, p)
+    gb4 = _buchberger_raw(raw, _elim1_key, p)
     eliminated = [f for f in gb4 if all(m[0] == 0 for m in f)]
     polys = [Polynomial(ring, {m[1:]: c for m, c in f.items()}) for f in eliminated]
-    return buchberger(polys, "deglex", ring=ring)
+    return buchberger(polys, ring=ring)
 
 
 def colon(ideal, f: Polynomial) -> GroebnerBasis:
@@ -412,12 +392,11 @@ def colon(ideal, f: Polynomial) -> GroebnerBasis:
     if f.is_zero():
         raise ValueError("colon by zero")
     meet = intersect(gens, [f])
-    key = _ORDERS["deglex"]
     out = [
-        Polynomial(ring, _divide_exact(g.terms, f.terms, key, ring.prime))
+        Polynomial(ring, _divide_exact(g.terms, f.terms, grevlex_key, ring.prime))
         for g in meet.basis
     ]
-    return buchberger(out, "deglex", ring=ring)
+    return buchberger(out, ring=ring)
 
 
 def _saturate_variable(raws: list[RawPoly], v: int, p: int) -> list[RawPoly]:
@@ -457,8 +436,7 @@ def saturate(ideal) -> GroebnerBasis:
     parts = []
     for v in range(3):
         sat_raw = _saturate_variable(raws, v, p)
-        parts.append(buchberger([Polynomial(ring, f) for f in sat_raw],
-                                "deglex", ring=ring))
+        parts.append(buchberger([Polynomial(ring, f) for f in sat_raw], ring=ring))
     result = parts[0]
     for part in parts[1:]:
         if part.basis == result.basis:
@@ -569,7 +547,7 @@ def rational_points_0dim(ideal) -> list[tuple[int, int, int]] | None:
     affine = [r for r in affine if r]
     if not affine:
         return None
-    gb = _buchberger_raw(affine, lex_key, p)
+    gb = _buchberger_raw(affine, _lex_key, p)
     pure_l2 = [u for f in gb if (u := _as_univariate(f, 1)) is not None]
     if not pure_l2:
         return None

@@ -4,8 +4,8 @@ For each degree i the module carries an h_{i+1} x h_i matrix of linear
 forms in the dual variables whose specialization at a line reproduces
 the multiplication map by that line.  The locus at degree i is cut out
 by the maximal minors; the total locus is the intersection over all
-degrees, which the engine folds onto the middle-degree basis (with a sound
-containment shortcut) so the localization claim stays checkable.
+degrees, which the engine folds onto the middle-degree basis (with exact
+containment shortcuts) so the localization claim stays checkable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import rand
 from .field_linalg import Matrix, rank
 from .groebner import GroebnerBasis, buchberger, intersect
-from .polyring import Polynomial, Ring
+from .polyring import Polynomial, Ring, monomial_basis
 from .presentation import GradedModule
 
 
@@ -59,8 +59,15 @@ class LocusIdeal:
     source_degrees: tuple[int, ...]
 
     @property
-    def is_unit(self) -> bool:
-        return any(not g.is_zero() and g.degree() == 0 for g in self.gens)
+    def spanned_degree(self) -> int | None:
+        """Degree k of the minors when they span every form of degree k, so
+        the ideal holds m^k (k = 0: the unit ideal), by one rank; else None."""
+        k = self.gens[0].degree()
+        monos = monomial_basis(k).monomials
+        coeffs = [[g.terms.get(mo, 0) for mo in monos] for g in self.gens]
+        if k < 0 or rank(Matrix.from_rows(coeffs, self.gens[0].ring.prime)) < len(monos):
+            return None
+        return k
 
 
 def dual_ring(m: GradedModule) -> Ring:
@@ -147,14 +154,15 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
 
 def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> GroebnerBasis:
     """Intersection of the per-degree ideals over every degree with a
-    nontrivial map, folded onto ``middle``, the reduced deg-lex basis of the
+    nontrivial map, folded onto ``middle``, the reduced basis of the
     middle-degree ideal.
 
-    A degree whose basis provably contains the running intersection (normal
-    forms of all its generators vanish) is skipped; remaining degrees are
-    intersected honestly via the auxiliary-variable construction.  The
-    result is a reduced deg-lex basis, so it equals ``middle`` exactly when
-    the middle ideal is the whole intersection.
+    A degree is skipped when its ideal provably contains the running
+    intersection: its minors span degree k and no running generator has
+    lower degree, or the running generators reduce to zero against its
+    basis.  Other degrees are intersected via the auxiliary-variable
+    construction.  The result is a reduced basis, so it equals ``middle``
+    exactly when the middle ideal is the whole intersection.
     """
     ring = dual_ring(m)
     deg = m.degrees
@@ -163,9 +171,10 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> GroebnerBasis:
         if i == deg.middle_degree:
             continue
         li = locus_ideal_at(m, i)
-        if li.is_unit:
+        k = li.spanned_degree
+        if k is not None and all(g.degree() >= k for g in running.basis):
             continue
-        gb_i = buchberger(list(li.gens), "deglex", ring=ring)
+        gb_i = buchberger(list(li.gens), ring=ring)
         if not all(gb_i.contains(g) for g in running.basis):
             running = intersect(running, gb_i)
     return running
@@ -196,7 +205,7 @@ def is_lefschetz(m: GradedModule, line) -> LefschetzCheck:
         if needed == 0:
             continue
         maps = m.variable_maps(i)
-        combo = (coords[0] * maps[0].a + coords[1] * maps[1].a + coords[2] * maps[2].a) % p
+        combo = sum(c * mv.a % p for c, mv in zip(coords, maps)) % p
         r = rank(Matrix(combo, p))
         ranks.append((i, r, needed))
         if r < needed:

@@ -2,10 +2,10 @@
 
 Two rings share the same machinery: the primal ring with variables
 x1, x2, x3 and the dual coordinate ring of the plane of lines with
-variables l1, l2, l3.  Monomials are exponent triples; the term order
-everywhere is degree-lexicographic with x1 > x2 > x3 (resp. l1 > l2 > l3),
+variables l1, l2, l3.  Monomials are exponent triples; terms print and
+graded bases list in deg-lex order with x1 > x2 > x3 (resp. l1 > l2 > l3),
 which makes every printed polynomial and every derived matrix
-byte-reproducible.
+byte-reproducible.  Groebner bases use grevlex (see :mod:`.groebner`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ class Ring:
     dual: bool = False
 
     def __post_init__(self):
+        if self.prime >= 2**31:  # (p - 1)^2 plus a residue must fit in int64
+            raise ValueError(f"prime {self.prime} is too large: it must be below 2^31")
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
 

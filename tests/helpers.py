@@ -106,7 +106,8 @@ RawPoly = dict
 
 
 def _key(m):
-    return (sum(m), m)
+    """Graded reverse-lex."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 def _lead(f):

@@ -133,7 +133,7 @@ def test_criterion_6_jumping_equals_non_lefschetz():
                 assert agree(random_line(mod.prime, stream))
 
             mid = locus_ideal_at(mod, mod.degrees.middle_degree)
-            gb = buchberger(list(mid.gens), "deglex", ring=dual_ring(mod))
+            gb = buchberger(list(mid.gens), ring=dual_ring(mod))
             if measure(gb).dim_projective == 0:
                 points = rational_points_0dim(gb) or []
             else:

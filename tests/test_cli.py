@@ -88,7 +88,7 @@ def test_line_on_locus_point(capsys):
 
     m = generic_module(DegreeData((1, 1, 1, 2), (0, 0)), 2)
     li = locus_ideal_at(m, m.degrees.middle_degree)
-    pts = rational_points_0dim(buchberger(list(li.gens), "deglex", ring=dual_ring(m)))
+    pts = rational_points_0dim(buchberger(list(li.gens), ring=dual_ring(m)))
     assert pts
     coords = ",".join(str(c) for c in pts[0])
     code, report = _run(capsys, ["line", "--a", "1,1,1,2", "--b", "0,0",
@@ -119,6 +119,41 @@ def test_prime_flag_beats_env(capsys, monkeypatch):
     code, report = _run(capsys, ["hilbert", "--a", "2,2,3", "--b", "0",
                                  "--prime", "32003"])
     assert report["prime"] == 32003
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_prime_beyond_int64_products_is_named_error(capsys, monkeypatch, source):
+    # 4294967291 is prime, but its residue products overflow int64; the run
+    # used to reject every seeded draw as non-generic instead
+    argv = ["hilbert", "--a", "2,2,3", "--b", "0"]
+    if source == "flag":
+        argv += ["--prime", "4294967291"]
+    else:
+        monkeypatch.setenv("LL_PRIME", "4294967291")
+    code, report = _run(capsys, argv)
+    assert code == 1
+    assert "below 2^31" in report["error"]
+
+
+def test_largest_prime_below_bound_is_accepted(capsys):
+    code, report = _run(capsys, ["line", "--a", "2,2,3", "--b", "0",
+                                 "--prime", str(2**31 - 1), "--line", "1,2,3"])
+    assert code == 0
+    assert report["prime"] == 2**31 - 1 and report["lefschetz"] is True
+
+
+def test_line_needs_three_coordinates(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["line", "--a", "2,2,3", "--b", "0", "--line", "1,2"])
+    assert exc.value.code == 1
+    assert "exactly three coordinates" in capsys.readouterr().err
+
+
+def test_survey_grid_without_fixtures_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--grid", "ci:4-2"])
+    assert exc.value.code == 1
+    assert "yields no fixture" in capsys.readouterr().err
 
 
 def test_survey_ci_grid_all_match(capsys):

@@ -4,7 +4,6 @@ import pytest
 from lefschetz_locus.field_linalg import (
     DEFAULT_PRIME,
     Matrix,
-    PrimeField,
     cokernel_basis,
     kernel_basis,
     rank,
@@ -100,20 +99,6 @@ def test_cokernel_coset_is_pivot_complement():
     assert sorted(ck.pivots + ck.coset) == list(range(6))
 
 
-def test_prime_field_ops():
-    f = PrimeField(65521)
-    assert f.mul(f.inv(1234), 1234) == 1
-    assert f.add(65520, 1) == 0
-    assert f.neg(1) == 65520
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
-def test_prime_field_rejects_composite():
-    with pytest.raises(ValueError):
-        PrimeField(65520)
-
-
 def test_rank_rational_known_values():
     assert rank_rational([[1, 2], [2, 4]]) == 1
     assert rank_rational([[1, 0], [0, 1]]) == 2
@@ -127,3 +112,16 @@ def test_rank_rational_known_values():
 def test_default_prime():
     assert DEFAULT_PRIME == 65521
     assert Matrix.identity(2).p == 65521
+
+
+def test_cokernel_reduce_is_exact_at_the_largest_prime():
+    # at p = 2^31 - 1 a single int64 dot product over the pivots overflows;
+    # the reduction must match exact integer arithmetic
+    p = 2**31 - 1
+    ck = cokernel_basis(random_matrix(12, 7, seed=5, p=p))
+    v = random_matrix(12, 3, seed=6, p=p).a
+    r_free = ck.image_rref[:, list(ck.coset)].astype(object)
+    exact = (v[list(ck.coset), :].astype(object)
+             - r_free.T.dot(v[list(ck.pivots), :].astype(object))) % p
+    assert len(ck.pivots) == 7
+    assert ck.reduce(v).tolist() == exact.tolist()

@@ -1,11 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import naive_groebner_leading_terms
 from lefschetz_locus import rand
 from lefschetz_locus.groebner import (
     GroebnerBasis,
+    _buchberger_raw,
+    _elim1_key,
+    _lex_key,
     buchberger,
     colon,
+    grevlex_key,
     intersect,
     measure,
     rational_points_0dim,
@@ -51,28 +57,40 @@ def test_two_monomial_generators_match_naive_oracle():
     assert got == want
 
 
-@pytest.mark.parametrize("seed", range(5))
+def _deglex_leading_terms(gens: list[Polynomial]) -> set[tuple]:
+    def deglex(m):
+        return (sum(m), m)
+
+    return {max(f, key=deglex) for f in _buchberger_raw([g.terms for g in gens], deglex, P)}
+
+
+@pytest.mark.parametrize("seed", [*range(5), "cubic"])
 def test_random_small_ideals_match_naive_oracle(seed):
-    stream = rand.Stream(7000 + seed)
-    gens = []
-    for k in range(2 + seed % 2):
-        deg = 1 + (seed + k) % 2
-        gens.append(Polynomial(S, {m: stream.below(P)
-                                   for m in monomial_basis(deg).monomials
-                                   if stream.below(3)}))
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        pytest.skip("empty draw")
+    if seed == "cubic":
+        # l1*l3^2 leads in deg-lex, l2^3 in grevlex: the orders part ways
+        gens = [multiply(L1, multiply(L3, L3)) + multiply(L2, multiply(L2, L2)),
+                multiply(L1, multiply(L1, L2)) + multiply(L3, multiply(L3, L3))]
+    else:
+        stream = rand.Stream(7000 + seed)
+        gens = []
+        for k in range(2 + seed % 2):
+            deg = 1 + (seed + k) % 2
+            gens.append(Polynomial(S, {m: stream.below(P)
+                                       for m in monomial_basis(deg).monomials
+                                       if stream.below(3)}))
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            pytest.skip("empty draw")
     gb = buchberger(gens)
     want = naive_groebner_leading_terms([g.terms for g in gens], P)
     assert set(gb.leading_monomials()) == want
+    if seed == "cubic":
+        assert _deglex_leading_terms(gens) != want
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    from lefschetz_locus.groebner import deglex_key
-
-    lf = max(f.terms, key=deglex_key)
-    lg = max(g.terms, key=deglex_key)
+    lf = max(f.terms, key=grevlex_key)
+    lg = max(g.terms, key=grevlex_key)
     lcm = tuple(max(x, y) for x, y in zip(lf, lg))
     ring = f.ring
     mf = Polynomial(ring, {tuple(x - y for x, y in zip(lcm, lf)): pow(f.terms[lf], P - 2, P)})
@@ -90,7 +108,7 @@ def test_buchberger_criterion_on_fixture_ideals(a, b, i):
     degree = m.degrees.middle_degree if i is None else i
     gens = list(locus_ideal_at(m, degree).gens)
     ring = dual_ring(m)
-    gb = buchberger(gens, "deglex", ring=ring)
+    gb = buchberger(gens, ring=ring)
     basis = list(gb.basis)
     for r in range(len(basis)):
         for s in range(r + 1, len(basis)):
@@ -101,7 +119,7 @@ def test_buchberger_criterion_on_fixture_ideals(a, b, i):
 
 def test_reduced_basis_is_actually_reduced():
     gens, ring = _fixture_middle_ideal(seed=2)
-    gb = buchberger(gens, "deglex", ring=ring)
+    gb = buchberger(gens, ring=ring)
     lms = gb.leading_monomials()
     for i, f in enumerate(gb.basis):
         others = [lm for j, lm in enumerate(lms) if j != i]
@@ -129,15 +147,34 @@ def test_measure_empty_and_whole_plane():
 
 def test_measure_fixture_223_is_six_points():
     gens, ring = _fixture_middle_ideal()
-    m = measure(buchberger(gens, "deglex", ring=ring))
+    m = measure(buchberger(gens, ring=ring))
     assert (m.dim_projective, m.degree) == (0, 6)
+
+
+def _measure_leading_terms(gens, key, ring):
+    # measure of the initial monomial ideal under ``key``; for a homogeneous
+    # ideal it has the ideal's Hilbert function whatever the order
+    raw = _buchberger_raw([g.terms for g in gens], key, ring.prime)
+    leading = [Polynomial(ring, {max(f, key=key): 1}) for f in raw]
+    return measure(GroebnerBasis(ring, tuple(leading)))
 
 
 @pytest.mark.parametrize("a,b", [((2, 2, 3), (0,)), ((2, 2, 2), (0,)), ((1, 1, 1, 2), (0, 0))])
 def test_measure_is_order_independent(a, b):
     gens, ring = _fixture_middle_ideal(a, b)
-    m1 = measure(buchberger(gens, "deglex", ring=ring))
-    m2 = measure(buchberger(gens, "lex", ring=ring))
+    m1 = measure(buchberger(gens, ring=ring))
+    m2 = _measure_leading_terms(gens, _lex_key, ring)
+    assert (m1.dim_projective, m1.degree) == (m2.dim_projective, m2.degree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.lists(st.integers(1, 3), min_size=3, max_size=3), seed=st.integers(1, 1000))
+def test_grevlex_measure_matches_lex_leading_terms(a, seed):
+    # n = 1 twist data: the middle minor ideal measured from its grevlex
+    # basis and from its lex initial ideal
+    gens, ring = _fixture_middle_ideal(tuple(sorted(a)), (0,), seed)
+    m1 = measure(buchberger(gens, ring=ring))
+    m2 = _measure_leading_terms(gens, _lex_key, ring)
     assert (m1.dim_projective, m1.degree) == (m2.dim_projective, m2.degree)
 
 
@@ -145,18 +182,18 @@ def test_degree_matches_eliminant_degree_on_points():
     # an independent route to the degree of a finite locus: saturate, project
     # out the first variable, and read the degree of the binary eliminant
     gens, ring = _fixture_middle_ideal(seed=3)
-    gb = saturate(buchberger(gens, "deglex", ring=ring))
-    elim = buchberger(list(gb.basis), "elim1", ring=ring)
-    free = [f for f in elim.basis if all(m[0] == 0 for m in f.terms)]
+    gb = saturate(buchberger(gens, ring=ring))
+    elim = _buchberger_raw([f.terms for f in gb.basis], _elim1_key, ring.prime)
+    free = [f for f in elim if all(m[0] == 0 for m in f)]
     assert free, "projection ideal is zero"
-    eliminant = min(free, key=lambda f: f.degree())
-    measured = measure(buchberger(list(gb.basis), "deglex", ring=ring))
+    eliminant = Polynomial(ring, min(free, key=lambda f: max(sum(m) for m in f)))
+    measured = measure(buchberger(list(gb.basis), ring=ring))
     assert eliminant.degree() == measured.degree == 6
 
 
 def test_intersect_with_unit_is_identity():
     gens, ring = _fixture_middle_ideal()
-    gb = buchberger(gens, "deglex", ring=ring)
+    gb = buchberger(gens, ring=ring)
     unit = buchberger([Polynomial.constant(ring, 1)], ring=ring)
     assert same_ideal(intersect(gb, unit), gb)
 
@@ -222,7 +259,7 @@ def test_saturate_monomial_fixture_matches_oracle():
     pres = presentation_from_strings(DegreeData((3, 4, 4), (0,)),
                                      [["x1^3", "x2^4", "x3^4"]])
     m = GradedModule.build(pres)
-    gb = buchberger(list(locus_ideal_at(m, 3).gens), "deglex", ring=dual_ring(m))
+    gb = buchberger(list(locus_ideal_at(m, 3).gens), ring=dual_ring(m))
     assert same_ideal(saturate(gb), _saturate_by_iterated_colon(gb))
 
 
@@ -240,7 +277,7 @@ def test_saturate_unit_and_idempotence():
 def test_rational_points_match_brute_force_small_prime(seed):
     prime = 101
     gens, ring = _fixture_middle_ideal(seed=seed, prime=prime)
-    pts = rational_points_0dim(buchberger(gens, "deglex", ring=ring))
+    pts = rational_points_0dim(buchberger(gens, ring=ring))
     assert pts is not None
 
     def vanish(pt):

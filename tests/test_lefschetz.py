@@ -13,7 +13,7 @@ from lefschetz_locus.lefschetz import (
     locus_ideal_at,
     random_line,
 )
-from lefschetz_locus.polyring import Polynomial, Ring
+from lefschetz_locus.polyring import Polynomial, Ring, monomial_basis
 from lefschetz_locus.presentation import DegreeData, generic_module
 
 R = Ring()
@@ -24,7 +24,7 @@ def _module(a, b, seed=1):
 
 
 def _basis(m, i):
-    return buchberger(list(locus_ideal_at(m, i).gens), "deglex", ring=dual_ring(m))
+    return buchberger(list(locus_ideal_at(m, i).gens), ring=dual_ring(m))
 
 
 def test_dual_matrix_shape_and_linearity():
@@ -93,7 +93,7 @@ def test_degenerate_shapes_contribute_unit_ideal():
     assert m.hilbert() == {0: 1}
     for i in (-1, 0, 1):
         li = locus_ideal_at(m, i)
-        assert li.is_unit
+        assert li.spanned_degree == 0
     assert locus_ideal(m, _basis(m, m.degrees.middle_degree)).is_unit
 
 
@@ -115,13 +115,59 @@ def test_fold_intersects_degrees_that_miss_the_running_ideal():
     # per-degree bases is the reference
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
-    middle = buchberger([Polynomial.variable(ring, 0)], "deglex", ring=ring)
+    middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
     expected = middle
     for i in range(m.degrees.b[0] - 1, m.degrees.socle_degree + 1):
-        if i != m.degrees.middle_degree and not locus_ideal_at(m, i).is_unit:
+        if i != m.degrees.middle_degree and locus_ideal_at(m, i).spanned_degree != 0:
             expected = intersect(expected, _basis(m, i))
     result = locus_ideal(m, middle)
     assert result.basis != middle.basis
+    assert result.basis == expected.basis
+
+
+@pytest.mark.parametrize("a,i,spans", [((4, 4, 4), 3, True), ((4, 4, 4), 5, True),
+                                       ((2, 2, 3), 1, False)])
+def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
+    # the rank test claims m^k inside the ideal exactly when its reduced basis
+    # is every monomial of degree k; on (4,4,4) the 66 degree-10 minors at
+    # degrees 3 and 5 span R_10
+    m = _module(a, (0,))
+    li = locus_ideal_at(m, i)
+    k = li.gens[0].degree()
+    basis = set(_basis(m, i).basis)
+    power = {Polynomial(dual_ring(m), {mono: 1}) for mono in monomial_basis(k).monomials}
+    assert (li.spanned_degree == k) is spans
+    assert (basis == power) is spans
+    if spans:
+        assert (k, len(basis)) == (10, 66)
+
+
+def test_fold_rank_skip_needs_every_running_degree_at_least_k(monkeypatch):
+    # on (2,3,3) the minors at degrees 0 and 4 span R_1 and those at 1 and 3
+    # span R_3.  Folding onto (l1) skips degree 0, must intersect degree 1
+    # (k = 3 > 1), which leaves l1*m^2; that starts in degree 3, so degrees 3
+    # and 4 are skipped.  The result equals an unconditional intersect fold.
+    import lefschetz_locus.lefschetz as lef
+
+    m = _module((2, 3, 3), (0,))
+    ring = dual_ring(m)
+    middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
+    spanned = {i: locus_ideal_at(m, i).spanned_degree for i in (0, 1, 3, 4)}
+    assert spanned == {0: 1, 1: 3, 3: 3, 4: 1}
+    expected = middle
+    for i in range(m.degrees.b[0] - 1, m.degrees.socle_degree + 1):
+        if i != m.degrees.middle_degree:
+            expected = intersect(expected, _basis(m, i))
+    met = []
+
+    def recording_intersect(running, gb_i):
+        met.append(gb_i.basis)
+        return intersect(running, gb_i)
+
+    monkeypatch.setattr(lef, "intersect", recording_intersect)
+    result = locus_ideal(m, middle)
+    assert met == [_basis(m, 1).basis]
+    assert min(g.degree() for g in result.basis) == 3
     assert result.basis == expected.basis
 
 
@@ -134,8 +180,8 @@ def test_middle_pair_selfduality_for_odd_total_twist():
         assert m.degrees.d % 2 == 1
         i_star = m.degrees.middle_degree
         ring = dual_ring(m)
-        lhs = saturate(buchberger(list(locus_ideal_at(m, i_star).gens), "deglex", ring=ring))
-        rhs = saturate(buchberger(list(locus_ideal_at(m, i_star + 1).gens), "deglex", ring=ring))
+        lhs = saturate(buchberger(list(locus_ideal_at(m, i_star).gens), ring=ring))
+        rhs = saturate(buchberger(list(locus_ideal_at(m, i_star + 1).gens), ring=ring))
         assert same_ideal(lhs, rhs)
 
 
@@ -151,7 +197,7 @@ def test_is_lefschetz_fails_exactly_on_locus_points():
 
     m = _module((1, 1, 1, 2), (0, 0), seed=2)
     li = locus_ideal_at(m, m.degrees.middle_degree)
-    gb = buchberger(list(li.gens), "deglex", ring=dual_ring(m))
+    gb = buchberger(list(li.gens), ring=dual_ring(m))
     points = rational_points_0dim(gb)
     assert points
     for pt in points:
@@ -188,7 +234,7 @@ def test_minor_vanishing_matches_rank_deficiency():
     lines = [random_line(m.prime, stream) for _ in range(100)]
     from lefschetz_locus.groebner import rational_points_0dim
 
-    gb = buchberger(list(li.gens), "deglex", ring=dual_ring(m))
+    gb = buchberger(list(li.gens), ring=dual_ring(m))
     lines += rational_points_0dim(gb) or []
     dm = dual_matrix(m, i_star)
     for coords in lines:
