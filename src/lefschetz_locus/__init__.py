@@ -16,7 +16,7 @@ from .presentation import (
     random_presentation,
 )
 from .groebner import GroebnerBasis, IdealMeasure, buchberger, intersect, measure, saturate
-from .lefschetz import dual_matrix, is_lefschetz, locus_ideal, locus_ideal_at
+from .lefschetz import is_lefschetz, locus_ideal, locus_ideal_at
 from .bundle import (
     ChernData,
     SplittingType,
@@ -55,7 +55,6 @@ __all__ = [
     "classify_stability",
     "cokernel_basis",
     "compare",
-    "dual_matrix",
     "euler_characteristic",
     "expected_codimension",
     "generic_hilbert_profile",

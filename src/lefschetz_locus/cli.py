@@ -219,7 +219,7 @@ def analyze_line(job: dict, line_coords) -> dict:
     stab = bundle.classify_stability(degrees)
     normalized = split.shifted(stab.t0)
     oracle = bundle.lefschetz_oracle(stab, normalized)
-    jump = jumping.is_jumping(mod.pres, point, seed=job["seed"])
+    jump = split != jumping.generic_splitting_empirical(mod.pres, job["seed"])
 
     report = _base_report(job, "line")
     report["line"] = list(coords)

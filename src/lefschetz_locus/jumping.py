@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import rand
 from .bundle import SplittingType
 from .field_linalg import Matrix, kernel_basis, rank
+from .lefschetz import random_line
 from .polyring import BinaryForm, substitute_line
 from .presentation import DegreeData, PresentationMatrix
 
@@ -133,13 +134,9 @@ def generic_splitting_empirical(pres: PresentationMatrix, seed: int = 0,
     assumed."""
     stream = rand.Stream(rand.derive(seed, 0x591))
     votes: Counter[tuple[int, int]] = Counter()
-    p = pres.prime
     for _ in range(samples):
-        while True:
-            coords = tuple(stream.below(p) for _ in range(3))
-            if any(coords):
-                break
-        st = splitting_type(restrict(pres, line_point(coords, p)))
+        coords = random_line(pres.prime, stream)
+        st = splitting_type(restrict(pres, line_point(coords, pres.prime)))
         votes[(st.alpha, st.beta)] += 1
     (alpha, beta), _ = votes.most_common(1)[0]
     return SplittingType(alpha, beta)

@@ -1,21 +1,25 @@
 """Non-Lefschetz loci as determinantal schemes in the dual plane.
 
-For each degree i the module carries an h_{i+1} x h_i matrix of linear
-forms in the dual variables whose specialization at a line reproduces
-the multiplication map by that line.  The locus at degree i is cut out
-by the maximal minors; the total locus is the intersection over all
-degrees, which the engine folds onto the middle-degree basis (with exact
-containment shortcuts) so the localization claim stays checkable.
+A line l1*x1 + l2*x2 + l3*x3 acts from degree i to degree i + 1 by the
+h_{i+1} x h_i matrix sum_v l_v * (multiplication by x_v), held only as the
+module's three multiplication maps.  The locus at degree i is cut out by
+the maximal minors, forms of degree s = min(h_i, h_{i+1}) in l1, l2, l3:
+they are evaluated at the lattice points with a + b + c = s and
+interpolated, so a locus needs a prime above s.  The total locus is the
+intersection over all degrees, which the engine folds onto the
+middle-degree basis (with exact containment shortcuts) so the
+localization claim stays checkable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import rand
-from .field_linalg import Matrix, rank
+from .field_linalg import Matrix, _rref, rank
 from .groebner import GroebnerBasis, buchberger, intersect
 from .polyring import Polynomial, Ring, monomial_basis
 from .presentation import GradedModule
@@ -23,32 +27,6 @@ from .presentation import GradedModule
 
 class ZeroLineError(ValueError):
     """The zero triple does not define a line."""
-
-
-@dataclass(frozen=True)
-class DualLinearMatrix:
-    """Matrix of linear forms over the dual ring attached to one degree."""
-
-    degree: int
-    entries: tuple[tuple[Polynomial, ...], ...]
-    ring: Ring
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def specialize(self, coords) -> Matrix:
-        """Evaluate the dual variables at a line's coordinates."""
-        p = self.ring.prime
-        data = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for r, row in enumerate(self.entries):
-            for c, f in enumerate(row):
-                data[r, c] = f.evaluate(coords)
-        return Matrix(data, p)
 
 
 @dataclass(frozen=True)
@@ -74,79 +52,94 @@ def dual_ring(m: GradedModule) -> Ring:
     return Ring(prime=m.prime, dual=True)
 
 
-def dual_matrix(m: GradedModule, i: int) -> DualLinearMatrix:
-    """Entry (r, c) is sum_v l_v * (multiplication-by-x_v map)[r, c]."""
-    ring = dual_ring(m)
-    maps = m.variable_maps(i)
-    rows, cols = maps[0].rows, maps[0].cols
-    entries = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            terms = {
-                (1, 0, 0): int(maps[0].a[r, c]),
-                (0, 1, 0): int(maps[1].a[r, c]),
-                (0, 0, 1): int(maps[2].a[r, c]),
-            }
-            row.append(Polynomial(ring, terms))
-        entries.append(tuple(row))
-    return DualLinearMatrix(i, tuple(entries), ring)
+_BATCH = 1 << 14  # matrix entries eliminated together (128 KiB of int64)
 
 
-def _maximal_minors(entries, size: int, ring: Ring) -> list[Polynomial]:
-    """All size x size minors of a polynomial grid, enumerated in
-    lexicographic (row-subset, column-subset) order.
+def _lattice_minors(maps, size: int, p: int) -> np.ndarray:
+    """Values of every maximal minor of sum_v l_v * maps[v] at each lattice
+    point of degree ``size``: one row per point (``monomial_basis`` order),
+    one column per subset of the taller side (lexicographic order).
 
-    Dynamic programming over Laplace expansions: process columns left to
-    right, keeping the determinant of every row subset seen so far.
+    The square submatrices of a few points at a time (at most ``_BATCH``
+    entries, or one point's) are eliminated as one stack; rows are scaled
+    by the pivot instead of divided, so each determinant costs one modular
+    inverse, and every product is of two residues.
     """
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    if size == 0:
-        return []
-    grid = [list(r) for r in entries]
-    transposed = rows < cols
-    if transposed:
-        grid = [[grid[r][c] for r in range(rows)] for c in range(cols)]
-        rows, cols = cols, rows
-    one = Polynomial.constant(ring, 1)
-    states: dict[tuple[int, ...], Polynomial] = {(): one}
-    for k in range(cols):
-        new_states: dict[tuple[int, ...], Polynomial] = {}
-        for subset, det in states.items():
-            if det.is_zero():
-                continue
-            for r in range(rows):
-                if r in subset:
-                    continue
-                grown = tuple(sorted(subset + (r,)))
-                pos = grown.index(r)
-                contrib = grid[r][k] * det
-                if (pos + k) % 2:
-                    contrib = -contrib
-                if grown in new_states:
-                    new_states[grown] = new_states[grown] + contrib
-                else:
-                    new_states[grown] = contrib
-        states = new_states
-    out = []
-    for subset in sorted(states):
-        out.append(states[subset])
+    tall = [mv.a if mv.rows >= mv.cols else mv.a.T for mv in maps]
+    subsets = np.array(list(combinations(range(tall[0].shape[0]), size)), dtype=np.intp)
+    points = monomial_basis(size).monomials
+    step = max(1, _BATCH // (len(subsets) * size * size))
+    nums, scales = [], []
+    for lo in range(0, len(points), step):
+        stack = np.concatenate([(sum(c * a % p for c, a in zip(pt, tall)) % p)[subsets]
+                                for pt in points[lo:lo + step]])
+        k = np.arange(len(stack))
+        sign = np.ones(len(stack), dtype=np.int64)
+        running = np.ones(len(stack), dtype=np.int64)  # product of the pivots so far
+        scale = np.ones(len(stack), dtype=np.int64)  # det(stack) = sign * scale * minor
+        for j in range(size):
+            swap = j + (stack[:, j:, j] != 0).argmax(axis=1)  # stays j on a zero column
+            moved = swap != j
+            if moved.any():
+                top = stack[k, j].copy()
+                stack[k, j] = stack[k, swap]
+                stack[k, swap] = top
+                sign[moved] = -sign[moved]
+            piv = stack[:, j, j]
+            below = stack[:, j + 1:, j:]
+            stack[:, j + 1:, j:] = (below * piv[:, None, None]
+                                    - below[:, :, :1] * stack[:, j:j + 1, j:]) % p
+            scale = scale * running % p
+            running = running * piv % p
+        nums.append(sign * running % p)  # a zero pivot gives 0
+        scales.append(scale)
+    num, scale = np.concatenate(nums), np.concatenate(scales)
+    return (num * _inverse(scale, p) % p).reshape(len(points), len(subsets))
+
+
+def _inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise x^(p-2) mod p by square-and-multiply (0 stays 0)."""
+    out, base, e = np.ones_like(x), x % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
     return out
 
 
 def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
-    """Ideal of maximal minors of the degree-i dual matrix.  A shape with a
-    zero side has trivially maximal rank everywhere, so it contributes the
-    unit ideal (empty locus)."""
+    """Ideal of maximal minors of sum_v l_v * (multiplication by x_v out of
+    degree i).  A shape with a zero side has trivially maximal rank
+    everywhere, so it contributes the unit ideal (empty locus).
+
+    The minors of size s are forms of degree s in l1, l2, l3.  They are
+    evaluated at the C(s+2, 2) points (a, b, c) with a + b + c = s, which
+    are unisolvent for degree-s forms when p > s (principal lattice), and
+    recovered from one Vandermonde solve.  Generators keep the row-subset
+    order of the taller side; zero minors are dropped.
+    """
     ring = dual_ring(m)
-    h_i, h_i1 = m.h(i), m.h(i + 1)
-    size = min(h_i, h_i1)
+    p = m.prime
+    size = min(m.h(i), m.h(i + 1))
     if size == 0:
         return LocusIdeal((Polynomial.constant(ring, 1),), (i,))
-    dm = dual_matrix(m, i)
-    minors = _maximal_minors(dm.entries, size, ring)
-    gens = tuple(f for f in minors if not f.is_zero())
+    if p <= size:
+        raise ValueError(f"prime {p} is too small for the degree-{i} minors: "
+                         f"the locus needs a prime above the minor size {size}")
+    monos = monomial_basis(size).monomials
+    n = len(monos)
+    expo = np.array(monos, dtype=np.int64)
+    powers = np.array([[pow(x, e, p) for e in range(size + 1)] for x in range(size + 1)],
+                      dtype=np.int64)
+    vander = np.ones((n, n), dtype=np.int64)
+    for v in range(3):
+        vander = vander * powers[expo[:, None, v], expo[None, :, v]] % p
+    red, pivots = _rref(np.hstack([vander, _lattice_minors(m.variable_maps(i), size, p)]), p)
+    if pivots[:n] != tuple(range(n)):
+        raise ArithmeticError(f"lattice points of degree {size} are not unisolvent mod {p}")
+    gens = tuple(f for f in (Polynomial(ring, dict(zip(monos, map(int, col))))
+                             for col in red[:, n:].T) if not f.is_zero())
     if not gens:
         gens = (Polynomial.zero(ring),)
     return LocusIdeal(gens, (i,))

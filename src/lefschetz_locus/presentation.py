@@ -122,6 +122,10 @@ def presentation_from_strings(degrees: DegreeData, grid: list[list[str]],
                               prime: int = DEFAULT_PRIME) -> PresentationMatrix:
     from .polyring import parse_poly
 
+    if not (isinstance(grid, list) and all(
+            isinstance(row, list) and all(isinstance(s, str) for s in row) for row in grid)):
+        raise ValueError(f"the matrix must be a list of {degrees.n} rows, each a list of "
+                         f"{degrees.n + 2} polynomial strings")
     ring = Ring(prime=prime, dual=False)
     rows = tuple(tuple(parse_poly(s, ring) for s in row) for row in grid)
     return PresentationMatrix(degrees, rows, ring)

@@ -1,8 +1,10 @@
 """Independent test oracles: small, self-contained implementations used to
 cross-check the engine.  Nothing here imports engine internals beyond the
-public Polynomial container."""
+public Matrix container."""
 
 from __future__ import annotations
+
+from lefschetz_locus.field_linalg import Matrix
 
 
 # -- integer power series / Hilbert series -------------------------------
@@ -98,6 +100,14 @@ def det_mod(rows: list[list[int]], p: int) -> int:
         sign = -1 if i % 2 else 1
         total += sign * rows[i][0] * det_mod(minor, p)
     return total % p
+
+
+def specialize(m, i: int, coords) -> Matrix:
+    """The degree-i dual matrix at a line: sum_v c_v * (multiplication by
+    x_v out of degree i) mod p, each product reduced before the sum."""
+    p = m.prime
+    maps = m.variable_maps(i)
+    return Matrix(sum(int(c) % p * mv.a % p for c, mv in zip(coords, maps)) % p, p)
 
 
 # -- criteria-free Buchberger oracle --------------------------------------

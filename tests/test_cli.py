@@ -243,6 +243,19 @@ def test_hilbert_rejects_generator_alive_far_past_socle(tmp_path, capsys):
     assert "nonzero graded piece in degree 15" in report["error"]
 
 
+@pytest.mark.parametrize("content", ["5", "[[1, 2, 3]]", '["x1^2", "x2^2", "x3^3"]'],
+                         ids=["scalar", "numbers", "flat"])
+def test_malformed_matrix_file_is_json_error(tmp_path, capsys, content):
+    # a grid that is not a list of lists of strings names the expected shape
+    grid = tmp_path / "bad.json"
+    grid.write_text(content)
+    for command in ("locus", "survey"):
+        code = main([command, "--a", "2,2,3", "--b", "0", "--matrix", str(grid)])
+        out = capsys.readouterr().out
+        assert code == 1 and len(out.splitlines()) == 1
+        assert "list of 1 rows, each a list of 3 polynomial strings" in json.loads(out)["error"]
+
+
 def test_pretty_goes_to_stderr_only(capsys):
     main(["hilbert", "--a", "2,2,3", "--b", "0", "--pretty"])
     captured = capsys.readouterr()

@@ -1,11 +1,15 @@
-import pytest
+import json
+from itertools import combinations
 
-from helpers import det_mod
-from lefschetz_locus import rand
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import det_mod, specialize
+from lefschetz_locus import cli, rand
 from lefschetz_locus.groebner import buchberger, intersect, measure, same_ideal, saturate
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
-    dual_matrix,
     dual_ring,
     find_lefschetz_line,
     is_lefschetz,
@@ -27,32 +31,16 @@ def _basis(m, i):
     return buchberger(list(locus_ideal_at(m, i).gens), ring=dual_ring(m))
 
 
-def test_dual_matrix_shape_and_linearity():
-    m = _module((2, 2, 3), (0,))
-    dm = dual_matrix(m, 1)
-    assert (dm.rows, dm.cols) == (4, 3)
-    for row in dm.entries:
-        for f in row:
-            assert f.is_zero() or f.homogeneous_degree() == 1
-
-
-def test_dual_matrix_empty_side():
-    m = _module((2, 2, 3), (0,))
-    dm = dual_matrix(m, -1)
-    assert (dm.rows, dm.cols) == (1, 0)
-
-
 def test_specialization_at_coordinate_lines_and_random_lines():
     m = _module((2, 2, 3), (0,), seed=4)
     stream = rand.Stream(99)
     for i in (0, 1, 2, 3):
-        dm = dual_matrix(m, i)
         coords_list = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         coords_list += [random_line(m.prime, stream) for _ in range(10)]
         for coords in coords_list:
             ell = Polynomial.linear_form(R, coords)
             direct = m.multiplication_map(ell, i)
-            assert dm.specialize(coords) == direct
+            assert specialize(m, i, coords) == direct
 
 
 def test_minors_of_223_middle_are_four_cubics():
@@ -70,22 +58,70 @@ def test_minors_of_222_middle_is_one_cubic_determinant():
     assert li.gens[0].homogeneous_degree() == 3
 
 
-def test_minor_values_match_independent_determinant():
-    # evaluate each symbolic minor at a line and compare with a cofactor
-    # determinant of the specialized numeric submatrix
-    from itertools import combinations
+def _cofactor_minors(m, i, coords):
+    """Every maximal minor of the specialized degree-i matrix by cofactor
+    expansion, over subsets of the taller side in lexicographic order."""
+    a = specialize(m, i, coords).a
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    size = a.shape[1]
+    return [det_mod([[int(x) for x in a[r]] for r in rows], m.prime)
+            for rows in combinations(range(a.shape[0]), size)]
 
-    m = _module((2, 2, 3), (0,), seed=6)
-    dm = dual_matrix(m, 1)
-    li = locus_ideal_at(m, 1)
+
+@pytest.mark.parametrize("a,i,shape,count,prime", [
+    ((2, 2, 3), 1, (4, 3), 4, 65521),
+    ((2, 2, 3), 2, (3, 4), 4, 65521),
+    ((2, 2, 2), 1, (3, 3), 1, 65521),
+    ((3, 4, 4), 5, (6, 9), 84, 65521),
+    ((3, 4, 4), 5, (6, 9), 84, 2**31 - 1),  # residue products near 2^62
+], ids=["tall", "wide", "square", "many", "many-largest-prime"])
+def test_minor_values_match_independent_determinant(a, i, shape, count, prime):
+    # evaluate each interpolated minor at seeded lines (not lattice points)
+    # and compare with a cofactor determinant of the specialized submatrix
+    m = generic_module(DegreeData(a, (0,)), 6, prime)
+    assert (m.h(i + 1), m.h(i)) == shape
+    li = locus_ideal_at(m, i)
+    assert len(li.gens) == count
     stream = rand.Stream(123)
-    coords = random_line(m.prime, stream)
-    numeric = dm.specialize(coords)
-    rows_subsets = list(combinations(range(4), 3))
-    assert len(rows_subsets) == len(li.gens)
-    for subset, minor in zip(rows_subsets, li.gens):
-        sub = [[int(numeric.a[r, c]) for c in range(3)] for r in subset]
-        assert minor.evaluate(coords) == det_mod(sub, m.prime)
+    for _ in range(3):
+        coords = random_line(m.prime, stream)
+        assert [g.evaluate(coords) for g in li.gens] == _cofactor_minors(m, i, coords)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.lists(st.integers(1, 3), min_size=3, max_size=3), seed=st.integers(1, 1000),
+       pick=st.integers(0, 100), line=st.tuples(*[st.integers(0, 65520)] * 3))
+def test_minors_match_cofactor_oracle_on_random_twists(a, seed, pick, line):
+    # at a degree with a nontrivial map, the generators evaluated at a random
+    # line are the cofactor oracle's values in order, less the minors that
+    # vanish identically (which the ideal drops, so they read 0 here)
+    m = _module(tuple(sorted(a)), (0,), seed=seed)
+    degrees = [i for i in range(-1, m.degrees.socle_degree + 1) if min(m.h(i), m.h(i + 1))]
+    assume(degrees and any(line))
+    i = degrees[pick % len(degrees)]
+    values = [g.evaluate(line) for g in locus_ideal_at(m, i).gens]
+    matched = 0
+    for v in _cofactor_minors(m, i, line):
+        if matched < len(values) and values[matched] == v:
+            matched += 1
+        else:
+            assert v == 0
+    assert matched == len(values)
+
+
+def test_locus_needs_a_prime_above_the_minor_size(capsys):
+    # (2,2,3) has minors of size 3, so p = 3 cannot interpolate them; the
+    # commands that take no minors still run at p = 3
+    def run(argv):
+        code = cli.main(argv + ["--prime", "3"])
+        return code, capsys.readouterr().out
+
+    code, out = run(["locus", "--a", "2,2,3", "--b", "0"])
+    assert code == 1 and len(out.splitlines()) == 1
+    assert "prime above the minor size 3" in json.loads(out)["error"]
+    assert run(["hilbert", "--a", "2,2,3", "--b", "0"])[0] == 0
+    assert run(["line", "--a", "2,2,3", "--b", "0", "--line", "1,1,0"])[0] == 0
 
 
 def test_degenerate_shapes_contribute_unit_ideal():
@@ -236,10 +272,9 @@ def test_minor_vanishing_matches_rank_deficiency():
 
     gb = buchberger(list(li.gens), ring=dual_ring(m))
     lines += rational_points_0dim(gb) or []
-    dm = dual_matrix(m, i_star)
     for coords in lines:
         all_vanish = all(g.evaluate(coords) == 0 for g in li.gens)
-        r = rank(dm.specialize(coords))
+        r = rank(specialize(m, i_star, coords))
         assert all_vanish == (r < min(m.h(i_star), m.h(i_star + 1)))
 
 
