@@ -5,7 +5,7 @@ the associated rank-2 kernel bundle on the projective plane."""
 __version__ = "0.1.0"
 
 from .field_linalg import DEFAULT_PRIME, Matrix, cokernel_basis, kernel_basis, rank
-from .polyring import Polynomial, Ring, monomial_basis, multiplication_matrix, substitute_line
+from .polyring import Polynomial, Ring, monomial_basis, substitute_line
 from .presentation import (
     DegreeData,
     GradedModule,
@@ -23,11 +23,10 @@ from .bundle import (
     StabilityReport,
     chern,
     classify_stability,
-    euler_characteristic,
     h0,
     lefschetz_oracle,
 )
-from .jumping import LinePoint, is_jumping, line_point, restrict, splitting_type
+from .jumping import LinePoint, line_point, restrict, splitting_type
 from .predictor import (
     compare,
     expected_codimension,
@@ -55,14 +54,12 @@ __all__ = [
     "classify_stability",
     "cokernel_basis",
     "compare",
-    "euler_characteristic",
     "expected_codimension",
     "generic_hilbert_profile",
     "generic_module",
     "graded_piece_matrix",
     "h0",
     "intersect",
-    "is_jumping",
     "is_lefschetz",
     "kernel_basis",
     "lefschetz_oracle",
@@ -71,7 +68,6 @@ __all__ = [
     "locus_ideal_at",
     "measure",
     "monomial_basis",
-    "multiplication_matrix",
     "predict",
     "predicted_codimension",
     "predicted_degree",

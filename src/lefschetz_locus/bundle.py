@@ -1,11 +1,11 @@
 """Numerical invariants of the rank-2 kernel bundle.
 
 Everything here is closed-form arithmetic in the degree data: Chern
-classes from the defining sequence, Euler characteristics, exact global
-section counts (the twisted free resolution makes the section sequence
-short exact), the stability classification through section vanishing at
-the normalized twists, and the case table deciding Lefschetz behaviour
-from a splitting type.
+classes from the defining sequence, exact global section counts (the
+twisted free resolution makes the section sequence short exact), the
+stability classification through section vanishing at the normalized
+twists, and the case table deciding Lefschetz behaviour from a splitting
+type.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ class InconsistencyError(ArithmeticError):
 def _sections_line_bundle(m: int) -> int:
     """h^0 of O(m) on the plane: C(m+2, 2) for m >= 0, else 0."""
     return comb(m + 2, 2) if m >= 0 else 0
-
-
-def _chi_line_bundle(m: int) -> int:
-    """Euler characteristic of O(m) on the plane, all m."""
-    return (m + 2) * (m + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -53,19 +48,6 @@ def chern(degrees: DegreeData) -> ChernData:
     return ChernData(c1, c2, degrees.d)
 
 
-def euler_characteristic(degrees: DegreeData, t: int) -> int:
-    """chi of the twisted bundle, by additivity over the defining sequence;
-    cross-checked against the closed form in t."""
-    total = sum(_chi_line_bundle(t - ai) for ai in degrees.a)
-    total -= sum(_chi_line_bundle(t - bj) for bj in degrees.b)
-    d = degrees.d
-    sq = sum(ai * ai for ai in degrees.a) - sum(bj * bj for bj in degrees.b)
-    closed_twice = 2 * t * t + 6 * t + 4 - 2 * d * t - 3 * d + sq
-    if closed_twice != 2 * total:
-        raise InconsistencyError("Euler characteristic closed form disagrees with the sum")
-    return total
-
-
 def h0(degrees: DegreeData, t: int) -> int:
     """Exact h^0 of the twisted bundle: sections of the middle free module
     minus sections of the left one (the section sequence is short exact)."""
@@ -75,11 +57,6 @@ def h0(degrees: DegreeData, t: int) -> int:
     if value < 0:
         raise InconsistencyError(f"negative section count at twist {t}")
     return value
-
-
-def h2(degrees: DegreeData, t: int) -> int:
-    """h^2 via duality: the bundle is self-dual up to the twist by d."""
-    return h0(degrees, degrees.d - 3 - t)
 
 
 @dataclass(frozen=True)

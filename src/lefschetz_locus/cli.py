@@ -4,7 +4,8 @@ One JSON document per run on stdout, machine-diffable: identical
 (command, seed, prime) inputs give byte-identical output.  ``--pretty``
 adds a human summary on stderr.  Exit codes: 0 when every checked claim
 matched, 2 when a mismatch was found (for instance a locus needing the
-genericity hypothesis), 1 for input or internal errors.
+genericity hypothesis), 1 for input or internal errors, which print
+``{"error": message, "type": exception class name}``.
 """
 
 from __future__ import annotations
@@ -413,7 +414,7 @@ def main(argv=None) -> int:
         raise
     except (NonFiniteLengthError, NonGenericPresentationError, ValueError,
             ArithmeticError, OSError, json.JSONDecodeError) as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
+        sys.stdout.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
         return 1
     return 1
 

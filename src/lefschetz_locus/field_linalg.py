@@ -3,9 +3,7 @@
 Matrices hold int64 residues in [0, p); all arithmetic is modular and
 exact.  Row reduction processes columns left to right, so pivot columns
 are always the lexicographically earliest independent set -- the
-downstream cokernel bases depend on that.  A fraction-free rational
-elimination on the integer lifts is provided as an independent audit
-route for ranks.
+downstream cokernel bases depend on that.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rand import Stream
 
 DEFAULT_PRIME = 65521
 
@@ -54,10 +50,6 @@ class Matrix:
     def zero(cls, rows: int, cols: int, p: int = DEFAULT_PRIME) -> "Matrix":
         return cls(np.zeros((rows, cols), dtype=np.int64), p)
 
-    @classmethod
-    def identity(cls, n: int, p: int = DEFAULT_PRIME) -> "Matrix":
-        return cls(np.eye(n, dtype=np.int64), p)
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -65,17 +57,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.a.T.copy(), self.p)
-
-    def mul_vec(self, v: np.ndarray) -> np.ndarray:
-        if self.cols == 0:
-            return np.zeros(self.rows, dtype=np.int64)
-        return (self.a @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p
-
-    def to_lists(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.a]
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,36 +169,3 @@ def cokernel_basis(m: Matrix) -> CokernelBasis:
     red, pivots = _rref(m.a.T, m.p)
     coset = tuple(c for c in range(target_dim) if c not in pivots)
     return CokernelBasis(tuple(pivots), coset, red[: len(pivots)], m.p)
-
-
-def rank_rational(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free
-    (Bareiss) elimination with exact big-int arithmetic.  Audit oracle for
-    the modular rank."""
-    a = [[int(x) for x in row] for row in rows]
-    if not a or not a[0]:
-        return 0
-    nr, nc = len(a), len(a[0])
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pivot_row = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-    return r
-
-
-def random_matrix(rows: int, cols: int, seed: int, p: int = DEFAULT_PRIME) -> Matrix:
-    stream = Stream(seed)
-    data = [[stream.below(p) for _ in range(cols)] for _ in range(rows)]
-    return Matrix.from_rows(data, p, cols=cols)

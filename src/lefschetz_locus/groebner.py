@@ -1,11 +1,10 @@
 """Buchberger engine over the dual coordinate ring.
 
 Reduced Groebner bases under graded reverse-lex, the one public order
-(lex and first-variable elimination stay private to point extraction and
-intersection), ideal dimension and degree through the Hilbert series of the
-leading-term ideal, intersection by the auxiliary variable construction,
-colon ideals and saturation by the irrelevant ideal, and rational point
-extraction for measured loci.
+(first-variable elimination stays private to intersection), ideal
+dimension and degree through the Hilbert series of the leading-term ideal,
+intersection by the auxiliary variable construction, and saturation by the
+irrelevant ideal.
 
 Internally polynomials are plain dicts mapping exponent tuples (of any
 length, so the auxiliary-variable lift is just a longer tuple) to
@@ -18,10 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import rand
-from .polyring import Polynomial, Ring, substitute_line
+from .polyring import Polynomial, Ring
 
 RawPoly = dict[tuple, int]
 
@@ -33,10 +29,6 @@ def grevlex_key(m: tuple) -> tuple:
     """Graded reverse-lex; cached (bounded), as reductions rank the same
     monomials over and over."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _lex_key(m: tuple) -> tuple:
-    return m
 
 
 def _elim1_key(m: tuple) -> tuple:
@@ -173,29 +165,6 @@ def _reduce_basis_raw(basis: list[RawPoly], key, p: int) -> list[RawPoly]:
     return reduced
 
 
-def _divide_exact(g: RawPoly, f: RawPoly, key, p: int) -> RawPoly:
-    """Quotient g/f when f divides g exactly."""
-    work = dict(g)
-    lf = max(f, key=key)
-    inv = pow(f[lf], p - 2, p)
-    quotient: RawPoly = {}
-    while work:
-        m = max(work, key=key)
-        if not _divides(lf, m):
-            raise ArithmeticError("division is not exact")
-        shift = _mono_sub(m, lf)
-        coef = (work[m] * inv) % p
-        quotient[shift] = coef
-        for fm, fc in f.items():
-            tm = _mono_mul(fm, shift)
-            v = (work.get(tm, 0) - coef * fc) % p
-            if v:
-                work[tm] = v
-            else:
-                work.pop(tm, None)
-    return quotient
-
-
 # -- public wrappers -----------------------------------------------------
 
 
@@ -246,7 +215,8 @@ def buchberger(gens: Sequence[Polynomial], ring: Ring | None = None) -> Groebner
 
 
 def same_ideal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
-    """Ideal equality: reduced Groebner bases are unique."""
+    """Ideal equality: reduced Groebner bases are unique.  The CLI compares
+    bases inline; this stays because perfbench/spans.py wraps it by name."""
     return a.basis == b.basis
 
 
@@ -256,12 +226,10 @@ def same_ideal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
 @dataclass(frozen=True)
 class IdealMeasure:
     """Projective dimension (-1 for empty) and degree of the vanishing
-    scheme in the dual plane, plus the Hilbert-series numerator of the
-    leading-term ideal for inspection."""
+    scheme in the dual plane."""
 
     dim_projective: int
     degree: int
-    hilbert_numerator: tuple[int, ...]
 
     @property
     def codim(self) -> int:
@@ -341,10 +309,9 @@ def _strip_one_minus_z(coeffs: list[int]) -> list[int]:
 def measure(gb: GroebnerBasis) -> IdealMeasure:
     """Dimension and degree read off the leading-term ideal."""
     if gb.is_unit:
-        return IdealMeasure(-1, 0, (0,))
+        return IdealMeasure(-1, 0)
     lms = _minimalize_monos(gb.leading_monomials())
-    num = _numerator(lms, {})
-    series = list(num)
+    series = list(_numerator(lms, {}))
     drops = 0
     while series and sum(series) == 0:
         series = _strip_one_minus_z(series)
@@ -353,10 +320,10 @@ def measure(gb: GroebnerBasis) -> IdealMeasure:
         raise ArithmeticError("numerator vanished more than 3 times at z=1")
     dim_proj = 2 - drops
     degree = sum(series) if dim_proj >= 0 else 0
-    return IdealMeasure(dim_proj, degree, tuple(num))
+    return IdealMeasure(dim_proj, degree)
 
 
-# -- intersection, colon, saturation --------------------------------------
+# -- intersection and saturation -----------------------------------------
 
 
 def intersect(i1, i2) -> GroebnerBasis:
@@ -384,19 +351,6 @@ def intersect(i1, i2) -> GroebnerBasis:
     eliminated = [f for f in gb4 if all(m[0] == 0 for m in f)]
     polys = [Polynomial(ring, {m[1:]: c for m, c in f.items()}) for f in eliminated]
     return buchberger(polys, ring=ring)
-
-
-def colon(ideal, f: Polynomial) -> GroebnerBasis:
-    """The colon ideal (I : f)."""
-    gens, ring = _as_gens(ideal)
-    if f.is_zero():
-        raise ValueError("colon by zero")
-    meet = intersect(gens, [f])
-    out = [
-        Polynomial(ring, _divide_exact(g.terms, f.terms, grevlex_key, ring.prime))
-        for g in meet.basis
-    ]
-    return buchberger(out, ring=ring)
 
 
 def _saturate_variable(raws: list[RawPoly], v: int, p: int) -> list[RawPoly]:
@@ -443,185 +397,3 @@ def saturate(ideal) -> GroebnerBasis:
             continue  # no component clings to this coordinate line
         result = intersect(result, part)
     return result
-
-
-# -- rational points -------------------------------------------------------
-
-
-def _univariate_roots(coeffs: list[int], p: int) -> list[int]:
-    """All roots in F_p of a univariate polynomial given by descending
-    coefficients, by a vectorized full scan."""
-    coeffs = [c % p for c in coeffs]
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if not coeffs:
-        raise ValueError("zero polynomial has every root")
-    if len(coeffs) == 1:
-        return []
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.full(p, coeffs[0], dtype=np.int64)
-    for c in coeffs[1:]:
-        acc = (acc * xs + c) % p
-    return [int(r) for r in xs[acc == 0]]
-
-
-def _canonical_point(coords: tuple[int, int, int], p: int) -> tuple[int, int, int]:
-    coords = tuple(c % p for c in coords)
-    last = max(i for i, c in enumerate(coords) if c)
-    inv = pow(coords[last], p - 2, p)
-    return tuple((c * inv) % p for c in coords)
-
-
-def _substitute(raw: RawPoly, index: int, value: int, p: int) -> RawPoly:
-    out: RawPoly = {}
-    for m, c in raw.items():
-        scaled = (c * pow(value, m[index], p)) % p
-        key = tuple(0 if i == index else e for i, e in enumerate(m))
-        v = (out.get(key, 0) + scaled) % p
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _as_univariate(raw: RawPoly, index: int) -> list[int] | None:
-    """Descending coefficient list if the poly only involves one variable."""
-    if any(e for m in raw for i, e in enumerate(m) if i != index):
-        return None
-    if not raw:
-        return [0]
-    deg = max(m[index] for m in raw)
-    out = [0] * (deg + 1)
-    for m, c in raw.items():
-        out[deg - m[index]] = c
-    return out
-
-
-def _univariate_gcd(polys: list[list[int]], p: int) -> list[int]:
-    def trim(a):
-        a = [c % p for c in a]
-        while a and a[0] == 0:
-            a.pop(0)
-        return a
-
-    def mod(a, b):
-        a, b = trim(a), trim(b)
-        inv = pow(b[0], p - 2, p)
-        while len(a) >= len(b) and a:
-            factor = (a[0] * inv) % p
-            for i in range(len(b)):
-                a[i] = (a[i] - factor * b[i]) % p
-            a = trim(a)
-        return a
-
-    g: list[int] = []
-    for poly in polys:
-        poly = trim(poly)
-        if not poly:
-            continue
-        if not g:
-            g = poly
-            continue
-        while poly:
-            g, poly = poly, mod(g, poly)
-        g = trim(g)
-    return g
-
-
-def rational_points_0dim(ideal) -> list[tuple[int, int, int]] | None:
-    """All base-field points of a 0-dimensional vanishing set in the dual
-    plane; None when a patch turns out positive-dimensional."""
-    gens, ring = _as_gens(ideal)
-    p = ring.prime
-    raws = [g.terms for g in gens if not g.is_zero()]
-    if not raws:
-        return None
-    points: list[tuple[int, int, int]] = []
-
-    def vanishes_at(point) -> bool:
-        return all(Polynomial(ring, r).evaluate(point) == 0 for r in raws)
-
-    # patch l3 = 1
-    affine = [_substitute(r, 2, 1, p) for r in raws]
-    affine = [r for r in affine if r]
-    if not affine:
-        return None
-    gb = _buchberger_raw(affine, _lex_key, p)
-    pure_l2 = [u for f in gb if (u := _as_univariate(f, 1)) is not None]
-    if not pure_l2:
-        return None
-    g2 = _univariate_gcd(pure_l2, p)
-    if not g2:
-        return None
-    for r in _univariate_roots(g2, p):
-        slices = [_substitute(f, 1, r, p) for f in gb]
-        univs = [u for s in slices if s and (u := _as_univariate(s, 0)) is not None]
-        if len(univs) < len([s for s in slices if s]):
-            return None
-        g1 = _univariate_gcd(univs, p)
-        if not g1:
-            return None
-        for s in _univariate_roots(g1, p):
-            candidate = _canonical_point((s, r, 1), p)
-            if vanishes_at(candidate):
-                points.append(candidate)
-
-    # patch l3 = 0, l2 = 1
-    line = [_substitute(_substitute(r, 2, 0, p), 1, 1, p) for r in raws]
-    line = [r for r in line if r]
-    if not line and raws:
-        return None  # the whole line l3 = 0 lies in the locus
-    univs = [u for r in line if (u := _as_univariate(r, 0)) is not None]
-    if len(univs) != len(line):
-        raise AssertionError("substitution left a multivariate remainder")
-    g1 = _univariate_gcd(univs, p)
-    if not g1:
-        return None
-    for s in _univariate_roots(g1, p):
-        candidate = _canonical_point((s, 1, 0), p)
-        if vanishes_at(candidate):
-            points.append(candidate)
-
-    # the single remaining point
-    if vanishes_at((1, 0, 0)):
-        points.append(_canonical_point((1, 0, 0), p))
-
-    return sorted(set(points))
-
-
-def sample_locus_points(ideal, seed: int, pencils: int = 6) -> list[tuple[int, int, int]]:
-    """Base-field points of a positive-dimensional locus found by cutting
-    with seeded random pencils; points whose coordinates would need a field
-    extension are invisible to this search and are simply not returned."""
-    gens, ring = _as_gens(ideal)
-    p = ring.prime
-    raws = [g for g in gens if not g.is_zero()]
-    if not raws:
-        return []
-    stream = rand.Stream(rand.derive(seed, 0x70C1))
-    found: set[tuple[int, int, int]] = set()
-    xs = np.arange(p, dtype=np.int64)
-    for _ in range(pencils):
-        pt_a = tuple(stream.below(p) for _ in range(3))
-        pt_b = tuple(stream.below(p) for _ in range(3))
-        param = [[pt_a[i], pt_b[i]] for i in range(3)]
-        try:
-            forms = [substitute_line(g, param) for g in raws]
-        except Exception:
-            continue
-        if all(f.is_zero() for f in forms):
-            continue  # pencil lies inside the locus; useless for sampling
-        mask = np.ones(p, dtype=bool)
-        for form in forms:
-            acc = np.zeros(p, dtype=np.int64)
-            for c in form.coeffs:
-                acc = (acc * xs + c) % p
-            mask &= acc == 0
-        for lam in xs[mask]:
-            coords = tuple((int(lam) * pt_a[i] + pt_b[i]) % p for i in range(3))
-            if any(coords):
-                found.add(_canonical_point(coords, p))
-        if all(form.coeffs[0] == 0 for form in forms) and any(pt_a):
-            found.add(_canonical_point(pt_a, p))
-    return sorted(found)

@@ -140,11 +140,3 @@ def generic_splitting_empirical(pres: PresentationMatrix, seed: int = 0,
         votes[(st.alpha, st.beta)] += 1
     (alpha, beta), _ = votes.most_common(1)[0]
     return SplittingType(alpha, beta)
-
-
-def is_jumping(pres: PresentationMatrix, line: LinePoint, *, seed: int = 0,
-               generic: SplittingType | None = None) -> bool:
-    """Does the restriction split differently from a general line?"""
-    if generic is None:
-        generic = generic_splitting_empirical(pres, seed)
-    return splitting_type(restrict(pres, line)) != generic

@@ -34,7 +34,6 @@ class LocusIdeal:
     """Homogeneous ideal in the dual ring cutting out a (partial) locus."""
 
     gens: tuple[Polynomial, ...]
-    source_degrees: tuple[int, ...]
 
     @property
     def spanned_degree(self) -> int | None:
@@ -123,7 +122,7 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     p = m.prime
     size = min(m.h(i), m.h(i + 1))
     if size == 0:
-        return LocusIdeal((Polynomial.constant(ring, 1),), (i,))
+        return LocusIdeal((Polynomial.constant(ring, 1),))
     if p <= size:
         raise ValueError(f"prime {p} is too small for the degree-{i} minors: "
                          f"the locus needs a prime above the minor size {size}")
@@ -142,7 +141,7 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
                              for col in red[:, n:].T) if not f.is_zero())
     if not gens:
         gens = (Polynomial.zero(ring),)
-    return LocusIdeal(gens, (i,))
+    return LocusIdeal(gens)
 
 
 def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> GroebnerBasis:
@@ -177,10 +176,6 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> GroebnerBasis:
 class LefschetzCheck:
     ok: bool
     failing_degrees: tuple[int, ...]
-    ranks: tuple[tuple[int, int, int], ...]  # (degree, rank, max possible)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_lefschetz(m: GradedModule, line) -> LefschetzCheck:
@@ -191,19 +186,15 @@ def is_lefschetz(m: GradedModule, line) -> LefschetzCheck:
         raise ZeroLineError("a line needs a nonzero coordinate triple")
     lo, e = m.degrees.b[0], m.degrees.socle_degree
     failing = []
-    ranks = []
     for i in range(lo - 1, e + 1):
-        h_i, h_i1 = m.h(i), m.h(i + 1)
-        needed = min(h_i, h_i1)
+        needed = min(m.h(i), m.h(i + 1))
         if needed == 0:
             continue
         maps = m.variable_maps(i)
         combo = sum(c * mv.a % p for c, mv in zip(coords, maps)) % p
-        r = rank(Matrix(combo, p))
-        ranks.append((i, r, needed))
-        if r < needed:
+        if rank(Matrix(combo, p)) < needed:
             failing.append(i)
-    return LefschetzCheck(not failing, tuple(failing), tuple(ranks))
+    return LefschetzCheck(not failing, tuple(failing))
 
 
 def random_line(prime: int, stream: rand.Stream) -> tuple[int, int, int]:

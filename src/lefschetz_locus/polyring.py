@@ -101,11 +101,6 @@ class Polynomial:
         mono = tuple(1 if j == i else 0 for j in range(3))
         return cls(ring, {mono: 1})
 
-    @classmethod
-    def linear_form(cls, ring: Ring, coords) -> "Polynomial":
-        c1, c2, c3 = coords
-        return cls(ring, {(1, 0, 0): c1, (0, 1, 0): c2, (0, 0, 1): c3})
-
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -120,19 +115,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_degree(self) -> int:
-        if not self.is_homogeneous():
-            raise ValueError("polynomial is not homogeneous")
-        return self.degree()
-
-    def evaluate(self, point) -> int:
-        p = self.ring.prime
-        x1, x2, x3 = (int(v) % p for v in point)
-        total = 0
-        for (e1, e2, e3), c in self.terms.items():
-            total += c * pow(x1, e1, p) * pow(x2, e2, p) * pow(x3, e3, p)
-        return total % p
 
     # -- arithmetic ----------------------------------------------------
 
@@ -195,25 +177,6 @@ def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.ring, out)
 
 
-def multiplication_matrix(f: Polynomial, t: int) -> Matrix:
-    """Matrix of g -> f*g from degree-t monomials to degree-(t+deg f) ones.
-
-    Column j is the coefficient vector of f times the j-th basis monomial.
-    """
-    if f.is_zero():
-        raise ValueError("multiplication matrix of the zero polynomial is shapeless")
-    e = f.homogeneous_degree()
-    src = monomial_basis(t)
-    dst = monomial_basis(t + e)
-    dst_index = dst.index()
-    m = Matrix.zero(len(dst), len(src), f.ring.prime)
-    for j, mono in enumerate(src.monomials):
-        for mf, c in f.terms.items():
-            target = (mf[0] + mono[0], mf[1] + mono[1], mf[2] + mono[2])
-            m.a[dst_index[target], j] = c
-    return m
-
-
 # -- restriction of forms to a line ------------------------------------
 
 
@@ -233,17 +196,6 @@ class BinaryForm:
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient count does not match degree")
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def evaluate(self, s: int, u: int) -> int:
-        p = self.prime
-        total = 0
-        d = self.degree
-        for i, c in enumerate(self.coeffs):
-            total += c * pow(s % p, d - i, p) * pow(u % p, i, p)
-        return total % p
-
 
 def _binary_mul(a: list[int], b: list[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
@@ -259,10 +211,7 @@ def substitute_line(f: Polynomial, param) -> BinaryForm:
     """Restrict a homogeneous form to the line with 3x2 parametrization
     ``param``: variable i maps to param[i][0]*s + param[i][1]*u."""
     p = f.ring.prime
-    if isinstance(param, Matrix):
-        rows = param.to_lists()
-    else:
-        rows = [[int(c) % p for c in row] for row in param]
+    rows = [[int(c) % p for c in row] for row in param]
     if len(rows) != 3 or any(len(r) != 2 for r in rows):
         raise ValueError("parametrization must be 3x2")
     if rank(Matrix.from_rows(rows, p)) < 2:

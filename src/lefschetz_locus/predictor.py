@@ -39,6 +39,11 @@ def predicted_codimension(stability: StabilityReport) -> int:
     return 2
 
 
+def _binomial(n: int, k: int) -> int:
+    """C(n, k), taken as 0 for k < 0."""
+    return comb(n, k) if k >= 0 else 0
+
+
 def predicted_degree(m: GradedModule, stability: StabilityReport,
                      chern_data: ChernData) -> int:
     """Curve case: the middle Hilbert value.  Finite case: the binomial
@@ -47,7 +52,7 @@ def predicted_degree(m: GradedModule, stability: StabilityReport,
     i_star = m.degrees.middle_degree
     if predicted_codimension(stability) == 1:
         return m.h(i_star)
-    value = comb(m.h(i_star + 1), m.h(i_star) - 1)
+    value = _binomial(m.h(i_star + 1), m.h(i_star) - 1)
     c2_norm = chern_data.twisted(stability.t0).c2
     cross = comb(c2_norm, 2) if c2_norm >= 0 else -1
     if cross != value:
@@ -60,11 +65,15 @@ def predicted_degree(m: GradedModule, stability: StabilityReport,
 
 def predict(m: GradedModule, stability: StabilityReport,
             chern_data: ChernData) -> Prediction:
+    """A predicted degree of 0 (no points, or h(i*) = 0 so the middle map
+    has no columns) means an empty locus: the unit ideal, codimension 3."""
+    degree = predicted_degree(m, stability, chern_data)
+    empty = degree == 0
     return Prediction(
         middle_degree=m.degrees.middle_degree,
-        expected_codim=expected_codimension(m),
-        predicted_codim=predicted_codimension(stability),
-        predicted_degree=predicted_degree(m, stability, chern_data),
+        expected_codim=3 if empty else expected_codimension(m),
+        predicted_codim=3 if empty else predicted_codimension(stability),
+        predicted_degree=degree,
         stability_class=stability.cls,
     )
 
@@ -76,12 +85,6 @@ class ComparisonReport:
     measured_degree: int
     claims: tuple[tuple[str, bool], ...]
     verdict: str  # "match" | "generality-required" | "mismatch"
-
-    def claim(self, name: str) -> bool:
-        for key, ok in self.claims:
-            if key == name:
-                return ok
-        raise KeyError(name)
 
 
 def compare(m: GradedModule, stability: StabilityReport, chern_data: ChernData,

@@ -175,21 +175,17 @@ class _Piece:
         return self.coker.dim
 
 
-_EMPTY_AUDIT: dict = {}
-
-
 class GradedModule:
     """Cokernel of a presentation with per-degree coset bases."""
 
-    def __init__(self, pres: PresentationMatrix, pieces: dict[int, _Piece],
-                 audit: dict | None = None):
+    def __init__(self, pres: PresentationMatrix, pieces: dict[int, _Piece]):
         self.pres = pres
         self.degrees = pres.degrees
         self.prime = pres.prime
         self.ring = pres.ring
         self._pieces = pieces
         self._var_maps: dict[int, tuple[Matrix, Matrix, Matrix]] = {}
-        self.audit = audit if audit is not None else dict(_EMPTY_AUDIT)
+        self.audit: dict = {}
 
     @classmethod
     def build(cls, pres: PresentationMatrix) -> "GradedModule":
@@ -232,10 +228,6 @@ class GradedModule:
         self._pieces[t] = piece
         return piece
 
-    @property
-    def socle_degree(self) -> int:
-        return self.degrees.socle_degree
-
     @cached_property
     def support(self) -> tuple[int, ...]:
         lo, e = self.degrees.b[0], self.degrees.socle_degree
@@ -249,9 +241,6 @@ class GradedModule:
 
     def hilbert(self) -> dict[int, int]:
         return {t: self.h(t) for t in self.support}
-
-    def coset_monomials(self, t: int) -> tuple[tuple[int, tuple[int, int, int]], ...]:
-        return self.piece(t).coset_monomials
 
     def multiplication_map(self, ell: Polynomial, t: int) -> Matrix:
         """Matrix of multiplication by the linear form ell from the degree-t

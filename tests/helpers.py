@@ -1,10 +1,26 @@
 """Independent test oracles: small, self-contained implementations used to
-cross-check the engine.  Nothing here imports engine internals beyond the
-public Matrix container."""
+cross-check the engine, kept out of the package because no CLI path needs
+them.  Most stand alone; point extraction runs the engine's raw Buchberger
+core (``groebner._buchberger_raw``) under lex, and ``colon`` uses
+``groebner.intersect``.  The root search scans all of F_p with an O(p)
+array (16 GB near 2^31), so the point oracles run only at primes up to the
+default 65521."""
 
 from __future__ import annotations
 
-from lefschetz_locus.field_linalg import Matrix
+import numpy as np
+
+from lefschetz_locus import rand
+from lefschetz_locus.bundle import InconsistencyError, h0
+from lefschetz_locus.field_linalg import DEFAULT_PRIME, Matrix
+from lefschetz_locus.groebner import (
+    GroebnerBasis,
+    _buchberger_raw,
+    buchberger,
+    grevlex_key,
+    intersect,
+)
+from lefschetz_locus.polyring import Polynomial, substitute_line
 
 
 # -- integer power series / Hilbert series -------------------------------
@@ -187,3 +203,259 @@ def naive_groebner_leading_terms(gens: list[RawPoly], p: int) -> set[tuple]:
         if not any(all(x >= y for x, y in zip(m, g)) for g in minimal):
             minimal.add(m)
     return minimal
+
+
+# -- polynomial evaluation and exact rank ---------------------------------
+
+
+def evaluate(f: Polynomial, point) -> int:
+    """Value of f at a point of the plane, mod p."""
+    p = f.ring.prime
+    x = [int(v) % p for v in point]
+    return sum(c * pow(x[0], m[0], p) * pow(x[1], m[1], p) * pow(x[2], m[2], p)
+               for m, c in f.terms.items()) % p
+
+
+def rank_rational(rows: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free
+    (Bareiss) elimination with exact big-int arithmetic."""
+    a = [[int(x) for x in row] for row in rows]
+    if not a or not a[0]:
+        return 0
+    nr, nc = len(a), len(a[0])
+    prev, r = 1, 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pivot_row = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        for i in range(r + 1, nr):
+            for j in range(c + 1, nc):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+    return r
+
+
+def random_matrix(rows: int, cols: int, seed: int, p: int = DEFAULT_PRIME) -> Matrix:
+    stream = rand.Stream(seed)
+    data = [[stream.below(p) for _ in range(cols)] for _ in range(rows)]
+    return Matrix.from_rows(data, p, cols=cols)
+
+
+# -- Euler characteristic of the kernel bundle ----------------------------
+
+
+def _chi_line_bundle(m: int) -> int:
+    """Euler characteristic of O(m) on the plane, all m."""
+    return (m + 2) * (m + 1) // 2
+
+
+def euler_characteristic(degrees, t: int) -> int:
+    """chi of the twisted bundle, by additivity over the defining sequence;
+    cross-checked against the closed form in t."""
+    total = sum(_chi_line_bundle(t - ai) for ai in degrees.a)
+    total -= sum(_chi_line_bundle(t - bj) for bj in degrees.b)
+    d = degrees.d
+    sq = sum(ai * ai for ai in degrees.a) - sum(bj * bj for bj in degrees.b)
+    if 2 * t * t + 6 * t + 4 - 2 * d * t - 3 * d + sq != 2 * total:
+        raise InconsistencyError("Euler characteristic closed form disagrees with the sum")
+    return total
+
+
+def h2(degrees, t: int) -> int:
+    """h^2 via duality: the bundle is self-dual up to the twist by d."""
+    return h0(degrees, degrees.d - 3 - t)
+
+
+# -- colon ideals ----------------------------------------------------------
+
+
+def _divide_exact(g: dict, f: dict, p: int) -> dict:
+    """Quotient g/f when f divides g exactly."""
+    work = dict(g)
+    lf = max(f, key=grevlex_key)
+    inv = pow(f[lf], p - 2, p)
+    quotient = {}
+    while work:
+        m = max(work, key=grevlex_key)
+        if not all(x <= y for x, y in zip(lf, m)):
+            raise ArithmeticError("division is not exact")
+        shift = tuple(y - x for x, y in zip(lf, m))
+        coef = work[m] * inv % p
+        quotient[shift] = coef
+        for fm, fc in f.items():
+            tm = tuple(x + y for x, y in zip(fm, shift))
+            v = (work.get(tm, 0) - coef * fc) % p
+            if v:
+                work[tm] = v
+            else:
+                work.pop(tm, None)
+    return quotient
+
+
+def colon(ideal: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
+    """The colon ideal (I : f), from I meet (f) divided by f."""
+    if f.is_zero():
+        raise ValueError("colon by zero")
+    ring = ideal.ring
+    meet = intersect(ideal, [f])
+    return buchberger([Polynomial(ring, _divide_exact(g.terms, f.terms, ring.prime))
+                       for g in meet.basis], ring=ring)
+
+
+# -- rational points (O(p) root scans) -------------------------------------
+
+
+def _univariate_roots(coeffs: list[int], p: int) -> list[int]:
+    """All roots in F_p of a univariate polynomial given by descending
+    coefficients, by a vectorized full scan."""
+    coeffs = [c % p for c in coeffs]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    if not coeffs:
+        raise ValueError("zero polynomial has every root")
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.full(p, coeffs[0], dtype=np.int64)
+    for c in coeffs[1:]:
+        acc = (acc * xs + c) % p
+    return [int(r) for r in xs[acc == 0]]
+
+
+def _canonical_point(coords, p: int) -> tuple[int, int, int]:
+    coords = tuple(c % p for c in coords)
+    last = max(i for i, c in enumerate(coords) if c)
+    inv = pow(coords[last], p - 2, p)
+    return tuple(c * inv % p for c in coords)
+
+
+def _substitute(raw: dict, index: int, value: int, p: int) -> dict:
+    out: dict = {}
+    for m, c in raw.items():
+        key = tuple(0 if i == index else e for i, e in enumerate(m))
+        out[key] = (out.get(key, 0) + c * pow(value, m[index], p)) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _as_univariate(raw: dict, index: int) -> list[int] | None:
+    """Descending coefficient list if the poly only involves one variable."""
+    if any(e for m in raw for i, e in enumerate(m) if i != index):
+        return None
+    deg = max((m[index] for m in raw), default=0)
+    out = [0] * (deg + 1)
+    for m, c in raw.items():
+        out[deg - m[index]] = c
+    return out
+
+
+def _univariate_gcd(polys: list[list[int]], p: int) -> list[int]:
+    def trim(a):
+        a = [c % p for c in a]
+        while a and a[0] == 0:
+            a.pop(0)
+        return a
+
+    def mod(a, b):
+        a, b = trim(a), trim(b)
+        inv = pow(b[0], p - 2, p)
+        while len(a) >= len(b) and a:
+            factor = a[0] * inv % p
+            a = trim([(x - factor * y) % p for x, y in zip(a, b)] + a[len(b):])
+        return a
+
+    g: list[int] = []
+    for poly in map(trim, polys):
+        if not g:
+            g = poly
+            continue
+        while poly:
+            g, poly = poly, mod(g, poly)
+        g = trim(g)
+    return g
+
+
+def rational_points_0dim(gb: GroebnerBasis) -> list[tuple[int, int, int]] | None:
+    """All base-field points of a 0-dimensional vanishing set in the dual
+    plane; None when a patch turns out positive-dimensional."""
+    gens = list(gb.basis)
+    if not gens:
+        return None
+    p = gens[0].ring.prime
+    raws = [g.terms for g in gens]
+    points = []
+
+    def vanishes_at(point) -> bool:
+        return all(evaluate(g, point) == 0 for g in gens)
+
+    # patch l3 = 1: a lex basis, univariate in l2, then in l1 above each root
+    affine = [r for r in (_substitute(r, 2, 1, p) for r in raws) if r]
+    if not affine:
+        return None
+    gb = _buchberger_raw(affine, lambda m: m, p)
+    g2 = _univariate_gcd([u for f in gb if (u := _as_univariate(f, 1)) is not None], p)
+    if not g2:
+        return None
+    for r in _univariate_roots(g2, p):
+        slices = [s for s in (_substitute(f, 1, r, p) for f in gb) if s]
+        univs = [u for s in slices if (u := _as_univariate(s, 0)) is not None]
+        if len(univs) < len(slices):
+            return None
+        g1 = _univariate_gcd(univs, p)
+        if not g1:
+            return None
+        points += [pt for s in _univariate_roots(g1, p)
+                   if vanishes_at(pt := _canonical_point((s, r, 1), p))]
+
+    # patch l3 = 0, l2 = 1
+    line = [r for r in (_substitute(_substitute(r, 2, 0, p), 1, 1, p) for r in raws) if r]
+    if not line:
+        return None  # the whole line l3 = 0 lies in the locus
+    g1 = _univariate_gcd([_as_univariate(r, 0) for r in line], p)
+    if not g1:
+        return None
+    points += [pt for s in _univariate_roots(g1, p)
+               if vanishes_at(pt := _canonical_point((s, 1, 0), p))]
+
+    # the single remaining point
+    if vanishes_at((1, 0, 0)):
+        points.append((1, 0, 0))
+    return sorted(set(points))
+
+
+def sample_locus_points(gens: list[Polynomial], seed: int,
+                        pencils: int = 6) -> list[tuple[int, int, int]]:
+    """Base-field points of a positive-dimensional locus found by cutting
+    with seeded random pencils; points whose coordinates would need a field
+    extension are invisible to this search and are simply not returned."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    p = gens[0].ring.prime
+    stream = rand.Stream(rand.derive(seed, 0x70C1))
+    found = set()
+    xs = np.arange(p, dtype=np.int64)
+    for _ in range(pencils):
+        pt_a = tuple(stream.below(p) for _ in range(3))
+        pt_b = tuple(stream.below(p) for _ in range(3))
+        try:
+            forms = [substitute_line(g, [[pt_a[i], pt_b[i]] for i in range(3)]) for g in gens]
+        except ValueError:
+            continue  # the two points do not span a line
+        if not any(c for f in forms for c in f.coeffs):
+            continue  # pencil lies inside the locus; useless for sampling
+        mask = np.ones(p, dtype=bool)
+        for form in forms:
+            acc = np.zeros(p, dtype=np.int64)
+            for c in form.coeffs:
+                acc = (acc * xs + c) % p
+            mask &= acc == 0
+        for lam in xs[mask]:
+            coords = tuple((int(lam) * pt_a[i] + pt_b[i]) % p for i in range(3))
+            if any(coords):
+                found.add(_canonical_point(coords, p))
+        if all(form.coeffs[0] == 0 for form in forms) and any(pt_a):
+            found.add(_canonical_point(pt_a, p))
+    return sorted(found)

@@ -4,18 +4,13 @@ its runtime against the stated budget (run pytest with -s to see them)."""
 import time
 from math import comb
 
+from helpers import euler_characteristic, rational_points_0dim, sample_locus_points
 from lefschetz_locus import rand
 from lefschetz_locus.bundle import chern, classify_stability, lefschetz_oracle
 from lefschetz_locus.cli import analyze_locus, build_module, survey_row
-from lefschetz_locus.groebner import (
-    buchberger,
-    measure,
-    rational_points_0dim,
-    sample_locus_points,
-)
+from lefschetz_locus.groebner import buchberger, measure
 from lefschetz_locus.jumping import (
     generic_splitting_empirical,
-    is_jumping,
     line_point,
     restrict,
     splitting_type,
@@ -124,9 +119,8 @@ def test_criterion_6_jumping_equals_non_lefschetz():
 
             def agree(coords):
                 direct = is_lefschetz(mod, coords).ok
-                jump = is_jumping(mod.pres, line_point(coords, mod.prime),
-                                  generic=generic)
-                return jump == (not direct)
+                split = splitting_type(restrict(mod.pres, line_point(coords, mod.prime)))
+                return (split != generic) == (not direct)
 
             stream = rand.Stream(rand.derive(seed, num))
             for _ in range(150):
@@ -184,8 +178,6 @@ def test_criterion_8_structural_suite_on_grid():
 
 def test_criterion_9_numerical_identities():
     started = time.perf_counter()
-    from lefschetz_locus.bundle import euler_characteristic
-
     degree_data = [DegreeData(tuple(a), (0,)) for a in CI_GRID]
     degree_data += [DegreeData(a, b) for a, b in N2_GRID]
     degree_data.append(DegreeData((1, 1, 1, 8), (0, 0)))

@@ -2,15 +2,14 @@ from math import comb
 
 import pytest
 
+from helpers import euler_characteristic, h2
 from lefschetz_locus.bundle import (
     InconsistencyError,
     SplittingType,
     chern,
     classify_stability,
-    euler_characteristic,
     generic_splitting,
     h0,
-    h2,
     lefschetz_oracle,
 )
 from lefschetz_locus.field_linalg import rank

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import hilbert_series_ci
+from helpers import hilbert_series_ci, rational_points_0dim
 from lefschetz_locus import cli
 from lefschetz_locus.cli import main
 
@@ -82,7 +82,7 @@ def test_line_zero_rejected(capsys):
 
 
 def test_line_on_locus_point(capsys):
-    from lefschetz_locus.groebner import buchberger, rational_points_0dim
+    from lefschetz_locus.groebner import buchberger
     from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
     from lefschetz_locus.presentation import DegreeData, generic_module
 
@@ -254,6 +254,35 @@ def test_malformed_matrix_file_is_json_error(tmp_path, capsys, content):
         out = capsys.readouterr().out
         assert code == 1 and len(out.splitlines()) == 1
         assert "list of 1 rows, each a list of 3 polynomial strings" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv,matrix,kind", [
+    (["hilbert", "--a", "2,2,3", "--b", "0"], '[["x1^2", "x1^2", "x1^3"]]',
+     "NonFiniteLengthError"),
+    (["locus", "--a", "1,1,2", "--b", "3"], None, "NonGenericPresentationError"),
+    (["locus", "--a", "3,4,4", "--b", "0", "--prime", "7"], None, "ValueError"),
+    (["locus", "--a", "2,2,3", "--b", "0"], "[[", "JSONDecodeError"),
+], ids=["infinite-length", "non-generic", "prime-not-above-minor-size", "malformed-json"])
+def test_error_json_names_the_exception_type(tmp_path, capsys, argv, matrix, kind):
+    if matrix is not None:
+        grid = tmp_path / "grid.json"
+        grid.write_text(matrix)
+        argv = argv + ["--matrix", str(grid)]
+    code, report = _run(capsys, argv)
+    assert code == 1
+    assert set(report) == {"error", "type"} and report["type"] == kind
+
+
+@pytest.mark.parametrize("a,b", [("1,1,1", "0"), ("2,2,2", "1")])
+def test_empty_middle_map_is_an_empty_locus(capsys, a, b):
+    # h(i*) = 0, so the middle minors form the unit ideal and C(c2_norm, 2)
+    # = C(1, 2) = 0 points are predicted; this used to crash on C(1, -1)
+    for command in ("locus", "survey"):
+        code, report = _run(capsys, [command, "--a", a, "--b", b])
+        assert code == 0
+        row = report["rows"][0] if command == "survey" else report
+        assert (row["codim"], row["degree"], row["verdict"]) == (3, 0, "match")
+        assert (row["expected"], row["predicted"], row["predicted_degree"]) == (3, 3, 0)
 
 
 def test_pretty_goes_to_stderr_only(capsys):

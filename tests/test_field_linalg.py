@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from lefschetz_locus.field_linalg import (
-    DEFAULT_PRIME,
-    Matrix,
-    cokernel_basis,
-    kernel_basis,
-    rank,
-    rank_rational,
-    random_matrix,
-)
+from helpers import rank_rational, random_matrix
+from lefschetz_locus.field_linalg import DEFAULT_PRIME, Matrix, cokernel_basis, kernel_basis, rank
 
 
 def test_rank_identity():
-    assert rank(Matrix.identity(3)) == 3
+    assert rank(Matrix(np.eye(3))) == 3
 
 
 def test_rank_zero():
@@ -27,7 +20,7 @@ def test_rank_empty_shapes():
 
 def test_rank_seeded_matches_rational_oracle():
     m = random_matrix(4, 6, seed=20240)
-    assert rank(m) == rank_rational(m.to_lists())
+    assert rank(m) == rank_rational(m.a.tolist())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -35,13 +28,13 @@ def test_rank_rational_agreement_loop(seed):
     rows = 2 + seed % 5
     cols = 2 + (seed * 7) % 6
     m = random_matrix(rows, cols, seed=seed)
-    assert rank(m) == rank_rational(m.to_lists())
+    assert rank(m) == rank_rational(m.a.tolist())
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_rank_transpose_invariant(seed):
     m = random_matrix(3 + seed % 4, 2 + seed % 5, seed=1000 + seed)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(Matrix(m.a.T, m.p))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -51,7 +44,7 @@ def test_kernel_dimension_plus_rank_is_cols(seed):
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(3)) == []
+    assert kernel_basis(Matrix(np.eye(3))) == []
 
 
 def test_kernel_zero_1x2():
@@ -64,7 +57,7 @@ def test_kernel_vectors_are_annihilated_and_independent(seed):
     m = random_matrix(4, 7, seed=3000 + seed)
     vecs = kernel_basis(m)
     for v in vecs:
-        assert not np.any(m.mul_vec(v))
+        assert not np.any(m.a @ v % m.p)
     if vecs:
         stacked = Matrix(np.array(vecs), m.p)
         assert rank(stacked) == len(vecs)
@@ -77,7 +70,7 @@ def test_cokernel_zero_map_keeps_all_targets():
 
 
 def test_cokernel_surjective_map_empty_coset():
-    ck = cokernel_basis(Matrix.identity(4))
+    ck = cokernel_basis(Matrix(np.eye(4)))
     assert ck.coset == ()
     assert ck.dim == 0
 
@@ -111,7 +104,7 @@ def test_rank_rational_known_values():
 
 def test_default_prime():
     assert DEFAULT_PRIME == 65521
-    assert Matrix.identity(2).p == 65521
+    assert Matrix(np.eye(2)).p == 65521
 
 
 def test_cokernel_reduce_is_exact_at_the_largest_prime():

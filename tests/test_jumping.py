@@ -1,11 +1,11 @@
 import pytest
 
+from helpers import rational_points_0dim, sample_locus_points
 from lefschetz_locus import rand
 from lefschetz_locus.bundle import SplittingType, classify_stability, lefschetz_oracle
 from lefschetz_locus.jumping import (
     RestrictionError,
     generic_splitting_empirical,
-    is_jumping,
     line_point,
     restrict,
     section_matrix,
@@ -47,7 +47,7 @@ def test_restrict_monomial_row_to_coordinate_line():
     first, second, third = rb.entries[0]
     assert first.coeffs == (1, 0, 0, 0)
     assert second.coeffs == (0, 0, 0, 0, 1)
-    assert third.is_zero()
+    assert not any(third.coeffs)
 
 
 def test_restrict_entry_degrees():
@@ -111,25 +111,29 @@ def test_empirical_generic_type_is_deterministic_and_matches_prediction():
     assert st1.shifted(stab.t0) == generic_splitting(stab)
 
 
+def _split(pres, coords):
+    return splitting_type(restrict(pres, line_point(coords, pres.prime)))
+
+
 def test_jumping_false_on_generic_line():
     pres = random_presentation(DegreeData((2, 2, 3), (0,)), seed=1)
-    assert not is_jumping(pres, line_point((1, 2, 3), PRIME))
+    assert _split(pres, (1, 2, 3)) == generic_splitting_empirical(pres, seed=0)
 
 
 def test_jumping_true_on_measured_locus_point():
-    from lefschetz_locus.groebner import buchberger, rational_points_0dim
+    from lefschetz_locus.groebner import buchberger
     from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
 
     m = generic_module(DegreeData((1, 1, 1, 2), (0, 0)), 2)
     li = locus_ideal_at(m, m.degrees.middle_degree)
     pts = rational_points_0dim(buchberger(list(li.gens), ring=dual_ring(m)))
     assert pts
+    generic = generic_splitting_empirical(m.pres, seed=0)
     for pt in pts:
-        assert is_jumping(m.pres, line_point(pt, m.prime))
+        assert _split(m.pres, pt) != generic
 
 
 def test_jumping_true_on_monomial_curve_points():
-    from lefschetz_locus.groebner import sample_locus_points
     from lefschetz_locus.lefschetz import locus_ideal_at
 
     pres = _monomial_344()
@@ -139,7 +143,7 @@ def test_jumping_true_on_monomial_curve_points():
     assert pts
     generic = generic_splitting_empirical(pres, seed=0)
     for pt in pts[:5]:
-        assert is_jumping(pres, line_point(pt, m.prime), generic=generic)
+        assert _split(pres, pt) != generic
 
 
 @pytest.mark.parametrize("a,b,seed", [((2, 2, 3), (0,), 1), ((1, 1, 1, 8), (0, 0), 1)])
@@ -149,8 +153,7 @@ def test_jumping_equals_non_lefschetz_on_samples(a, b, seed):
     stream = rand.Stream(777)
     for _ in range(40):
         coords = random_line(m.prime, stream)
-        jmp = is_jumping(m.pres, line_point(coords, m.prime), generic=generic)
-        assert jmp == (not is_lefschetz(m, coords).ok)
+        assert (_split(m.pres, coords) != generic) == (not is_lefschetz(m, coords).ok)
 
 
 @pytest.mark.parametrize("a,b,seed", [((2, 2, 3), (0,), 1), ((2, 2, 2), (0,), 1),

@@ -76,9 +76,10 @@ def test_prediction_bundle():
 def test_compare_match():
     m = _module((2, 2, 3), (0,))
     comp = compare(m, classify_stability(m.degrees), chern(m.degrees),
-                   IdealMeasure(0, 6, ()))
+                   IdealMeasure(0, 6))
     assert comp.verdict == "match"
-    assert comp.claim("codim-floor") and comp.claim("degree-match")
+    claims = dict(comp.claims)
+    assert claims["codim-floor"] and claims["degree-match"]
 
 
 def test_compare_generality_required():
@@ -86,22 +87,23 @@ def test_compare_generality_required():
                                      [["x1^3", "x2^4", "x3^4"]])
     m = GradedModule.build(pres)
     comp = compare(m, classify_stability(m.degrees), chern(m.degrees),
-                   IdealMeasure(1, 5, ()))
+                   IdealMeasure(1, 5))
     assert comp.verdict == "generality-required"
-    assert comp.claim("codim-floor")
-    assert not comp.claim("expected-codim-match")
+    claims = dict(comp.claims)
+    assert claims["codim-floor"]
+    assert not claims["expected-codim-match"]
 
 
 def test_compare_mismatch_on_wrong_degree():
     m = _module((2, 2, 3), (0,))
     comp = compare(m, classify_stability(m.degrees), chern(m.degrees),
-                   IdealMeasure(0, 7, ()))
+                   IdealMeasure(0, 7))
     assert comp.verdict == "mismatch"
 
 
 def test_compare_mismatch_on_whole_plane():
     m = _module((2, 2, 3), (0,))
     comp = compare(m, classify_stability(m.degrees), chern(m.degrees),
-                   IdealMeasure(2, 1, ()))
+                   IdealMeasure(2, 1))
     assert comp.verdict == "mismatch"
-    assert not comp.claim("codim-floor")
+    assert not dict(comp.claims)["codim-floor"]

@@ -43,7 +43,8 @@ def test_degree_data_validation():
 def test_random_presentation_shape():
     pres = random_presentation(DegreeData((2, 2, 3), (0,)), seed=9)
     assert len(pres.entries) == 1 and len(pres.entries[0]) == 3
-    assert [f.homogeneous_degree() for f in pres.entries[0]] == [2, 2, 3]
+    assert [f.degree() for f in pres.entries[0]] == [2, 2, 3]
+    assert all(f.is_homogeneous() for f in pres.entries[0])
 
 
 def test_random_presentation_deterministic():
@@ -142,7 +143,7 @@ def test_monomial_ci_sum_of_variables_has_maximal_rank_everywhere():
                                      [["x1^3", "x2^4", "x3^4"]])
     m = GradedModule.build(pres)
     ell = parse_poly("x1 + x2 + x3", R)
-    for t in range(0, m.socle_degree + 1):
+    for t in range(0, m.degrees.socle_degree + 1):
         mat = m.multiplication_map(ell, t)
         assert rank(mat) == min(m.h(t), m.h(t + 1))
 
@@ -224,7 +225,7 @@ def test_generic_module_reseeds_degenerate_draws_over_tiny_field():
 def test_coset_basis_monomials_match_dimensions():
     m = _module((2, 2, 3), (0,))
     for t in m.support:
-        monos = m.coset_monomials(t)
+        monos = m.piece(t).coset_monomials
         assert len(monos) == m.h(t)
         for block, mono in monos:
             assert block == 0
