@@ -72,7 +72,7 @@ class Matrix:
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form mod p; returns (rref, pivot column indices)."""
-    a = (np.array(a, dtype=np.int64) % p).copy()
+    a = np.asarray(a, dtype=np.int64) % p  # a fresh array: the caller's is never touched
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -94,6 +94,16 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue matrices, exact in int64: the inner sums are
+    taken a chunk of terms at a time and reduced in between."""
+    step = (np.iinfo(np.int64).max - p) // (p - 1) ** 2  # terms per int64 sum
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for lo in range(0, a.shape[1], step):
+        out = (out + a[:, lo:lo + step] @ b[lo:lo + step]) % p
+    return out
 
 
 def rank(m: Matrix) -> int:
@@ -153,11 +163,7 @@ class CokernelBasis:
         if len(self.pivots) == 0:
             return free_part % self.p
         r_free = self.image_rref[:, list(self.coset)]
-        pivot_part, out = v[list(self.pivots), :], free_part
-        step = (np.iinfo(np.int64).max - self.p) // (self.p - 1) ** 2  # terms per int64 sum
-        for lo in range(0, len(self.pivots), step):
-            out = (out - r_free[lo:lo + step].T @ pivot_part[lo:lo + step]) % self.p
-        return out
+        return (free_part - _matmul(r_free.T, v[list(self.pivots), :], self.p)) % self.p
 
 
 def cokernel_basis(m: Matrix) -> CokernelBasis:

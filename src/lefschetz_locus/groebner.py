@@ -1,10 +1,14 @@
-"""Buchberger engine over the dual coordinate ring.
+"""Groebner engine over the dual coordinate ring.
 
-Reduced Groebner bases under graded reverse-lex, the one public order
-(first-variable elimination stays private to intersection), ideal
-dimension and degree through the Hilbert series of the leading-term ideal,
-intersection by the auxiliary variable construction, and saturation by the
-irrelevant ideal.
+One engine computes every basis: batched Macaulay-matrix reduction in the
+style of F4 (Faugere 1999), each batch being the input generators and
+critical pairs of the lowest degree, row-reduced together by one
+``field_linalg._rref`` with pairs pruned by the Gebauer-Moller criteria.
+Reduced bases use graded reverse-lex, the one public order
+(first-variable elimination stays private to intersection); ideal
+dimension and degree come from the Hilbert series of the leading-term
+ideal, intersection from the auxiliary variable construction, and
+saturation by the irrelevant ideal from reverse-lex bases.
 
 Internally polynomials are plain dicts mapping exponent tuples (of any
 length, so the auxiliary-variable lift is just a longer tuple) to
@@ -17,6 +21,9 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from .field_linalg import _rref
 from .polyring import Polynomial, Ring
 
 RawPoly = dict[tuple, int]
@@ -55,12 +62,6 @@ def _mono_sub(a: tuple, b: tuple) -> tuple:
 # -- raw polynomial core -------------------------------------------------
 
 
-def _monic(f: RawPoly, key, p: int) -> RawPoly:
-    lm = max(f, key=key)
-    inv = pow(f[lm], p - 2, p)
-    return {m: (c * inv) % p for m, c in f.items()}
-
-
 def _normal_form(f: RawPoly, basis: list[tuple[tuple, RawPoly]], key, p: int) -> RawPoly:
     """Full normal form of f against monic (lm, poly) pairs."""
     work = dict(f)
@@ -88,81 +89,97 @@ def _normal_form(f: RawPoly, basis: list[tuple[tuple, RawPoly]], key, p: int) ->
     return out
 
 
+def _shift(f: RawPoly, t: tuple) -> RawPoly:
+    return {_mono_mul(m, t): c for m, c in f.items()}
+
+
+def _reduce_rows(rows: list[RawPoly], led: set, live: list[int], basis: list[RawPoly],
+                 lms: list[tuple], key, p: int) -> tuple[list[tuple[tuple, RawPoly]], set]:
+    """One Macaulay-matrix reduction of ``rows``.  Symbolic preprocessing
+    first: every monomial of the rows that a ``live`` leading monomial
+    divides gets a reducer, a shifted basis element leading there, unless
+    it is in ``led`` (monomials that a shifted basis element among the rows
+    already leads); ``rows`` and ``led`` grow in place.  Then one ``_rref``
+    with columns in decreasing ``key``.  Returns the (leading monomial,
+    monic row) pairs of the echelon form and the reducible monomials."""
+    monos = set().union(*rows)
+    todo, reducible = list(monos), set()
+    while todo:
+        m = todo.pop()
+        k = next((k for k in live if _divides(lms[k], m)), None)
+        if k is None:
+            continue
+        reducible.add(m)
+        if m not in led:
+            led.add(m)
+            rows.append(_shift(basis[k], _mono_sub(m, lms[k])))
+            fresh = rows[-1].keys() - monos
+            monos |= fresh
+            todo += fresh
+    cols = sorted(monos, key=key, reverse=True)
+    index = {m: c for c, m in enumerate(cols)}
+    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for r, f in enumerate(rows):
+        a[r, [index[m] for m in f]] = list(f.values())
+    red, pivots = _rref(a, p)
+    return [(cols[c], {cols[j]: int(red[r, j]) for j in np.flatnonzero(red[r])})
+            for r, c in enumerate(pivots)], reducible
+
+
 def _buchberger_raw(gens: Iterable[RawPoly], key, p: int) -> list[RawPoly]:
-    """Reduced Groebner basis of the raw generators under ``key``; pairs go
-    by lcm degree first, so non-graded orders stay low on homogeneous input."""
+    """Reduced Groebner basis of the raw generators under ``key``, sorted by
+    leading monomial, by batched Macaulay-matrix reduction (F4): each step
+    reduces the input generators and critical pairs of the lowest degree
+    together, and pairs are pruned by the Gebauer-Moller criteria.  Any
+    monomial order and inhomogeneous input give the right basis, though
+    under an order that does not refine degree, inhomogeneous input can
+    make symbolic preprocessing pull in long chains of reducers."""
     basis: list[RawPoly] = []
     lms: list[tuple] = []
-    pairs: dict[tuple[int, int], tuple] = {}  # -> (deg, key(lcm), (i, j), lcm)
+    live: list[int] = []  # basis elements whose leading monomial no later one divides
+    pairs: list[tuple] = []  # (degree of lcm, i, j, lcm)
+    todo = [(sum(max(g, key=key)), g) for g in gens if g]
 
-    def prepared() -> list[tuple[tuple, RawPoly]]:
-        return list(zip(lms, basis))
+    def insert(lm: tuple, f: RawPoly):
+        h = len(basis)
+        basis.append(f)
+        lms.append(lm)
+        # Gebauer-Moller: of the new pairs keep those whose lcm no other
+        # new lcm divides (one of equal ones), then drop the coprime ones;
+        # drop an old pair when lm divides its lcm strictly inside the chain
+        cands = [(i, _mono_lcm(lms[i], lm)) for i in live]
+        kept: list[tuple] = []
+        for n, (i, lcm) in enumerate(cands):
+            if lcm == _mono_mul(lms[i], lm) or not any(
+                    _divides(other, lcm) for _, other in cands[n + 1:] + kept):
+                kept.append((i, lcm))
+        pairs[:] = [(d, i, j, lcm) for d, i, j, lcm in pairs
+                    if not _divides(lm, lcm) or lcm in (_mono_lcm(lms[i], lm),
+                                                        _mono_lcm(lms[j], lm))]
+        pairs.extend((sum(lcm), i, h, lcm) for i, lcm in kept
+                     if lcm != _mono_mul(lms[i], lm))
+        live[:] = [i for i in live if not _divides(lm, lms[i])] + [h]
 
-    def add(f: RawPoly):
-        r = _normal_form(f, prepared(), key, p)
-        if not r:
-            return
-        r = _monic(r, key, p)
-        k = len(basis)
-        lm_new = max(r, key=key)
-        basis.append(r)
-        lms.append(lm_new)
-        for i in range(k):
-            lcm = _mono_lcm(lms[i], lm_new)
-            pairs[(i, k)] = (sum(lcm), key(lcm), (i, k), lcm)
+    while todo or pairs:
+        d = min([t for t, _ in todo] + [pr[0] for pr in pairs])
+        rows = [g for t, g in todo if t == d]
+        todo = [tg for tg in todo if tg[0] != d]
+        shifts = {(k, _mono_sub(lcm, lms[k])) for t, i, j, lcm in pairs if t == d for k in (i, j)}
+        led = {lcm for t, _, _, lcm in pairs if t == d}
+        pairs[:] = [pr for pr in pairs if pr[0] != d]
+        reduced, reducible = _reduce_rows(rows + [_shift(basis[k], s) for k, s in shifts],
+                                          led, live, basis, lms, key, p)
+        # new elements lead at the pivots no old element divides; largest
+        # first, so that a smaller one retires any it divides from ``live``
+        for lm, f in sorted(reduced, key=lambda r: key(r[0]), reverse=True):
+            if lm not in reducible:
+                insert(lm, f)
 
-    for g in gens:
-        if g:
-            add(g)
-
-    while pairs:
-        _, _, (i, j), lcm = min(pairs.values())
-        del pairs[(i, j)]
-        if lcm == _mono_mul(lms[i], lms[j]):
-            continue  # coprime leading monomials
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lms[k], lcm):
-                continue
-            if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                skip = True
-                break
-        if skip:
-            continue
-        sh_i = _mono_sub(lcm, lms[i])
-        sh_j = _mono_sub(lcm, lms[j])
-        s: RawPoly = {}
-        for m, c in basis[i].items():
-            tm = _mono_mul(m, sh_i)
-            s[tm] = (s.get(tm, 0) + c) % p
-        for m, c in basis[j].items():
-            tm = _mono_mul(m, sh_j)
-            s[tm] = (s.get(tm, 0) - c) % p
-        add({m: c for m, c in s.items() if c})
-
-    return _reduce_basis_raw(basis, key, p)
-
-
-def _reduce_basis_raw(basis: list[RawPoly], key, p: int) -> list[RawPoly]:
-    """Minimalize then tail-reduce; output sorted by leading monomial."""
-    if not basis:
-        return []
-    order = sorted(range(len(basis)), key=lambda i: key(max(basis[i], key=key)))
-    minimal: list[RawPoly] = []
-    minimal_lms: list[tuple] = []
-    for i in order:
-        lm = max(basis[i], key=key)
-        if any(_divides(g_lm, lm) for g_lm in minimal_lms):
-            continue
-        minimal.append(basis[i])
-        minimal_lms.append(lm)
-    reduced = []
-    for i, f in enumerate(minimal):
-        others = [(minimal_lms[j], minimal[j]) for j in range(len(minimal)) if j != i]
-        r = _normal_form(f, others, key, p)
-        reduced.append(_monic(r, key, p))
-    reduced.sort(key=lambda f: key(max(f, key=key)))
-    return reduced
+    # the live elements form a minimal basis; reducing them with a reducer
+    # for every other divisible monomial leaves the reduced basis
+    leads = {lms[i] for i in live}
+    reduced, _ = _reduce_rows([basis[i] for i in live], set(leads), live, basis, lms, key, p)
+    return [f for lm, f in sorted(reduced, key=lambda r: key(r[0])) if lm in leads]
 
 
 # -- public wrappers -----------------------------------------------------

@@ -13,13 +13,14 @@ localization claim stays checkable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import rand
-from .field_linalg import Matrix, _rref, rank
+from .field_linalg import Matrix, _matmul, _rref, rank
 from .groebner import GroebnerBasis, buchberger, intersect
 from .polyring import Polynomial, Ring, monomial_basis
 from .presentation import GradedModule
@@ -107,6 +108,28 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _lattice_inverse(size: int, p: int) -> np.ndarray:
+    """Inverse of the Vandermonde block of the lattice points of degree
+    ``size`` (rows: points, columns: monomials, both in ``monomial_basis``
+    order), so it maps values at the points to coefficients.  Read-only,
+    as it is cached per (size, p)."""
+    monos = monomial_basis(size).monomials
+    n = len(monos)
+    expo = np.array(monos, dtype=np.int64)
+    powers = np.array([[pow(x, e, p) for e in range(size + 1)] for x in range(size + 1)],
+                      dtype=np.int64)
+    vander = np.ones((n, n), dtype=np.int64)
+    for v in range(3):
+        vander = vander * powers[expo[:, None, v], expo[None, :, v]] % p
+    red, pivots = _rref(np.hstack([vander, np.eye(n, dtype=np.int64)]), p)
+    if pivots[:n] != tuple(range(n)):
+        raise ArithmeticError(f"lattice points of degree {size} are not unisolvent mod {p}")
+    inverse = red[:, n:].copy()
+    inverse.flags.writeable = False
+    return inverse
+
+
 def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     """Ideal of maximal minors of sum_v l_v * (multiplication by x_v out of
     degree i).  A shape with a zero side has trivially maximal rank
@@ -115,8 +138,9 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     The minors of size s are forms of degree s in l1, l2, l3.  They are
     evaluated at the C(s+2, 2) points (a, b, c) with a + b + c = s, which
     are unisolvent for degree-s forms when p > s (principal lattice), and
-    recovered from one Vandermonde solve.  Generators keep the row-subset
-    order of the taller side; zero minors are dropped.
+    recovered by one product with the inverse Vandermonde block, cached per
+    (s, p).  Generators keep the row-subset order of the taller side; zero
+    minors are dropped.
     """
     ring = dual_ring(m)
     p = m.prime
@@ -126,19 +150,10 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     if p <= size:
         raise ValueError(f"prime {p} is too small for the degree-{i} minors: "
                          f"the locus needs a prime above the minor size {size}")
+    coeffs = _matmul(_lattice_inverse(size, p), _lattice_minors(m.variable_maps(i), size, p), p)
     monos = monomial_basis(size).monomials
-    n = len(monos)
-    expo = np.array(monos, dtype=np.int64)
-    powers = np.array([[pow(x, e, p) for e in range(size + 1)] for x in range(size + 1)],
-                      dtype=np.int64)
-    vander = np.ones((n, n), dtype=np.int64)
-    for v in range(3):
-        vander = vander * powers[expo[:, None, v], expo[None, :, v]] % p
-    red, pivots = _rref(np.hstack([vander, _lattice_minors(m.variable_maps(i), size, p)]), p)
-    if pivots[:n] != tuple(range(n)):
-        raise ArithmeticError(f"lattice points of degree {size} are not unisolvent mod {p}")
     gens = tuple(f for f in (Polynomial(ring, dict(zip(monos, map(int, col))))
-                             for col in red[:, n:].T) if not f.is_zero())
+                             for col in coeffs.T) if not f.is_zero())
     if not gens:
         gens = (Polynomial.zero(ring),)
     return LocusIdeal(gens)

@@ -1,10 +1,11 @@
 """Independent test oracles: small, self-contained implementations used to
 cross-check the engine, kept out of the package because no CLI path needs
-them.  Most stand alone; point extraction runs the engine's raw Buchberger
-core (``groebner._buchberger_raw``) under lex, and ``colon`` uses
-``groebner.intersect``.  The root search scans all of F_p with an O(p)
-array (16 GB near 2^31), so the point oracles run only at primes up to the
-default 65521."""
+them.  Most stand alone; ``dict_buchberger`` is the pair-at-a-time
+Buchberger loop on dict polynomials that the package's batched engine
+replaced, sharing only its normal form and monomial helpers, and point
+extraction runs it under lex.  ``colon`` uses ``groebner.intersect``.  The
+root search scans all of F_p with an O(p) array (16 GB near 2^31), so the
+point oracles run only at primes up to the default 65521."""
 
 from __future__ import annotations
 
@@ -15,7 +16,11 @@ from lefschetz_locus.bundle import InconsistencyError, h0
 from lefschetz_locus.field_linalg import DEFAULT_PRIME, Matrix
 from lefschetz_locus.groebner import (
     GroebnerBasis,
-    _buchberger_raw,
+    _divides,
+    _mono_lcm,
+    _mono_mul,
+    _mono_sub,
+    _normal_form,
     buchberger,
     grevlex_key,
     intersect,
@@ -203,6 +208,76 @@ def naive_groebner_leading_terms(gens: list[RawPoly], p: int) -> set[tuple]:
         if not any(all(x >= y for x, y in zip(m, g)) for g in minimal):
             minimal.add(m)
     return minimal
+
+
+# -- pair-at-a-time Buchberger oracle -------------------------------------
+
+
+def _monic(f: dict, key, p: int) -> dict:
+    lm = max(f, key=key)
+    inv = pow(f[lm], p - 2, p)
+    return {m: (c * inv) % p for m, c in f.items()}
+
+
+def dict_buchberger(gens, key, p: int) -> list[dict]:
+    """Reduced Groebner basis of raw dict generators under ``key``, one
+    S-polynomial at a time with Buchberger's coprime and chain criteria;
+    pairs go by lcm degree first.  Same output contract as
+    ``groebner._buchberger_raw``: monic, sorted by leading monomial."""
+    basis: list[dict] = []
+    lms: list[tuple] = []
+    pairs: dict[tuple[int, int], tuple] = {}  # -> (deg, key(lcm), (i, j), lcm)
+
+    def add(f: dict):
+        r = _normal_form(f, list(zip(lms, basis)), key, p)
+        if not r:
+            return
+        r = _monic(r, key, p)
+        k = len(basis)
+        lm_new = max(r, key=key)
+        basis.append(r)
+        lms.append(lm_new)
+        for i in range(k):
+            lcm = _mono_lcm(lms[i], lm_new)
+            pairs[(i, k)] = (sum(lcm), key(lcm), (i, k), lcm)
+
+    for g in gens:
+        if g:
+            add(g)
+
+    while pairs:
+        _, _, (i, j), lcm = min(pairs.values())
+        del pairs[(i, j)]
+        if lcm == _mono_mul(lms[i], lms[j]):
+            continue  # coprime leading monomials
+        if any(k not in (i, j) and _divides(lms[k], lcm)
+               and (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(basis))):
+            continue
+        sh_i = _mono_sub(lcm, lms[i])
+        sh_j = _mono_sub(lcm, lms[j])
+        s: dict = {}
+        for m, c in basis[i].items():
+            tm = _mono_mul(m, sh_i)
+            s[tm] = (s.get(tm, 0) + c) % p
+        for m, c in basis[j].items():
+            tm = _mono_mul(m, sh_j)
+            s[tm] = (s.get(tm, 0) - c) % p
+        add({m: c for m, c in s.items() if c})
+
+    # minimalize, then tail-reduce each element against the others
+    minimal: list[dict] = []
+    minimal_lms: list[tuple] = []
+    for i in sorted(range(len(basis)), key=lambda i: key(lms[i])):
+        if not any(_divides(g_lm, lms[i]) for g_lm in minimal_lms):
+            minimal.append(basis[i])
+            minimal_lms.append(lms[i])
+    reduced = []
+    for i, f in enumerate(minimal):
+        others = [(minimal_lms[j], minimal[j]) for j in range(len(minimal)) if j != i]
+        reduced.append(_monic(_normal_form(f, others, key, p), key, p))
+    reduced.sort(key=lambda f: key(max(f, key=key)))
+    return reduced
 
 
 # -- polynomial evaluation and exact rank ---------------------------------
@@ -394,7 +469,7 @@ def rational_points_0dim(gb: GroebnerBasis) -> list[tuple[int, int, int]] | None
     affine = [r for r in (_substitute(r, 2, 1, p) for r in raws) if r]
     if not affine:
         return None
-    gb = _buchberger_raw(affine, lambda m: m, p)
+    gb = dict_buchberger(affine, lambda m: m, p)
     g2 = _univariate_gcd([u for f in gb if (u := _as_univariate(f, 1)) is not None], p)
     if not g2:
         return None

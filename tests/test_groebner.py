@@ -1,15 +1,18 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     colon,
+    dict_buchberger,
     evaluate,
     naive_groebner_leading_terms,
     rational_points_0dim,
     sample_locus_points,
 )
-from lefschetz_locus import rand
+from lefschetz_locus import field_linalg, groebner, rand
 from lefschetz_locus.groebner import (
     GroebnerBasis,
     _buchberger_raw,
@@ -63,7 +66,7 @@ def _deglex_leading_terms(gens: list[Polynomial]) -> set[tuple]:
     def deglex(m):
         return (sum(m), m)
 
-    return {max(f, key=deglex) for f in _buchberger_raw([g.terms for g in gens], deglex, P)}
+    return {max(f, key=deglex) for f in dict_buchberger([g.terms for g in gens], deglex, P)}
 
 
 @pytest.mark.parametrize("seed", [*range(5), "cubic"])
@@ -160,7 +163,7 @@ def _lex_key(m):
 def _measure_leading_terms(gens, key, ring):
     # measure of the initial monomial ideal under ``key``; for a homogeneous
     # ideal it has the ideal's Hilbert function whatever the order
-    raw = _buchberger_raw([g.terms for g in gens], key, ring.prime)
+    raw = dict_buchberger([g.terms for g in gens], key, ring.prime)
     leading = [Polynomial(ring, {max(f, key=key): 1}) for f in raw]
     return measure(GroebnerBasis(ring, tuple(leading)))
 
@@ -189,12 +192,60 @@ def test_degree_matches_eliminant_degree_on_points():
     # out the first variable, and read the degree of the binary eliminant
     gens, ring = _fixture_middle_ideal(seed=3)
     gb = saturate(buchberger(gens, ring=ring))
-    elim = _buchberger_raw([f.terms for f in gb.basis], _elim1_key, ring.prime)
+    elim = dict_buchberger([f.terms for f in gb.basis], _elim1_key, ring.prime)
     free = [f for f in elim if all(m[0] == 0 for m in f)]
     assert free, "projection ideal is zero"
     eliminant = Polynomial(ring, min(free, key=lambda f: max(sum(m) for m in f)))
     measured = measure(buchberger(list(gb.basis), ring=ring))
     assert eliminant.degree() == measured.degree == 6
+
+
+_ORDERS = {"grevlex": grevlex_key, "lex": _lex_key, "deglex": lambda m: (sum(m), m)}
+_SMALL_MONOS = [m for d in range(5) for m in monomial_basis(d).monomials]
+_raw_polys = st.dictionaries(st.sampled_from(_SMALL_MONOS), st.integers(1, P - 1),
+                             min_size=1, max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gens=st.lists(_raw_polys, min_size=1, max_size=4),
+       order=st.sampled_from([*_ORDERS, "intersect"]))
+def test_batched_engine_matches_dict_oracle(gens, order):
+    # random ideals, inhomogeneous under the graded orders.  Under lex and
+    # the elimination order, where an inhomogeneous ideal can keep either
+    # engine busy for many seconds, each generator keeps its top-degree
+    # part: the inputs the package sends.  "intersect" is the lift that
+    # ``intersect`` eliminates under ``_elim1_key``: t*I + (1 - t)*J
+    key = _ORDERS.get(order, _elim1_key)
+    if order in ("lex", "intersect"):
+        gens = [{m: c for m, c in f.items() if sum(m) == max(map(sum, f))} for f in gens]
+    if order == "intersect":
+        half = (len(gens) + 1) // 2
+        left, right = gens[:half], gens[half:] or gens
+        gens = [{(1,) + m: c for m, c in f.items()} for f in left]
+        for g in right:
+            lifted = {(0,) + m: c for m, c in g.items()}
+            lifted.update({(1,) + m: P - c for m, c in g.items()})
+            gens.append(lifted)
+    assert _buchberger_raw(gens, key, P) == dict_buchberger(gens, key, P)
+
+
+def test_middle_basis_takes_three_narrow_reductions(monkeypatch):
+    # after the chain criterion only the s adjacent pairs of the (s+1) x s
+    # Hilbert-Burch minors remain, all in degree s + 1: one reduction of the
+    # minors, one of the pairs, one final interreduction
+    gens, ring = _fixture_middle_ideal((3, 4, 4), (0,), seed=1)
+    s = gens[0].degree()
+    shapes = []
+
+    def counted(a, p):
+        shapes.append(a.shape)
+        return field_linalg._rref(a, p)
+
+    monkeypatch.setattr(groebner, "_rref", counted)
+    gb = buchberger(gens, ring=ring)
+    assert (s, len(gb.basis)) == (9, 10)
+    assert len(shapes) <= 3, shapes
+    assert max(cols for _, cols in shapes) <= comb(s + 3, 2), shapes
 
 
 def test_intersect_with_unit_is_identity():
