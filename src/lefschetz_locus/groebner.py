@@ -232,8 +232,8 @@ def buchberger(gens: Sequence[Polynomial], ring: Ring | None = None) -> Groebner
 
 
 def same_ideal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
-    """Ideal equality: reduced Groebner bases are unique.  The CLI compares
-    bases inline; this stays because perfbench/spans.py wraps it by name."""
+    """Ideal equality: reduced Groebner bases are unique.  No CLI path
+    compares ideals; this stays because perfbench/spans.py wraps it by name."""
     return a.basis == b.basis
 
 

@@ -5,10 +5,9 @@ h_{i+1} x h_i matrix sum_v l_v * (multiplication by x_v), held only as the
 module's three multiplication maps.  The locus at degree i is cut out by
 the maximal minors, forms of degree s = min(h_i, h_{i+1}) in l1, l2, l3:
 they are evaluated at the lattice points with a + b + c = s and
-interpolated, so a locus needs a prime above s.  The total locus is the
-intersection over all degrees, which the engine folds onto the
-middle-degree basis (with exact containment shortcuts) so the
-localization claim stays checkable.
+interpolated, so a locus needs a prime above s.  ``locus_ideal`` decides
+whether the middle degree alone cuts out the whole locus, by one
+Macaulay-matrix rank per degree, saturating only where that falls short.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import rand
 from .field_linalg import Matrix, _matmul, _rref, rank
-from .groebner import GroebnerBasis, buchberger, intersect
+from .groebner import GroebnerBasis, _mono_mul, buchberger, saturate
 from .polyring import Polynomial, Ring, monomial_basis
 from .presentation import GradedModule
 
@@ -35,17 +34,6 @@ class LocusIdeal:
     """Homogeneous ideal in the dual ring cutting out a (partial) locus."""
 
     gens: tuple[Polynomial, ...]
-
-    @property
-    def spanned_degree(self) -> int | None:
-        """Degree k of the minors when they span every form of degree k, so
-        the ideal holds m^k (k = 0: the unit ideal), by one rank; else None."""
-        k = self.gens[0].degree()
-        monos = monomial_basis(k).monomials
-        coeffs = [[g.terms.get(mo, 0) for mo in monos] for g in self.gens]
-        if k < 0 or rank(Matrix.from_rows(coeffs, self.gens[0].ring.prime)) < len(monos):
-            return None
-        return k
 
 
 def dual_ring(m: GradedModule) -> Ring:
@@ -159,32 +147,55 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     return LocusIdeal(gens)
 
 
-def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> GroebnerBasis:
-    """Intersection of the per-degree ideals over every degree with a
-    nontrivial map, folded onto ``middle``, the reduced basis of the
-    middle-degree ideal.
+def _coefficients(gens, s: int) -> np.ndarray:
+    """Rows of coefficients of degree-s forms, in ``monomial_basis`` order."""
+    monos = monomial_basis(s).monomials
+    return np.array([[g.terms.get(mo, 0) for mo in monos] for g in gens],
+                    dtype=np.int64).reshape(len(gens), len(monos))
 
-    A degree is skipped when its ideal provably contains the running
-    intersection: its minors span degree k and no running generator has
-    lower degree, or the running generators reduce to zero against its
-    basis.  Other degrees are intersected via the auxiliary-variable
-    construction.  The result is a reduced basis, so it equals ``middle``
-    exactly when the middle ideal is the whole intersection.
-    """
-    ring = dual_ring(m)
+
+def _macaulay_rows(coeffs: np.ndarray, s: int, top: int) -> np.ndarray:
+    """Coefficients in degree ``top`` of every degree-(top - s) monomial
+    times every degree-s form given by a row of ``coeffs``."""
+    index = {mo: c for c, mo in enumerate(monomial_basis(top).monomials)}
+    shifts = monomial_basis(top - s).monomials
+    out = np.zeros((len(shifts), len(coeffs), len(index)), dtype=np.int64)
+    for k, t in enumerate(shifts):
+        out[k][:, [index[_mono_mul(t, u)] for u in monomial_basis(s).monomials]] = coeffs
+    return out.reshape(-1, len(index))
+
+
+def _in_saturation(mid: list[Polynomial], gens: tuple[Polynomial, ...]) -> bool:
+    """Do the forms ``mid`` (of degree s_mid) lie in I^sat, I the ideal of
+    ``gens`` (of degree s)?  With D = max(s_mid, s), mid * R_{D-s_mid} must
+    reduce to zero against R_{D-s} times the echelon basis of I_s (an I_s of
+    all of R_s passes at once); that puts m^(D-s_mid) * mid in I.  Only where
+    it fails is I saturated, and normal forms decide."""
+    ring = gens[0].ring
+    p = ring.prime
+    s_mid = mid[0].degree() if mid else 0
+    s = max(gens[0].degree(), 0)  # the zero ideal: one zero row, no basis
+    red, pivots = _rref(_coefficients(gens, s), p)
+    if len(pivots) == red.shape[1]:
+        return True
+    span, pivots = _rref(_macaulay_rows(red[:len(pivots)], s, max(s_mid, s)), p)
+    rows = _macaulay_rows(_coefficients(mid, s_mid), s_mid, max(s_mid, s))
+    if not ((rows - _matmul(rows[:, list(pivots)], span[:len(pivots)], p)) % p).any():
+        return True
+    sat = saturate(buchberger(list(gens), ring=ring))
+    return all(sat.contains(g) for g in mid)
+
+
+def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
+    """Does the middle-degree minor ideal I_mid (``middle`` is its reduced
+    basis) cut out the whole locus, the scheme of the intersection of the
+    minor ideals I_i of all degrees?  That intersection lies in I_mid, so,
+    as saturation commutes with intersection, exactly when every I_i^sat
+    holds I_mid."""
     deg = m.degrees
-    running = middle
-    for i in range(deg.b[0] - 1, deg.socle_degree + 1):
-        if i == deg.middle_degree:
-            continue
-        li = locus_ideal_at(m, i)
-        k = li.spanned_degree
-        if k is not None and all(g.degree() >= k for g in running.basis):
-            continue
-        gb_i = buchberger(list(li.gens), ring=ring)
-        if not all(gb_i.contains(g) for g in running.basis):
-            running = intersect(running, gb_i)
-    return running
+    mid = [g for g in middle.basis if g.degree() == middle.basis[0].degree()]
+    return all(_in_saturation(mid, locus_ideal_at(m, i).gens)
+               for i in range(deg.b[0] - 1, deg.socle_degree + 1) if i != deg.middle_degree)
 
 
 @dataclass(frozen=True)

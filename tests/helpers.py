@@ -3,9 +3,11 @@ cross-check the engine, kept out of the package because no CLI path needs
 them.  Most stand alone; ``dict_buchberger`` is the pair-at-a-time
 Buchberger loop on dict polynomials that the package's batched engine
 replaced, sharing only its normal form and monomial helpers, and point
-extraction runs it under lex.  ``colon`` uses ``groebner.intersect``.  The
-root search scans all of F_p with an O(p) array (16 GB near 2^31), so the
-point oracles run only at primes up to the default 65521."""
+extraction runs it under lex.  ``colon`` and ``fold_localization`` (the
+localization claim decided by intersecting every degree's minor ideal and
+comparing saturations) use ``groebner.intersect``.  The root search scans
+all of F_p with an O(p) array (16 GB near 2^31), so the point oracles run
+only at primes up to the default 65521."""
 
 from __future__ import annotations
 
@@ -24,7 +26,9 @@ from lefschetz_locus.groebner import (
     buchberger,
     grevlex_key,
     intersect,
+    saturate,
 )
+from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
 from lefschetz_locus.polyring import Polynomial, substitute_line
 
 
@@ -380,6 +384,30 @@ def colon(ideal: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     meet = intersect(ideal, [f])
     return buchberger([Polynomial(ring, _divide_exact(g.terms, f.terms, ring.prime))
                        for g in meet.basis], ring=ring)
+
+
+# -- localization by intersection -----------------------------------------
+
+
+def fold_localization(m, middle: GroebnerBasis) -> bool:
+    """Does the middle-degree ideal cut out the whole locus?  Fold every
+    other degree's minor ideal onto ``middle`` by intersection (skipping a
+    degree whose basis already contains the running ideal), then compare
+    the saturations of the result and of ``middle`` both ways."""
+    ring = dual_ring(m)
+    deg = m.degrees
+    running = middle
+    for i in range(deg.b[0] - 1, deg.socle_degree + 1):
+        if i == deg.middle_degree:
+            continue
+        gb_i = buchberger(list(locus_ideal_at(m, i).gens), ring=ring)
+        if not all(gb_i.contains(g) for g in running.basis):
+            running = intersect(running, gb_i)
+    if running.basis == middle.basis:
+        return True
+    sat_mid, sat_full = saturate(middle), saturate(running)
+    return all(sat_full.contains(g) for g in sat_mid.basis) and all(
+        sat_mid.contains(g) for g in sat_full.basis)
 
 
 # -- rational points (O(p) root scans) -------------------------------------

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from helpers import hilbert_series_ci, rational_points_0dim
+from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import cli
 from lefschetz_locus.cli import main
 
@@ -195,6 +196,41 @@ def test_survey_single_fixture_with_samples(capsys):
     assert code == 0
     assert report["fixtures"] == 3
     assert [row["seed"] for row in report["rows"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("command", ["hilbert", "locus", "line"])
+def test_samples_belongs_to_survey_only(command, capsys):
+    # only survey repeats fixtures over seeds; the other commands reject the
+    # option instead of ignoring it
+    argv = [command, "--a", "2,2,3", "--b", "0", "--samples", "2"]
+    if command == "line":
+        argv += ["--line", "1,2,3"]
+    code, report = _run(capsys, argv)
+    assert (code, report) == (1, None)
+
+
+def test_localization_row_takes_one_basis_and_no_saturation(monkeypatch):
+    # the middle basis is the only Groebner basis a criterion-8 row builds:
+    # every other degree passes the containment test by rank alone
+    from lefschetz_locus import groebner, lefschetz
+
+    calls = {"buchberger": 0, "saturate": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in (cli, groebner, lefschetz):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
+        calls.update(buchberger=0, saturate=0)
+        row = cli.survey_row({"a": list(a), "b": list(b), "seed": 1, "prime": 65521,
+                              "matrix": None, "localization": True})
+        assert {"claim": "middle-localization", "ok": True} in row["claims"]
+        assert calls == {"buchberger": 1, "saturate": 0}, a
 
 
 def test_survey_parallel_matches_serial(capsys):

@@ -320,6 +320,29 @@ def test_saturate_monomial_fixture_matches_oracle():
     assert same_ideal(saturate(gb), _saturate_by_iterated_colon(gb))
 
 
+def test_old_pair_criterion_prunes_saturation_rows(monkeypatch):
+    # the degree-3 minor ideal of the monomial (3,4,4) row needs pairs in
+    # several degrees under the variable saturations; pruning old pairs
+    # whose lcm a new leading monomial divides keeps the reductions to 280
+    # rows, where the engine without that criterion hands 283 to ``_rref``
+    from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
+    from lefschetz_locus.presentation import DegreeData, GradedModule, presentation_from_strings
+
+    pres = presentation_from_strings(DegreeData((3, 4, 4), (0,)),
+                                     [["x1^3", "x2^4", "x3^4"]])
+    m = GradedModule.build(pres)
+    gb = buchberger(list(locus_ideal_at(m, 3).gens), ring=dual_ring(m))
+    rows = []
+
+    def counted(a, p):
+        rows.append(a.shape[0])
+        return field_linalg._rref(a, p)
+
+    monkeypatch.setattr(groebner, "_rref", counted)
+    saturate(gb)
+    assert sum(rows) <= 280, rows
+
+
 def test_saturate_unit_and_idempotence():
     unit = buchberger([Polynomial.constant(S, 1)])
     assert saturate(unit).is_unit

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import det_mod, evaluate, rational_points_0dim, specialize
+from helpers import det_mod, evaluate, fold_localization, rational_points_0dim, specialize
+from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import cli, rand
-from lefschetz_locus.groebner import buchberger, intersect, measure, same_ideal, saturate
+from lefschetz_locus import lefschetz as lef
+from lefschetz_locus.groebner import buchberger, same_ideal, saturate
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
+    _in_saturation,
     dual_ring,
     find_lefschetz_line,
     is_lefschetz,
@@ -18,7 +21,12 @@ from lefschetz_locus.lefschetz import (
     random_line,
 )
 from lefschetz_locus.polyring import Polynomial, Ring, monomial_basis
-from lefschetz_locus.presentation import DegreeData, generic_module
+from lefschetz_locus.presentation import (
+    DegreeData,
+    GradedModule,
+    generic_module,
+    presentation_from_strings,
+)
 
 R = Ring()
 
@@ -126,84 +134,113 @@ def test_locus_needs_a_prime_above_the_minor_size(capsys):
 def test_degenerate_shapes_contribute_unit_ideal():
     m = _module((1, 1, 1), (0,))  # the module is one-dimensional in degree 0
     assert m.hilbert() == {0: 1}
+    one = Polynomial.constant(dual_ring(m), 1)
     for i in (-1, 0, 1):
-        li = locus_ideal_at(m, i)
-        assert li.spanned_degree == 0
-    assert locus_ideal(m, _basis(m, m.degrees.middle_degree)).is_unit
+        assert locus_ideal_at(m, i).gens == (one,)
+    middle = _basis(m, m.degrees.middle_degree)
+    assert middle.is_unit and locus_ideal(m, middle)
 
 
-def test_locus_intersection_equals_middle_on_generic_fixtures():
-    for a, b in (((2, 2, 3), (0,)), ((2, 2, 2), (0,)), ((1, 1, 1, 2), (0, 0))):
-        m = _module(a, b, seed=2)
-        gb_mid = _basis(m, m.degrees.middle_degree)
-        gb_full = locus_ideal(m, gb_mid)
-        mf, mm = measure(gb_full), measure(gb_mid)
-        assert (mf.dim_projective, mf.degree) == (mm.dim_projective, mm.degree)
-        sat_full, sat_mid = saturate(gb_full), saturate(gb_mid)
-        assert all(sat_full.contains(g) for g in sat_mid.basis)
-        assert all(sat_mid.contains(g) for g in sat_full.basis)
+def _middle(m):
+    return _basis(m, m.degrees.middle_degree)
 
 
-def test_fold_intersects_degrees_that_miss_the_running_ideal():
-    # l1 lies in no cubic minor ideal of (2,2,3), so folding onto (l1) must
-    # take the honest intersection; an unconditional intersect fold over the
-    # per-degree bases is the reference
+@pytest.mark.parametrize("seed", [1, 2])
+def test_localization_agrees_with_fold_oracle_on_criterion_8(seed):
+    for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
+        m = _module(a, b, seed=seed)
+        middle = _middle(m)
+        assert locus_ideal(m, middle) is fold_localization(m, middle) is True, (a, b)
+
+
+def test_localization_agrees_with_fold_oracle_off_the_grid():
+    pres = presentation_from_strings(DegreeData((3, 4, 4), (0,)), [["x1^3", "x2^4", "x3^4"]])
+    for m in (GradedModule.build(pres), _module((2, 3, 3), (0,))):
+        middle = _middle(m)
+        assert locus_ideal(m, middle) is fold_localization(m, middle) is True
+
+
+def test_localization_fails_where_a_degree_misses_the_middle():
+    # l1 vanishes at none of the six points that every cubic minor ideal of
+    # (2,2,3) cuts out, so (l1) lies in no saturation and the fold grows
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
     middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
-    expected = middle
-    for i in range(m.degrees.b[0] - 1, m.degrees.socle_degree + 1):
-        if i != m.degrees.middle_degree and locus_ideal_at(m, i).spanned_degree != 0:
-            expected = intersect(expected, _basis(m, i))
-    result = locus_ideal(m, middle)
-    assert result.basis != middle.basis
-    assert result.basis == expected.basis
+    assert locus_ideal(m, middle) is fold_localization(m, middle) is False
+
+
+def test_lower_degree_middle_is_shifted_up_to_each_minor_degree(monkeypatch):
+    # on (2,3,3) the minors at degrees 0 and 4 span R_1 and those at 1 and 3
+    # span R_3, so (l1) passes every degree by rank alone, as the fold agrees
+    m = _module((2, 3, 3), (0,))
+    ring = dual_ring(m)
+    middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
+    assert fold_localization(m, middle)
+    monkeypatch.setattr(lef, "saturate", _forbidden)
+    assert locus_ideal(m, middle)
+    # (l1) against l1 * m passes in degree D = 2 > 1, without saturation
+    l1, l2, l3 = (Polynomial.variable(ring, v) for v in range(3))
+    assert _in_saturation([l1], (l1 * l1, l1 * l2, l1 * l3))
+
+
+def _forbidden(*args):
+    raise AssertionError("the rank test should have decided")
+
+
+def _counting_saturate(monkeypatch):
+    calls = []
+
+    def counted(ideal):
+        calls.append(ideal)
+        return saturate(ideal)
+
+    monkeypatch.setattr(lef, "saturate", counted)
+    return calls
+
+
+def test_saturation_decides_where_the_rank_falls_short(monkeypatch):
+    # (l3) against (l1^2, l2^2, l3^2, l1*l2): l1*l3 is missing in degree 2,
+    # but the ideal is m-primary, so its saturation is the unit ideal
+    l1, l2, l3 = (Polynomial.variable(R, v) for v in range(3))
+    calls = _counting_saturate(monkeypatch)
+    assert _in_saturation([l3], (l1 * l1, l2 * l2, l3 * l3, l1 * l2))
+    assert len(calls) == 1
+
+
+def test_saturation_rejects_a_form_off_the_locus(monkeypatch):
+    # (l1) against (l2): the line l2 = 0 is saturated and misses l1; nothing
+    # but the zero form lies in the zero ideal
+    l1, l2 = Polynomial.variable(R, 0), Polynomial.variable(R, 1)
+    calls = _counting_saturate(monkeypatch)
+    assert not _in_saturation([l1], (l2,))
+    assert not _in_saturation([l1], (Polynomial.zero(R),))
+    assert _in_saturation([], (l2,))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("a,i,spans", [((4, 4, 4), 3, True), ((4, 4, 4), 5, True),
                                        ((2, 2, 3), 1, False)])
-def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
-    # the rank test claims m^k inside the ideal exactly when its reduced basis
-    # is every monomial of degree k; on (4,4,4) the 66 degree-10 minors at
-    # degrees 3 and 5 span R_10
+def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans, monkeypatch):
+    # a degree whose minors span every form of their degree k passes the
+    # containment test at once, without a Macaulay matrix, exactly when its
+    # reduced basis is every monomial of degree k; on (4,4,4) the 66
+    # degree-10 minors at degrees 3 and 5 span R_10.  On (2,2,3), degree 1
+    # is the middle, which its own generators pass by the Macaulay matrix.
     m = _module(a, (0,))
     li = locus_ideal_at(m, i)
     k = li.gens[0].degree()
     basis = set(_basis(m, i).basis)
     power = {Polynomial(dual_ring(m), {mono: 1}) for mono in monomial_basis(k).monomials}
-    assert (li.spanned_degree == k) is spans
     assert (basis == power) is spans
     if spans:
         assert (k, len(basis)) == (10, 66)
-
-
-def test_fold_rank_skip_needs_every_running_degree_at_least_k(monkeypatch):
-    # on (2,3,3) the minors at degrees 0 and 4 span R_1 and those at 1 and 3
-    # span R_3.  Folding onto (l1) skips degree 0, must intersect degree 1
-    # (k = 3 > 1), which leaves l1*m^2; that starts in degree 3, so degrees 3
-    # and 4 are skipped.  The result equals an unconditional intersect fold.
-    import lefschetz_locus.lefschetz as lef
-
-    m = _module((2, 3, 3), (0,))
-    ring = dual_ring(m)
-    middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
-    spanned = {i: locus_ideal_at(m, i).spanned_degree for i in (0, 1, 3, 4)}
-    assert spanned == {0: 1, 1: 3, 3: 3, 4: 1}
-    expected = middle
-    for i in range(m.degrees.b[0] - 1, m.degrees.socle_degree + 1):
-        if i != m.degrees.middle_degree:
-            expected = intersect(expected, _basis(m, i))
-    met = []
-
-    def recording_intersect(running, gb_i):
-        met.append(gb_i.basis)
-        return intersect(running, gb_i)
-
-    monkeypatch.setattr(lef, "intersect", recording_intersect)
-    result = locus_ideal(m, middle)
-    assert met == [_basis(m, 1).basis]
-    assert min(g.degree() for g in result.basis) == 3
-    assert result.basis == expected.basis
+    built = []
+    rows = lef._macaulay_rows
+    monkeypatch.setattr(lef, "_macaulay_rows", lambda *args: built.append(args) or rows(*args))
+    middle = _middle(m).basis
+    mid = [g for g in middle if g.degree() == middle[0].degree()]
+    assert _in_saturation(mid, li.gens)
+    assert (not built) is spans
 
 
 def test_middle_pair_selfduality_for_odd_total_twist():

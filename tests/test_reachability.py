@@ -14,6 +14,7 @@ are roots as well: the tracer looks each of them up when it installs.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import lefschetz_locus
@@ -64,14 +65,18 @@ def _references(node: ast.AST) -> set[str]:
     return out
 
 
+def _traced_targets() -> list[tuple[str, str]]:
+    """(module, attribute) rows of the tracer's TARGETS table."""
+    for stmt in ast.parse((ROOT / "perfbench" / "spans.py").read_text()).body:
+        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "TARGETS":
+            return [tuple(ast.literal_eval(e) for e in row.elts[:2]) for row in stmt.value.elts]
+    raise AssertionError("perfbench/spans.py has no TARGETS table")
+
+
 def _traced_names() -> set[str]:
     """Attribute names in the tracer's TARGETS table (``Class.method`` gives
     both parts)."""
-    for stmt in ast.parse((ROOT / "perfbench" / "spans.py").read_text()).body:
-        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "TARGETS":
-            return {part for row in stmt.value.elts
-                    for part in ast.literal_eval(row.elts[1]).split(".")}
-    raise AssertionError("perfbench/spans.py has no TARGETS table")
+    return {part for _, attr in _traced_targets() for part in attr.split(".")}
 
 
 def _reached(definitions) -> set[str]:
@@ -96,3 +101,16 @@ def test_exports_are_reached_from_the_cli():
     reached = _reached(_definitions())
     unreached = [name for name in lefschetz_locus.__all__ if name not in reached]
     assert not unreached, f"exported but reached from no CLI path: {unreached}"
+
+
+def test_every_traced_target_resolves():
+    # the tracer looks each row up when it installs, so a deleted or renamed
+    # name would crash a traced benchmark run
+    missing = []
+    for module, attr in _traced_targets():
+        obj = importlib.import_module(f"lefschetz_locus.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"traced by perfbench/spans.py but not defined: {missing}"
