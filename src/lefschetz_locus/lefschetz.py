@@ -4,10 +4,11 @@ A line l1*x1 + l2*x2 + l3*x3 acts from degree i to degree i + 1 by the
 h_{i+1} x h_i matrix sum_v l_v * (multiplication by x_v), held only as the
 module's three multiplication maps.  The locus at degree i is cut out by
 the maximal minors, forms of degree s = min(h_i, h_{i+1}) in l1, l2, l3:
-they are evaluated at the lattice points with a + b + c = s and
-interpolated, so a locus needs a prime above s.  ``locus_ideal`` decides
-whether the middle degree alone cuts out the whole locus, by one
-Macaulay-matrix rank per degree, saturating only where that falls short.
+they are evaluated at the lattice points with a + b + c = s, by complementary
+minors of one left kernel per point, and interpolated, so a locus needs a
+prime above s.  ``locus_ideal`` decides whether the middle degree alone cuts
+out the whole locus: a degree passes if its minor values have full rank, else
+by one Macaulay-matrix rank, saturating only where that falls short.
 """
 
 from __future__ import annotations
@@ -44,50 +45,69 @@ _BATCH = 1 << 14  # matrix entries eliminated together (128 KiB of int64)
 
 
 def _lattice_minors(maps, size: int, p: int) -> np.ndarray:
-    """Values of every maximal minor of sum_v l_v * maps[v] at each lattice
-    point of degree ``size``: one row per point (``monomial_basis`` order),
-    one column per subset of the taller side (lexicographic order).
-
-    The square submatrices of a few points at a time (at most ``_BATCH``
-    entries, or one point's) are eliminated as one stack; rows are scaled
-    by the pivot instead of divided, so each determinant costs one modular
-    inverse, and every product is of two residues.
-    """
+    """Values of every maximal minor of the n x size (taller side) matrix
+    M = sum_v l_v * maps[v] at each lattice point of degree ``size``: a row
+    per point (``monomial_basis`` order), a column per row subset S (in
+    lexicographic order).  If 0 < n - size < size, one elimination of
+    [M | I_n] gives E M = [U; 0], the bottom rows K of E span the left
+    kernel, and by Jacobi's complementary-minor identity (0-indexed S)
+    det M[S] = (-1)^(sum S + size(size+3)/2) det(U)/det(E) det K[:, S^c]
+    (det(U) = 0 where M loses rank).  Else the M[S] themselves are taken.
+    A stack holds at most ``_BATCH`` entries (or one point's)."""
     tall = [mv.a if mv.rows >= mv.cols else mv.a.T for mv in maps]
-    subsets = np.array(list(combinations(range(tall[0].shape[0]), size)), dtype=np.intp)
+    n = tall[0].shape[0]
+    by_kernel = 0 < n - size < size
+    k = n - size if by_kernel else size  # the size of the minors taken
+    subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    if by_kernel:  # S^c for S in lexicographic order: the (n-size)-subsets reversed
+        subsets = subsets[::-1]
+        eps = (-1) ** ((n * (n - 1) // 2 - subsets.sum(axis=1) + size * (size + 3) // 2) % 2)
     points = monomial_basis(size).monomials
-    step = max(1, _BATCH // (len(subsets) * size * size))
-    nums, scales = [], []
+    step = max(1, _BATCH // max(n * (n + size) * by_kernel, len(subsets) * k * k))
+    out = []
     for lo in range(0, len(points), step):
-        stack = np.concatenate([(sum(c * a % p for c, a in zip(pt, tall)) % p)[subsets]
-                                for pt in points[lo:lo + step]])
-        k = np.arange(len(stack))
-        sign = np.ones(len(stack), dtype=np.int64)
-        running = np.ones(len(stack), dtype=np.int64)  # product of the pivots so far
-        scale = np.ones(len(stack), dtype=np.int64)  # det(stack) = sign * scale * minor
-        for j in range(size):
-            swap = j + (stack[:, j:, j] != 0).argmax(axis=1)  # stays j on a zero column
-            moved = swap != j
-            if moved.any():
-                top = stack[k, j].copy()
-                stack[k, j] = stack[k, swap]
-                stack[k, swap] = top
-                sign[moved] = -sign[moved]
-            piv = stack[:, j, j]
-            below = stack[:, j + 1:, j:]
-            stack[:, j + 1:, j:] = (below * piv[:, None, None]
-                                    - below[:, :, :1] * stack[:, j:j + 1, j:]) % p
-            scale = scale * running % p
-            running = running * piv % p
-        nums.append(sign * running % p)  # a zero pivot gives 0
-        scales.append(scale)
-    num, scale = np.concatenate(nums), np.concatenate(scales)
-    return (num * _inverse(scale, p) % p).reshape(len(points), len(subsets))
+        mats = np.stack([sum(v * a % p for v, a in zip(pt, tall)) % p
+                         for pt in points[lo:lo + step]])
+        lam = 1
+        if by_kernel:
+            mats = np.concatenate([mats, np.tile(np.eye(n, dtype=np.int64), (len(mats), 1, 1))], 2)
+            lam = _eliminate(mats, size, p)[:, None] * eps % p
+            mats = mats[:, size:, size:].transpose(0, 2, 1)  # K^T, as det K[:, T] = det K^T[T]
+        out.append(_eliminate(mats[:, subsets].reshape(-1, k, k), k, p).reshape(len(mats), -1)
+                   * lam % p)
+    return np.concatenate(out)
 
 
-def _inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise x^(p-2) mod p by square-and-multiply (0 stays 0)."""
-    out, base, e = np.ones_like(x), x % p, p - 2
+def _eliminate(stack: np.ndarray, cols: int, p: int) -> np.ndarray:
+    """Fraction-free elimination, in place, of the first ``cols`` columns of
+    each matrix: det(U)/det(E), U the leading block of the result and E the
+    row operations (a square matrix's determinant).  Rows are scaled by the
+    pivot, not divided: one modular inverse each, products of two residues."""
+    k = np.arange(len(stack))
+    sign = np.ones(len(stack), dtype=np.int64)
+    running = np.ones(len(stack), dtype=np.int64)  # det(U) so far; a zero pivot gives 0
+    scale = np.ones(len(stack), dtype=np.int64)  # prod_j piv_j^(cols-1-j)
+    for j in range(cols):
+        swap = j + (stack[:, j:, j] != 0).argmax(axis=1)  # stays j on a zero column
+        moved = swap != j
+        if moved.any():
+            top = stack[k, j].copy()
+            stack[k, j] = stack[k, swap]
+            stack[k, swap] = top
+            sign[moved] = -sign[moved]
+        piv = stack[:, j, j]
+        below = stack[:, j + 1:, j:]
+        stack[:, j + 1:, j:] = (below * piv[:, None, None]
+                                - below[:, :, :1] * stack[:, j:j + 1, j:]) % p
+        scale = scale * running % p
+        running = running * piv % p
+    det_e = scale * _power(running, stack.shape[1] - cols, p) % p  # det(E) / sign
+    return sign * running % p * _power(det_e, p - 2, p) % p
+
+
+def _power(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """Elementwise x^e mod p by square-and-multiply (x^(p-2) inverts, 0 stays 0)."""
+    out, base = np.ones_like(x), x % p
     while e:
         if e & 1:
             out = out * base % p
@@ -96,7 +116,7 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
 def _lattice_inverse(size: int, p: int) -> np.ndarray:
     """Inverse of the Vandermonde block of the lattice points of degree
     ``size`` (rows: points, columns: monomials, both in ``monomial_basis``
@@ -118,7 +138,7 @@ def _lattice_inverse(size: int, p: int) -> np.ndarray:
     return inverse
 
 
-def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
+def locus_ideal_at(m: GradedModule, i: int, values=None) -> LocusIdeal:
     """Ideal of maximal minors of sum_v l_v * (multiplication by x_v out of
     degree i).  A shape with a zero side has trivially maximal rank
     everywhere, so it contributes the unit ideal (empty locus).
@@ -128,7 +148,8 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     are unisolvent for degree-s forms when p > s (principal lattice), and
     recovered by one product with the inverse Vandermonde block, cached per
     (s, p).  Generators keep the row-subset order of the taller side; zero
-    minors are dropped.
+    minors are dropped.  ``values`` replaces the minors' values at the points
+    by those of other forms, one column each.
     """
     ring = dual_ring(m)
     p = m.prime
@@ -138,7 +159,8 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     if p <= size:
         raise ValueError(f"prime {p} is too small for the degree-{i} minors: "
                          f"the locus needs a prime above the minor size {size}")
-    coeffs = _matmul(_lattice_inverse(size, p), _lattice_minors(m.variable_maps(i), size, p), p)
+    values = _lattice_minors(m.variable_maps(i), size, p) if values is None else values
+    coeffs = _matmul(_lattice_inverse(size, p), values, p)
     monos = monomial_basis(size).monomials
     gens = tuple(f for f in (Polynomial(ring, dict(zip(monos, map(int, col))))
                              for col in coeffs.T) if not f.is_zero())
@@ -168,16 +190,14 @@ def _macaulay_rows(coeffs: np.ndarray, s: int, top: int) -> np.ndarray:
 def _in_saturation(mid: list[Polynomial], gens: tuple[Polynomial, ...]) -> bool:
     """Do the forms ``mid`` (of degree s_mid) lie in I^sat, I the ideal of
     ``gens`` (of degree s)?  With D = max(s_mid, s), mid * R_{D-s_mid} must
-    reduce to zero against R_{D-s} times the echelon basis of I_s (an I_s of
-    all of R_s passes at once); that puts m^(D-s_mid) * mid in I.  Only where
-    it fails is I saturated, and normal forms decide."""
+    reduce to zero against R_{D-s} times the echelon basis of I_s; that puts
+    m^(D-s_mid) * mid in I.  Only where it fails is I saturated, and normal
+    forms decide."""
     ring = gens[0].ring
     p = ring.prime
     s_mid = mid[0].degree() if mid else 0
     s = max(gens[0].degree(), 0)  # the zero ideal: one zero row, no basis
     red, pivots = _rref(_coefficients(gens, s), p)
-    if len(pivots) == red.shape[1]:
-        return True
     span, pivots = _rref(_macaulay_rows(red[:len(pivots)], s, max(s_mid, s)), p)
     rows = _macaulay_rows(_coefficients(mid, s_mid), s_mid, max(s_mid, s))
     if not ((rows - _matmul(rows[:, list(pivots)], span[:len(pivots)], p)) % p).any():
@@ -191,11 +211,20 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
     basis) cut out the whole locus, the scheme of the intersection of the
     minor ideals I_i of all degrees?  That intersection lies in I_mid, so,
     as saturation commutes with intersection, exactly when every I_i^sat
-    holds I_mid."""
+    holds I_mid.  Minor values of full rank (Vandermonde times coefficients)
+    span R_s and pass; otherwise only a basis goes to ``_in_saturation``."""
     deg = m.degrees
     mid = [g for g in middle.basis if g.degree() == middle.basis[0].degree()]
-    return all(_in_saturation(mid, locus_ideal_at(m, i).gens)
-               for i in range(deg.b[0] - 1, deg.socle_degree + 1) if i != deg.middle_degree)
+    for i in range(deg.b[0] - 1, deg.socle_degree + 1):
+        size = min(m.h(i), m.h(i + 1))
+        if i == deg.middle_degree or size == 0:
+            continue
+        values = _lattice_minors(m.variable_maps(i), size, m.prime)
+        _, pivots = _rref(values, m.prime)  # p <= size repeats points: never full rank
+        if len(pivots) < len(values) and not _in_saturation(
+                mid, locus_ideal_at(m, i, values[:, list(pivots)]).gens):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from helpers import det_mod, evaluate, fold_localization, rational_points_0dim, 
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import cli, rand
 from lefschetz_locus import lefschetz as lef
+from lefschetz_locus.field_linalg import Matrix, _rref
 from lefschetz_locus.groebner import buchberger, same_ideal, saturate
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
@@ -220,12 +222,13 @@ def test_saturation_rejects_a_form_off_the_locus(monkeypatch):
 
 @pytest.mark.parametrize("a,i,spans", [((4, 4, 4), 3, True), ((4, 4, 4), 5, True),
                                        ((2, 2, 3), 1, False)])
-def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans, monkeypatch):
-    # a degree whose minors span every form of their degree k passes the
-    # containment test at once, without a Macaulay matrix, exactly when its
-    # reduced basis is every monomial of degree k; on (4,4,4) the 66
-    # degree-10 minors at degrees 3 and 5 span R_10.  On (2,2,3), degree 1
-    # is the middle, which its own generators pass by the Macaulay matrix.
+def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
+    # a degree whose minors span every form of their degree k has minor
+    # values of full rank at the lattice points, which passes it without a
+    # Macaulay matrix, exactly when its reduced basis is every monomial of
+    # degree k; on (4,4,4) the 66 degree-10 minors at degrees 3 and 5 span
+    # R_10.  On (2,2,3), degree 1 is the middle, which its own generators
+    # pass by the Macaulay matrix.
     m = _module(a, (0,))
     li = locus_ideal_at(m, i)
     k = li.gens[0].degree()
@@ -234,13 +237,108 @@ def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans, monkeypatch):
     assert (basis == power) is spans
     if spans:
         assert (k, len(basis)) == (10, 66)
-    built = []
-    rows = lef._macaulay_rows
-    monkeypatch.setattr(lef, "_macaulay_rows", lambda *args: built.append(args) or rows(*args))
+    values = lef._lattice_minors(m.variable_maps(i), k, m.prime)
+    assert (len(_rref(values, m.prime)[1]) == len(values)) is spans
     middle = _middle(m).basis
     mid = [g for g in middle if g.degree() == middle[0].degree()]
     assert _in_saturation(mid, li.gens)
-    assert (not built) is spans
+
+
+@pytest.mark.parametrize("a,calls", [((4, 4, 4), [4]), ((3, 4, 4), [3, 4])])
+def test_localization_interpolates_only_degrees_whose_values_fall_short(a, calls, monkeypatch):
+    # every other degree of (4,4,4) has minor values of full rank, so a
+    # survey row interpolates the middle degree alone; on (3,4,4) degree 4
+    # has 10 minors of degree 9, which cannot span the 55 forms of R_9
+    seen = []
+    original = lef.locus_ideal_at
+    monkeypatch.setattr(lef, "locus_ideal_at",
+                        lambda m, i, *args: seen.append(i) or original(m, i, *args))
+    row = cli.survey_row({"a": list(a), "b": [0], "seed": 1, "prime": 65521,
+                          "matrix": None, "localization": True})
+    assert {"claim": "middle-localization", "ok": True} in row["claims"]
+    assert seen == calls
+
+
+def test_identically_vanishing_minors_fail_localization(monkeypatch):
+    # a degree whose minors all vanish has the zero ideal, which holds no
+    # middle form: its values have rank 0 and the verdict is False
+    m = _module((2, 2, 3), (0,))
+    middle = _middle(m)
+    minors = lef._lattice_minors
+    monkeypatch.setattr(lef, "_lattice_minors", lambda *args: minors(*args) * 0)
+    assert locus_ideal(m, middle) is False
+
+
+def test_localization_names_a_prime_too_small_for_another_degree():
+    # at p = 7 the minors of (3,4,4) below the middle degree 3 (sizes 1, 3
+    # and 6) are decided, but those of degree 4 (size 9) cannot be: the
+    # localization test raises the named error of ``locus_ideal_at``
+    m = generic_module(DegreeData((3, 4, 4), (0,)), 1, 7)
+    ring = dual_ring(m)
+    middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
+    message = "degree-4 minors: the locus needs a prime above the minor size 9"
+    with pytest.raises(ValueError, match=message):
+        locus_ideal(m, middle)
+    with pytest.raises(ValueError, match=message):
+        locus_ideal_at(m, 4)
+
+
+@st.composite
+def _stacks(draw):
+    """Three random n x s maps (or their transposes) mod a small or large
+    prime, as ``_lattice_minors`` takes them: plain, with a rank drop at
+    every point, or with a zero first row, so that the leading s x s block
+    is singular and, for n > s, the first pivot comes from below."""
+    p = draw(st.sampled_from([7, 13, 65521, 2**31 - 1]))
+    n = draw(st.integers(1, 6))
+    s = draw(st.integers(1, min(n, 5)))
+    kind = draw(st.sampled_from(["random", "rank-drop", "zero-top-row"]))
+    maps = []
+    for _ in range(3):
+        a = [[draw(st.integers(0, p - 1)) for _ in range(s)] for _ in range(n)]
+        if kind == "rank-drop":
+            a = [row[:-1] + row[:1] if s > 1 else [0] for row in a]
+        elif kind == "zero-top-row":
+            a[0] = [0] * s
+        maps.append(a)
+    wide = draw(st.booleans())
+    return p, s, [Matrix(np.array(a, dtype=np.int64).T if wide else a, p) for a in maps]
+
+
+@settings(max_examples=120, deadline=None)
+@given(stack=_stacks())
+def test_lattice_minors_match_cofactor_determinants(stack):
+    # corank 0, 0 < c < s (one elimination and the left kernel) and c >= s
+    # (the square submatrices) all give every minor at every lattice point
+    p, s, maps = stack
+    values = lef._lattice_minors(maps, s, p)
+    points = monomial_basis(s).monomials
+    assert values.shape[0] == len(points)
+    for pt, row in zip(points, values):
+        a = sum(c * mv.a for c, mv in zip(pt, maps)) % p
+        a = a if a.shape[0] >= a.shape[1] else a.T
+        want = [det_mod([[int(x) for x in a[r]] for r in rows], p)
+                for rows in combinations(range(a.shape[0]), s)]
+        assert [int(x) for x in row] == want, pt
+
+
+def test_lattice_minors_of_monomial_module_match_cofactor_determinants():
+    # the pure-power module (3,4,4) drops rank at many lattice points (all
+    # of degree 4's minors vanish at each of its 55 points); every minor at
+    # every point of every degree is checked
+    pres = presentation_from_strings(DegreeData((3, 4, 4), (0,)), [["x1^3", "x2^4", "x3^4"]])
+    m = GradedModule.build(pres)
+    vanishing = 0
+    for i in range(-1, m.degrees.socle_degree + 1):
+        size = min(m.h(i), m.h(i + 1))
+        if size == 0:
+            continue
+        values = lef._lattice_minors(m.variable_maps(i), size, m.prime)
+        for pt, row in zip(monomial_basis(size).monomials, values):
+            want = _cofactor_minors(m, i, pt)
+            assert [int(x) for x in row] == want, (i, pt)
+            vanishing += not any(want)
+    assert vanishing == 56
 
 
 def test_middle_pair_selfduality_for_odd_total_twist():
@@ -313,3 +411,17 @@ def test_minor_vanishing_matches_rank_deficiency():
 def test_wlp_witness_exists(a, b):
     m = _module(a, b)
     assert find_lefschetz_line(m, seed=1, tries=100) is not None
+
+
+def test_lattice_inverse_cache_holds_a_survey_pass(capsys):
+    # a --localization survey over ci:2-4 and n2 interpolates fewer minor
+    # sizes than the cache holds, so a second pass recomputes no inverse
+    def survey():
+        for grid in ("ci:2-4", "n2"):
+            assert cli.main(["survey", "--grid", grid, "--localization", "--seed", "1"]) == 0
+        capsys.readouterr()
+
+    survey()
+    misses = lef._lattice_inverse.cache_info().misses
+    survey()
+    assert lef._lattice_inverse.cache_info().misses == misses
