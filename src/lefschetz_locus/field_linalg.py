@@ -97,12 +97,14 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue matrices, exact in int64: the inner sums are
-    taken a chunk of terms at a time and reduced in between."""
+    """a @ b mod p for residue matrices, or stacks of them (broadcast as by
+    ``@``), exact in int64: the inner sums are taken a chunk of terms at a
+    time and reduced in between."""
     step = (np.iinfo(np.int64).max - p) // (p - 1) ** 2  # terms per int64 sum
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, a.shape[1], step):
-        out = (out + a[:, lo:lo + step] @ b[lo:lo + step]) % p
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]),
+                   dtype=np.int64)
+    for lo in range(0, a.shape[-1], step):
+        out = (out + a[..., lo:lo + step] @ b[..., lo:lo + step, :]) % p
     return out
 
 

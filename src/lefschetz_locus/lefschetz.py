@@ -8,7 +8,12 @@ they are evaluated at the lattice points with a + b + c = s, by complementary
 minors of one left kernel per point, and interpolated, so a locus needs a
 prime above s.  ``locus_ideal`` decides whether the middle degree alone cuts
 out the whole locus: a degree passes if its minor values have full rank, else
-by one Macaulay-matrix rank, saturating only where that falls short.
+by one Macaulay-matrix rank, saturating only where that falls short.  A
+degree with many minors is first tried on C(s+2, 2) + 4 seeded
+combinations det(Q_j^T X) of them (Cauchy-Binet), which need no subset
+enumeration: each is the value vector of a form in the degree's minor
+ideal, so their full rank is an exact pass, and only a shortfall takes
+every minor.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -42,9 +48,17 @@ def dual_ring(m: GradedModule) -> Ring:
 
 
 _BATCH = 1 << 14  # matrix entries eliminated together (128 KiB of int64)
+_MAX_VALUES = 1 << 25  # entries of an all-minors value matrix (256 MiB of int64)
 
 
-def _lattice_minors(maps, size: int, p: int) -> np.ndarray:
+def _minor_shape(n: int, size: int) -> tuple[bool, int]:
+    """For an n x ``size`` map (n the taller side): whether its maximal
+    minors come from the left kernel, and the size k of the minors taken."""
+    by_kernel = 0 < n - size < size
+    return by_kernel, n - size if by_kernel else size
+
+
+def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     """Values of every maximal minor of the n x size (taller side) matrix
     M = sum_v l_v * maps[v] at each lattice point of degree ``size``: a row
     per point (``monomial_basis`` order), a column per row subset S (in
@@ -53,17 +67,28 @@ def _lattice_minors(maps, size: int, p: int) -> np.ndarray:
     kernel, and by Jacobi's complementary-minor identity (0-indexed S)
     det M[S] = (-1)^(sum S + size(size+3)/2) det(U)/det(E) det K[:, S^c]
     (det(U) = 0 where M loses rank).  Else the M[S] themselves are taken.
-    A stack holds at most ``_BATCH`` entries (or one point's)."""
+
+    With ``weights`` Q of shape (count, n, k), X the n x k matrix whose k x k
+    minors are taken (M, or K^T on the kernel route), column j holds instead
+    det(Q_j^T X) = sum_S det Q_j[S] det X[S] (Cauchy-Binet): one fixed
+    combination of the minors of M, the same at every point, and no subset
+    is enumerated.  A stack holds at most ``_BATCH`` entries (or one
+    point's)."""
     tall = [mv.a if mv.rows >= mv.cols else mv.a.T for mv in maps]
     n = tall[0].shape[0]
-    by_kernel = 0 < n - size < size
-    k = n - size if by_kernel else size  # the size of the minors taken
-    subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
-    if by_kernel:  # S^c for S in lexicographic order: the (n-size)-subsets reversed
-        subsets = subsets[::-1]
-        eps = (-1) ** ((n * (n - 1) // 2 - subsets.sum(axis=1) + size * (size + 3) // 2) % 2)
+    by_kernel, k = _minor_shape(n, size)
+    eps = 1
+    if weights is None:
+        subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        if by_kernel:  # S^c for S in lexicographic order: the (n-size)-subsets reversed
+            subsets = subsets[::-1]
+            eps = (-1) ** ((n * (n - 1) // 2 - subsets.sum(axis=1) + size * (size + 3) // 2) % 2)
+        cols = len(subsets)
+    else:
+        q_t = weights.transpose(0, 2, 1)[None]
+        cols = len(weights)
     points = monomial_basis(size).monomials
-    step = max(1, _BATCH // max(n * (n + size) * by_kernel, len(subsets) * k * k))
+    step = max(1, _BATCH // max(n * (n + size) * by_kernel, cols * k * k))
     out = []
     for lo in range(0, len(points), step):
         mats = np.stack([sum(v * a % p for v, a in zip(pt, tall)) % p
@@ -73,9 +98,40 @@ def _lattice_minors(maps, size: int, p: int) -> np.ndarray:
             mats = np.concatenate([mats, np.tile(np.eye(n, dtype=np.int64), (len(mats), 1, 1))], 2)
             lam = _eliminate(mats, size, p)[:, None] * eps % p
             mats = mats[:, size:, size:].transpose(0, 2, 1)  # K^T, as det K[:, T] = det K^T[T]
-        out.append(_eliminate(mats[:, subsets].reshape(-1, k, k), k, p).reshape(len(mats), -1)
-                   * lam % p)
+        square = mats[:, subsets] if weights is None else _matmul(q_t, mats[:, None], p)
+        out.append(_eliminate(square.reshape(-1, k, k), k, p).reshape(len(mats), -1) * lam % p)
     return np.concatenate(out)
+
+
+@functools.lru_cache(maxsize=32)
+def _weights(n: int, k: int, count: int, p: int) -> np.ndarray:
+    """``count`` seeded n x k residue matrices, the same in every run and
+    worker (a fixed-tag stream).  Read-only, as it is cached."""
+    stream = rand.Stream(rand.derive(0, 0xCB))
+    out = np.array([stream.below(p) for _ in range(count * n * k)],
+                   dtype=np.int64).reshape(count, n, k)
+    out.flags.writeable = False
+    return out
+
+
+def _minor_values(m: GradedModule, i: int, size: int, count: int = 0) -> np.ndarray:
+    """``_lattice_minors`` of degree i: every maximal minor or, with a
+    ``count``, that many seeded combinations of them.  The all-minors value
+    matrix is refused above ``_MAX_VALUES`` entries with a named error."""
+    p = m.prime
+    if p <= size:
+        raise ValueError(f"prime {p} is too small for the degree-{i} minors: "
+                         f"the locus needs a prime above the minor size {size}")
+    maps = m.variable_maps(i)
+    n = max(maps[0].rows, maps[0].cols)
+    _, k = _minor_shape(n, size)
+    if count:
+        return _lattice_minors(maps, size, p, _weights(n, k, count, p))
+    points, minors = comb(size + 2, 2), comb(n, k)
+    if points * minors > _MAX_VALUES:
+        raise ValueError(f"the degree-{i} minors of a {n} x {size} map take {points} points "
+                         f"x {minors} minors, above the cap of {_MAX_VALUES} values")
+    return _lattice_minors(maps, size, p)
 
 
 def _eliminate(stack: np.ndarray, cols: int, p: int) -> np.ndarray:
@@ -138,35 +194,38 @@ def _lattice_inverse(size: int, p: int) -> np.ndarray:
     return inverse
 
 
-def locus_ideal_at(m: GradedModule, i: int, values=None) -> LocusIdeal:
-    """Ideal of maximal minors of sum_v l_v * (multiplication by x_v out of
-    degree i).  A shape with a zero side has trivially maximal rank
-    everywhere, so it contributes the unit ideal (empty locus).
+def _interpolate(m: GradedModule, i: int, values=None) -> np.ndarray:
+    """Coefficient rows, in ``monomial_basis`` order, of the degree-i
+    maximal minors, or of the forms whose values at the lattice points are
+    the columns of ``values``.  The C(s+2, 2) points (a, b, c) with
+    a + b + c = s are unisolvent for degree-s forms when p > s (principal
+    lattice), so one product with the inverse Vandermonde block, cached per
+    (s, p), recovers them."""
+    size = min(m.h(i), m.h(i + 1))
+    values = _minor_values(m, i, size) if values is None else values
+    return _matmul(_lattice_inverse(size, m.prime), values, m.prime).T
 
-    The minors of size s are forms of degree s in l1, l2, l3.  They are
-    evaluated at the C(s+2, 2) points (a, b, c) with a + b + c = s, which
-    are unisolvent for degree-s forms when p > s (principal lattice), and
-    recovered by one product with the inverse Vandermonde block, cached per
-    (s, p).  Generators keep the row-subset order of the taller side; zero
-    minors are dropped.  ``values`` replaces the minors' values at the points
-    by those of other forms, one column each.
-    """
+
+def _forms(ring: Ring, s: int, rows: np.ndarray) -> tuple[Polynomial, ...]:
+    """The nonzero degree-s forms with these coefficient rows (the zero
+    form if there is none)."""
+    monos = monomial_basis(s).monomials
+    gens = tuple(f for f in (Polynomial(ring, dict(zip(monos, map(int, row)))) for row in rows)
+                 if not f.is_zero())
+    return gens or (Polynomial.zero(ring),)
+
+
+def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
+    """Ideal of maximal minors of sum_v l_v * (multiplication by x_v out of
+    degree i), forms of degree s in l1, l2, l3.  A shape with a zero side
+    has trivially maximal rank everywhere, so it contributes the unit ideal
+    (empty locus).  Generators keep the row-subset order of the taller side;
+    zero minors are dropped."""
     ring = dual_ring(m)
-    p = m.prime
     size = min(m.h(i), m.h(i + 1))
     if size == 0:
         return LocusIdeal((Polynomial.constant(ring, 1),))
-    if p <= size:
-        raise ValueError(f"prime {p} is too small for the degree-{i} minors: "
-                         f"the locus needs a prime above the minor size {size}")
-    values = _lattice_minors(m.variable_maps(i), size, p) if values is None else values
-    coeffs = _matmul(_lattice_inverse(size, p), values, p)
-    monos = monomial_basis(size).monomials
-    gens = tuple(f for f in (Polynomial(ring, dict(zip(monos, map(int, col))))
-                             for col in coeffs.T) if not f.is_zero())
-    if not gens:
-        gens = (Polynomial.zero(ring),)
-    return LocusIdeal(gens)
+    return LocusIdeal(_forms(ring, size, _interpolate(m, i)))
 
 
 def _coefficients(gens, s: int) -> np.ndarray:
@@ -187,22 +246,19 @@ def _macaulay_rows(coeffs: np.ndarray, s: int, top: int) -> np.ndarray:
     return out.reshape(-1, len(index))
 
 
-def _in_saturation(mid: list[Polynomial], gens: tuple[Polynomial, ...]) -> bool:
+def _in_saturation(mid: list[Polynomial], coeffs: np.ndarray, s: int, ring: Ring) -> bool:
     """Do the forms ``mid`` (of degree s_mid) lie in I^sat, I the ideal of
-    ``gens`` (of degree s)?  With D = max(s_mid, s), mid * R_{D-s_mid} must
-    reduce to zero against R_{D-s} times the echelon basis of I_s; that puts
-    m^(D-s_mid) * mid in I.  Only where it fails is I saturated, and normal
-    forms decide."""
-    ring = gens[0].ring
+    the degree-s forms with the coefficient rows ``coeffs``?  With
+    D = max(s_mid, s), mid * R_{D-s_mid} must reduce to zero against
+    R_{D-s} times those forms; that puts m^(D-s_mid) * mid in I.  Only where
+    it fails is I saturated, and normal forms decide."""
     p = ring.prime
     s_mid = mid[0].degree() if mid else 0
-    s = max(gens[0].degree(), 0)  # the zero ideal: one zero row, no basis
-    red, pivots = _rref(_coefficients(gens, s), p)
-    span, pivots = _rref(_macaulay_rows(red[:len(pivots)], s, max(s_mid, s)), p)
+    span, pivots = _rref(_macaulay_rows(coeffs, s, max(s_mid, s)), p)
     rows = _macaulay_rows(_coefficients(mid, s_mid), s_mid, max(s_mid, s))
     if not ((rows - _matmul(rows[:, list(pivots)], span[:len(pivots)], p)) % p).any():
         return True
-    sat = saturate(buchberger(list(gens), ring=ring))
+    sat = saturate(buchberger(list(_forms(ring, s, coeffs)), ring=ring))
     return all(sat.contains(g) for g in mid)
 
 
@@ -211,18 +267,27 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
     basis) cut out the whole locus, the scheme of the intersection of the
     minor ideals I_i of all degrees?  That intersection lies in I_mid, so,
     as saturation commutes with intersection, exactly when every I_i^sat
-    holds I_mid.  Minor values of full rank (Vandermonde times coefficients)
-    span R_s and pass; otherwise only a basis goes to ``_in_saturation``."""
+    holds I_mid.  Value columns of full rank C(s+2, 2) (Vandermonde times
+    coefficients) span R_s and pass the degree.  Where there are more than
+    C(s+2, 2) + 4 minors, that many seeded combinations of them are tried
+    first: each is a form of I_i, so their full rank passes it exactly.
+    Any shortfall takes every minor, and only then does a basis of their
+    span go to ``_in_saturation``."""
     deg = m.degrees
+    ring = dual_ring(m)
     mid = [g for g in middle.basis if g.degree() == middle.basis[0].degree()]
     for i in range(deg.b[0] - 1, deg.socle_degree + 1):
         size = min(m.h(i), m.h(i + 1))
         if i == deg.middle_degree or size == 0:
             continue
-        values = _lattice_minors(m.variable_maps(i), size, m.prime)
-        _, pivots = _rref(values, m.prime)  # p <= size repeats points: never full rank
-        if len(pivots) < len(values) and not _in_saturation(
-                mid, locus_ideal_at(m, i, values[:, list(pivots)]).gens):
+        points = comb(size + 2, 2)
+        if comb(max(m.h(i), m.h(i + 1)), size) > points + 4 and len(
+                _rref(_minor_values(m, i, size, points + 4), m.prime)[1]) == points:
+            continue
+        values = _minor_values(m, i, size)
+        _, pivots = _rref(values, m.prime)
+        if len(pivots) < points and not _in_saturation(
+                mid, _interpolate(m, i, values[:, list(pivots)]), size, ring):
             return False
     return True
 

@@ -142,23 +142,29 @@ def _block_layout(twists: tuple[int, ...], t: int) -> tuple[list[GradedPieceBasi
 
 
 def graded_piece_matrix(pres: PresentationMatrix, t: int) -> Matrix:
-    """The degree-t slice of the presentation map, in monomial bases."""
+    """The degree-t slice of the presentation map, in monomial bases.  Term
+    c * x^e of entry (j, i) sends the source monomial u to c * x^(e + u),
+    and (e1, e2, e3) sits at r(r+1)/2 + r - e2, r = t - b_j - e1, in
+    ``monomial_basis(t - b_j)``; every term of every block is added at once."""
     deg = pres.degrees
-    tgt_bases, tgt_off, tgt_dim = _block_layout(deg.b, t)
+    _, tgt_off, tgt_dim = _block_layout(deg.b, t)
     src_bases, src_off, src_dim = _block_layout(deg.a, t)
-    m = Matrix.zero(tgt_dim, src_dim, pres.prime)
+    rows, cols, vals = [], [], []
     for j in range(deg.n):
-        tgt_index = tgt_bases[j].index()
         for i in range(deg.n + 2):
             f = pres.entries[j][i]
             if f.is_zero() or len(src_bases[i]) == 0:
                 continue
-            for c, mono in enumerate(src_bases[i].monomials):
-                for mf, coef in f.terms.items():
-                    target = (mf[0] + mono[0], mf[1] + mono[1], mf[2] + mono[2])
-                    r = tgt_off[j] + tgt_index[target]
-                    m.a[r, src_off[i] + c] = (m.a[r, src_off[i] + c] + coef) % pres.prime
-    return m
+            expo = np.array(list(f.terms), dtype=np.int64)[:, None] + np.array(
+                src_bases[i].monomials, dtype=np.int64)  # term x source monomial
+            r = t - deg.b[j] - expo[..., 0]
+            rows.append((tgt_off[j] + r * (r + 1) // 2 + r - expo[..., 1]).ravel())
+            cols.append(np.tile(src_off[i] + np.arange(len(src_bases[i])), len(f.terms)))
+            vals.append(np.repeat(list(f.terms.values()), len(src_bases[i])))
+    a = np.zeros((tgt_dim, src_dim), dtype=np.int64)
+    if rows:
+        np.add.at(a, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(vals))
+    return Matrix(a, pres.prime)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Independent test oracles: small, self-contained implementations used to
 cross-check the engine, kept out of the package because no CLI path needs
-them.  Most stand alone; ``dict_buchberger`` is the pair-at-a-time
-Buchberger loop on dict polynomials that the package's batched engine
-replaced, sharing only its normal form and monomial helpers, and point
-extraction runs it under lex.  ``colon`` and ``fold_localization`` (the
+them.  Most stand alone, such as the entry-by-entry loop that built the
+presentation slices; ``dict_buchberger`` is the pair-at-a-time Buchberger
+loop on dict polynomials that the package's batched engine replaced,
+sharing only its normal form and monomial helpers, and point extraction
+runs it under lex.  ``colon`` and ``fold_localization`` (the
 localization claim decided by intersecting every degree's minor ideal and
 comparing saturations) use ``groebner.intersect``.  The root search scans
 all of F_p with an O(p) array (16 GB near 2^31), so the point oracles run
@@ -30,6 +31,7 @@ from lefschetz_locus.groebner import (
 )
 from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
 from lefschetz_locus.polyring import Polynomial, substitute_line
+from lefschetz_locus.presentation import _block_layout
 
 
 # -- integer power series / Hilbert series -------------------------------
@@ -89,6 +91,31 @@ def hilbert_series_presented(a: tuple[int, ...], b: tuple[int, ...]) -> dict[int
     for _ in range(3):
         num = poly_div_one_minus_z(num)
     return {t - shift: c for t, c in enumerate(num) if c}
+
+
+# -- presentation slices by loops -----------------------------------------
+
+
+def graded_piece_matrix_loop(pres, t: int) -> Matrix:
+    """The degree-t slice of the presentation map, entry by entry through
+    dict lookups of each target monomial (``graded_piece_matrix`` computes
+    the positions instead)."""
+    deg = pres.degrees
+    tgt_bases, tgt_off, tgt_dim = _block_layout(deg.b, t)
+    src_bases, src_off, src_dim = _block_layout(deg.a, t)
+    m = Matrix.zero(tgt_dim, src_dim, pres.prime)
+    for j in range(deg.n):
+        tgt_index = tgt_bases[j].index()
+        for i in range(deg.n + 2):
+            f = pres.entries[j][i]
+            if f.is_zero() or len(src_bases[i]) == 0:
+                continue
+            for c, mono in enumerate(src_bases[i].monomials):
+                for mf, coef in f.terms.items():
+                    target = (mf[0] + mono[0], mf[1] + mono[1], mf[2] + mono[2])
+                    r = tgt_off[j] + tgt_index[target]
+                    m.a[r, src_off[i] + c] = (m.a[r, src_off[i] + c] + coef) % pres.prime
+    return m
 
 
 # -- binary form arithmetic ----------------------------------------------

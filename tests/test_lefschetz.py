@@ -1,5 +1,6 @@
 import json
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from helpers import det_mod, evaluate, fold_localization, rational_points_0dim, 
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import cli, rand
 from lefschetz_locus import lefschetz as lef
-from lefschetz_locus.field_linalg import Matrix, _rref
+from lefschetz_locus.field_linalg import Matrix, _matmul, _rref
 from lefschetz_locus.groebner import buchberger, same_ideal, saturate
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
+    _coefficients,
     _in_saturation,
     dual_ring,
     find_lefschetz_line,
@@ -182,7 +184,7 @@ def test_lower_degree_middle_is_shifted_up_to_each_minor_degree(monkeypatch):
     assert locus_ideal(m, middle)
     # (l1) against l1 * m passes in degree D = 2 > 1, without saturation
     l1, l2, l3 = (Polynomial.variable(ring, v) for v in range(3))
-    assert _in_saturation([l1], (l1 * l1, l1 * l2, l1 * l3))
+    assert _in_saturation([l1], _coefficients((l1 * l1, l1 * l2, l1 * l3), 2), 2, ring)
 
 
 def _forbidden(*args):
@@ -205,18 +207,18 @@ def test_saturation_decides_where_the_rank_falls_short(monkeypatch):
     # but the ideal is m-primary, so its saturation is the unit ideal
     l1, l2, l3 = (Polynomial.variable(R, v) for v in range(3))
     calls = _counting_saturate(monkeypatch)
-    assert _in_saturation([l3], (l1 * l1, l2 * l2, l3 * l3, l1 * l2))
+    assert _in_saturation([l3], _coefficients((l1 * l1, l2 * l2, l3 * l3, l1 * l2), 2), 2, R)
     assert len(calls) == 1
 
 
 def test_saturation_rejects_a_form_off_the_locus(monkeypatch):
     # (l1) against (l2): the line l2 = 0 is saturated and misses l1; nothing
-    # but the zero form lies in the zero ideal
+    # but the zero form lies in the zero ideal (no coefficient rows)
     l1, l2 = Polynomial.variable(R, 0), Polynomial.variable(R, 1)
     calls = _counting_saturate(monkeypatch)
-    assert not _in_saturation([l1], (l2,))
-    assert not _in_saturation([l1], (Polynomial.zero(R),))
-    assert _in_saturation([], (l2,))
+    assert not _in_saturation([l1], _coefficients((l2,), 1), 1, R)
+    assert not _in_saturation([l1], np.zeros((0, 3), dtype=np.int64), 1, R)
+    assert _in_saturation([], _coefficients((l2,), 1), 1, R)
     assert len(calls) == 2
 
 
@@ -241,7 +243,7 @@ def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
     assert (len(_rref(values, m.prime)[1]) == len(values)) is spans
     middle = _middle(m).basis
     mid = [g for g in middle if g.degree() == middle[0].degree()]
-    assert _in_saturation(mid, li.gens)
+    assert _in_saturation(mid, lef._interpolate(m, i), k, dual_ring(m))
 
 
 @pytest.mark.parametrize("a,calls", [((4, 4, 4), [4]), ((3, 4, 4), [3, 4])])
@@ -250,8 +252,8 @@ def test_localization_interpolates_only_degrees_whose_values_fall_short(a, calls
     # survey row interpolates the middle degree alone; on (3,4,4) degree 4
     # has 10 minors of degree 9, which cannot span the 55 forms of R_9
     seen = []
-    original = lef.locus_ideal_at
-    monkeypatch.setattr(lef, "locus_ideal_at",
+    original = lef._interpolate
+    monkeypatch.setattr(lef, "_interpolate",
                         lambda m, i, *args: seen.append(i) or original(m, i, *args))
     row = cli.survey_row({"a": list(a), "b": [0], "seed": 1, "prime": 65521,
                           "matrix": None, "localization": True})
@@ -425,3 +427,97 @@ def test_lattice_inverse_cache_holds_a_survey_pass(capsys):
     misses = lef._lattice_inverse.cache_info().misses
     survey()
     assert lef._lattice_inverse.cache_info().misses == misses
+
+
+def _rank(a, p):
+    return len(_rref(a, p)[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(stack=_stacks(), data=st.data())
+def test_compressed_columns_lie_in_the_span_of_every_minor(stack, data):
+    # each compressed column is a fixed combination of the minors' value
+    # columns (Cauchy-Binet), on the subset and the kernel route, with rank
+    # drops and small primes; on the subset route it is exactly
+    # sum_S det Q_j[S] * (column of S)
+    p, s, maps = stack
+    n = max(maps[0].rows, maps[0].cols)
+    by_kernel, k = lef._minor_shape(n, s)
+    count = data.draw(st.integers(1, 6))
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=count * n * k,
+                                 max_size=count * n * k))
+    weights = np.array(entries, dtype=np.int64).reshape(count, n, k)
+    full = lef._lattice_minors(maps, s, p)
+    comp = lef._lattice_minors(maps, s, p, weights)
+    assert comp.shape == (len(full), count)
+    assert _rank(np.hstack([full, comp]), p) == _rank(full, p)
+    if not by_kernel:
+        dets = np.array([[det_mod([[int(x) for x in q[r]] for r in rows], p)
+                          for q in weights] for rows in combinations(range(n), k)],
+                        dtype=np.int64).reshape(-1, count)
+        assert (comp == _matmul(full, dets, p)).all()
+
+
+def test_compressed_rank_equals_full_rank_on_criterion_8():
+    # every non-middle degree with more than C(s+2, 2) + 4 maximal minors
+    seen = 0
+    for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
+        m = _module(a, b)
+        for i in range(-1, m.degrees.socle_degree + 1):
+            size = min(m.h(i), m.h(i + 1))
+            points = comb(size + 2, 2)
+            if not size or i == m.degrees.middle_degree or comb(
+                    max(m.h(i), m.h(i + 1)), size) <= points + 4:
+                continue
+            comp = lef._minor_values(m, i, size, points + 4)
+            assert _rank(comp, m.prime) == _rank(lef._minor_values(m, i, size), m.prime), (a, i)
+            seen += 1
+    assert seen >= 16
+
+
+def _recorded_minors(monkeypatch):
+    """(taller side, size, compressed?) of every ``_lattice_minors`` call."""
+    calls = []
+    minors = lef._lattice_minors
+    monkeypatch.setattr(lef, "_lattice_minors", lambda maps, size, p, *w: calls.append(
+        (max(maps[0].a.shape), size, bool(w))) or minors(maps, size, p, *w))
+    return calls
+
+
+def test_444_row_decides_degrees_2_and_6_on_compressed_values(monkeypatch):
+    # degrees 2 and 6 of (4,4,4) are 10 x 6 maps with 210 maximal minors
+    # each; their 32 compressed columns reach rank 28 = C(8, 2), so no
+    # value matrix of all 210 minors is ever built
+    calls = _recorded_minors(monkeypatch)
+    row = cli.survey_row({"a": [4, 4, 4], "b": [0], "seed": 1, "prime": 65521,
+                          "matrix": None, "localization": True})
+    assert {"claim": "middle-localization", "ok": True} in row["claims"]
+    assert calls.count((10, 6, True)) == 2 and (10, 6, False) not in calls
+
+
+def test_zeroed_weights_fall_back_to_every_minor(monkeypatch):
+    # compressed values of rank 0 decide nothing: each degree then takes
+    # all of its minors, and the verdicts stay as they were
+    monkeypatch.setattr(lef, "_weights", lambda n, k, count, p: np.zeros((count, n, k), np.int64))
+    calls = _recorded_minors(monkeypatch)
+    for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
+        m = _module(a, b)
+        assert locus_ideal(m, _middle(m)) is True, (a, b)
+    compressed = [j for j, call in enumerate(calls) if call[2]]
+    assert len(compressed) >= 16
+    assert all(calls[j + 1] == calls[j][:2] + (False,) for j in compressed)
+    m = _module((2, 2, 3), (0,))
+    ring = dual_ring(m)
+    assert locus_ideal(m, buchberger([Polynomial.variable(ring, 0)], ring=ring)) is False
+
+
+def test_all_minors_above_the_cap_is_a_named_error(monkeypatch, capsys):
+    # the middle degree 3 of (3,4,4) is a 10 x 9 map: 55 points x 10 minors
+    monkeypatch.setattr(lef, "_MAX_VALUES", 549)
+    assert cli.main(["locus", "--a", "3,4,4", "--b", "0"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["type"] == "ValueError"
+    assert report["error"] == ("the degree-3 minors of a 10 x 9 map take 55 points x 10 minors, "
+                               "above the cap of 549 values")
+    monkeypatch.setattr(lef, "_MAX_VALUES", 550)
+    assert cli.main(["locus", "--a", "3,4,4", "--b", "0"]) == 0

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import hilbert_series_ci, hilbert_series_presented
+from helpers import graded_piece_matrix_loop, hilbert_series_ci, hilbert_series_presented
 from lefschetz_locus.field_linalg import kernel_basis, rank
 from lefschetz_locus.polyring import Polynomial, Ring, parse_poly
 from lefschetz_locus.presentation import (
@@ -87,6 +89,30 @@ def test_hilbert_matches_presented_series_oracle(a, b):
     oracle = hilbert_series_presented(a, b)
     assert m.hilbert() == {t: v for t, v in oracle.items()}
     assert generic_hilbert_profile(DegreeData(a, b)) == m.hilbert()
+
+
+@st.composite
+def _twists(draw):
+    """Twist data with every entry of nonnegative degree (a_1 >= b_n), so a
+    general presentation has finite length, with at most 60 monomials in
+    the widest slice."""
+    n = draw(st.integers(1, 2))
+    b = sorted(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    a = sorted(draw(st.lists(st.integers(b[-1] + 1, b[-1] + 3), min_size=n + 2, max_size=n + 2)))
+    return DegreeData(tuple(a), tuple(b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(deg=_twists(), seed=st.integers(0, 2**32), prime=st.sampled_from([7, 65521]))
+def test_slices_match_loop_oracle_and_hilbert_is_generic(deg, seed, prime):
+    # every slice of a random presentation equals the loop oracle's, and the
+    # seeded generic module (built on those slices) has the Hilbert
+    # function the twist data predict
+    pres = random_presentation(deg, seed, prime)
+    for t in range(deg.b[0] - 1, deg.socle_degree + 2):
+        assert graded_piece_matrix(pres, t) == graded_piece_matrix_loop(pres, t), t
+    m = generic_module(deg, seed, prime=65521)
+    assert m.hilbert() == generic_hilbert_profile(deg)
 
 
 def test_graded_piece_empty_below_targets():
