@@ -1,9 +1,12 @@
 """Exact dense linear algebra over a prime field.
 
 Matrices hold int64 residues in [0, p); all arithmetic is modular and
-exact.  Row reduction processes columns left to right, so pivot columns
-are always the lexicographically earliest independent set -- the
-downstream cokernel bases depend on that.
+exact.  Inside ``_rref`` and ``_matmul`` entries leave [0, p) between
+reductions: each is a residue plus at most ``_room(p)`` products of two
+residues, which int64 holds exactly (p < 2^31 keeps room >= 2), and is
+reduced mod p before more accumulate.  Row reduction processes columns left
+to right, so pivot columns are always the lexicographically earliest
+independent set -- the downstream cokernel bases depend on that.
 """
 
 from __future__ import annotations
@@ -70,29 +73,48 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} mod {self.p})"
 
 
+def _room(p: int) -> int:
+    """How many products of two residues an int64 holds on top of a residue."""
+    return (np.iinfo(np.int64).max - p) // (p - 1) ** 2
+
+
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form mod p; returns (rref, pivot column indices)."""
+    """Reduced row echelon form mod p; returns (rref, pivot column indices).
+
+    Gauss-Jordan with delayed reduction.  Pivot c subtracts col (x) piv from
+    the block a[:, c:] only, in place, where piv is the pivot row made monic
+    and col the pivot column reduced, less 1 in the pivot row, so that the
+    one update also scales the pivot row.  Rows not yet pivoted are = 0 mod p
+    left of c, so nothing is lost left of c.  Each update subtracts residue
+    products in [0, (p-1)^2] from entries that start in [0, p), so the block
+    is only reduced mod p after ``_room(p)`` updates, and all of it at the
+    end."""
     a = np.asarray(a, dtype=np.int64) % p  # a fresh array: the caller's is never touched
     rows, cols = a.shape
+    room = _room(p)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        factors = a[:, c].copy()
-        factors[r] = 0
-        if np.any(factors):
-            a = (a - np.outer(factors, a[r])) % p
+        col = a[:, c] % p
+        if not col[r]:
+            nz = np.flatnonzero(col[r:])
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            top = a[r, c:].copy()
+            a[r, c:] = a[i, c:]
+            a[i, c:] = top
+            col[r], col[i] = col[i], 0
+        piv = a[r, c:] % p * pow(int(col[r]), p - 2, p) % p
+        col[r] -= 1
+        a[:, c:] -= col[:, None] * piv
         pivots.append(c)
         r += 1
+        if r % room == 0:
+            a[:, c:] %= p
+    a %= p
     return a, tuple(pivots)
 
 
@@ -100,7 +122,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residue matrices, or stacks of them (broadcast as by
     ``@``), exact in int64: the inner sums are taken a chunk of terms at a
     time and reduced in between."""
-    step = (np.iinfo(np.int64).max - p) // (p - 1) ** 2  # terms per int64 sum
+    step = _room(p)  # terms per int64 sum
     out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]),
                    dtype=np.int64)
     for lo in range(0, a.shape[-1], step):
@@ -110,18 +132,11 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rank(m: Matrix) -> int:
     """Rank over F_p."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _rref(m.a, m.p)
-    return len(pivots)
+    return len(_rref(m.a, m.p)[1])
 
 
 def kernel_basis(m: Matrix) -> list[np.ndarray]:
     """Vectors spanning the null space; always cols - rank of them."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [np.eye(m.cols, dtype=np.int64)[i] for i in range(m.cols)]
     red, pivots = _rref(m.a, m.p)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
@@ -159,21 +174,13 @@ class CokernelBasis:
         v = np.asarray(vectors, dtype=np.int64) % self.p
         if v.ndim == 1:
             v = v[:, None]
-        if len(self.coset) == 0:
-            return np.zeros((0, v.shape[1]), dtype=np.int64)
         free_part = v[list(self.coset), :]
-        if len(self.pivots) == 0:
-            return free_part % self.p
         r_free = self.image_rref[:, list(self.coset)]
         return (free_part - _matmul(r_free.T, v[list(self.pivots), :], self.p)) % self.p
 
 
 def cokernel_basis(m: Matrix) -> CokernelBasis:
     """Coset basis of coker(m) = target / column span of m."""
-    target_dim = m.rows
-    if target_dim == 0 or m.cols == 0:
-        return CokernelBasis((), tuple(range(target_dim)),
-                             np.zeros((0, target_dim), dtype=np.int64), m.p)
     red, pivots = _rref(m.a.T, m.p)
-    coset = tuple(c for c in range(target_dim) if c not in pivots)
+    coset = tuple(c for c in range(m.rows) if c not in pivots)
     return CokernelBasis(tuple(pivots), coset, red[: len(pivots)], m.p)

@@ -64,18 +64,10 @@ def restrict(pres: PresentationMatrix, line: LinePoint) -> RestrictedBundle:
     restricted map is still surjective in large twists."""
     deg = pres.degrees
     p = pres.prime
-    rows = []
-    for j in range(deg.n):
-        row = []
-        for i in range(deg.n + 2):
-            f = pres.entries[j][i]
-            e = deg.a[i] - deg.b[j]
-            if f.is_zero():
-                row.append(_zero_form(e, p))
-            else:
-                row.append(substitute_line(f, line.param))
-        rows.append(tuple(row))
-    rb = RestrictedBundle(deg, tuple(rows), p)
+    rows = tuple(tuple(_zero_form(deg.a[i] - deg.b[j], p) if f.is_zero()
+                       else substitute_line(f, line.param) for i, f in enumerate(row))
+                 for j, row in enumerate(pres.entries))
+    rb = RestrictedBundle(deg, rows, p)
     t_check = deg.d + 2 + max(0, deg.b[-1])
     m = section_matrix(rb, t_check)
     if rank(m) != m.rows:

@@ -74,8 +74,8 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     combination of the minors of M, the same at every point, and no subset
     is enumerated.  A stack holds at most ``_BATCH`` entries (or one
     point's)."""
-    tall = [mv.a if mv.rows >= mv.cols else mv.a.T for mv in maps]
-    n = tall[0].shape[0]
+    tall = np.stack([mv.a if mv.rows >= mv.cols else mv.a.T for mv in maps])
+    n = tall.shape[1]
     by_kernel, k = _minor_shape(n, size)
     eps = 1
     if weights is None:
@@ -87,12 +87,11 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     else:
         q_t = weights.transpose(0, 2, 1)[None]
         cols = len(weights)
-    points = monomial_basis(size).monomials
+    points = np.array(monomial_basis(size).monomials, dtype=np.int64)
     step = max(1, _BATCH // max(n * (n + size) * by_kernel, cols * k * k))
     out = []
     for lo in range(0, len(points), step):
-        mats = np.stack([sum(v * a % p for v, a in zip(pt, tall)) % p
-                         for pt in points[lo:lo + step]])
+        mats = np.tensordot(points[lo:lo + step], tall, 1) % p  # entries <= 3 size (p-1)
         lam = 1
         if by_kernel:
             mats = np.concatenate([mats, np.tile(np.eye(n, dtype=np.int64), (len(mats), 1, 1))], 2)
@@ -107,9 +106,7 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
 def _weights(n: int, k: int, count: int, p: int) -> np.ndarray:
     """``count`` seeded n x k residue matrices, the same in every run and
     worker (a fixed-tag stream).  Read-only, as it is cached."""
-    stream = rand.Stream(rand.derive(0, 0xCB))
-    out = np.array([stream.below(p) for _ in range(count * n * k)],
-                   dtype=np.int64).reshape(count, n, k)
+    out = rand.Stream(rand.derive(0, 0xCB)).below_many(p, count * n * k).reshape(count, n, k)
     out.flags.writeable = False
     return out
 

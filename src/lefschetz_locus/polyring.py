@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .field_linalg import DEFAULT_PRIME, Matrix, is_prime, rank
+from .field_linalg import DEFAULT_PRIME, is_prime
 
 Mono = tuple[int, int, int]
 
@@ -214,7 +214,8 @@ def substitute_line(f: Polynomial, param) -> BinaryForm:
     rows = [[int(c) % p for c in row] for row in param]
     if len(rows) != 3 or any(len(r) != 2 for r in rows):
         raise ValueError("parametrization must be 3x2")
-    if rank(Matrix.from_rows(rows, p)) < 2:
+    if not any((rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]) % p
+               for i, j in ((0, 1), (0, 2), (1, 2))):  # no nonzero 2x2 minor: rank < 2
         raise DegenerateLineError("parametrization does not span a plane")
     if not f.is_homogeneous():
         raise ValueError("can only restrict homogeneous forms")

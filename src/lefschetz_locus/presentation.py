@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rand
-from .field_linalg import DEFAULT_PRIME, CokernelBasis, Matrix, cokernel_basis, kernel_basis
+from .field_linalg import DEFAULT_PRIME, CokernelBasis, Matrix, cokernel_basis, rank
 from .polyring import GradedPieceBasis, Polynomial, Ring, monomial_basis
 
 
@@ -202,9 +202,7 @@ class GradedModule:
         lo = deg.b[0]
         e = deg.socle_degree
         hi = max(e + 1, deg.b[-1])
-        pieces: dict[int, _Piece] = {}
-        for t in range(lo, hi + 1):
-            pieces[t] = cls._build_piece(pres, t)
+        pieces = {t: cls._build_piece(pres, t) for t in range(lo, hi + 1)}
         for t in range(max(e + 1, lo), hi + 1):
             if pieces[t].dim != 0:
                 raise NonFiniteLengthError(
@@ -228,22 +226,17 @@ class GradedModule:
                       tuple(coset_monos))
 
     def piece(self, t: int) -> _Piece:
-        if t in self._pieces:
-            return self._pieces[t]
-        piece = self._build_piece(self.pres, t)
-        self._pieces[t] = piece
-        return piece
+        if t not in self._pieces:
+            self._pieces[t] = self._build_piece(self.pres, t)
+        return self._pieces[t]
 
     @cached_property
     def support(self) -> tuple[int, ...]:
-        lo, e = self.degrees.b[0], self.degrees.socle_degree
-        return tuple(t for t in range(lo, e + 1))
+        return tuple(range(self.degrees.b[0], self.degrees.socle_degree + 1))
 
     def h(self, t: int) -> int:
         lo, e = self.degrees.b[0], self.degrees.socle_degree
-        if t < lo or t > e:
-            return 0
-        return self.piece(t).dim
+        return self.piece(t).dim if lo <= t <= e else 0
 
     def hilbert(self) -> dict[int, int]:
         return {t: self.h(t) for t in self.support}
@@ -283,10 +276,8 @@ class GradedModule:
         """Degrees (with multiplicity) annihilated by all three variables."""
         out: list[int] = []
         for t in self.support:
-            maps = self.variable_maps(t)
-            stacked = np.vstack([m.a for m in maps])
-            dim = len(kernel_basis(Matrix(stacked, self.prime)))
-            out.extend([t] * dim)
+            stacked = np.vstack([m.a for m in self.variable_maps(t)])
+            out.extend([t] * (stacked.shape[1] - rank(Matrix(stacked, self.prime))))
         return tuple(out)
 
 

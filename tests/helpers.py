@@ -1,7 +1,8 @@
 """Independent test oracles: small, self-contained implementations used to
 cross-check the engine, kept out of the package because no CLI path needs
 them.  Most stand alone, such as the entry-by-entry loop that built the
-presentation slices; ``dict_buchberger`` is the pair-at-a-time Buchberger
+presentation slices and ``rref_loop``, Gauss-Jordan over Python ints
+reduced after every step; ``dict_buchberger`` is the pair-at-a-time Buchberger
 loop on dict polynomials that the package's batched engine replaced,
 sharing only its normal form and monomial helpers, and point extraction
 runs it under lex.  ``colon`` and ``fold_localization`` (the
@@ -344,6 +345,27 @@ def rank_rational(rows: list[list[int]]) -> int:
         prev = a[r][c]
         r += 1
     return r
+
+
+def rref_loop(rows: list[list[int]], p: int) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Reduced row echelon form mod p and its pivot columns, by Gauss-Jordan
+    over Python ints, reducing every entry after every operation."""
+    a = [[int(x) % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for j in range(len(a)):
+            if j != r and a[j][c]:
+                f = a[j][c]
+                a[j] = [(x - f * y) % p for x, y in zip(a[j], a[r])]
+        pivots.append(c)
+    return a, tuple(pivots)
 
 
 def random_matrix(rows: int, cols: int, seed: int, p: int = DEFAULT_PRIME) -> Matrix:

@@ -1,12 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import rank_rational, random_matrix
-from lefschetz_locus.field_linalg import DEFAULT_PRIME, Matrix, cokernel_basis, kernel_basis, rank
+from helpers import rank_rational, random_matrix, rref_loop
+from lefschetz_locus.field_linalg import (
+    DEFAULT_PRIME,
+    Matrix,
+    _rref,
+    cokernel_basis,
+    kernel_basis,
+    rank,
+)
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Up to 14 x 14 integer matrices with a prime: random, low-rank
+    products or with zeroed columns, each entry shifted by a multiple of p
+    so that some lie outside [0, p)."""
+    p = draw(st.sampled_from([2, 13, 65521, 2**31 - 1]))
+    rows, cols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(["random", "low-rank", "zero-columns"]))
+
+    def block(r, c):
+        return [draw(st.lists(st.integers(0, p - 1), min_size=c, max_size=c)) for _ in range(r)]
+
+    a = block(rows, cols)
+    if kind == "low-rank":
+        k = draw(st.integers(0, min(rows, cols)))
+        left, right = block(rows, k), block(k, cols)
+        a = [[sum(left[i][t] * right[t][j] for t in range(k)) % p for j in range(cols)]
+             for i in range(rows)]
+    elif kind == "zero-columns":
+        zero = draw(st.sets(st.integers(0, cols - 1)))
+        a = [[0 if j in zero else x for j, x in enumerate(row)] for row in a]
+    shift = draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
+    return p, [[x + p * shift[i * cols + j] for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_integer_matrices())
+@example(case=(2**31 - 1, random_matrix(9, 12, seed=515, p=2**31 - 1).a.tolist()))
+def test_rref_matches_the_python_int_loop(case):
+    # same matrix and pivots as Gauss-Jordan over Python ints; at 2^31 - 1
+    # the int64 headroom is 2 updates, so 3 or more pivots cross it (the
+    # explicit example has 9)
+    p, rows = case
+    a = np.array(rows, dtype=np.int64)
+    before = a.copy()
+    red, pivots = _rref(a, p)
+    want, want_pivots = rref_loop(rows, p)
+    assert pivots == want_pivots
+    assert red.dtype == np.int64 and red.tolist() == want
+    assert np.array_equal(a, before)
 
 
 def test_rank_identity():
     assert rank(Matrix(np.eye(3))) == 3
+
+
+def test_kernel_and_cokernel_of_empty_shapes():
+    # no special case: the elimination itself handles a side of length 0
+    assert [v.tolist() for v in kernel_basis(Matrix.zero(0, 3))] == np.eye(3).tolist()
+    assert kernel_basis(Matrix.zero(2, 0)) == []
+    ck = cokernel_basis(Matrix.zero(3, 0))
+    assert (ck.pivots, ck.coset, ck.image_rref.shape) == ((), (0, 1, 2), (0, 3))
+    assert ck.reduce(np.array([[4], [-1], [7]])).tolist() == [[4], [DEFAULT_PRIME - 1], [7]]
+    ck = cokernel_basis(Matrix.zero(0, 2))
+    assert (ck.coset, ck.reduce(np.zeros((0, 2), dtype=np.int64)).shape) == ((), (0, 2))
+    ck = cokernel_basis(Matrix(np.eye(2)))
+    assert ck.reduce(np.array([[3], [5]])).shape == (0, 1)
 
 
 def test_rank_zero():

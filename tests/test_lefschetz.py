@@ -495,6 +495,22 @@ def test_444_row_decides_degrees_2_and_6_on_compressed_values(monkeypatch):
     assert calls.count((10, 6, True)) == 2 and (10, 6, False) not in calls
 
 
+@pytest.mark.parametrize("n, k, count, p", [(1, 1, 1, 2), (4, 2, 3, 13), (10, 6, 32, 65521),
+                                             (7, 3, 5, 2**31 - 1)])
+def test_weights_are_the_stream_draws_in_order(n, k, count, p):
+    stream = rand.Stream(rand.derive(0, 0xCB))
+    want = [stream.below(p) for _ in range(count * n * k)]
+    got = lef._weights(n, k, count, p)
+    assert got.dtype == np.int64 and got.shape == (count, n, k)
+    assert got.ravel().tolist() == want
+
+
+def test_vectorised_draws_continue_the_stream():
+    batched, single = rand.Stream(2**64 - 5), rand.Stream(2**64 - 5)
+    got = batched.below_many(65521, 7).tolist() + [batched.below(65521)]
+    assert got == [single.below(65521) for _ in range(8)]
+
+
 def test_zeroed_weights_fall_back_to_every_minor(monkeypatch):
     # compressed values of rank 0 decide nothing: each degree then takes
     # all of its minors, and the verdicts stay as they were
