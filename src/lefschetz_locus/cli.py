@@ -150,7 +150,7 @@ def _structural_claims(mod: GradedModule) -> list[tuple[str, bool]]:
     deg = mod.degrees
     expected_socle = tuple(sorted(deg.d - bj - 3 for bj in deg.b))
     return [
-        ("finite-length", True),  # GradedModule.build raises NonFiniteLengthError otherwise
+        ("finite-length", mod.first_piece_beyond_socle() is None),
         ("unimodal", unimodal),
         ("socle-formula", tuple(sorted(mod.socle())) == expected_socle),
     ]

@@ -2,7 +2,7 @@
 
 Restricting the presentation to a line gives a matrix of binary forms;
 the kernel bundle splits there as O(alpha) + O(beta), read off from the
-first twist in which the restricted kernel acquires sections.  This is
+sections of the restricted kernel in one twist.  This is
 the rank-computation route to jumping lines, independent of the minors
 ideal, so the two can be played against each other.
 """
@@ -22,10 +22,6 @@ from .presentation import DegreeData, PresentationMatrix
 
 class RestrictionError(ValueError):
     """The restricted sequence failed its exactness self-check."""
-
-
-class SplittingWindowError(ValueError):
-    """No sections in the whole scan window; restriction is not exact."""
 
 
 @dataclass(frozen=True)
@@ -101,22 +97,17 @@ def section_matrix(rb: RestrictedBundle, t: int) -> Matrix:
 
 
 def splitting_type(rb: RestrictedBundle, d: int | None = None) -> SplittingType:
-    """Splitting type of the restricted kernel: the larger summand is minus
-    the first twist with a section, the other is pinned by the total."""
+    """Splitting type O(alpha) + O(beta), alpha >= beta, of the restricted
+    kernel from one section count.  As alpha + beta is the total, at the
+    twist t = -floor(total/2) - 1 only O(alpha) has sections, and
+    alpha - floor(total/2) of them."""
     total = -(d if d is not None else rb.degrees.d)
-    lo, hi = total - 2, -total + 2
-    for t in range(lo, hi + 1):
-        m = section_matrix(rb, t)
-        if m.cols == 0:
-            continue
-        dim = m.cols - rank(m)
-        if dim > 0:
-            alpha = -t
-            beta = total - alpha
-            if alpha < beta:
-                raise RestrictionError("section scan produced an unsorted splitting")
-            return SplittingType(alpha, beta)
-    raise SplittingWindowError(f"no sections for twists in [{lo}, {hi}]")
+    half = total // 2
+    m = section_matrix(rb, -half - 1)
+    alpha = half + m.cols - rank(m)
+    if alpha < total - alpha:
+        raise RestrictionError("section count gives an unsorted splitting")
+    return SplittingType(alpha, total - alpha)
 
 
 def generic_splitting_empirical(pres: PresentationMatrix, seed: int = 0,

@@ -4,9 +4,10 @@ A line l1*x1 + l2*x2 + l3*x3 acts from degree i to degree i + 1 by the
 h_{i+1} x h_i matrix sum_v l_v * (multiplication by x_v), held only as the
 module's three multiplication maps.  The locus at degree i is cut out by
 the maximal minors, forms of degree s = min(h_i, h_{i+1}) in l1, l2, l3:
-they are evaluated at the lattice points with a + b + c = s, by complementary
-minors of one left kernel per point, and interpolated, so a locus needs a
-prime above s.  ``locus_ideal`` decides whether the middle degree alone cuts
+they are evaluated at the points (1, b, c) with b + c <= s of the chart
+l1 = 1, by complementary minors of one left kernel per point, and
+interpolated in closed form (Newton differences), so a locus needs a prime
+above s.  ``locus_ideal`` decides whether the middle degree alone cuts
 out the whole locus: a degree passes if its minor values have full rank, else
 by one Macaulay-matrix rank, saturating only where that falls short.  A
 degree with many minors is first tried on C(s+2, 2) + 4 seeded
@@ -60,8 +61,9 @@ def _minor_shape(n: int, size: int) -> tuple[bool, int]:
 
 def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     """Values of every maximal minor of the n x size (taller side) matrix
-    M = sum_v l_v * maps[v] at each lattice point of degree ``size``: a row
-    per point (``monomial_basis`` order), a column per row subset S (in
+    M = sum_v l_v * maps[v] at each chart point: the row of the degree-``size``
+    monomial (a, b, c) (``monomial_basis`` order) holds the values at
+    (1, b, c), unisolvent as b, c <= size < p; a column per row subset S (in
     lexicographic order).  If 0 < n - size < size, one elimination of
     [M | I_n] gives E M = [U; 0], the bottom rows K of E span the left
     kernel, and by Jacobi's complementary-minor identity (0-indexed S)
@@ -88,10 +90,11 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
         q_t = weights.transpose(0, 2, 1)[None]
         cols = len(weights)
     points = np.array(monomial_basis(size).monomials, dtype=np.int64)
+    points[:, 0] = 1  # the chart l1 = 1
     step = max(1, _BATCH // max(n * (n + size) * by_kernel, cols * k * k))
     out = []
     for lo in range(0, len(points), step):
-        mats = np.tensordot(points[lo:lo + step], tall, 1) % p  # entries <= 3 size (p-1)
+        mats = np.tensordot(points[lo:lo + step], tall, 1) % p  # entries <= (size + 1)(p - 1)
         lam = 1
         if by_kernel:
             mats = np.concatenate([mats, np.tile(np.eye(n, dtype=np.int64), (len(mats), 1, 1))], 2)
@@ -169,38 +172,37 @@ def _power(x: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _lattice_inverse(size: int, p: int) -> np.ndarray:
-    """Inverse of the Vandermonde block of the lattice points of degree
-    ``size`` (rows: points, columns: monomials, both in ``monomial_basis``
-    order), so it maps values at the points to coefficients.  Read-only,
-    as it is cached per (size, p)."""
-    monos = monomial_basis(size).monomials
-    n = len(monos)
-    expo = np.array(monos, dtype=np.int64)
-    powers = np.array([[pow(x, e, p) for e in range(size + 1)] for x in range(size + 1)],
-                      dtype=np.int64)
-    vander = np.ones((n, n), dtype=np.int64)
-    for v in range(3):
-        vander = vander * powers[expo[:, None, v], expo[None, :, v]] % p
-    red, pivots = _rref(np.hstack([vander, np.eye(n, dtype=np.int64)]), p)
-    if pivots[:n] != tuple(range(n)):
-        raise ArithmeticError(f"lattice points of degree {size} are not unisolvent mod {p}")
-    inverse = red[:, n:].copy()
-    inverse.flags.writeable = False
-    return inverse
-
-
 def _interpolate(m: GradedModule, i: int, values=None) -> np.ndarray:
     """Coefficient rows, in ``monomial_basis`` order, of the degree-i
-    maximal minors, or of the forms whose values at the lattice points are
-    the columns of ``values``.  The C(s+2, 2) points (a, b, c) with
-    a + b + c = s are unisolvent for degree-s forms when p > s (principal
-    lattice), so one product with the inverse Vandermonde block, cached per
-    (s, p), recovers them."""
+    maximal minors, or of the forms whose values at the chart points are
+    the columns of ``values``.  A degree-s form f is g(b, c) = f(1, b, c) on
+    the grid b + c <= s, and g's coefficient of b^j c^k is f's of
+    l1^(s-j-k) l2^j l3^k.  In closed form (Newton): the differences
+    D = Delta G Delta^T of the values G, Delta[i, k] = (-1)^(i-k) C(i, k),
+    give g = sum_{i+j<=s} D[i, j] C(b, i) C(c, j) (D beyond i + j = s sees
+    the zero padding of G, not g), so its coefficients are F^T D F, F[i, k]
+    that of x^k in C(x, i).  The 1/i! in F needs p > s, as the values do."""
     size = min(m.h(i), m.h(i + 1))
     values = _minor_values(m, i, size) if values is None else values
-    return _matmul(_lattice_inverse(size, m.prime), values, m.prime).T
+    p, n = m.prime, size + 1
+    delta = np.eye(n, dtype=np.int64)  # row k: (x - 1)^k
+    binom = np.eye(n, dtype=np.int64)  # row k: C(x, k) = C(x, k - 1) (x - k + 1) / k
+    for k in range(1, n):
+        delta[k, 1:], binom[k, 1:] = delta[k - 1, :-1], binom[k - 1, :-1]  # times x
+        delta[k] = (delta[k] - delta[k - 1]) % p
+        binom[k] = (binom[k] - (k - 1) * binom[k - 1]) % p * pow(k, p - 2, p) % p
+
+    def both_axes(a, grid):  # a X a^T on the two grid axes of each column X
+        for _ in range(2):
+            grid = _matmul(a, grid.reshape(n, -1), p).reshape(n, n, -1).transpose(1, 0, 2)
+        return grid
+
+    _, b, c = np.array(monomial_basis(size).monomials, dtype=np.intp).T
+    grid = np.zeros((n, n, values.shape[1]), dtype=np.int64)
+    grid[b, c] = values
+    diffs = both_axes(delta, grid)
+    diffs[np.add.outer(np.arange(n), np.arange(n)) > size] = 0  # beyond the grid
+    return both_axes(binom.T, diffs)[b, c].T
 
 
 def _forms(ring: Ring, s: int, rows: np.ndarray) -> tuple[Polynomial, ...]:

@@ -195,20 +195,25 @@ class GradedModule:
 
     @classmethod
     def build(cls, pres: PresentationMatrix) -> "GradedModule":
-        """Pieces from b_1 through max(e + 1, b_n).  The module is generated
-        in degrees <= b_n, so it has finite length with socle degree <= e
-        exactly when every piece from e + 1 on to there vanishes."""
+        """Pieces from b_1 through max(e + 1, b_n); a module that is not of
+        finite length is refused."""
         deg = pres.degrees
-        lo = deg.b[0]
+        hi = max(deg.socle_degree + 1, deg.b[-1])
+        mod = cls(pres, {t: cls._build_piece(pres, t) for t in range(deg.b[0], hi + 1)})
+        t = mod.first_piece_beyond_socle()
+        if t is not None:
+            raise NonFiniteLengthError(
+                f"nonzero graded piece in degree {t} beyond socle degree {deg.socle_degree}")
+        return mod
+
+    def first_piece_beyond_socle(self) -> int | None:
+        """The first degree from e + 1 through max(e + 1, b_n) with a nonzero
+        piece, or None.  The module is generated in degrees <= b_n, so it
+        has finite length with socle degree <= e exactly when there is none."""
+        deg = self.degrees
         e = deg.socle_degree
-        hi = max(e + 1, deg.b[-1])
-        pieces = {t: cls._build_piece(pres, t) for t in range(lo, hi + 1)}
-        for t in range(max(e + 1, lo), hi + 1):
-            if pieces[t].dim != 0:
-                raise NonFiniteLengthError(
-                    f"nonzero graded piece in degree {t} beyond socle degree {e}"
-                )
-        return cls(pres, pieces)
+        return next((t for t in range(max(e + 1, deg.b[0]), max(e + 1, deg.b[-1]) + 1)
+                     if self.piece(t).dim), None)
 
     @staticmethod
     def _build_piece(pres: PresentationMatrix, t: int) -> _Piece:

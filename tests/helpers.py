@@ -5,7 +5,9 @@ presentation slices and ``rref_loop``, Gauss-Jordan over Python ints
 reduced after every step; ``dict_buchberger`` is the pair-at-a-time Buchberger
 loop on dict polynomials that the package's batched engine replaced,
 sharing only its normal form and monomial helpers, and point extraction
-runs it under lex.  ``colon`` and ``fold_localization`` (the
+runs it under lex.  ``scan_splitting_type`` finds a splitting type by
+scanning twists for the first section, where the package counts sections
+in one twist.  ``colon`` and ``fold_localization`` (the
 localization claim decided by intersecting every degree's minor ideal and
 comparing saturations) use ``groebner.intersect``.  The root search scans
 all of F_p with an O(p) array (16 GB near 2^31), so the point oracles run
@@ -16,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from lefschetz_locus import rand
-from lefschetz_locus.bundle import InconsistencyError, h0
-from lefschetz_locus.field_linalg import DEFAULT_PRIME, Matrix
+from lefschetz_locus.bundle import InconsistencyError, SplittingType, h0
+from lefschetz_locus.field_linalg import DEFAULT_PRIME, Matrix, rank
 from lefschetz_locus.groebner import (
     GroebnerBasis,
     _divides,
@@ -30,6 +32,7 @@ from lefschetz_locus.groebner import (
     intersect,
     saturate,
 )
+from lefschetz_locus.jumping import section_matrix
 from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
 from lefschetz_locus.polyring import Polynomial, substitute_line
 from lefschetz_locus.presentation import _block_layout
@@ -397,6 +400,19 @@ def euler_characteristic(degrees, t: int) -> int:
 def h2(degrees, t: int) -> int:
     """h^2 via duality: the bundle is self-dual up to the twist by d."""
     return h0(degrees, degrees.d - 3 - t)
+
+
+def scan_splitting_type(rb) -> SplittingType:
+    """Splitting type of the restricted kernel by scanning twists upward
+    from total - 2: the larger summand is minus the first twist with a
+    section, the other is pinned by the total."""
+    total = -rb.degrees.d
+    for t in range(total - 2, -total + 3):
+        m = section_matrix(rb, t)
+        if m.cols > rank(m):
+            assert -t >= total + t, "section scan produced an unsorted splitting"
+            return SplittingType(-t, total + t)
+    raise AssertionError(f"no sections for twists in [{total - 2}, {-total + 2}]")
 
 
 # -- colon ideals ----------------------------------------------------------

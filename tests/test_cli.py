@@ -353,3 +353,14 @@ def test_mismatched_twist_lengths_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--a", "2,2,3", "--b", "0,0"])
     assert exc.value.code == 1
+
+
+def test_finite_length_claim_reads_the_build_predicate():
+    # the claim is computed, not assumed: a module whose predicate reports a
+    # nonzero piece beyond the socle degree fails it
+    from lefschetz_locus.presentation import DegreeData, generic_module
+
+    m = generic_module(DegreeData((2, 2, 3), (0,)), 1)
+    assert ("finite-length", True) in cli._structural_claims(m)
+    m.first_piece_beyond_socle = lambda: m.degrees.socle_degree + 1
+    assert ("finite-length", False) in cli._structural_claims(m)

@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import rational_points_0dim, sample_locus_points
+from helpers import rational_points_0dim, sample_locus_points, scan_splitting_type
+from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import rand
 from lefschetz_locus.bundle import SplittingType, classify_stability, lefschetz_oracle
 from lefschetz_locus.jumping import (
@@ -11,7 +12,7 @@ from lefschetz_locus.jumping import (
     section_matrix,
     splitting_type,
 )
-from lefschetz_locus.lefschetz import is_lefschetz, random_line
+from lefschetz_locus.lefschetz import is_lefschetz, locus_ideal_at, random_line
 from lefschetz_locus.presentation import (
     DegreeData,
     GradedModule,
@@ -166,3 +167,21 @@ def test_case_table_oracle_agrees_with_direct_ranks(a, b, seed):
         coords = random_line(m.prime, stream)
         st = splitting_type(restrict(m.pres, line_point(coords, m.prime)))
         assert lefschetz_oracle(stab, st.shifted(stab.t0)) == is_lefschetz(m, coords).ok
+
+
+def test_section_count_agrees_with_scan_oracle():
+    # seeded lines on every criterion-8 fixture, and the jumping lines of the
+    # monomial (3,4,4) module, where the middle map drops rank
+    stream = rand.Stream(4242)
+    lines = []
+    for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
+        m = generic_module(DegreeData(a, b), 1)
+        lines += [(m, random_line(PRIME, stream)) for _ in range(14)]
+    m = GradedModule.build(_monomial_344())
+    jumping = sample_locus_points(list(locus_ideal_at(m, 3).gens), seed=1)
+    lines += [(m, pt) for pt in jumping]
+    for m, coords in lines:
+        rb = restrict(m.pres, line_point(coords, PRIME))
+        assert splitting_type(rb) == scan_splitting_type(rb), (m.degrees, coords)
+    assert len(jumping) >= 5
+    assert sum(not is_lefschetz(m, coords).ok for m, coords in lines) >= len(jumping)

@@ -1,10 +1,12 @@
 import json
+import random
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import det_mod, evaluate, fold_localization, rational_points_0dim, specialize
@@ -88,7 +90,7 @@ def _cofactor_minors(m, i, coords):
     ((3, 4, 4), 5, (6, 9), 84, 2**31 - 1),  # residue products near 2^62
 ], ids=["tall", "wide", "square", "many", "many-largest-prime"])
 def test_minor_values_match_independent_determinant(a, i, shape, count, prime):
-    # evaluate each interpolated minor at seeded lines (not lattice points)
+    # evaluate each interpolated minor at seeded lines (not chart points)
     # and compare with a cofactor determinant of the specialized submatrix
     m = generic_module(DegreeData(a, (0,)), 6, prime)
     assert (m.h(i + 1), m.h(i)) == shape
@@ -226,7 +228,7 @@ def test_saturation_rejects_a_form_off_the_locus(monkeypatch):
                                        ((2, 2, 3), 1, False)])
 def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
     # a degree whose minors span every form of their degree k has minor
-    # values of full rank at the lattice points, which passes it without a
+    # values of full rank at the chart points, which passes it without a
     # Macaulay matrix, exactly when its reduced basis is every monomial of
     # degree k; on (4,4,4) the 66 degree-10 minors at degrees 3 and 5 span
     # R_10.  On (2,2,3), degree 1 is the middle, which its own generators
@@ -311,22 +313,40 @@ def _stacks(draw):
 @given(stack=_stacks())
 def test_lattice_minors_match_cofactor_determinants(stack):
     # corank 0, 0 < c < s (one elimination and the left kernel) and c >= s
-    # (the square submatrices) all give every minor at every lattice point
+    # (the square submatrices) all give every minor at every chart point
+    # (1, b, c), the row of the monomial (a, b, c)
     p, s, maps = stack
     values = lef._lattice_minors(maps, s, p)
     points = monomial_basis(s).monomials
     assert values.shape[0] == len(points)
-    for pt, row in zip(points, values):
-        a = sum(c * mv.a for c, mv in zip(pt, maps)) % p
+    for (_, b, c), row in zip(points, values):
+        a = (maps[0].a + b * maps[1].a + c * maps[2].a) % p
         a = a if a.shape[0] >= a.shape[1] else a.T
         want = [det_mod([[int(x) for x in a[r]] for r in rows], p)
                 for rows in combinations(range(a.shape[0]), s)]
-        assert [int(x) for x in row] == want, pt
+        assert [int(x) for x in row] == want, (b, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([13, 65521, 2**31 - 1]), s=st.integers(0, 12),
+       cols=st.integers(1, 5), seed=st.integers(0, 2**32))
+@example(p=13, s=12, cols=5, seed=0)  # s = p - 1: every 1/i!, i <= s, exists mod p
+@example(p=2**31 - 1, s=12, cols=5, seed=1)
+def test_interpolation_round_trips_random_forms(p, s, cols, seed):
+    # coefficient rows of random degree-s forms, evaluated in Python ints at
+    # the chart points (1, b, c) and interpolated back exactly
+    monos = monomial_basis(s).monomials
+    draw = random.Random(seed)
+    coeffs = [[draw.randrange(p) for _ in monos] for _ in range(cols)]
+    values = np.array([[sum(f * b ** j * c ** k for f, (_, j, k) in zip(row, monos)) % p
+                        for row in coeffs] for _, b, c in monos], dtype=np.int64)
+    chart = SimpleNamespace(h=lambda i: s, prime=p)  # degree-0 minors of size s
+    assert lef._interpolate(chart, 0, values).tolist() == coeffs
 
 
 def test_lattice_minors_of_monomial_module_match_cofactor_determinants():
-    # the pure-power module (3,4,4) drops rank at many lattice points (all
-    # of degree 4's minors vanish at each of its 55 points); every minor at
+    # the pure-power module (3,4,4) drops rank at many chart points (1, b, c)
+    # (40 (degree, point) pairs where every minor vanishes); every minor at
     # every point of every degree is checked
     pres = presentation_from_strings(DegreeData((3, 4, 4), (0,)), [["x1^3", "x2^4", "x3^4"]])
     m = GradedModule.build(pres)
@@ -336,11 +356,11 @@ def test_lattice_minors_of_monomial_module_match_cofactor_determinants():
         if size == 0:
             continue
         values = lef._lattice_minors(m.variable_maps(i), size, m.prime)
-        for pt, row in zip(monomial_basis(size).monomials, values):
-            want = _cofactor_minors(m, i, pt)
-            assert [int(x) for x in row] == want, (i, pt)
+        for (_, b, c), row in zip(monomial_basis(size).monomials, values):
+            want = _cofactor_minors(m, i, (1, b, c))
+            assert [int(x) for x in row] == want, (i, b, c)
             vanishing += not any(want)
-    assert vanishing == 56
+    assert vanishing == 40
 
 
 def test_middle_pair_selfduality_for_odd_total_twist():
@@ -413,20 +433,6 @@ def test_minor_vanishing_matches_rank_deficiency():
 def test_wlp_witness_exists(a, b):
     m = _module(a, b)
     assert find_lefschetz_line(m, seed=1, tries=100) is not None
-
-
-def test_lattice_inverse_cache_holds_a_survey_pass(capsys):
-    # a --localization survey over ci:2-4 and n2 interpolates fewer minor
-    # sizes than the cache holds, so a second pass recomputes no inverse
-    def survey():
-        for grid in ("ci:2-4", "n2"):
-            assert cli.main(["survey", "--grid", grid, "--localization", "--seed", "1"]) == 0
-        capsys.readouterr()
-
-    survey()
-    misses = lef._lattice_inverse.cache_info().misses
-    survey()
-    assert lef._lattice_inverse.cache_info().misses == misses
 
 
 def _rank(a, p):

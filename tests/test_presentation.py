@@ -222,6 +222,17 @@ def test_non_finite_length_rejected():
         GradedModule.build(pres)
 
 
+def test_finite_length_is_the_vanishing_beyond_the_socle_degree():
+    # the predicate that build refuses on is the one the survey claim reads:
+    # the x1-divisible row above is alive in degree 5 = e + 1
+    pres = presentation_from_strings(DegreeData((2, 2, 3), (0,)),
+                                     [["x1^2", "x1*x2", "x1^3"]])
+    assert GradedModule(pres, {}).first_piece_beyond_socle() == pres.degrees.socle_degree + 1 == 5
+    with pytest.raises(NonFiniteLengthError, match="degree 5 beyond socle degree 4"):
+        GradedModule.build(pres)
+    assert _module((2, 2, 3), (0,)).first_piece_beyond_socle() is None
+
+
 def test_generic_module_audit_records_seed():
     m = _module((2, 2, 3), (0,), seed=13)
     assert m.audit["requested_seed"] == 13
