@@ -5,7 +5,7 @@ the associated rank-2 kernel bundle on the projective plane."""
 __version__ = "0.1.0"
 
 from .field_linalg import DEFAULT_PRIME, Matrix, cokernel_basis, kernel_basis, rank
-from .polyring import Polynomial, Ring, monomial_basis, substitute_line
+from .polyring import Polynomial, Ring, line_power_table, monomial_basis
 from .presentation import (
     DegreeData,
     GradedModule,
@@ -64,6 +64,7 @@ __all__ = [
     "kernel_basis",
     "lefschetz_oracle",
     "line_point",
+    "line_power_table",
     "locus_ideal",
     "locus_ideal_at",
     "measure",
@@ -76,5 +77,4 @@ __all__ = [
     "restrict",
     "saturate",
     "splitting_type",
-    "substitute_line",
 ]

@@ -4,19 +4,23 @@ Restricting the presentation to a line gives a matrix of binary forms;
 the kernel bundle splits there as O(alpha) + O(beta), read off from the
 sections of the restricted kernel in one twist.  This is
 the rank-computation route to jumping lines, independent of the minors
-ideal, so the two can be played against each other.
+ideal, so the two can be played against each other.  One table of restricted
+monomials gives every form, and section matrices are filled by index arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import rand
 from .bundle import SplittingType
 from .field_linalg import Matrix, kernel_basis, rank
 from .lefschetz import random_line
-from .polyring import BinaryForm, substitute_line
+from .polyring import BinaryForm, line_power_table
 from .presentation import DegreeData, PresentationMatrix
 
 
@@ -49,50 +53,59 @@ class RestrictedBundle:
     entries: tuple[tuple[BinaryForm, ...], ...]
     prime: int
 
-
-def _zero_form(degree: int, prime: int) -> BinaryForm:
-    d = max(degree, 0)
-    return BinaryForm(d, (0,) * (d + 1), prime)
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The entries' coefficients in one array, zero-padded to the longest."""
+        top = max(f.degree for row in self.entries for f in row)
+        return np.array([[f.coeffs + (0,) * (top - f.degree) for f in row]
+                         for row in self.entries], dtype=np.int64)
 
 
 def restrict(pres: PresentationMatrix, line: LinePoint) -> RestrictedBundle:
-    """Push every entry through the line parametrization and verify the
-    restricted map is still surjective in large twists."""
+    """Push every entry through the line parametrization: each term c * x^e
+    scales the row of x^e in one ``line_power_table``, summed per entry, so
+    entry (j, i) becomes a form of degree max(a_i - b_j, 0).
+
+    The restricted map must stay onto as sheaves; its sections at
+    t* = max(d - a_1 - 1, b_n) decide that, as at every t >= t*.  If it is
+    onto, its kernel O(alpha) + O(beta) (alpha >= beta, alpha + beta = -d)
+    sits in the sum of the O(-a_i), so alpha <= -a_1, beta >= a_1 - d, and
+    H^1 of the kernel vanishes in twists t >= d - a_1 - 1: sections are onto.
+    If not, for t >= b_n the sum of the O(t - b_j) is globally generated, so
+    sections onto it would make the map of sheaves onto: they are not."""
     deg = pres.degrees
     p = pres.prime
-    rows = tuple(tuple(_zero_form(deg.a[i] - deg.b[j], p) if f.is_zero()
-                       else substitute_line(f, line.param) for i, f in enumerate(row))
-                 for j, row in enumerate(pres.entries))
-    rb = RestrictedBundle(deg, rows, p)
-    t_check = deg.d + 2 + max(0, deg.b[-1])
-    m = section_matrix(rb, t_check)
+    top = max(deg.a[-1] - deg.b[0], 0)
+    tj, ti, exps, coefs = pres.terms
+    e = exps.sum(axis=1)
+    r = e - exps[:, 0]
+    rows = e * (e + 1) * (e + 2) // 6 + r * (r + 1) // 2 + r - exps[:, 1]
+    acc = np.zeros((deg.n, deg.n + 2, top + 1), dtype=np.int64)
+    np.add.at(acc, (tj, ti), coefs[:, None] * line_power_table(line.param, top, p)[rows] % p)
+    grid = (acc % p).tolist()
+    entries = tuple(tuple(BinaryForm(k, tuple(c[:k + 1]), p)
+                          for k, c in zip((max(a - bj, 0) for a in deg.a), row))
+                    for bj, row in zip(deg.b, grid))
+    rb = RestrictedBundle(deg, entries, p)
+    m = section_matrix(rb, max(deg.d - deg.a[0] - 1, deg.b[-1]))
     if rank(m) != m.rows:
         raise RestrictionError("restricted map is not surjective in large twists")
     return rb
 
 
 def section_matrix(rb: RestrictedBundle, t: int) -> Matrix:
-    """Degree-t map on binary-form sections induced by the restricted grid."""
-    deg = rb.degrees
-    src_dims = [max(t - ai + 1, 0) for ai in deg.a]
-    tgt_dims = [max(t - bj + 1, 0) for bj in deg.b]
-    src_off = [sum(src_dims[:i]) for i in range(len(src_dims))]
-    tgt_off = [sum(tgt_dims[:j]) for j in range(len(tgt_dims))]
-    m = Matrix.zero(sum(tgt_dims), sum(src_dims), rb.prime)
-    for j in range(deg.n):
-        if tgt_dims[j] == 0:
-            continue
-        for i in range(deg.n + 2):
-            if src_dims[i] == 0:
-                continue
-            form = rb.entries[j][i]
-            for q in range(src_dims[i]):
-                col = src_off[i] + q
-                for l, c in enumerate(form.coeffs):
-                    if not c:
-                        continue
-                    row = tgt_off[j] + q + l
-                    m.a[row, col] = (m.a[row, col] + c) % rb.prime
+    """Degree-t map on binary-form sections induced by the restricted grid.
+    Block (j, i) is banded Toeplitz: column q holds the coefficients of
+    entry (j, i) in rows q through q + its degree."""
+    a, b = np.array(rb.degrees.a), np.array(rb.degrees.b)
+    src_dims, tgt_dims = np.maximum(t - a + 1, 0), np.maximum(t - b + 1, 0)
+    m = Matrix.zero(int(tgt_dims.sum()), int(src_dims.sum()), rb.prime)
+    j, i, l = np.nonzero(rb.coefficients)  # a nonzero entry has a_i >= b_j
+    q = np.arange(src_dims[0])
+    band = q < src_dims[i, None]
+    rows = ((np.cumsum(tgt_dims) - tgt_dims)[j] + l)[:, None] + q
+    cols = (np.cumsum(src_dims) - src_dims)[i, None] + q
+    m.a[rows[band], cols[band]] = np.repeat(rb.coefficients[j, i, l], src_dims[i])
     return m
 
 

@@ -6,12 +6,15 @@ variables l1, l2, l3.  Monomials are exponent triples; terms print and
 graded bases list in deg-lex order with x1 > x2 > x3 (resp. l1 > l2 > l3),
 which makes every printed polynomial and every derived matrix
 byte-reproducible.  Groebner bases use grevlex (see :mod:`.groebner`).
+Forms restrict to a line through a table of restricted monomials, degree by degree.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .field_linalg import DEFAULT_PRIME, is_prime
 
@@ -53,9 +56,6 @@ class GradedPieceBasis:
 
     def __len__(self) -> int:
         return len(self.monomials)
-
-    def index(self) -> dict[Mono, int]:
-        return {m: i for i, m in enumerate(self.monomials)}
 
 
 def monomial_basis(t: int) -> GradedPieceBasis:
@@ -197,52 +197,34 @@ class BinaryForm:
             raise ValueError("coefficient count does not match degree")
 
 
-def _binary_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return out
-
-
-def substitute_line(f: Polynomial, param) -> BinaryForm:
-    """Restrict a homogeneous form to the line with 3x2 parametrization
-    ``param``: variable i maps to param[i][0]*s + param[i][1]*u."""
-    p = f.ring.prime
-    rows = [[int(c) % p for c in row] for row in param]
-    if len(rows) != 3 or any(len(r) != 2 for r in rows):
+def line_power_table(param, top: int, prime: int) -> np.ndarray:
+    """Restrictions of all monomials of degree <= ``top`` to the line where
+    x_v = param[v][0]*s + param[v][1]*u.  Row C(e+2, 3) + k is the k-th
+    monomial of ``monomial_basis(e)``, column l its coefficient of
+    s^(e-l) * u^l.  In deg-lex order degree e+1 is x1 times all of degree e,
+    x2 times its last e+1 rows and x3 times its last row: one shift and two
+    products.  Each degree is reduced mod p, so a sum of two products stays
+    below 2(p-1)^2, inside int64 for p < 2^31."""
+    rows = np.asarray(param, dtype=np.int64) % prime
+    if rows.shape != (3, 2):
         raise ValueError("parametrization must be 3x2")
-    if not any((rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]) % p
-               for i, j in ((0, 1), (0, 2), (1, 2))):  # no nonzero 2x2 minor: rank < 2
+    if not (np.cross(rows[:, 0], rows[:, 1]) % prime).any():  # no nonzero 2x2 minor
         raise DegenerateLineError("parametrization does not span a plane")
-    if not f.is_homogeneous():
-        raise ValueError("can only restrict homogeneous forms")
-    d = f.degree()
-    if d < 0:
-        return BinaryForm(0, (0,), p)
-
-    powers: dict[tuple[int, int], list[int]] = {}
-
-    def row_power(i: int, e: int) -> list[int]:
-        key = (i, e)
-        if key not in powers:
-            if e == 0:
-                powers[key] = [1]
-            else:
-                powers[key] = _binary_mul(row_power(i, e - 1), rows[i], p)
-        return powers[key]
-
-    acc = [0] * (d + 1)
-    for (e1, e2, e3), c in f.terms.items():
-        term = [c % p]
-        for i, e in ((0, e1), (1, e2), (2, e3)):
-            if e:
-                term = _binary_mul(term, row_power(i, e), p)
-        for k, v in enumerate(term):
-            acc[k] = (acc[k] + v) % p
-    return BinaryForm(d, tuple(acc), p)
+    top = max(top, 0)
+    table = np.zeros(((top + 1) * (top + 2) * (top + 3) // 6, top + 1), dtype=np.int64)
+    table[0, 0] = 1
+    lo = 0
+    for e in range(top):
+        mid = lo + (e + 1) * (e + 2) // 2  # degree e holds rows lo..mid-1
+        prev = table[lo:mid, :e + 1]
+        grown = np.vstack([prev, prev[-(e + 1):], prev[-1:]])
+        var = rows[np.repeat([0, 1, 2], [mid - lo, e + 1, 1])]
+        nxt = table[mid:mid + len(grown), :e + 2]
+        nxt[:, :-1] = var[:, :1] * grown
+        nxt[:, 1:] += var[:, 1:] * grown
+        nxt %= prime
+        lo = mid
+    return table
 
 
 # -- text format --------------------------------------------------------

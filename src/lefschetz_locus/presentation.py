@@ -97,6 +97,17 @@ class PresentationMatrix:
     def prime(self) -> int:
         return self.ring.prime
 
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every term of every entry, entry by entry in row order, as arrays:
+        target j, source i, exponent triples and coefficients."""
+        forms = [f for row in self.entries for f in row]
+        j, i = np.divmod(np.repeat(np.arange(len(forms)), [len(f.terms) for f in forms]),
+                         self.degrees.n + 2)
+        exps = np.array([m for f in forms for m in f.terms], dtype=np.int64).reshape(-1, 3)
+        coefs = np.array([c for f in forms for c in f.terms.values()], dtype=np.int64)
+        return j, i, exps, coefs
+
 
 def random_presentation(degrees: DegreeData, seed: int,
                         prime: int = DEFAULT_PRIME) -> PresentationMatrix:
@@ -131,50 +142,43 @@ def presentation_from_strings(degrees: DegreeData, grid: list[list[str]],
     return PresentationMatrix(degrees, rows, ring)
 
 
-def _block_layout(twists: tuple[int, ...], t: int) -> tuple[list[GradedPieceBasis], list[int], int]:
+def _block_layout(twists: tuple[int, ...], t: int) -> tuple[list[GradedPieceBasis], np.ndarray, int]:
+    """Monomial bases of the blocks R_{t - w}, their offsets and total size."""
     bases = [monomial_basis(t - w) for w in twists]
-    offsets = []
-    total = 0
-    for basis in bases:
-        offsets.append(total)
-        total += len(basis)
-    return bases, offsets, total
+    sizes = np.array([len(basis) for basis in bases], dtype=np.int64)
+    return bases, np.cumsum(sizes) - sizes, int(sizes.sum())
 
 
 def graded_piece_matrix(pres: PresentationMatrix, t: int) -> Matrix:
     """The degree-t slice of the presentation map, in monomial bases.  Term
     c * x^e of entry (j, i) sends the source monomial u to c * x^(e + u),
     and (e1, e2, e3) sits at r(r+1)/2 + r - e2, r = t - b_j - e1, in
-    ``monomial_basis(t - b_j)``; every term of every block is added at once."""
+    ``monomial_basis(t - b_j)``.  All terms with one source twist expand at
+    once; no two land on one position, as an entry's monomials are distinct."""
     deg = pres.degrees
     _, tgt_off, tgt_dim = _block_layout(deg.b, t)
     src_bases, src_off, src_dim = _block_layout(deg.a, t)
-    rows, cols, vals = [], [], []
-    for j in range(deg.n):
-        for i in range(deg.n + 2):
-            f = pres.entries[j][i]
-            if f.is_zero() or len(src_bases[i]) == 0:
-                continue
-            expo = np.array(list(f.terms), dtype=np.int64)[:, None] + np.array(
-                src_bases[i].monomials, dtype=np.int64)  # term x source monomial
-            r = t - deg.b[j] - expo[..., 0]
-            rows.append((tgt_off[j] + r * (r + 1) // 2 + r - expo[..., 1]).ravel())
-            cols.append(np.tile(src_off[i] + np.arange(len(src_bases[i])), len(f.terms)))
-            vals.append(np.repeat(list(f.terms.values()), len(src_bases[i])))
+    tj, ti, exps, coefs = pres.terms
+    b, twist = np.array(deg.b), np.array(deg.a)[ti]
     a = np.zeros((tgt_dim, src_dim), dtype=np.int64)
-    if rows:
-        np.add.at(a, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(vals))
+    for w in sorted(set(deg.a)):
+        sel = np.flatnonzero(twist == w)
+        src = np.array(src_bases[deg.a.index(w)].monomials, dtype=np.int64).reshape(-1, 3)
+        expo = exps[sel, None] + src  # term x source monomial
+        j = tj[sel, None]
+        r = t - b[j] - expo[..., 0]
+        a[tgt_off[j] + r * (r + 1) // 2 + r - expo[..., 1],
+          src_off[ti[sel], None] + np.arange(len(src))] = coefs[sel, None]
     return Matrix(a, pres.prime)
 
 
 @dataclass(frozen=True)
 class _Piece:
-    degree: int
-    target_bases: tuple[GradedPieceBasis, ...]
-    offsets: tuple[int, ...]
+    offsets: np.ndarray
     target_dim: int
     coker: CokernelBasis
-    coset_monomials: tuple[tuple[int, tuple[int, int, int]], ...]
+    coset_blocks: np.ndarray  # target block j of each coset coordinate
+    coset_exponents: np.ndarray  # and its monomial, one exponent triple per row
 
     @property
     def dim(self) -> int:
@@ -191,6 +195,7 @@ class GradedModule:
         self.ring = pres.ring
         self._pieces = pieces
         self._var_maps: dict[int, tuple[Matrix, Matrix, Matrix]] = {}
+        self._products: dict[int, np.ndarray] = {}  # x1, x2, x3 maps out of degree t
         self.audit: dict = {}
 
     @classmethod
@@ -217,18 +222,13 @@ class GradedModule:
 
     @staticmethod
     def _build_piece(pres: PresentationMatrix, t: int) -> _Piece:
-        deg = pres.degrees
-        tgt_bases, tgt_off, tgt_dim = _block_layout(deg.b, t)
-        phi_t = graded_piece_matrix(pres, t)
-        coker = cokernel_basis(phi_t)
-        coset_monos = []
-        for coord in coker.coset:
-            for j in range(deg.n):
-                if coord < tgt_off[j] + len(tgt_bases[j]):
-                    coset_monos.append((j, tgt_bases[j].monomials[coord - tgt_off[j]]))
-                    break
-        return _Piece(t, tuple(tgt_bases), tuple(tgt_off), tgt_dim, coker,
-                      tuple(coset_monos))
+        tgt_bases, tgt_off, tgt_dim = _block_layout(pres.degrees.b, t)
+        coker = cokernel_basis(graded_piece_matrix(pres, t))
+        coset = np.array(coker.coset, dtype=np.int64)
+        monos = np.array([m for basis in tgt_bases for m in basis.monomials],
+                         dtype=np.int64).reshape(-1, 3)
+        return _Piece(tgt_off, tgt_dim, coker,
+                      np.searchsorted(tgt_off, coset, side="right") - 1, monos[coset])
 
     def piece(self, t: int) -> _Piece:
         if t not in self._pieces:
@@ -249,24 +249,27 @@ class GradedModule:
     def multiplication_map(self, ell: Polynomial, t: int) -> Matrix:
         """Matrix of multiplication by the linear form ell from the degree-t
         coset basis to the degree-(t+1) one: lift, multiply, reduce mod the
-        image of the next slice."""
+        image of the next slice.  It is linear in ell, so the coset monomials
+        times x1, x2 and x3 are lifted and reduced together once per degree;
+        (e1, e2, e3) in block j sits at r(r+1)/2 + r - e2, r = t + 1 - b_j - e1."""
         if ell.ring != self.ring:
             raise ValueError("linear form lives in the wrong ring")
         if not ell.is_zero() and (not ell.is_homogeneous() or ell.degree() != 1):
             raise ValueError("multiplication map needs a linear form")
-        src = self.piece(t)
-        dst = self.piece(t + 1)
-        out_shape = (dst.dim, src.dim)
+        src, dst = self.piece(t), self.piece(t + 1)
         if src.dim == 0 or dst.dim == 0 or ell.is_zero():
-            return Matrix.zero(*out_shape, self.prime)
-        lifted = np.zeros((dst.target_dim, src.dim), dtype=np.int64)
-        dst_index = [basis.index() for basis in dst.target_bases]
-        for c, (j, mono) in enumerate(src.coset_monomials):
-            for mv, cv in ell.terms.items():
-                target = (mono[0] + mv[0], mono[1] + mv[1], mono[2] + mv[2])
-                r = dst.offsets[j] + dst_index[j][target]
-                lifted[r, c] = (lifted[r, c] + cv) % self.prime
-        return Matrix(dst.coker.reduce(lifted), self.prime)
+            return Matrix.zero(dst.dim, src.dim, self.prime)
+        if t not in self._products:
+            expo = src.coset_exponents[:, None] + np.eye(3, dtype=np.int64)  # coset x variable
+            j = src.coset_blocks[:, None]
+            r = t + 1 - np.array(self.degrees.b)[j] - expo[..., 0]
+            lifted = np.zeros((dst.target_dim, src.dim, 3), dtype=np.int64)
+            lifted[dst.offsets[j] + r * (r + 1) // 2 + r - expo[..., 1],
+                   np.arange(src.dim)[:, None], np.arange(3)] = 1
+            self._products[t] = dst.coker.reduce(
+                lifted.reshape(dst.target_dim, -1)).reshape(dst.dim, src.dim, 3)
+        return Matrix(sum(c * self._products[t][..., mono.index(1)] % self.prime
+                          for mono, c in ell.terms.items()), self.prime)
 
     def variable_maps(self, t: int) -> tuple[Matrix, Matrix, Matrix]:
         """Cached multiplication maps by x1, x2, x3 out of degree t."""

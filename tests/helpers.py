@@ -7,7 +7,10 @@ loop on dict polynomials that the package's batched engine replaced,
 sharing only its normal form and monomial helpers, and point extraction
 runs it under lex.  ``scan_splitting_type`` finds a splitting type by
 scanning twists for the first section, where the package counts sections
-in one twist.  ``colon`` and ``fold_localization`` (the
+in one twist.  ``multiplication_map_loop``, ``substitute_line_loop`` (with
+``restrict_loop``) and ``section_matrix_loop`` are the dict-lookup, convolution
+and coefficient-by-coefficient loops that the package's index arithmetic and
+line power table replaced.  ``colon`` and ``fold_localization`` (the
 localization claim decided by intersecting every degree's minor ideal and
 comparing saturations) use ``groebner.intersect``.  The root search scans
 all of F_p with an O(p) array (16 GB near 2^31), so the point oracles run
@@ -32,9 +35,9 @@ from lefschetz_locus.groebner import (
     intersect,
     saturate,
 )
-from lefschetz_locus.jumping import section_matrix
+from lefschetz_locus.jumping import RestrictedBundle, section_matrix
 from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
-from lefschetz_locus.polyring import Polynomial, substitute_line
+from lefschetz_locus.polyring import BinaryForm, DegenerateLineError, Polynomial
 from lefschetz_locus.presentation import _block_layout
 
 
@@ -100,6 +103,11 @@ def hilbert_series_presented(a: tuple[int, ...], b: tuple[int, ...]) -> dict[int
 # -- presentation slices by loops -----------------------------------------
 
 
+def basis_index(basis) -> dict:
+    """Position of each monomial of a graded piece basis."""
+    return {m: i for i, m in enumerate(basis.monomials)}
+
+
 def graded_piece_matrix_loop(pres, t: int) -> Matrix:
     """The degree-t slice of the presentation map, entry by entry through
     dict lookups of each target monomial (``graded_piece_matrix`` computes
@@ -109,7 +117,7 @@ def graded_piece_matrix_loop(pres, t: int) -> Matrix:
     src_bases, src_off, src_dim = _block_layout(deg.a, t)
     m = Matrix.zero(tgt_dim, src_dim, pres.prime)
     for j in range(deg.n):
-        tgt_index = tgt_bases[j].index()
+        tgt_index = basis_index(tgt_bases[j])
         for i in range(deg.n + 2):
             f = pres.entries[j][i]
             if f.is_zero() or len(src_bases[i]) == 0:
@@ -119,6 +127,108 @@ def graded_piece_matrix_loop(pres, t: int) -> Matrix:
                     target = (mf[0] + mono[0], mf[1] + mono[1], mf[2] + mono[2])
                     r = tgt_off[j] + tgt_index[target]
                     m.a[r, src_off[i] + c] = (m.a[r, src_off[i] + c] + coef) % pres.prime
+    return m
+
+
+def multiplication_map_loop(mod, ell: Polynomial, t: int) -> Matrix:
+    """``GradedModule.multiplication_map`` with each coset monomial lifted
+    through dict lookups of its products, one term of ell at a time."""
+    src, dst = mod.piece(t), mod.piece(t + 1)
+    if src.dim == 0 or dst.dim == 0 or ell.is_zero():
+        return Matrix.zero(dst.dim, src.dim, mod.prime)
+    bases, _, _ = _block_layout(mod.degrees.b, t + 1)
+    index = [basis_index(basis) for basis in bases]
+    lifted = np.zeros((dst.target_dim, src.dim), dtype=np.int64)
+    for c, (j, mono) in enumerate(zip(src.coset_blocks, src.coset_exponents)):
+        for mv, cv in ell.terms.items():
+            target = (int(mono[0]) + mv[0], int(mono[1]) + mv[1], int(mono[2]) + mv[2])
+            r = dst.offsets[j] + index[j][target]
+            lifted[r, c] = (lifted[r, c] + cv) % mod.prime
+    return Matrix(dst.coker.reduce(lifted), mod.prime)
+
+
+# -- restriction to lines by loops -----------------------------------------
+
+
+def _binary_mul_loop(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    return out
+
+
+def substitute_line_loop(f: Polynomial, param) -> BinaryForm:
+    """Restrict a homogeneous form to the line with 3x2 parametrization
+    ``param`` (variable i maps to param[i][0]*s + param[i][1]*u) term by
+    term, by convolving powers of the parametrization rows over Python ints
+    (the package reads each monomial's row off ``line_power_table``)."""
+    p = f.ring.prime
+    rows = [[int(c) % p for c in row] for row in param]
+    if len(rows) != 3 or any(len(r) != 2 for r in rows):
+        raise ValueError("parametrization must be 3x2")
+    if not any((rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]) % p
+               for i, j in ((0, 1), (0, 2), (1, 2))):  # no nonzero 2x2 minor: rank < 2
+        raise DegenerateLineError("parametrization does not span a plane")
+    if not f.is_homogeneous():
+        raise ValueError("can only restrict homogeneous forms")
+    d = f.degree()
+    if d < 0:
+        return BinaryForm(0, (0,), p)
+    powers: dict[tuple[int, int], list[int]] = {}
+
+    def row_power(i: int, e: int) -> list[int]:
+        if (i, e) not in powers:
+            powers[i, e] = [1] if e == 0 else _binary_mul_loop(row_power(i, e - 1), rows[i], p)
+        return powers[i, e]
+
+    acc = [0] * (d + 1)
+    for (e1, e2, e3), c in f.terms.items():
+        term = [c % p]
+        for i, e in ((0, e1), (1, e2), (2, e3)):
+            if e:
+                term = _binary_mul_loop(term, row_power(i, e), p)
+        for k, v in enumerate(term):
+            acc[k] = (acc[k] + v) % p
+    return BinaryForm(d, tuple(acc), p)
+
+
+def restrict_loop(pres, param) -> RestrictedBundle:
+    """The restricted grid entry by entry through ``substitute_line_loop``,
+    without the surjectivity check of ``jumping.restrict``; a zero entry
+    keeps the degree a_i - b_j, or 0 where that is negative."""
+    deg, p = pres.degrees, pres.prime
+    rows = tuple(tuple(
+        substitute_line_loop(f, param) if not f.is_zero() else
+        BinaryForm(max(a - bj, 0), (0,) * (max(a - bj, 0) + 1), p)
+        for a, f in zip(deg.a, row)) for bj, row in zip(deg.b, pres.entries))
+    return RestrictedBundle(deg, rows, p)
+
+
+def section_matrix_loop(rb, t: int) -> Matrix:
+    """``jumping.section_matrix`` filled one coefficient at a time."""
+    deg = rb.degrees
+    src_dims = [max(t - ai + 1, 0) for ai in deg.a]
+    tgt_dims = [max(t - bj + 1, 0) for bj in deg.b]
+    src_off = [sum(src_dims[:i]) for i in range(len(src_dims))]
+    tgt_off = [sum(tgt_dims[:j]) for j in range(len(tgt_dims))]
+    m = Matrix.zero(sum(tgt_dims), sum(src_dims), rb.prime)
+    for j in range(deg.n):
+        if tgt_dims[j] == 0:
+            continue
+        for i in range(deg.n + 2):
+            if src_dims[i] == 0:
+                continue
+            form = rb.entries[j][i]
+            for q in range(src_dims[i]):
+                col = src_off[i] + q
+                for l, c in enumerate(form.coeffs):
+                    if not c:
+                        continue
+                    row = tgt_off[j] + q + l
+                    m.a[row, col] = (m.a[row, col] + c) % rb.prime
     return m
 
 
@@ -609,7 +719,8 @@ def sample_locus_points(gens: list[Polynomial], seed: int,
         pt_a = tuple(stream.below(p) for _ in range(3))
         pt_b = tuple(stream.below(p) for _ in range(3))
         try:
-            forms = [substitute_line(g, [[pt_a[i], pt_b[i]] for i in range(3)]) for g in gens]
+            forms = [substitute_line_loop(g, [[pt_a[i], pt_b[i]] for i in range(3)])
+                     for g in gens]
         except ValueError:
             continue  # the two points do not span a line
         if not any(c for f in forms for c in f.coeffs):

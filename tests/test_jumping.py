@@ -1,10 +1,20 @@
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from helpers import rational_points_0dim, sample_locus_points, scan_splitting_type
+from helpers import (
+    rational_points_0dim,
+    restrict_loop,
+    sample_locus_points,
+    scan_splitting_type,
+    section_matrix_loop,
+)
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import rand
 from lefschetz_locus.bundle import SplittingType, classify_stability, lefschetz_oracle
+from lefschetz_locus.field_linalg import Matrix, rank
 from lefschetz_locus.jumping import (
+    LinePoint,
     RestrictionError,
     generic_splitting_empirical,
     line_point,
@@ -185,3 +195,77 @@ def test_section_count_agrees_with_scan_oracle():
         assert splitting_type(rb) == scan_splitting_type(rb), (m.degrees, coords)
     assert len(jumping) >= 5
     assert sum(not is_lefschetz(m, coords).ok for m, coords in lines) >= len(jumping)
+
+
+def _surjectivity_twists(deg):
+    """The twist ``restrict`` checks, t* = max(d - a_1 - 1, b_n), and the
+    larger one it checked before, d + 2 + max(0, b_n)."""
+    return max(deg.d - deg.a[0] - 1, deg.b[-1]), deg.d + 2 + max(0, deg.b[-1])
+
+
+@st.composite
+def _restriction_cases(draw):
+    """Twist data with n in {1, 2} (entries of negative degree allowed), a
+    seed, a prime and a 3x2 parametrization of rank 2 over it."""
+    p = draw(st.sampled_from([13, 65521, 2**31 - 1]))
+    n = draw(st.integers(1, 2))
+    b = sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    a = sorted(draw(st.lists(st.integers(b[0], b[-1] + 3), min_size=n + 2, max_size=n + 2)))
+    entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    param = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=3, max_size=3))
+    assume(rank(Matrix.from_rows(param, p)) == 2)
+    return DegreeData(tuple(a), tuple(b)), draw(st.integers(0, 2**32)), p, param
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_restriction_cases())
+@example(case=(DegreeData((2, 2, 3, 3), (0, 1)), 7, 2**31 - 1,
+               [[2**31 - 2, 2**31 - 3], [1, 2**31 - 2], [2**31 - 2, 0]]))
+def test_restriction_and_section_matrices_match_loop_oracles(case):
+    # every restricted entry equals the term-by-term convolution, every
+    # section matrix from total - 2 to t* equals the coefficient-by-coefficient
+    # fill, and restrict refuses exactly the grids whose sections at t* fall short
+    deg, seed, p, param = case
+    pres = random_presentation(deg, seed, p)
+    want = restrict_loop(pres, param)
+    t_star, _ = _surjectivity_twists(deg)
+    for t in range(-deg.d - 2, t_star + 1):
+        assert section_matrix(want, t) == section_matrix_loop(want, t), t
+    (u1, u2, u3), (v1, v2, v3) = zip(*param)  # the line's coordinates are their cross product
+    line = LinePoint(((u2 * v3 - u3 * v2) % p, (u3 * v1 - u1 * v3) % p, (u1 * v2 - u2 * v1) % p),
+                     tuple(map(tuple, param)))
+    m = section_matrix(want, t_star)
+    if rank(m) < m.rows:
+        with pytest.raises(RestrictionError):
+            restrict(pres, line)
+    else:
+        assert restrict(pres, line) == want
+
+
+def test_surjectivity_verdict_is_the_same_at_the_smallest_safe_twist():
+    # full row rank of the sections at t* agrees with full row rank at the
+    # old twist, on seeded lines of the ci:1-5 and n2 fixtures at three
+    # primes and on the coordinate lines of monomial grids; both verdicts occur
+    cases = []
+    for p in (7, 13, 65521):
+        stream = rand.Stream(rand.derive(0x7A5, p))
+        for a, b in [((a1, a2, a3), (0,)) for a1 in range(1, 6) for a2 in range(a1, 6)
+                     for a3 in range(a2, 6)] + N2_GRID:
+            pres = random_presentation(DegreeData(a, b), seed=1, prime=p)
+            cases += [(pres, line_point(random_line(p, stream), p)) for _ in range(2)]
+    for a, row in [((3, 4, 4), ["x1^3", "x2^4", "x3^4"]), ((2, 2, 3), ["x1^2", "x2^2", "x3^3"]),
+                   ((2, 2, 3), ["x1^2", "x1*x2", "x1^3"])]:
+        pres = presentation_from_strings(DegreeData(a, (0,)), [row])
+        cases += [(pres, line_point(c, PRIME)) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    verdicts = []
+    for pres, line in cases:
+        rb = restrict_loop(pres, line.param)
+        new, old = (section_matrix(rb, t) for t in _surjectivity_twists(pres.degrees))
+        verdicts.append(rank(new) == new.rows)
+        assert verdicts[-1] == (rank(old) == old.rows), (pres.degrees, line.coords)
+        if verdicts[-1]:
+            assert restrict(pres, line) == rb
+        else:
+            with pytest.raises(RestrictionError):
+                restrict(pres, line)
+    assert any(verdicts) and not all(verdicts)

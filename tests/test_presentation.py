@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graded_piece_matrix_loop, hilbert_series_ci, hilbert_series_presented
+from helpers import (
+    graded_piece_matrix_loop,
+    hilbert_series_ci,
+    hilbert_series_presented,
+    multiplication_map_loop,
+)
 from lefschetz_locus.field_linalg import kernel_basis, rank
 from lefschetz_locus.polyring import Polynomial, Ring, parse_poly
 from lefschetz_locus.presentation import (
@@ -103,7 +108,8 @@ def _twists(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(deg=_twists(), seed=st.integers(0, 2**32), prime=st.sampled_from([7, 65521]))
+@given(deg=_twists(), seed=st.integers(0, 2**32),
+       prime=st.sampled_from([7, 65521, 2**31 - 1]))
 def test_slices_match_loop_oracle_and_hilbert_is_generic(deg, seed, prime):
     # every slice of a random presentation equals the loop oracle's, and the
     # seeded generic module (built on those slices) has the Hilbert
@@ -113,6 +119,22 @@ def test_slices_match_loop_oracle_and_hilbert_is_generic(deg, seed, prime):
         assert graded_piece_matrix(pres, t) == graded_piece_matrix_loop(pres, t), t
     m = generic_module(deg, seed, prime=65521)
     assert m.hilbert() == generic_hilbert_profile(deg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(deg=_twists(), seed=st.integers(0, 2**32),
+       coeffs=st.lists(st.sampled_from([0, 1, 65520]) | st.integers(0, 65520),
+                       min_size=3, max_size=3))
+def test_multiplication_maps_match_lookup_oracle(deg, seed, coeffs):
+    # positions of the lifted products by index arithmetic equal the dict
+    # lookups, for every linear form, zero coefficients included, and for
+    # the variables, whose maps come from the same per-degree products
+    m = generic_module(deg, seed)
+    ell = Polynomial(R, {(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
+    for t in range(deg.b[0] - 1, deg.socle_degree + 1):
+        assert m.multiplication_map(ell, t) == multiplication_map_loop(m, ell, t), t
+        for v, mat in enumerate(m.variable_maps(t)):
+            assert mat == multiplication_map_loop(m, Polynomial.variable(R, v), t), (t, v)
 
 
 def test_graded_piece_empty_below_targets():
@@ -262,8 +284,8 @@ def test_generic_module_reseeds_degenerate_draws_over_tiny_field():
 def test_coset_basis_monomials_match_dimensions():
     m = _module((2, 2, 3), (0,))
     for t in m.support:
-        monos = m.piece(t).coset_monomials
-        assert len(monos) == m.h(t)
-        for block, mono in monos:
+        piece = m.piece(t)
+        assert len(piece.coset_blocks) == len(piece.coset_exponents) == m.h(t)
+        for block, mono in zip(piece.coset_blocks, piece.coset_exponents):
             assert block == 0
             assert sum(mono) == t
