@@ -11,6 +11,7 @@ genericity hypothesis), 1 for input or internal errors, which print
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,7 +53,10 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared: parsing
+    leaves it unchanged."""
     parser = _Parser(prog="lefschetz-locus")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("hilbert", "locus", "line", "survey"):

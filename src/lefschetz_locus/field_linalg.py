@@ -75,7 +75,7 @@ class Matrix:
 
 def _room(p: int) -> int:
     """How many products of two residues an int64 holds on top of a residue."""
-    return (np.iinfo(np.int64).max - p) // (p - 1) ** 2
+    return ((1 << 63) - 1 - p) // (p - 1) ** 2  # int64 max, in Python ints
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -182,5 +182,5 @@ class CokernelBasis:
 def cokernel_basis(m: Matrix) -> CokernelBasis:
     """Coset basis of coker(m) = target / column span of m."""
     red, pivots = _rref(m.a.T, m.p)
-    coset = tuple(c for c in range(m.rows) if c not in pivots)
+    coset = tuple(sorted(set(range(m.rows)).difference(pivots)))
     return CokernelBasis(tuple(pivots), coset, red[: len(pivots)], m.p)

@@ -1,17 +1,18 @@
 """Groebner engine over the dual coordinate ring.
 
-One engine computes every basis: batched Macaulay-matrix reduction in the
-style of F4 (Faugere 1999), each batch being the input generators and
-critical pairs of the lowest degree, row-reduced together by one
-``field_linalg._rref`` with pairs pruned by the Gebauer-Moller criteria.
-Reduced bases use graded reverse-lex, the one public order
-(first-variable elimination stays private to intersection); ideal
-dimension and degree come from the Hilbert series of the leading-term
-ideal, intersection from the auxiliary variable construction, and
-saturation by the irrelevant ideal from reverse-lex bases.
+One engine computes every basis: homogeneous generators, graded reverse-lex.
+It is F4 (Faugere 1999) in the per-degree form homogeneous ideals allow
+(Lazard 1983): a form of degree D is a dense residue row over the
+monomials of R_D in decreasing grevlex order, a monomial shift is one
+index scatter, and each degree's generators and critical pairs, pruned by
+the Gebauer-Moller criteria, are reduced together with their reducers by
+one ``field_linalg._rref``.  Inhomogeneous input is a named error.  Normal
+forms are projections off the same rows.  Ideal dimension and degree come
+from the Hilbert series of the leading-term ideal, intersection degree by
+degree from the pieces I_D and J_D, and saturation by the irrelevant ideal
+from reverse-lex bases.
 
-Internally polynomials are plain dicts mapping exponent tuples (of any
-length, so the auxiliary-variable lift is just a longer tuple) to
+Outside the engine polynomials are plain dicts mapping exponent triples to
 residues; the public surface speaks :class:`~.polyring.Polynomial`.
 """
 
@@ -19,28 +20,25 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field_linalg import _rref
-from .polyring import Polynomial, Ring
+from .field_linalg import _matmul, _rref
+from .polyring import Polynomial, Ring, monomial_basis
 
 RawPoly = dict[tuple, int]
 
-# -- monomial orders -----------------------------------------------------
+# -- monomials -----------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def grevlex_key(m: tuple) -> tuple:
-    """Graded reverse-lex; cached (bounded), as reductions rank the same
+    """Graded reverse-lex; cached (bounded), as bases rank the same
     monomials over and over."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _elim1_key(m: tuple) -> tuple:
-    """Block order eliminating the first variable: lex on it, deg-lex after."""
-    return (m[0], sum(m[1:]), m[1:])
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -55,131 +53,160 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _mono_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+@functools.lru_cache(maxsize=None)
+def _table(d: int) -> tuple[np.ndarray, list[tuple]]:
+    """The monomials of R_d in decreasing grevlex order, as an (N, 3)
+    array and as tuples; (e1, e2, e3) sits at ``_pos(d, e)``."""
+    monos = sorted(monomial_basis(d).monomials, key=grevlex_key, reverse=True)
+    return np.array(monos, dtype=np.int64).reshape(-1, 3), monos
 
 
-# -- raw polynomial core -------------------------------------------------
+def _pos(d: int, e: np.ndarray) -> np.ndarray:
+    """Positions in R_d of the exponent triples along the last axis of e:
+    the e3 = k block starts after k blocks of sizes d + 1, d, ..."""
+    return e[..., 2] * (d + 1) - e[..., 2] * (e[..., 2] - 1) // 2 + e[..., 1]
 
 
-def _normal_form(f: RawPoly, basis: list[tuple[tuple, RawPoly]], key, p: int) -> RawPoly:
-    """Full normal form of f against monic (lm, poly) pairs."""
-    work = dict(f)
-    out: RawPoly = {}
-    while work:
-        m = max(work, key=key)
-        hit = None
-        for lm, g in basis:
-            if _divides(lm, m):
-                hit = (lm, g)
-                break
-        if hit is None:
-            out[m] = work.pop(m)
-            continue
-        lm, g = hit
-        factor = work[m] % p
-        shift = _mono_sub(m, lm)
-        for gm, gc in g.items():
-            tm = _mono_mul(gm, shift)
-            v = (work.get(tm, 0) - factor * gc) % p
-            if v:
-                work[tm] = v
-            else:
-                work.pop(tm, None)
-    return out
+# -- dense per-degree engine ---------------------------------------------
 
 
-def _shift(f: RawPoly, t: tuple) -> RawPoly:
-    return {_mono_mul(m, t): c for m, c in f.items()}
+class _Engine:
+    """A homogeneous grevlex Groebner basis grown one degree at a time.
+    Element k is the dense row ``rows[k]`` over R_deg[k]; it leads at
+    ``lms[k]``, its first nonzero entry.  ``pairs`` holds the critical
+    pairs left, as (degree of lcm, i, j, lcm)."""
 
+    def __init__(self, p: int, basis: Iterable[RawPoly] = ()):
+        self.p = p
+        self.lms: list[tuple] = []
+        self.deg: list[int] = []
+        self.rows: list[np.ndarray] = []
+        self.pairs: list[tuple] = []
+        for d, block in _by_degree(basis).items():  # forms known to be a basis
+            self.add(d, block)
 
-def _reduce_rows(rows: list[RawPoly], led: set, live: list[int], basis: list[RawPoly],
-                 lms: list[tuple], key, p: int) -> tuple[list[tuple[tuple, RawPoly]], set]:
-    """One Macaulay-matrix reduction of ``rows``.  Symbolic preprocessing
-    first: every monomial of the rows that a ``live`` leading monomial
-    divides gets a reducer, a shifted basis element leading there, unless
-    it is in ``led`` (monomials that a shifted basis element among the rows
-    already leads); ``rows`` and ``led`` grow in place.  Then one ``_rref``
-    with columns in decreasing ``key``.  Returns the (leading monomial,
-    monic row) pairs of the echelon form and the reducible monomials."""
-    monos = set().union(*rows)
-    todo, reducible = list(monos), set()
-    while todo:
-        m = todo.pop()
-        k = next((k for k in live if _divides(lms[k], m)), None)
-        if k is None:
-            continue
-        reducible.add(m)
-        if m not in led:
-            led.add(m)
-            rows.append(_shift(basis[k], _mono_sub(m, lms[k])))
-            fresh = rows[-1].keys() - monos
-            monos |= fresh
-            todo += fresh
-    cols = sorted(monos, key=key, reverse=True)
-    index = {m: c for c, m in enumerate(cols)}
-    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, f in enumerate(rows):
-        a[r, [index[m] for m in f]] = list(f.values())
-    red, pivots = _rref(a, p)
-    return [(cols[c], {cols[j]: int(red[r, j]) for j in np.flatnonzero(red[r])})
-            for r, c in enumerate(pivots)], reducible
+    def add(self, d: int, block: np.ndarray) -> None:
+        self.lms += [_table(d)[1][c] for c in (block != 0).argmax(1).tolist()]
+        self.deg += [d] * len(block)
+        self.rows += list(block)
 
+    def divisors(self, d: int) -> np.ndarray:
+        """For each monomial of R_d the first element whose leading
+        monomial divides it, or -1: one N x L x 3 comparison."""
+        if not self.lms:
+            return np.full(len(_table(d)[1]), -1)
+        div = (_table(d)[0][:, None, :] >= np.array(self.lms)[None]).all(2)
+        return np.where(div.any(1), div.argmax(1), -1)
 
-def _buchberger_raw(gens: Iterable[RawPoly], key, p: int) -> list[RawPoly]:
-    """Reduced Groebner basis of the raw generators under ``key``, sorted by
-    leading monomial, by batched Macaulay-matrix reduction (F4): each step
-    reduces the input generators and critical pairs of the lowest degree
-    together, and pairs are pruned by the Gebauer-Moller criteria.  Any
-    monomial order and inhomogeneous input give the right basis, though
-    under an order that does not refine degree, inhomogeneous input can
-    make symbolic preprocessing pull in long chains of reducers."""
-    basis: list[RawPoly] = []
-    lms: list[tuple] = []
-    live: list[int] = []  # basis elements whose leading monomial no later one divides
-    pairs: list[tuple] = []  # (degree of lcm, i, j, lcm)
-    todo = [(sum(max(g, key=key)), g) for g in gens if g]
+    def lead_at(self, ks: np.ndarray, ms: np.ndarray, d: int) -> np.ndarray:
+        """Rows over R_d: element ks[r] times the monomial that moves its
+        leading monomial to position ms[r], one scatter per source degree."""
+        exps, deg = _table(d)[0], np.array(self.deg, dtype=np.int64)[ks]
+        out = np.zeros((len(ks), len(exps)), dtype=np.int64)
+        for e in set(deg.tolist()):
+            sel = np.flatnonzero(deg == e)
+            shift = exps[ms[sel]] - np.array(self.lms)[ks[sel]]
+            out[sel[:, None], _pos(d, _table(e)[0] + shift[:, None])] = \
+                np.array([self.rows[k] for k in ks[sel].tolist()])
+        return out
 
-    def insert(lm: tuple, f: RawPoly):
-        h = len(basis)
-        basis.append(f)
-        lms.append(lm)
+    def span(self, d: int, keep=True) -> np.ndarray:
+        """Echelon rows spanning the degree-d piece of the ideal, one per
+        divisible monomial where ``keep`` holds (the elements must form a
+        Groebner basis)."""
+        first = self.divisors(d)
+        ms = np.flatnonzero((first >= 0) & keep)
+        return self.lead_at(first[ms], ms, d)
+
+    def step(self, d: int, rows: np.ndarray) -> None:
+        """Degree d: reduce ``rows`` (forms of degree d), the two shifts of
+        every critical pair whose lcm has degree d, and a reducer for every
+        monomial of theirs that a leading monomial divides (closed under
+        the reducers' own monomials) by one ``_rref`` on the columns they
+        use.  A pivot that no leading monomial divides starts a new element.
+        Every divisible monomial among the columns is a pivot, so the new
+        rows are already reduced, and as later elements have higher degree
+        the basis stays reduced."""
+        shifts = sorted({(k, lcm) for t, i, j, lcm in self.pairs if t == d for k in (i, j)})
+        self.pairs = [pr for pr in self.pairs if pr[0] != d]
+        led = _pos(d, np.array([lcm for _, lcm in shifts], dtype=np.int64).reshape(-1, 3))
+        a = np.vstack([rows, self.lead_at(np.array([k for k, _ in shifts], dtype=np.int64),
+                                          led, d)])
+        first = self.divisors(d)
+        want = first >= 0
+        want[led] = False  # a pair shift already leads there
+        while (ms := np.flatnonzero(want & a.any(0))).size:
+            want[ms] = False
+            a = np.vstack([a, self.lead_at(first[ms], ms, d)])
+        cols = np.flatnonzero(a.any(0))
+        red, pivots = _rref(a[:, cols], self.p)
+        new = [r for r, c in enumerate(pivots) if first[cols[c]] < 0]
+        block = np.zeros((len(new), len(first)), dtype=np.int64)
+        block[:, cols] = red[new]
+        self.add(d, block)
+        for h in range(len(self.lms) - len(new), len(self.lms)):
+            self._pair(h)
+
+    def _pair(self, h: int) -> None:
         # Gebauer-Moller: of the new pairs keep those whose lcm no other
         # new lcm divides (one of equal ones), then drop the coprime ones;
         # drop an old pair when lm divides its lcm strictly inside the chain
-        cands = [(i, _mono_lcm(lms[i], lm)) for i in live]
+        lms, lm = self.lms, self.lms[h]
+        cands = [(i, _mono_lcm(lms[i], lm)) for i in range(h)]
         kept: list[tuple] = []
         for n, (i, lcm) in enumerate(cands):
             if lcm == _mono_mul(lms[i], lm) or not any(
                     _divides(other, lcm) for _, other in cands[n + 1:] + kept):
                 kept.append((i, lcm))
-        pairs[:] = [(d, i, j, lcm) for d, i, j, lcm in pairs
-                    if not _divides(lm, lcm) or lcm in (_mono_lcm(lms[i], lm),
-                                                        _mono_lcm(lms[j], lm))]
-        pairs.extend((sum(lcm), i, h, lcm) for i, lcm in kept
-                     if lcm != _mono_mul(lms[i], lm))
-        live[:] = [i for i in live if not _divides(lm, lms[i])] + [h]
+        self.pairs = [(d, i, j, lcm) for d, i, j, lcm in self.pairs
+                      if not _divides(lm, lcm) or lcm in (_mono_lcm(lms[i], lm),
+                                                          _mono_lcm(lms[j], lm))]
+        self.pairs += [(sum(lcm), i, h, lcm) for i, lcm in kept if lcm != _mono_mul(lms[i], lm)]
 
-    while todo or pairs:
-        d = min([t for t, _ in todo] + [pr[0] for pr in pairs])
-        rows = [g for t, g in todo if t == d]
-        todo = [tg for tg in todo if tg[0] != d]
-        shifts = {(k, _mono_sub(lcm, lms[k])) for t, i, j, lcm in pairs if t == d for k in (i, j)}
-        led = {lcm for t, _, _, lcm in pairs if t == d}
-        pairs[:] = [pr for pr in pairs if pr[0] != d]
-        reduced, reducible = _reduce_rows(rows + [_shift(basis[k], s) for k, s in shifts],
-                                          led, live, basis, lms, key, p)
-        # new elements lead at the pivots no old element divides; largest
-        # first, so that a smaller one retires any it divides from ``live``
-        for lm, f in sorted(reduced, key=lambda r: key(r[0]), reverse=True):
-            if lm not in reducible:
-                insert(lm, f)
+    def grow(self, todo: dict[int, np.ndarray]) -> "_Engine":
+        """Extend the basis by the forms ``todo`` (rows by degree): one step
+        per degree that holds forms or critical pairs, lowest first."""
+        while todo or self.pairs:
+            d = min([*todo, *(pr[0] for pr in self.pairs)])
+            self.step(d, todo.pop(d, np.zeros((0, comb(d + 2, 2)), dtype=np.int64)))
+        return self
 
-    # the live elements form a minimal basis; reducing them with a reducer
-    # for every other divisible monomial leaves the reduced basis
-    leads = {lms[i] for i in live}
-    reduced, _ = _reduce_rows([basis[i] for i in live], set(leads), live, basis, lms, key, p)
-    return [f for lm, f in sorted(reduced, key=lambda r: key(r[0])) if lm in leads]
+    def raws(self) -> list[RawPoly]:
+        """The elements as raw dicts, sorted by leading monomial."""
+        order = sorted(range(len(self.lms)), key=lambda k: grevlex_key(self.lms[k]))
+        return [_raw(self.rows[k], self.deg[k]) for k in order]
+
+
+def _dense(f: RawPoly) -> tuple[int, np.ndarray]:
+    """Degree and dense row of a nonzero form, which must be homogeneous."""
+    e = np.array(list(f), dtype=np.int64).reshape(-1, 3)
+    degrees = e.sum(1)
+    if (degrees != degrees[0]).any():
+        raise ValueError("the Groebner engine takes homogeneous generators; got one with "
+                         f"terms of degrees {sorted(set(degrees.tolist()))}")
+    d = int(degrees[0])
+    row = np.zeros(comb(d + 2, 2), dtype=np.int64)
+    row[_pos(d, e)] = list(f.values())
+    return d, row
+
+
+def _by_degree(raws: Iterable[RawPoly]) -> dict[int, np.ndarray]:
+    """Nonzero homogeneous forms as dense rows, stacked per degree."""
+    out: dict[int, list[np.ndarray]] = {}
+    for d, row in map(_dense, filter(None, raws)):
+        out.setdefault(d, []).append(row)
+    return {d: np.array(rows) for d, rows in out.items()}
+
+
+def _raw(row: np.ndarray, d: int) -> RawPoly:
+    monos, nz = _table(d)[1], np.flatnonzero(row)
+    return dict(zip([monos[j] for j in nz.tolist()], row[nz].tolist()))
+
+
+def _buchberger_raw(gens: Iterable[RawPoly], p: int) -> list[RawPoly]:
+    """Reduced grevlex Groebner basis of homogeneous raw generators, sorted
+    by leading monomial (F4 on Macaulay rows)."""
+    return _Engine(p).grow(_by_degree(gens)).raws()
 
 
 # -- public wrappers -----------------------------------------------------
@@ -198,27 +225,34 @@ class GroebnerBasis:
         return [max(f.terms, key=grevlex_key) for f in self.basis]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        """The remainder of f on the monomials no leading monomial divides:
+        each degree-d part less its projection on the reduced rows of I_d."""
         if f.ring != self.ring:
             raise ValueError("polynomial lives in the wrong ring")
-        prepared = list(zip(self.leading_monomials(), (g.terms for g in self.basis)))
-        return Polynomial(self.ring, _normal_form(f.terms, prepared, grevlex_key, self.ring.prime))
+        p, out = self.ring.prime, {}
+        engine = _Engine(p, (g.terms for g in self.basis))
+        for d in {sum(m) for m in f.terms}:
+            row = _dense({m: c for m, c in f.terms.items() if sum(m) == d})[1][None]
+            red, pivots = _rref(engine.span(d), p)
+            pivots = list(pivots)
+            out.update(_raw((row - _matmul(row[:, pivots], red[:len(pivots)], p))[0] % p, d))
+        return Polynomial(self.ring, out)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
 
-def _as_gens(ideal) -> tuple[list[Polynomial], Ring]:
+def _as_basis(ideal) -> GroebnerBasis:
     if isinstance(ideal, GroebnerBasis):
-        gens = list(ideal.basis)
-        return gens, ideal.ring
+        return ideal
     gens = list(ideal)
     if not gens:
         raise ValueError("cannot infer the ring of an empty generator list")
-    return gens, gens[0].ring
+    return buchberger(gens)
 
 
 def buchberger(gens: Sequence[Polynomial], ring: Ring | None = None) -> GroebnerBasis:
-    """Reduced grevlex Groebner basis of the given generators."""
+    """Reduced grevlex Groebner basis of the given homogeneous generators."""
     gens = list(gens)
     if ring is None:
         if not gens:
@@ -227,7 +261,7 @@ def buchberger(gens: Sequence[Polynomial], ring: Ring | None = None) -> Groebner
     for g in gens:
         if g.ring != ring:
             raise ValueError("mixed rings in generator list")
-    raw = _buchberger_raw([g.terms for g in gens], grevlex_key, ring.prime)
+    raw = _buchberger_raw([g.terms for g in gens], ring.prime)
     return GroebnerBasis(ring, tuple(Polynomial(ring, f) for f in raw))
 
 
@@ -253,82 +287,46 @@ class IdealMeasure:
         return 2 - self.dim_projective
 
 
-def _minimalize_monos(monos: Iterable[tuple]) -> tuple[tuple, ...]:
-    out: list[tuple] = []
-    for m in sorted(set(monos), key=lambda t: (sum(t), t)):
-        if not any(_divides(g, m) for g in out):
-            out.append(m)
-    return tuple(out)
-
-
-def _poly_mul_z(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _numerator(monos: tuple[tuple, ...], memo: dict) -> list[int]:
-    """Hilbert-series numerator of S/(monomial ideal), integer coefficients."""
-    if monos in memo:
-        return memo[monos]
-    if not monos:
-        return [1]
-    if any(sum(m) == 0 for m in monos):
-        return [0]
-    nvars = len(monos[0])
-    supports = [tuple(v for v in range(nvars) if m[v]) for m in monos]
-    pairwise_coprime = all(
-        not (set(supports[i]) & set(supports[j]))
-        for i in range(len(monos))
-        for j in range(i + 1, len(monos))
-    )
-    if pairwise_coprime:
-        result = [1]
-        for m in monos:
-            factor = [1] + [0] * (sum(m) - 1) + [-1]
-            result = _poly_mul_z(result, factor)
-        memo[monos] = result
-        return result
-    counts = [sum(1 for m in monos if m[v]) for v in range(nvars)]
-    v = max(range(nvars), key=lambda i: counts[i])
-    pivot = tuple(1 if i == v else 0 for i in range(nvars))
-    plus = _minimalize_monos(list(monos) + [pivot])
-    colon = _minimalize_monos(
-        tuple(x - 1 if i == v and x > 0 else x for i, x in enumerate(m)) for m in monos
-    )
-    n_plus = _numerator(plus, memo)
-    n_colon = _numerator(colon, memo)
-    result = [0] * max(len(n_plus), len(n_colon) + 1)
-    for i, x in enumerate(n_plus):
-        result[i] += x
-    for i, x in enumerate(n_colon):
-        result[i + 1] += x
-    while result and result[-1] == 0:
-        result.pop()
-    memo[monos] = result
-    return result
+def _series(lms: Iterable[tuple]) -> list[int]:
+    """Hilbert-series numerator of R/M, M the monomial ideal of ``lms``,
+    trailing zeros dropped.  R/M is the sum over c of l3^c k[l1, l2]/M_c,
+    M_c generated by the l1, l2 parts of the lms with at most c factors l3,
+    constant from the top power C of l3; so the numerator is the sum over
+    c < C of t^c (1 - t) N_c plus t^C N_C.  A plane staircase, minimal
+    generators (a_0 < ... < a_r, b_0 > ... > b_r), has N_c = 1 - sum
+    t^(a_i + b_i) + sum t^(a_(i+1) + b_i)."""
+    lms = np.array(sorted(set(lms)), dtype=np.int64).reshape(-1, 3)
+    top = int(lms[:, 2].max(initial=0))
+    out = np.zeros(3 * int(lms.sum(1).max(initial=0)) + 2, dtype=np.int64)
+    for c in range(top + 1):
+        plane = lms[lms[:, 2] <= c, :2]  # sorted by a, then b
+        a, b = plane[plane[:, 1] < np.minimum.accumulate(np.r_[1 << 62, plane[:-1, 1]])].T
+        n_c = np.zeros(len(out), dtype=np.int64)
+        n_c[0] = 1
+        np.add.at(n_c, a + b, -1)
+        np.add.at(n_c, a[1:] + b[:-1], 1)
+        if c < top:
+            n_c -= np.r_[0, n_c[:-1]]
+        out[c:] += n_c[:len(out) - c]
+    return _trimmed(out.tolist())
 
 
 def _strip_one_minus_z(coeffs: list[int]) -> list[int]:
-    out = []
-    acc = 0
-    for c in coeffs[:-1]:
-        acc += c
-        out.append(acc)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    """Divide by 1 - z: partial sums, trailing zeros dropped."""
+    return _trimmed(list(accumulate(coeffs[:-1])))
+
+
+def _trimmed(coeffs: list[int]) -> list[int]:
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return coeffs
 
 
 def measure(gb: GroebnerBasis) -> IdealMeasure:
     """Dimension and degree read off the leading-term ideal."""
     if gb.is_unit:
         return IdealMeasure(-1, 0)
-    lms = _minimalize_monos(gb.leading_monomials())
-    series = list(_numerator(lms, {}))
+    series = _series(gb.leading_monomials())
     drops = 0
     while series and sum(series) == 0:
         series = _strip_one_minus_z(series)
@@ -344,51 +342,51 @@ def measure(gb: GroebnerBasis) -> IdealMeasure:
 
 
 def intersect(i1, i2) -> GroebnerBasis:
-    """Intersection of two homogeneous ideals via the auxiliary-variable
-    elimination construction."""
-    gens1, ring = _as_gens(i1)
-    gens2, ring2 = _as_gens(i2)
-    if ring != ring2:
+    """Intersection of two homogeneous ideals, degree by degree.  K, the
+    ideal of the pieces found so far, grows by one engine step per degree
+    D, and where K_D falls short of the dimension of (I n J)_D the step
+    also gets I_D n J_D, met by one Zassenhaus reduction of [I_D I_D; J_D 0]
+    (each piece spanned by one shifted basis element per divisible
+    monomial).  K lies in I n J, so it is I n J once R/K has the Hilbert
+    series of R/(I n J), HS(R/I) + HS(R/J) - HS(R/(I+J)) by the exact
+    sequence; the leading monomials so far are then a Groebner basis."""
+    gb1, gb2 = _as_basis(i1), _as_basis(i2)
+    ring, p = gb1.ring, gb1.ring.prime
+    if gb2.ring != ring:
         raise ValueError("ideals live in different rings")
-    if any(g.degree() == 0 and not g.is_zero() for g in gens1):
-        return buchberger(gens2, ring=ring)
-    if any(g.degree() == 0 and not g.is_zero() for g in gens2):
-        return buchberger(gens1, ring=ring)
-    p = ring.prime
-    raw: list[RawPoly] = []
-    for f in gens1:
-        raw.append({(1,) + m: c for m, c in f.terms.items()})
-    for g in gens2:
-        lifted: RawPoly = {(0,) + m: c for m, c in g.terms.items()}
-        for m, c in g.terms.items():
-            key4 = (1,) + m
-            lifted[key4] = (lifted.get(key4, 0) - c) % p
-        raw.append({m: c for m, c in lifted.items() if c})
-    gb4 = _buchberger_raw(raw, _elim1_key, p)
-    eliminated = [f for f in gb4 if all(m[0] == 0 for m in f)]
-    polys = [Polynomial(ring, {m[1:]: c for m, c in f.items()}) for f in eliminated]
-    return buchberger(polys, ring=ring)
+    one, two = _Engine(p, (f.terms for f in gb1.basis)), _Engine(p, (f.terms for f in gb2.basis))
+    both = _Engine(p, (f.terms for f in gb1.basis)).grow(_by_degree(f.terms for f in gb2.basis))
+    target = _trimmed([a + b - c for a, b, c in zip_longest(
+        _series(one.lms), _series(two.lms), _series(both.lms), fillvalue=0)])
+    meet = _Engine(p)
+    d = max(min(one.deg, default=0), min(two.deg, default=0))
+    while _series(meet.lms) != target:
+        n, have = comb(d + 2, 2), meet.divisors(d) >= 0
+        rows = np.zeros((0, n), dtype=np.int64)
+        # K_d holds at least one row per monomial of ``have``, and I_d is
+        # K_d plus the rows of I_d leading elsewhere, so (I n J)_d is K_d
+        # plus their meet with J_d: reduce that where K_d is short of
+        # dim (I n J)_d = n - dim (R/(I n J))_d
+        if np.count_nonzero(have) < n - sum(
+                c * comb(d - i + 2, 2) for i, c in enumerate(target[:d + 1])):
+            u, v = one.span(d, ~have), two.span(d)
+            red, pivots = _rref(np.block([[u, u], [v, np.zeros_like(v)]]), p)
+            rows = red[[r for r, c in enumerate(pivots) if c >= n], n:]
+        meet.step(d, rows)
+        d += 1
+    return GroebnerBasis(ring, tuple(Polynomial(ring, f) for f in meet.raws()))
 
 
 def _saturate_variable(raws: list[RawPoly], v: int, p: int) -> list[RawPoly]:
     """Generators of I : l_v^infinity for homogeneous I: compute a Groebner
     basis in graded reverse-lex with l_v last and strip the l_v powers."""
-    n = 3
-    perm = [i for i in range(n) if i != v] + [v]
-    position = {j: i for i, j in enumerate(perm)}
-    lifted = [
-        {tuple(m[perm[i]] for i in range(n)): c for m, c in f.items()}
-        for f in raws
-    ]
-    gb = _buchberger_raw(lifted, grevlex_key, p)
+    perm = [i for i in range(3) if i != v] + [v]
+    back = [perm.index(i) for i in range(3)]
     out = []
-    for f in gb:
-        shift = min(m[n - 1] for m in f)
-        stripped = {}
-        for m, c in f.items():
-            lowered = m[: n - 1] + (m[n - 1] - shift,)
-            stripped[tuple(lowered[position[j]] for j in range(n))] = c
-        out.append(stripped)
+    for f in _buchberger_raw([{tuple(m[i] for i in perm): c for m, c in f.items()}
+                              for f in raws], p):
+        low = min(m[2] for m in f)
+        out.append({tuple((m[0], m[1], m[2] - low)[i] for i in back): c for m, c in f.items()})
     return out
 
 
@@ -399,14 +397,13 @@ def saturate(ideal) -> GroebnerBasis:
     three single-variable saturations, each of which drops out of one
     reverse-lex basis by stripping trailing-variable powers.
     """
-    gens, ring = _as_gens(ideal)
-    p = ring.prime
-    raws = [g.terms for g in gens if not g.is_zero()]
+    gb = _as_basis(ideal)
+    ring, raws = gb.ring, [g.terms for g in gb.basis]
     if not raws:
-        return buchberger([], ring=ring)
+        return gb
     parts = []
     for v in range(3):
-        sat_raw = _saturate_variable(raws, v, p)
+        sat_raw = _saturate_variable(raws, v, ring.prime)
         parts.append(buchberger([Polynomial(ring, f) for f in sat_raw], ring=ring))
     result = parts[0]
     for part in parts[1:]:

@@ -11,6 +11,7 @@ Forms restrict to a line through a table of restricted monomials, degree by degr
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -58,8 +59,10 @@ class GradedPieceBasis:
         return len(self.monomials)
 
 
+@functools.lru_cache(maxsize=None)
 def monomial_basis(t: int) -> GradedPieceBasis:
-    """Monomials of degree t; C(t+2, 2) of them for t >= 0, none otherwise."""
+    """Monomials of degree t; C(t+2, 2) of them for t >= 0, none otherwise.
+    Cached: the basis is immutable and asked for over and over."""
     if t < 0:
         return GradedPieceBasis(t, ())
     mons = []

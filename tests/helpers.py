@@ -3,9 +3,12 @@ cross-check the engine, kept out of the package because no CLI path needs
 them.  Most stand alone, such as the entry-by-entry loop that built the
 presentation slices and ``rref_loop``, Gauss-Jordan over Python ints
 reduced after every step; ``dict_buchberger`` is the pair-at-a-time Buchberger
-loop on dict polynomials that the package's batched engine replaced,
-sharing only its normal form and monomial helpers, and point extraction
-runs it under lex.  ``scan_splitting_type`` finds a splitting type by
+loop on dict polynomials, under any monomial order, that the package's
+dense per-degree grevlex engine replaced, sharing only its monomial
+helpers, and point extraction runs it under lex.
+``elimination_intersect`` is the intersection by eliminating t from
+t*I + (1 - t)*J, the route the package's degree-by-degree ``intersect``
+replaced.  ``scan_splitting_type`` finds a splitting type by
 scanning twists for the first section, where the package counts sections
 in one twist.  ``multiplication_map_loop``, ``substitute_line_loop`` (with
 ``restrict_loop``) and ``section_matrix_loop`` are the dict-lookup, convolution
@@ -28,8 +31,6 @@ from lefschetz_locus.groebner import (
     _divides,
     _mono_lcm,
     _mono_mul,
-    _mono_sub,
-    _normal_form,
     buchberger,
     grevlex_key,
     intersect,
@@ -358,6 +359,33 @@ def naive_groebner_leading_terms(gens: list[RawPoly], p: int) -> set[tuple]:
 # -- pair-at-a-time Buchberger oracle -------------------------------------
 
 
+def _mono_sub(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _normal_form(f: RawPoly, basis: list[tuple[tuple, RawPoly]], key, p: int) -> RawPoly:
+    """Full normal form of f against monic (lm, poly) pairs under ``key``."""
+    work = dict(f)
+    out: RawPoly = {}
+    while work:
+        m = max(work, key=key)
+        hit = next(((lm, g) for lm, g in basis if _divides(lm, m)), None)
+        if hit is None:
+            out[m] = work.pop(m)
+            continue
+        lm, g = hit
+        factor = work[m] % p
+        shift = _mono_sub(m, lm)
+        for gm, gc in g.items():
+            tm = _mono_mul(gm, shift)
+            v = (work.get(tm, 0) - factor * gc) % p
+            if v:
+                work[tm] = v
+            else:
+                work.pop(tm, None)
+    return out
+
+
 def _monic(f: dict, key, p: int) -> dict:
     lm = max(f, key=key)
     inv = pow(f[lm], p - 2, p)
@@ -423,6 +451,29 @@ def dict_buchberger(gens, key, p: int) -> list[dict]:
         reduced.append(_monic(_normal_form(f, others, key, p), key, p))
     reduced.sort(key=lambda f: key(max(f, key=key)))
     return reduced
+
+
+# -- intersection by elimination -------------------------------------------
+
+
+def _elim1_key(m: tuple) -> tuple:
+    """Block order eliminating the first variable: lex on it, deg-lex after."""
+    return (m[0], sum(m[1:]), m[1:])
+
+
+def elimination_intersect(gens1: list[dict], gens2: list[dict], p: int) -> list[dict]:
+    """I n J by elimination, the route the package's degree-by-degree
+    ``intersect`` replaced: a basis of t*I + (1 - t)*J under the order
+    eliminating t, its t-free part, then the reduced grevlex basis of that.
+    Raw dicts in and out, all through ``dict_buchberger``."""
+    lift = [{(1,) + m: c for m, c in f.items()} for f in gens1]
+    for g in gens2:
+        lifted = {(0,) + m: c for m, c in g.items()}
+        lifted.update({(1,) + m: -c % p for m, c in g.items()})
+        lift.append(lifted)
+    free = [{m[1:]: c for m, c in f.items()} for f in dict_buchberger(lift, _elim1_key, p)
+            if all(m[0] == 0 for m in f)]
+    return dict_buchberger(free, grevlex_key, p)
 
 
 # -- polynomial evaluation and exact rank ---------------------------------

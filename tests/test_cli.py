@@ -108,6 +108,18 @@ def test_reports_are_byte_identical(capsys):
     assert first == second
 
 
+def test_parser_is_built_once_and_shared(capsys):
+    # one parser serves every call in a process; no call's options may leak
+    # into the next
+    cli.build_parser.cache_clear()
+    line = ["line", "--a", "2,2,3,3", "--b", "0,1", "--line", "5,7,11"]
+    first = _run(capsys, line)
+    code, survey = _run(capsys, ["survey", "--a", "2,2,3", "--b", "0", "--samples", "2"])
+    assert code == 0 and [row["seed"] for row in survey["rows"]] == [1, 2]
+    assert _run(capsys, line) == first
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_env_prime_override(capsys, monkeypatch):
     monkeypatch.setenv("LL_PRIME", "101")
     code, report = _run(capsys, ["hilbert", "--a", "2,2,3", "--b", "0"])

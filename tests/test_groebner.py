@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _elim1_key,
     colon,
     dict_buchberger,
+    elimination_intersect,
     evaluate,
     naive_groebner_leading_terms,
     rational_points_0dim,
@@ -16,7 +18,6 @@ from lefschetz_locus import field_linalg, groebner, rand
 from lefschetz_locus.groebner import (
     GroebnerBasis,
     _buchberger_raw,
-    _elim1_key,
     buchberger,
     grevlex_key,
     intersect,
@@ -200,33 +201,45 @@ def test_degree_matches_eliminant_degree_on_points():
     assert eliminant.degree() == measured.degree == 6
 
 
-_ORDERS = {"grevlex": grevlex_key, "lex": _lex_key, "deglex": lambda m: (sum(m), m)}
-_SMALL_MONOS = [m for d in range(5) for m in monomial_basis(d).monomials]
-_raw_polys = st.dictionaries(st.sampled_from(_SMALL_MONOS), st.integers(1, P - 1),
-                             min_size=1, max_size=4)
+_PRIMES = (13, P, 2**31 - 1)
+
+
+@st.composite
+def _homogeneous_gens(draw, p, kinds=("form",) * 8 + ("zero", "unit"), top=4):
+    # homogeneous generators of mixed degrees, now and then a zero or a unit
+    # one, with the variables permuted as ``_saturate_variable`` does
+    perm = draw(st.permutations(range(3)))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind != "form":
+            gens.append({(0, 0, 0): draw(st.integers(1, p - 1))} if kind == "unit" else {})
+            continue
+        monos = draw(st.lists(st.sampled_from(monomial_basis(draw(st.integers(1, top))).monomials),
+                              min_size=1, max_size=4, unique=True))
+        gens.append({tuple(m[v] for v in perm): draw(st.integers(1, p - 1)) for m in monos})
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from(_PRIMES))
+def test_batched_engine_matches_dict_oracle(data, p):
+    gens = data.draw(_homogeneous_gens(p))
+    assert _buchberger_raw(gens, p) == dict_buchberger(gens, grevlex_key, p)
 
 
 @settings(max_examples=25, deadline=None)
-@given(gens=st.lists(_raw_polys, min_size=1, max_size=4),
-       order=st.sampled_from([*_ORDERS, "intersect"]))
-def test_batched_engine_matches_dict_oracle(gens, order):
-    # random ideals, inhomogeneous under the graded orders.  Under lex and
-    # the elimination order, where an inhomogeneous ideal can keep either
-    # engine busy for many seconds, each generator keeps its top-degree
-    # part: the inputs the package sends.  "intersect" is the lift that
-    # ``intersect`` eliminates under ``_elim1_key``: t*I + (1 - t)*J
-    key = _ORDERS.get(order, _elim1_key)
-    if order in ("lex", "intersect"):
-        gens = [{m: c for m, c in f.items() if sum(m) == max(map(sum, f))} for f in gens]
-    if order == "intersect":
-        half = (len(gens) + 1) // 2
-        left, right = gens[:half], gens[half:] or gens
-        gens = [{(1,) + m: c for m, c in f.items()} for f in left]
-        for g in right:
-            lifted = {(0,) + m: c for m, c in g.items()}
-            lifted.update({(1,) + m: P - c for m, c in g.items()})
-            gens.append(lifted)
-    assert _buchberger_raw(gens, key, P) == dict_buchberger(gens, key, P)
+@given(data=st.data(), p=st.sampled_from(_PRIMES))
+def test_intersect_matches_elimination_oracle(data, p):
+    ring = Ring(prime=p, dual=True)
+    left, right = (data.draw(_homogeneous_gens(p, ("form",), top=3)) for _ in range(2))
+    meet = intersect([Polynomial(ring, f) for f in left], [Polynomial(ring, f) for f in right])
+    assert meet.basis == tuple(Polynomial(ring, f) for f in elimination_intersect(left, right, p))
+
+
+def test_inhomogeneous_input_is_a_named_error():
+    with pytest.raises(ValueError, match="homogeneous generators; got one with terms of degrees"):
+        buchberger([L1 + multiply(L2, L3)])
 
 
 def test_middle_basis_takes_three_narrow_reductions(monkeypatch):
