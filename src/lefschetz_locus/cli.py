@@ -17,8 +17,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import __version__, bundle, jumping, lefschetz, predictor
-from .field_linalg import DEFAULT_PRIME
+from .field_linalg import DEFAULT_PRIME, Matrix, rank
 from .groebner import GroebnerBasis, buchberger, measure
 from .presentation import (
     DegreeData,
@@ -151,13 +153,29 @@ def _structural_claims(mod: GradedModule) -> list[tuple[str, bool]]:
     unimodal = all(values[i] <= values[i + 1] for i in range(peak)) and all(
         values[i] >= values[i + 1] for i in range(peak, len(values) - 1)
     )
-    deg = mod.degrees
-    expected_socle = tuple(sorted(deg.d - bj - 3 for bj in deg.b))
     return [
         ("finite-length", mod.first_piece_beyond_socle() is None),
         ("unimodal", unimodal),
-        ("socle-formula", tuple(sorted(mod.socle())) == expected_socle),
+        ("socle-formula", tuple(sorted(mod.socle())) == _expected_socle(mod)),
     ]
+
+
+def _expected_socle(mod: GradedModule) -> tuple[int, ...]:
+    """Degree d - 3 - w once for each minimal generator of degree w, as
+    Serre duality pairs the socle with M / mM.  The generators of degree w
+    are the b_j = w less the rank of the constant block of entries from the
+    a_i = w to the b_j = w, read from the entries themselves: a unit entry
+    cancels a generator."""
+    deg = mod.degrees
+    out = []
+    for w in sorted(set(deg.b)):
+        rows = [j for j, bj in enumerate(deg.b) if bj == w]
+        cols = [i for i, ai in enumerate(deg.a) if ai == w]
+        block = np.array([[mod.pres.entries[j][i].terms.get((0, 0, 0), 0) for i in cols]
+                          for j in rows], dtype=np.int64).reshape(len(rows), len(cols))
+        cancelled = rank(Matrix(block, mod.prime)) if cols else 0
+        out += [deg.d - 3 - w] * (len(rows) - cancelled)
+    return tuple(sorted(out))
 
 
 def analyze_hilbert(job: dict) -> dict:

@@ -15,13 +15,22 @@ combinations det(Q_j^T X) of them (Cauchy-Binet), which need no subset
 enumeration: each is the value vector of a form in the degree's minor
 ideal, so their full rank is an exact pass, and only a shortfall takes
 every minor.
+
+Serre duality halves that work.  A module that ``GradedModule.build``
+accepts is M = H^1_*(E) for the rank-2 bundle E, the kernel of the
+presentation, with c_1(E) = -d, so E^dual = E(d) and M_i x M_(d-3-i) -> k
+is a perfect pairing compatible with multiplication.  In dual bases,
+multiplication by a line from degree d - 4 - i to d - 3 - i is then the
+transpose of the map from degree i to i + 1, up to fixed invertible
+changes of basis, which act invertibly on the span of the maximal minors:
+I_i = I_(d-4-i).  ``locus_ideal`` decides one degree of each such pair.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 import numpy as np
@@ -185,12 +194,7 @@ def _interpolate(m: GradedModule, i: int, values=None) -> np.ndarray:
     size = min(m.h(i), m.h(i + 1))
     values = _minor_values(m, i, size) if values is None else values
     p, n = m.prime, size + 1
-    delta = np.eye(n, dtype=np.int64)  # row k: (x - 1)^k
-    binom = np.eye(n, dtype=np.int64)  # row k: C(x, k) = C(x, k - 1) (x - k + 1) / k
-    for k in range(1, n):
-        delta[k, 1:], binom[k, 1:] = delta[k - 1, :-1], binom[k - 1, :-1]  # times x
-        delta[k] = (delta[k] - delta[k - 1]) % p
-        binom[k] = (binom[k] - (k - 1) * binom[k - 1]) % p * pow(k, p - 2, p) % p
+    delta, binom = _newton_tables(size, p)
 
     def both_axes(a, grid):  # a X a^T on the two grid axes of each column X
         for _ in range(2):
@@ -203,6 +207,24 @@ def _interpolate(m: GradedModule, i: int, values=None) -> np.ndarray:
     diffs = both_axes(delta, grid)
     diffs[np.add.outer(np.arange(n), np.arange(n)) > size] = 0  # beyond the grid
     return both_axes(binom.T, diffs)[b, c].T
+
+
+def _newton_tables(s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delta[i, k] = (-1)^(i-k) C(i, k) and F[k, j], the coefficient of x^j
+    in C(x, k), for i, j, k <= s, mod p > s.  C(i, k) = i!/(k!(i-k)!) from
+    one table of factorials and one inverse; row k of F is the falling
+    factorial x (x - 1) ... (x - k + 1), built in Python ints, over k!."""
+    fact = list(accumulate(range(1, s + 1), lambda f, k: f * k % p, initial=1))
+    inv = np.array(list(accumulate(range(s, 0, -1), lambda f, k: f * k % p,
+                                   initial=pow(fact[-1], p - 2, p)))[::-1])  # 1/k!
+    gap = np.subtract.outer(np.arange(s + 1), np.arange(s + 1))  # i - k
+    c = np.array(fact)[:, None] * inv % p * inv[gap] % p  # C(i, k) where i >= k
+    falling = [1] + [0] * s
+    rows = [falling]
+    for k in range(1, s + 1):  # times x - (k - 1)
+        falling = [0] + [(falling[j] - (k - 1) * falling[j + 1]) % p for j in range(s)]
+        rows.append(falling)
+    return np.where(gap < 0, 0, np.where(gap & 1, p - c, c)), np.array(rows) * inv[:, None] % p
 
 
 def _forms(ring: Ring, s: int, rows: np.ndarray) -> tuple[Polynomial, ...]:
@@ -271,11 +293,18 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
     C(s+2, 2) + 4 minors, that many seeded combinations of them are tried
     first: each is a form of I_i, so their full rank passes it exactly.
     Any shortfall takes every minor, and only then does a basis of their
-    span go to ``_in_saturation``."""
+    span go to ``_in_saturation``.
+
+    Degree i and its Serre dual d - 4 - i have one minor ideal (see the
+    module docstring), so only the degrees i <= d - 4 - i* are visited,
+    i* the middle degree: from b_1 - 1 (dual to the socle degree) through
+    i* - 1, and i* + 1 for odd d, whose dual is i*.  Degree i* + 1 is
+    kept so that a ``middle`` other than I_(i*) is still tested against
+    every minor ideal."""
     deg = m.degrees
     ring = dual_ring(m)
     mid = [g for g in middle.basis if g.degree() == middle.basis[0].degree()]
-    for i in range(deg.b[0] - 1, deg.socle_degree + 1):
+    for i in range(deg.b[0] - 1, deg.d - 3 - deg.middle_degree):  # i <= d - 4 - i*
         size = min(m.h(i), m.h(i + 1))
         if i == deg.middle_degree or size == 0:
             continue

@@ -44,6 +44,34 @@ def test_hilbert_monomial_matrix_matches_series(tmp_path, capsys):
     assert tuple(report["hilbert"]["values"]) == hilbert_series_ci((3, 4, 4))
 
 
+@pytest.mark.parametrize("a,b,socle", [("2,3,4,4,5", "0,0,2", [13, 13]),
+                                       ("2,2,2,3", "0,2", [4]), ("1,2,2,3", "0,1", [4])])
+def test_socle_formula_counts_minimal_generators(a, b, socle, capsys):
+    # a_i = b_j makes the generic entry (j, i) a nonzero constant, which
+    # cancels the generator of degree b_j: the socle has no degree
+    # d - 3 - b_j, and the claim counts only the minimal generators
+    code, report = _run(capsys, ["hilbert", "--a", a, "--b", b])
+    assert code == 0
+    assert report["socle"] == socle
+    assert {"claim": "socle-formula", "ok": True} in report["claims"]
+
+
+def test_socle_formula_reads_the_constant_entries_of_a_matrix(tmp_path, capsys):
+    # the unit entry 1 cancels the degree-2 generator, so M = R/(x2^2, x3^2,
+    # x1^3 - x1^2 x2) with socle {4}; two units in the one degree-2 row
+    # still cancel one generator, the rank of the constant block
+    grid = tmp_path / "unit.json"
+    grid.write_text(json.dumps([["x1^2", "x2^2", "x3^2", "x1^3"], ["1", "0", "0", "x2"]]))
+    code, report = _run(capsys, ["hilbert", "--a", "2,2,2,3", "--b", "0,2",
+                                 "--matrix", str(grid)])
+    assert code == 0
+    assert report["socle"] == [4] and report["hilbert"]["values"] == [1, 3, 4, 3, 1]
+    assert {"claim": "socle-formula", "ok": True} in report["claims"]
+    mod = cli.build_module({"a": [2, 2, 2, 3], "b": [0, 2], "seed": 1, "prime": 65521,
+                            "matrix": [["x1^2", "x2^2", "x3^2", "x1^3"], ["0", "1", "1", "x2"]]})
+    assert cli._expected_socle(mod) == (4,)
+
+
 def test_locus_command_match(capsys):
     code, report = _run(capsys, ["locus", "--a", "2,2,3", "--b", "0", "--seed", "1"])
     assert code == 0

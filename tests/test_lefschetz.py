@@ -41,6 +41,22 @@ def _module(a, b, seed=1):
     return generic_module(DegreeData(a, b), seed)
 
 
+GENERIC_PAIRS = [((2, 2, 3), (0,)), ((3, 4, 4), (0,)), ((1, 1, 2, 2), (0, 0)),
+                 ((2, 2, 3, 3), (0, 1)), ((2, 2, 2, 3), (0, 2)), ((1, 1, 1, 2, 2), (0, 0, 0)),
+                 ((2, 2, 2, 2, 2), (0, 1, 1))]
+EXPLICIT_PAIRS = [((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]]),
+                  ((2, 2, 3), (0,), [["x1^2", "x2^2", "x3^3"]]),
+                  ((3, 3, 3), (0,), [["x1^3", "x2^3", "x3^3"]]),
+                  ((1, 1, 2, 2), (0, 0), [["x1", "x2", "x3^2", "0"], ["0", "x1", "x2^2", "x3^2"]]),
+                  ((1, 1, 1, 1, 1), (0, 0, 0), [["x1", "x2", "x3", "0", "0"],
+                                                ["0", "x1", "x2", "x3", "0"],
+                                                ["0", "0", "x1", "x2", "x3"]])]
+
+
+def _explicit(a, b, grid, p):
+    return GradedModule.build(presentation_from_strings(DegreeData(a, b), grid, p))
+
+
 def _basis(m, i):
     return buchberger(list(locus_ideal_at(m, i).gens), ring=dual_ring(m))
 
@@ -160,10 +176,16 @@ def test_localization_agrees_with_fold_oracle_on_criterion_8(seed):
 
 
 def test_localization_agrees_with_fold_oracle_off_the_grid():
-    pres = presentation_from_strings(DegreeData((3, 4, 4), (0,)), [["x1^3", "x2^4", "x3^4"]])
-    for m in (GradedModule.build(pres), _module((2, 3, 3), (0,))):
+    # ``locus_ideal`` visits one degree of each Serre-dual pair and the
+    # oracle every degree: they agree on the middle ideal and on (l1), on
+    # the explicit presentations (pure powers among them) and on (2,3,3)
+    modules = [_explicit(a, b, grid, 65521) for a, b, grid in EXPLICIT_PAIRS]
+    for m in modules + [_module((2, 3, 3), (0,))]:
         middle = _middle(m)
         assert locus_ideal(m, middle) is fold_localization(m, middle) is True
+        ring = dual_ring(m)
+        l1 = buchberger([Polynomial.variable(ring, 0)], ring=ring)
+        assert locus_ideal(m, l1) is fold_localization(m, l1), m.degrees
 
 
 def test_localization_fails_where_a_degree_misses_the_middle():
@@ -344,6 +366,24 @@ def test_interpolation_round_trips_random_forms(p, s, cols, seed):
     assert lef._interpolate(chart, 0, values).tolist() == coeffs
 
 
+@pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
+def test_newton_tables_match_their_definitions(p):
+    # Delta[i, k] = (-1)^(i-k) C(i, k), and row k of F holds the
+    # coefficients of C(x, k), expanded here in exact rationals
+    from fractions import Fraction
+
+    for s in range(0, min(p - 1, 12) + 1):
+        delta, binom = lef._newton_tables(s, p)
+        assert delta.tolist() == [[(-1) ** (i - k) * comb(i, k) % p for k in range(s + 1)]
+                                  for i in range(s + 1)]
+        poly = [Fraction(1)]
+        for k in range(s + 1):
+            padded = poly + [0] * (s + 1 - len(poly))
+            assert binom[k].tolist() == [f.numerator * pow(f.denominator, p - 2, p) % p
+                                         for f in padded], (s, k)
+            poly = [(a - k * b) / (k + 1) for a, b in zip([0] + poly, poly + [0])]
+
+
 def test_lattice_minors_of_monomial_module_match_cofactor_determinants():
     # the pure-power module (3,4,4) drops rank at many chart points (1, b, c)
     # (40 (degree, point) pairs where every minor vanishes); every minor at
@@ -375,6 +415,37 @@ def test_middle_pair_selfduality_for_odd_total_twist():
         lhs = saturate(buchberger(list(locus_ideal_at(m, i_star).gens), ring=ring))
         rhs = saturate(buchberger(list(locus_ideal_at(m, i_star + 1).gens), ring=ring))
         assert same_ideal(lhs, rhs)
+
+
+def _assert_dual_spans_agree(m):
+    # Serre duality: the maximal minors of degrees i and d - 4 - i span one
+    # space, so their chart-value columns have one column span
+    deg, p = m.degrees, m.prime
+    pairs = 0
+    for i in range(deg.b[0] - 1, deg.d - 3 - deg.middle_degree):
+        j = deg.d - 4 - i
+        size = min(m.h(i), m.h(i + 1))
+        assert size == min(m.h(j), m.h(j + 1)), i
+        if i == j or not size:
+            continue
+        v_i, v_j = lef._minor_values(m, i, size), lef._minor_values(m, j, size)
+        assert _rank(v_i, p) == _rank(v_j, p) == _rank(np.hstack([v_i, v_j]), p), (i, j)
+        pairs += 1
+    assert pairs
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+@pytest.mark.parametrize("a,b", GENERIC_PAIRS)
+def test_dual_degrees_have_one_minor_span_on_generic_modules(a, b, p):
+    _assert_dual_spans_agree(generic_module(DegreeData(a, b), 1, p))
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+@pytest.mark.parametrize("a,b,grid", EXPLICIT_PAIRS)
+def test_dual_degrees_have_one_minor_span_on_explicit_presentations(a, b, grid, p):
+    # the pure powers (3,4,4) and the two n > 1 grids have degrees whose
+    # minor values fall short of full rank: the spans agree there too
+    _assert_dual_spans_agree(_explicit(a, b, grid, p))
 
 
 def test_is_lefschetz_generic_line():
@@ -482,23 +553,42 @@ def test_compressed_rank_equals_full_rank_on_criterion_8():
 
 
 def _recorded_minors(monkeypatch):
-    """(taller side, size, compressed?) of every ``_lattice_minors`` call."""
+    """(degree, size, compressed?) of every ``_minor_values`` call."""
     calls = []
-    minors = lef._lattice_minors
-    monkeypatch.setattr(lef, "_lattice_minors", lambda maps, size, p, *w: calls.append(
-        (max(maps[0].a.shape), size, bool(w))) or minors(maps, size, p, *w))
+    values = lef._minor_values
+    monkeypatch.setattr(lef, "_minor_values", lambda m, i, size, count=0: calls.append(
+        (i, size, bool(count))) or values(m, i, size, count))
     return calls
 
 
 def test_444_row_decides_degrees_2_and_6_on_compressed_values(monkeypatch):
     # degrees 2 and 6 of (4,4,4) are 10 x 6 maps with 210 maximal minors
-    # each; their 32 compressed columns reach rank 28 = C(8, 2), so no
-    # value matrix of all 210 minors is ever built
+    # each; degree 6 is the Serre dual of degree 2 (d - 4 - 2 = 6), so only
+    # degree 2 is visited, and its 32 compressed columns reach rank
+    # 28 = C(8, 2): no value matrix of all 210 minors is ever built.  The
+    # middle degree 4 is interpolated for the row's basis; degrees 5 to 9,
+    # dual to 3 down to -1, are never evaluated
     calls = _recorded_minors(monkeypatch)
     row = cli.survey_row({"a": [4, 4, 4], "b": [0], "seed": 1, "prime": 65521,
                           "matrix": None, "localization": True})
     assert {"claim": "middle-localization", "ok": True} in row["claims"]
-    assert calls.count((10, 6, True)) == 2 and (10, 6, False) not in calls
+    assert calls == [(4, 12, False), (0, 1, False), (1, 3, True), (2, 6, True), (3, 10, False)]
+
+
+def _dual_visits(m):
+    """The (degree, size, compressed?) calls that ``locus_ideal`` makes when
+    no compressed rank is full: one degree of each Serre-dual pair
+    (i, d - 4 - i), i <= d - 4 - i*, less the middle and the empty maps."""
+    deg = m.degrees
+    out = []
+    for i in range(deg.b[0] - 1, deg.d - 3 - deg.middle_degree):
+        size = min(m.h(i), m.h(i + 1))
+        if i == deg.middle_degree or not size:
+            continue
+        if comb(max(m.h(i), m.h(i + 1)), size) > comb(size + 2, 2) + 4:
+            out.append((i, size, True))
+        out.append((i, size, False))
+    return out
 
 
 @pytest.mark.parametrize("n, k, count, p", [(1, 1, 1, 2), (4, 2, 3, 13), (10, 6, 32, 65521),
@@ -518,16 +608,23 @@ def test_vectorised_draws_continue_the_stream():
 
 
 def test_zeroed_weights_fall_back_to_every_minor(monkeypatch):
-    # compressed values of rank 0 decide nothing: each degree then takes
-    # all of its minors, and the verdicts stay as they were
+    # compressed values of rank 0 decide nothing: each visited degree then
+    # takes all of its minors, and the verdicts stay as they were.  The
+    # visits are exactly one degree of each dual pair; the other degree of
+    # a pair is never evaluated
     monkeypatch.setattr(lef, "_weights", lambda n, k, count, p: np.zeros((count, n, k), np.int64))
     calls = _recorded_minors(monkeypatch)
+    visits = []
     for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
         m = _module(a, b)
-        assert locus_ideal(m, _middle(m)) is True, (a, b)
-    compressed = [j for j, call in enumerate(calls) if call[2]]
-    assert len(compressed) >= 16
-    assert all(calls[j + 1] == calls[j][:2] + (False,) for j in compressed)
+        middle = _middle(m)
+        del calls[:]
+        assert locus_ideal(m, middle) is True, (a, b)
+        assert calls == _dual_visits(m), (a, b)
+        deg = m.degrees
+        assert all(i <= deg.d - 4 - deg.middle_degree for i, _, _ in calls), (a, b)
+        visits += calls
+    assert sum(call[2] for call in visits) == 8 and len(visits) == 44
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
     assert locus_ideal(m, buchberger([Polynomial.variable(ring, 0)], ring=ring)) is False
