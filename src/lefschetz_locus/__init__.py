@@ -15,7 +15,7 @@ from .presentation import (
     graded_piece_matrix,
     random_presentation,
 )
-from .groebner import GroebnerBasis, IdealMeasure, buchberger, intersect, measure, saturate
+from .groebner import GroebnerBasis, IdealMeasure, buchberger, measure
 from .lefschetz import is_lefschetz, locus_ideal, locus_ideal_at
 from .bundle import (
     ChernData,
@@ -59,7 +59,6 @@ __all__ = [
     "generic_module",
     "graded_piece_matrix",
     "h0",
-    "intersect",
     "is_lefschetz",
     "kernel_basis",
     "lefschetz_oracle",
@@ -75,6 +74,5 @@ __all__ = [
     "random_presentation",
     "rank",
     "restrict",
-    "saturate",
     "splitting_type",
 ]

@@ -1,19 +1,23 @@
-"""Groebner engine over the dual coordinate ring.
+"""Groebner bases over the dual coordinate ring.
 
-One engine computes every basis: homogeneous generators, graded reverse-lex.
-It is F4 (Faugere 1999) in the per-degree form homogeneous ideals allow
-(Lazard 1983): a form of degree D is a dense residue row over the
-monomials of R_D in decreasing grevlex order, a monomial shift is one
-index scatter, and each degree's generators and critical pairs, pruned by
-the Gebauer-Moller criteria, are reduced together with their reducers by
-one ``field_linalg._rref``.  Inhomogeneous input is a named error.  Normal
-forms are projections off the same rows.  Ideal dimension and degree come
-from the Hilbert series of the leading-term ideal, intersection degree by
-degree from the pieces I_D and J_D, and saturation by the irrelevant ideal
-from reverse-lex bases.
+One class, :class:`GroebnerBasis`, is both the engine and its result: a
+homogeneous graded reverse-lex basis held as dense rows and grown one
+degree at a time.  It is F4 (Faugere 1999) in the per-degree form
+homogeneous ideals allow (Lazard 1983): a form of degree D is a dense
+residue row over the monomials of R_D in decreasing grevlex order, a
+monomial shift is one index scatter, and each degree's generators and
+critical pairs, pruned by the Gebauer-Moller criteria, are reduced together
+with their reducers by one ``field_linalg._rref``.  Inhomogeneous input is
+a named error.  Leading monomials, normal forms and membership read the
+stored rows.  Ideal dimension and degree come from the Hilbert series of
+the leading-term ideal, intersection degree by degree from the pieces I_D
+and J_D, and the saturation by the irrelevant ideal is the intersection of
+the three variable saturations I : l_v^infinity, each stripped off a basis
+with l_v last (Bayer-Stillman).
 
-Outside the engine polynomials are plain dicts mapping exponent triples to
-residues; the public surface speaks :class:`~.polyring.Polynomial`.
+Polynomials are :class:`~.polyring.Polynomial` at the public surface and
+dense rows inside; ``GroebnerBasis.basis`` builds the polynomials only when
+read.
 """
 
 from __future__ import annotations
@@ -67,28 +71,35 @@ def _pos(d: int, e: np.ndarray) -> np.ndarray:
     return e[..., 2] * (d + 1) - e[..., 2] * (e[..., 2] - 1) // 2 + e[..., 1]
 
 
-# -- dense per-degree engine ---------------------------------------------
+# -- the basis: a dense per-degree engine --------------------------------
 
 
-class _Engine:
-    """A homogeneous grevlex Groebner basis grown one degree at a time.
-    Element k is the dense row ``rows[k]`` over R_deg[k]; it leads at
-    ``lms[k]``, its first nonzero entry.  ``pairs`` holds the critical
-    pairs left, as (degree of lcm, i, j, lcm)."""
+class GroebnerBasis:
+    """A homogeneous grevlex Groebner basis of an ideal of ``ring``, grown
+    one degree at a time.  Element k is the dense row ``rows[k]`` over
+    R_deg[k]; it leads at ``lms[k]``, its first nonzero entry.  While it
+    grows, ``pairs`` holds the critical pairs left, as (degree of lcm, i,
+    j, lcm).  Grown by ``grow``, the basis is reduced and its rows monic."""
 
-    def __init__(self, p: int, basis: Iterable[RawPoly] = ()):
-        self.p = p
+    def __init__(self, ring: Ring):
+        self.ring = ring
         self.lms: list[tuple] = []
         self.deg: list[int] = []
         self.rows: list[np.ndarray] = []
         self.pairs: list[tuple] = []
-        for d, block in _by_degree(basis).items():  # forms known to be a basis
-            self.add(d, block)
 
-    def add(self, d: int, block: np.ndarray) -> None:
-        self.lms += [_table(d)[1][c] for c in (block != 0).argmax(1).tolist()]
-        self.deg += [d] * len(block)
-        self.rows += list(block)
+    @property
+    def basis(self) -> tuple[Polynomial, ...]:
+        """The elements as polynomials, sorted by leading monomial."""
+        order = sorted(range(len(self.lms)), key=lambda k: grevlex_key(self.lms[k]))
+        return tuple(Polynomial(self.ring, _raw(self.rows[k], self.deg[k])) for k in order)
+
+    @property
+    def is_unit(self) -> bool:
+        return 0 in self.deg
+
+    def leading_monomials(self) -> list[tuple[int, int, int]]:
+        return sorted(self.lms, key=grevlex_key)  # the order of ``basis``
 
     def divisors(self, d: int) -> np.ndarray:
         """For each monomial of R_d the first element whose leading
@@ -139,11 +150,13 @@ class _Engine:
             want[ms] = False
             a = np.vstack([a, self.lead_at(first[ms], ms, d)])
         cols = np.flatnonzero(a.any(0))
-        red, pivots = _rref(a[:, cols], self.p)
+        red, pivots = _rref(a[:, cols], self.ring.prime)
         new = [r for r, c in enumerate(pivots) if first[cols[c]] < 0]
         block = np.zeros((len(new), len(first)), dtype=np.int64)
         block[:, cols] = red[new]
-        self.add(d, block)
+        self.lms += [_table(d)[1][c] for c in (block != 0).argmax(1).tolist()]
+        self.deg += [d] * len(block)
+        self.rows += list(block)
         for h in range(len(self.lms) - len(new), len(self.lms)):
             self._pair(h)
 
@@ -163,7 +176,7 @@ class _Engine:
                                                           _mono_lcm(lms[j], lm))]
         self.pairs += [(sum(lcm), i, h, lcm) for i, lcm in kept if lcm != _mono_mul(lms[i], lm)]
 
-    def grow(self, todo: dict[int, np.ndarray]) -> "_Engine":
+    def grow(self, todo: dict[int, np.ndarray]) -> "GroebnerBasis":
         """Extend the basis by the forms ``todo`` (rows by degree): one step
         per degree that holds forms or critical pairs, lowest first."""
         while todo or self.pairs:
@@ -171,10 +184,21 @@ class _Engine:
             self.step(d, todo.pop(d, np.zeros((0, comb(d + 2, 2)), dtype=np.int64)))
         return self
 
-    def raws(self) -> list[RawPoly]:
-        """The elements as raw dicts, sorted by leading monomial."""
-        order = sorted(range(len(self.lms)), key=lambda k: grevlex_key(self.lms[k]))
-        return [_raw(self.rows[k], self.deg[k]) for k in order]
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """The remainder of f on the monomials no leading monomial divides:
+        each degree-d part less its projection on the reduced rows of I_d."""
+        if f.ring != self.ring:
+            raise ValueError("polynomial lives in the wrong ring")
+        p, out = self.ring.prime, {}
+        for d in {sum(m) for m in f.terms}:
+            row = _dense({m: c for m, c in f.terms.items() if sum(m) == d})[1][None]
+            red, pivots = _rref(self.span(d), p)
+            pivots = list(pivots)
+            out.update(_raw((row - _matmul(row[:, pivots], red[:len(pivots)], p))[0] % p, d))
+        return Polynomial(self.ring, out)
+
+    def contains(self, f: Polynomial) -> bool:
+        return self.normal_form(f).is_zero()
 
 
 def _dense(f: RawPoly) -> tuple[int, np.ndarray]:
@@ -190,10 +214,10 @@ def _dense(f: RawPoly) -> tuple[int, np.ndarray]:
     return d, row
 
 
-def _by_degree(raws: Iterable[RawPoly]) -> dict[int, np.ndarray]:
-    """Nonzero homogeneous forms as dense rows, stacked per degree."""
+def _by_degree(forms: Iterable[tuple[int, np.ndarray]]) -> dict[int, np.ndarray]:
+    """(degree, dense row) pairs stacked per degree."""
     out: dict[int, list[np.ndarray]] = {}
-    for d, row in map(_dense, filter(None, raws)):
+    for d, row in forms:
         out.setdefault(d, []).append(row)
     return {d: np.array(rows) for d, rows in out.items()}
 
@@ -201,54 +225,6 @@ def _by_degree(raws: Iterable[RawPoly]) -> dict[int, np.ndarray]:
 def _raw(row: np.ndarray, d: int) -> RawPoly:
     monos, nz = _table(d)[1], np.flatnonzero(row)
     return dict(zip([monos[j] for j in nz.tolist()], row[nz].tolist()))
-
-
-def _buchberger_raw(gens: Iterable[RawPoly], p: int) -> list[RawPoly]:
-    """Reduced grevlex Groebner basis of homogeneous raw generators, sorted
-    by leading monomial (F4 on Macaulay rows)."""
-    return _Engine(p).grow(_by_degree(gens)).raws()
-
-
-# -- public wrappers -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroebnerBasis:
-    ring: Ring
-    basis: tuple[Polynomial, ...]
-
-    @property
-    def is_unit(self) -> bool:
-        return any(f.degree() == 0 for f in self.basis)
-
-    def leading_monomials(self) -> list[tuple[int, int, int]]:
-        return [max(f.terms, key=grevlex_key) for f in self.basis]
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        """The remainder of f on the monomials no leading monomial divides:
-        each degree-d part less its projection on the reduced rows of I_d."""
-        if f.ring != self.ring:
-            raise ValueError("polynomial lives in the wrong ring")
-        p, out = self.ring.prime, {}
-        engine = _Engine(p, (g.terms for g in self.basis))
-        for d in {sum(m) for m in f.terms}:
-            row = _dense({m: c for m, c in f.terms.items() if sum(m) == d})[1][None]
-            red, pivots = _rref(engine.span(d), p)
-            pivots = list(pivots)
-            out.update(_raw((row - _matmul(row[:, pivots], red[:len(pivots)], p))[0] % p, d))
-        return Polynomial(self.ring, out)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
-
-
-def _as_basis(ideal) -> GroebnerBasis:
-    if isinstance(ideal, GroebnerBasis):
-        return ideal
-    gens = list(ideal)
-    if not gens:
-        raise ValueError("cannot infer the ring of an empty generator list")
-    return buchberger(gens)
 
 
 def buchberger(gens: Sequence[Polynomial], ring: Ring | None = None) -> GroebnerBasis:
@@ -261,13 +237,12 @@ def buchberger(gens: Sequence[Polynomial], ring: Ring | None = None) -> Groebner
     for g in gens:
         if g.ring != ring:
             raise ValueError("mixed rings in generator list")
-    raw = _buchberger_raw([g.terms for g in gens], ring.prime)
-    return GroebnerBasis(ring, tuple(Polynomial(ring, f) for f in raw))
+    return GroebnerBasis(ring).grow(_by_degree(_dense(g.terms) for g in gens if g.terms))
 
 
 def same_ideal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
     """Ideal equality: reduced Groebner bases are unique.  No CLI path
-    compares ideals; this stays because perfbench/spans.py wraps it by name."""
+    compares ideals; tests use it, and perfbench/spans.py wraps it by name."""
     return a.basis == b.basis
 
 
@@ -341,7 +316,7 @@ def measure(gb: GroebnerBasis) -> IdealMeasure:
 # -- intersection and saturation -----------------------------------------
 
 
-def intersect(i1, i2) -> GroebnerBasis:
+def intersect(one: GroebnerBasis, two: GroebnerBasis) -> GroebnerBasis:
     """Intersection of two homogeneous ideals, degree by degree.  K, the
     ideal of the pieces found so far, grows by one engine step per degree
     D, and where K_D falls short of the dimension of (I n J)_D the step
@@ -349,16 +324,15 @@ def intersect(i1, i2) -> GroebnerBasis:
     (each piece spanned by one shifted basis element per divisible
     monomial).  K lies in I n J, so it is I n J once R/K has the Hilbert
     series of R/(I n J), HS(R/I) + HS(R/J) - HS(R/(I+J)) by the exact
-    sequence; the leading monomials so far are then a Groebner basis."""
-    gb1, gb2 = _as_basis(i1), _as_basis(i2)
-    ring, p = gb1.ring, gb1.ring.prime
-    if gb2.ring != ring:
+    sequence; the leading monomials so far are then a Groebner basis, and
+    the pairs left reduce to zero."""
+    ring, p = one.ring, one.ring.prime
+    if two.ring != ring:
         raise ValueError("ideals live in different rings")
-    one, two = _Engine(p, (f.terms for f in gb1.basis)), _Engine(p, (f.terms for f in gb2.basis))
-    both = _Engine(p, (f.terms for f in gb1.basis)).grow(_by_degree(f.terms for f in gb2.basis))
+    both = GroebnerBasis(ring).grow(_by_degree(zip(one.deg + two.deg, one.rows + two.rows)))
     target = _trimmed([a + b - c for a, b, c in zip_longest(
         _series(one.lms), _series(two.lms), _series(both.lms), fillvalue=0)])
-    meet = _Engine(p)
+    meet = GroebnerBasis(ring)
     d = max(min(one.deg, default=0), min(two.deg, default=0))
     while _series(meet.lms) != target:
         n, have = comb(d + 2, 2), meet.divisors(d) >= 0
@@ -374,40 +348,50 @@ def intersect(i1, i2) -> GroebnerBasis:
             rows = red[[r for r, c in enumerate(pivots) if c >= n], n:]
         meet.step(d, rows)
         d += 1
-    return GroebnerBasis(ring, tuple(Polynomial(ring, f) for f in meet.raws()))
+    meet.pairs = []
+    return meet
 
 
-def _saturate_variable(raws: list[RawPoly], v: int, p: int) -> list[RawPoly]:
-    """Generators of I : l_v^infinity for homogeneous I: compute a Groebner
-    basis in graded reverse-lex with l_v last and strip the l_v powers."""
-    perm = [i for i in range(3) if i != v] + [v]
-    back = [perm.index(i) for i in range(3)]
+def _moved(d: int, row: np.ndarray, perm: list[int], low: int = 0) -> tuple[int, np.ndarray]:
+    """The degree-d form ``row`` divided by l3^low, with variable perm[k]
+    renamed l_k: a row over R_(d - low)."""
+    nz = np.flatnonzero(row)
+    out = np.zeros(comb(d - low + 2, 2), dtype=np.int64)
+    out[_pos(d - low, (_table(d)[0][nz] - [0, 0, low])[:, perm])] = row[nz]
+    return d - low, out
+
+
+def _variable_saturations(gb: GroebnerBasis) -> list[GroebnerBasis]:
+    """The bases of I : l_v^infinity, v = 1, 2, 3, for the ideal I of gb.
+
+    In grevlex with l_v last, l_v divides a homogeneous form exactly when
+    it divides its leading monomial, so dividing each element of a basis
+    in that order by its largest power of l_v gives a basis of
+    I : l_v^infinity (Bayer-Stillman); it is then grown in the ring's
+    order.  Their intersection is the saturation I^sat = I : m^infinity,
+    m = (l1, l2, l3): if f m^k lies in I then so does f l_v^k for each v,
+    and if f l_v^k lies in I for each v then so does f m^(3k-2), as every
+    monomial of degree 3k - 2 has some exponent at least k.  So g lies in
+    I^sat exactly when it lies in all three bases; no intersection is
+    needed to test that."""
     out = []
-    for f in _buchberger_raw([{tuple(m[i] for i in perm): c for m, c in f.items()}
-                              for f in raws], p):
-        low = min(m[2] for m in f)
-        out.append({tuple((m[0], m[1], m[2] - low)[i] for i in back): c for m, c in f.items()})
+    for v in range(3):
+        perm = [i for i in range(3) if i != v] + [v]
+        back = [perm.index(i) for i in range(3)]
+        last = gb if v == 2 else GroebnerBasis(gb.ring).grow(
+            _by_degree(_moved(d, row, perm) for d, row in zip(gb.deg, gb.rows)))
+        out.append(GroebnerBasis(gb.ring).grow(_by_degree(
+            _moved(d, row, back, int(_table(d)[0][np.flatnonzero(row), 2].min()))
+            for d, row in zip(last.deg, last.rows))))
     return out
 
 
-def saturate(ideal) -> GroebnerBasis:
-    """Saturation with respect to the irrelevant ideal (l1, l2, l3).
-
-    The saturation by the whole irrelevant ideal is the intersection of the
-    three single-variable saturations, each of which drops out of one
-    reverse-lex basis by stripping trailing-variable powers.
-    """
-    gb = _as_basis(ideal)
-    ring, raws = gb.ring, [g.terms for g in gb.basis]
-    if not raws:
-        return gb
-    parts = []
-    for v in range(3):
-        sat_raw = _saturate_variable(raws, v, ring.prime)
-        parts.append(buchberger([Polynomial(ring, f) for f in sat_raw], ring=ring))
+def saturate(gb: GroebnerBasis) -> GroebnerBasis:
+    """Saturation with respect to the irrelevant ideal (l1, l2, l3): the
+    intersection of the three bases of ``_variable_saturations``."""
+    parts = _variable_saturations(gb)
     result = parts[0]
     for part in parts[1:]:
-        if part.basis == result.basis:
-            continue  # no component clings to this coordinate line
-        result = intersect(result, part)
+        if not same_ideal(part, result):  # a component clings to this coordinate line
+            result = intersect(result, part)
     return result

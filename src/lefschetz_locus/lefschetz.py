@@ -9,7 +9,8 @@ l1 = 1, by complementary minors of one left kernel per point, and
 interpolated in closed form (Newton differences), so a locus needs a prime
 above s.  ``locus_ideal`` decides whether the middle degree alone cuts
 out the whole locus: a degree passes if its minor values have full rank, else
-by one Macaulay-matrix rank, saturating only where that falls short.  A
+by one Macaulay-matrix rank, and only where that falls short by normal
+forms against the three variable saturations I : l_v^infinity.  A
 degree with many minors is first tried on C(s+2, 2) + 4 seeded
 combinations det(Q_j^T X) of them (Cauchy-Binet), which need no subset
 enumeration: each is the value vector of a form in the degree's minor
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import rand
 from .field_linalg import Matrix, _matmul, _rref, rank
-from .groebner import GroebnerBasis, _mono_mul, buchberger, saturate
+from .groebner import GroebnerBasis, _mono_mul, _pos, _variable_saturations, buchberger
 from .polyring import Polynomial, Ring, monomial_basis
 from .presentation import GradedModule
 
@@ -249,13 +250,6 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     return LocusIdeal(_forms(ring, size, _interpolate(m, i)))
 
 
-def _coefficients(gens, s: int) -> np.ndarray:
-    """Rows of coefficients of degree-s forms, in ``monomial_basis`` order."""
-    monos = monomial_basis(s).monomials
-    return np.array([[g.terms.get(mo, 0) for mo in monos] for g in gens],
-                    dtype=np.int64).reshape(len(gens), len(monos))
-
-
 def _macaulay_rows(coeffs: np.ndarray, s: int, top: int) -> np.ndarray:
     """Coefficients in degree ``top`` of every degree-(top - s) monomial
     times every degree-s form given by a row of ``coeffs``."""
@@ -267,20 +261,22 @@ def _macaulay_rows(coeffs: np.ndarray, s: int, top: int) -> np.ndarray:
     return out.reshape(-1, len(index))
 
 
-def _in_saturation(mid: list[Polynomial], coeffs: np.ndarray, s: int, ring: Ring) -> bool:
-    """Do the forms ``mid`` (of degree s_mid) lie in I^sat, I the ideal of
-    the degree-s forms with the coefficient rows ``coeffs``?  With
-    D = max(s_mid, s), mid * R_{D-s_mid} must reduce to zero against
-    R_{D-s} times those forms; that puts m^(D-s_mid) * mid in I.  Only where
-    it fails is I saturated, and normal forms decide."""
+def _in_saturation(mid: np.ndarray, s_mid: int, coeffs: np.ndarray, s: int,
+                   ring: Ring) -> bool:
+    """Do the degree-s_mid forms with the coefficient rows ``mid`` lie in
+    I^sat, I the ideal of the degree-s forms with the rows ``coeffs`` (rows
+    in ``monomial_basis`` order)?  With D = max(s_mid, s), mid * R_{D-s_mid}
+    must reduce to zero against R_{D-s} times those forms; that puts
+    m^(D-s_mid) * mid in I.  Only where it fails are the forms tested
+    against each of the three bases of I : l_v^infinity, whose intersection
+    is I^sat (``groebner._variable_saturations``)."""
     p = ring.prime
-    s_mid = mid[0].degree() if mid else 0
     span, pivots = _rref(_macaulay_rows(coeffs, s, max(s_mid, s)), p)
-    rows = _macaulay_rows(_coefficients(mid, s_mid), s_mid, max(s_mid, s))
+    rows = _macaulay_rows(mid, s_mid, max(s_mid, s))
     if not ((rows - _matmul(rows[:, list(pivots)], span[:len(pivots)], p)) % p).any():
         return True
-    sat = saturate(buchberger(list(_forms(ring, s, coeffs)), ring=ring))
-    return all(sat.contains(g) for g in mid)
+    sats = _variable_saturations(buchberger(list(_forms(ring, s, coeffs)), ring=ring))
+    return all(sat.contains(g) for sat in sats for g in _forms(ring, s_mid, mid))
 
 
 def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
@@ -303,7 +299,10 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
     every minor ideal."""
     deg = m.degrees
     ring = dual_ring(m)
-    mid = [g for g in middle.basis if g.degree() == middle.basis[0].degree()]
+    s_mid = min(middle.deg, default=0)
+    mid = np.array([row for d, row in zip(middle.deg, middle.rows) if d == s_mid],
+                   dtype=np.int64).reshape(-1, comb(s_mid + 2, 2))
+    mid = mid[:, _pos(s_mid, np.array(monomial_basis(s_mid).monomials))]  # to basis order
     for i in range(deg.b[0] - 1, deg.d - 3 - deg.middle_degree):  # i <= d - 4 - i*
         size = min(m.h(i), m.h(i + 1))
         if i == deg.middle_degree or size == 0:
@@ -315,7 +314,7 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
         values = _minor_values(m, i, size)
         _, pivots = _rref(values, m.prime)
         if len(pivots) < points and not _in_saturation(
-                mid, _interpolate(m, i, values[:, list(pivots)]), size, ring):
+                mid, s_mid, _interpolate(m, i, values[:, list(pivots)]), size, ring):
             return False
     return True
 

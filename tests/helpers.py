@@ -395,8 +395,8 @@ def _monic(f: dict, key, p: int) -> dict:
 def dict_buchberger(gens, key, p: int) -> list[dict]:
     """Reduced Groebner basis of raw dict generators under ``key``, one
     S-polynomial at a time with Buchberger's coprime and chain criteria;
-    pairs go by lcm degree first.  Same output contract as
-    ``groebner._buchberger_raw``: monic, sorted by leading monomial."""
+    pairs go by lcm degree first.  Same output contract as the terms of
+    ``groebner.buchberger(...).basis``: monic, sorted by leading monomial."""
     basis: list[dict] = []
     lms: list[tuple] = []
     pairs: dict[tuple[int, int], tuple] = {}  # -> (deg, key(lcm), (i, j), lcm)
@@ -607,7 +607,7 @@ def colon(ideal: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     if f.is_zero():
         raise ValueError("colon by zero")
     ring = ideal.ring
-    meet = intersect(ideal, [f])
+    meet = intersect(ideal, buchberger([f], ring=ring))
     return buchberger([Polynomial(ring, _divide_exact(g.terms, f.terms, ring.prime))
                        for g in meet.basis], ring=ring)
 

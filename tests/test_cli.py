@@ -254,7 +254,7 @@ def test_localization_row_takes_one_basis_and_no_saturation(monkeypatch):
     # every other degree passes the containment test by rank alone
     from lefschetz_locus import groebner, lefschetz
 
-    calls = {"buchberger": 0, "saturate": 0}
+    calls = {"buchberger": 0, "_variable_saturations": 0}
     for name in calls:
         original = getattr(groebner, name)
 
@@ -265,12 +265,14 @@ def test_localization_row_takes_one_basis_and_no_saturation(monkeypatch):
         for mod in (cli, groebner, lefschetz):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    # the localization test binds both, so neither count passes vacuously
+    assert all(getattr(lefschetz, name).__name__ == "counted" for name in calls)
     for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
-        calls.update(buchberger=0, saturate=0)
+        calls.update(buchberger=0, _variable_saturations=0)
         row = cli.survey_row({"a": list(a), "b": list(b), "seed": 1, "prime": 65521,
                               "matrix": None, "localization": True})
         assert {"claim": "middle-localization", "ok": True} in row["claims"]
-        assert calls == {"buchberger": 1, "saturate": 0}, a
+        assert calls == {"buchberger": 1, "_variable_saturations": 0}, a
 
 
 @pytest.mark.parametrize("argv", [["--grid", "ci:2-3", "--seed", "4"],

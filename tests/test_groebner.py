@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _elim1_key,
+    _normal_form,
     colon,
     dict_buchberger,
     elimination_intersect,
@@ -17,7 +18,7 @@ from helpers import (
 from lefschetz_locus import field_linalg, groebner, rand
 from lefschetz_locus.groebner import (
     GroebnerBasis,
-    _buchberger_raw,
+    _variable_saturations,
     buchberger,
     grevlex_key,
     intersect,
@@ -165,8 +166,7 @@ def _measure_leading_terms(gens, key, ring):
     # measure of the initial monomial ideal under ``key``; for a homogeneous
     # ideal it has the ideal's Hilbert function whatever the order
     raw = dict_buchberger([g.terms for g in gens], key, ring.prime)
-    leading = [Polynomial(ring, {max(f, key=key): 1}) for f in raw]
-    return measure(GroebnerBasis(ring, tuple(leading)))
+    return measure(buchberger([Polynomial(ring, {max(f, key=key): 1}) for f in raw], ring=ring))
 
 
 @pytest.mark.parametrize("a,b", [((2, 2, 3), (0,)), ((2, 2, 2), (0,)), ((1, 1, 1, 2), (0, 0))])
@@ -224,8 +224,18 @@ def _homogeneous_gens(draw, p, kinds=("form",) * 8 + ("zero", "unit"), top=4):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), p=st.sampled_from(_PRIMES))
 def test_batched_engine_matches_dict_oracle(data, p):
+    # the basis, and what ``measure`` and ``contains`` read off its rows
+    ring = Ring(prime=p, dual=True)
     gens = data.draw(_homogeneous_gens(p))
-    assert _buchberger_raw(gens, p) == dict_buchberger(gens, grevlex_key, p)
+    gb = buchberger([Polynomial(ring, g) for g in gens], ring=ring)
+    want = dict_buchberger(gens, grevlex_key, p)
+    assert [f.terms for f in gb.basis] == want
+    lms = [max(f, key=grevlex_key) for f in want]
+    assert gb.leading_monomials() == lms
+    assert gb.is_unit == any(sum(m) == 0 for f in want for m in f)
+    form = data.draw(_homogeneous_gens(p, ("form",)))[0]
+    assert gb.normal_form(Polynomial(ring, form)).terms == _normal_form(
+        form, list(zip(lms, want)), grevlex_key, p)
 
 
 @settings(max_examples=25, deadline=None)
@@ -233,7 +243,8 @@ def test_batched_engine_matches_dict_oracle(data, p):
 def test_intersect_matches_elimination_oracle(data, p):
     ring = Ring(prime=p, dual=True)
     left, right = (data.draw(_homogeneous_gens(p, ("form",), top=3)) for _ in range(2))
-    meet = intersect([Polynomial(ring, f) for f in left], [Polynomial(ring, f) for f in right])
+    meet = intersect(*(buchberger([Polynomial(ring, f) for f in gens], ring=ring)
+                       for gens in (left, right)))
     assert meet.basis == tuple(Polynomial(ring, f) for f in elimination_intersect(left, right, p))
 
 
@@ -274,7 +285,7 @@ def test_intersect_self_is_identity():
 
 
 def test_intersect_principal_ideals():
-    meet = intersect([L1], [L2])
+    meet = intersect(buchberger([L1]), buchberger([L2]))
     assert meet.basis == (multiply(L1, L2),)
 
 
@@ -296,7 +307,7 @@ def test_colon_divides_out():
 
 def test_saturate_strips_irrelevant_power():
     gens = [multiply(L1, L1), multiply(L1, L2), multiply(L1, L3)]
-    sat = saturate(gens)
+    sat = saturate(buchberger(gens))
     assert sat.basis == (L1,)
 
 
@@ -312,14 +323,41 @@ def _saturate_by_iterated_colon(gb: GroebnerBasis) -> GroebnerBasis:
         current = step
 
 
-@pytest.mark.parametrize("gens", [
+_COLON_FIXTURES = [
     [lambda: multiply(L1, L1), lambda: multiply(L1, L2), lambda: multiply(L1, L3)],
     [lambda: multiply(L1, L2)],
     [lambda: multiply(L1 + L2, L3), lambda: multiply(L1, L1)],
-])
+]
+
+
+@pytest.mark.parametrize("gens", _COLON_FIXTURES)
 def test_saturate_matches_iterated_colon_oracle(gens):
     ideal = buchberger([g() for g in gens])
     assert same_ideal(saturate(ideal), _saturate_by_iterated_colon(ideal))
+
+
+@pytest.mark.parametrize("gens", _COLON_FIXTURES)
+def test_variable_saturations_decide_iterated_colon_membership(gens):
+    # a form lies in the saturation exactly when it lies in all three
+    # I : l_v^infinity: every monomial up to degree 3, and every element of
+    # the oracle's basis and of the three bases
+    ideal = buchberger([g() for g in gens])
+    sats, oracle = _variable_saturations(ideal), _saturate_by_iterated_colon(ideal)
+    forms = [Polynomial(S, {m: 1}) for d in range(4) for m in monomial_basis(d).monomials]
+    for g in forms + list(oracle.basis) + [h for sat in sats for h in sat.basis]:
+        assert all(sat.contains(g) for sat in sats) == oracle.contains(g), g
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), p=st.sampled_from(_PRIMES))
+def test_variable_saturations_decide_saturation_membership(data, p):
+    ring = Ring(prime=p, dual=True)
+    ideal = buchberger([Polynomial(ring, f) for f in data.draw(
+        _homogeneous_gens(p, ("form",), top=3))], ring=ring)
+    sats, sat = _variable_saturations(ideal), saturate(ideal)
+    forms = [Polynomial(ring, f) for f in data.draw(_homogeneous_gens(p, ("form",), top=3))]
+    for g in forms + list(sat.basis) + [h for part in sats for h in part.basis]:
+        assert all(part.contains(g) for part in sats) == sat.contains(g), g
 
 
 def test_saturate_monomial_fixture_matches_oracle():
@@ -362,7 +400,7 @@ def test_saturate_unit_and_idempotence():
     prin = buchberger([L1 + L2])
     assert same_ideal(saturate(prin), prin)
     gens = [multiply(L1, L1), multiply(L1, L2), multiply(L1, L3)]
-    once = saturate(gens)
+    once = saturate(buchberger(gens))
     assert same_ideal(saturate(once), once)
 
 

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from helpers import det_mod, evaluate, fold_localization, rational_points_0dim, specialize
 from test_acceptance import CI_GRID, N2_GRID
-from lefschetz_locus import cli, rand
+from lefschetz_locus import cli, groebner, rand
 from lefschetz_locus import lefschetz as lef
 from lefschetz_locus.field_linalg import Matrix, _matmul, _rref
-from lefschetz_locus.groebner import buchberger, same_ideal, saturate
+from lefschetz_locus.groebner import _variable_saturations, buchberger, same_ideal, saturate
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
-    _coefficients,
     _in_saturation,
     dual_ring,
     find_lefschetz_line,
@@ -55,6 +54,21 @@ EXPLICIT_PAIRS = [((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]]),
 
 def _explicit(a, b, grid, p):
     return GradedModule.build(presentation_from_strings(DegreeData(a, b), grid, p))
+
+
+def _coefficients(gens, s):
+    # coefficient rows of degree-s forms, in ``monomial_basis`` order
+    return np.array([[g.terms.get(mo, 0) for mo in monomial_basis(s).monomials] for g in gens],
+                    dtype=np.int64).reshape(len(gens), -1)
+
+
+def _no_intersect(monkeypatch):
+    # the fallback tests membership in the three variable saturations and
+    # never forms their intersection
+    def forbidden(*args):
+        raise AssertionError("the localization fallback intersected ideals")
+
+    monkeypatch.setattr(groebner, "intersect", forbidden)
 
 
 def _basis(m, i):
@@ -188,13 +202,17 @@ def test_localization_agrees_with_fold_oracle_off_the_grid():
         assert locus_ideal(m, l1) is fold_localization(m, l1), m.degrees
 
 
-def test_localization_fails_where_a_degree_misses_the_middle():
+def test_localization_fails_where_a_degree_misses_the_middle(monkeypatch):
     # l1 vanishes at none of the six points that every cubic minor ideal of
     # (2,2,3) cuts out, so (l1) lies in no saturation and the fold grows
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
     middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
-    assert locus_ideal(m, middle) is fold_localization(m, middle) is False
+    want = fold_localization(m, middle)
+    _no_intersect(monkeypatch)
+    calls = _counting_saturations(monkeypatch)
+    assert locus_ideal(m, middle) is want is False
+    assert calls
 
 
 def test_lower_degree_middle_is_shifted_up_to_each_minor_degree(monkeypatch):
@@ -204,25 +222,26 @@ def test_lower_degree_middle_is_shifted_up_to_each_minor_degree(monkeypatch):
     ring = dual_ring(m)
     middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
     assert fold_localization(m, middle)
-    monkeypatch.setattr(lef, "saturate", _forbidden)
+    monkeypatch.setattr(lef, "_variable_saturations", _forbidden)
     assert locus_ideal(m, middle)
     # (l1) against l1 * m passes in degree D = 2 > 1, without saturation
     l1, l2, l3 = (Polynomial.variable(ring, v) for v in range(3))
-    assert _in_saturation([l1], _coefficients((l1 * l1, l1 * l2, l1 * l3), 2), 2, ring)
+    assert _in_saturation(_coefficients([l1], 1), 1,
+                          _coefficients((l1 * l1, l1 * l2, l1 * l3), 2), 2, ring)
 
 
 def _forbidden(*args):
     raise AssertionError("the rank test should have decided")
 
 
-def _counting_saturate(monkeypatch):
+def _counting_saturations(monkeypatch):
     calls = []
 
-    def counted(ideal):
-        calls.append(ideal)
-        return saturate(ideal)
+    def counted(gb):
+        calls.append(gb)
+        return _variable_saturations(gb)
 
-    monkeypatch.setattr(lef, "saturate", counted)
+    monkeypatch.setattr(lef, "_variable_saturations", counted)
     return calls
 
 
@@ -230,8 +249,10 @@ def test_saturation_decides_where_the_rank_falls_short(monkeypatch):
     # (l3) against (l1^2, l2^2, l3^2, l1*l2): l1*l3 is missing in degree 2,
     # but the ideal is m-primary, so its saturation is the unit ideal
     l1, l2, l3 = (Polynomial.variable(R, v) for v in range(3))
-    calls = _counting_saturate(monkeypatch)
-    assert _in_saturation([l3], _coefficients((l1 * l1, l2 * l2, l3 * l3, l1 * l2), 2), 2, R)
+    _no_intersect(monkeypatch)
+    calls = _counting_saturations(monkeypatch)
+    assert _in_saturation(_coefficients([l3], 1), 1,
+                          _coefficients((l1 * l1, l2 * l2, l3 * l3, l1 * l2), 2), 2, R)
     assert len(calls) == 1
 
 
@@ -239,10 +260,12 @@ def test_saturation_rejects_a_form_off_the_locus(monkeypatch):
     # (l1) against (l2): the line l2 = 0 is saturated and misses l1; nothing
     # but the zero form lies in the zero ideal (no coefficient rows)
     l1, l2 = Polynomial.variable(R, 0), Polynomial.variable(R, 1)
-    calls = _counting_saturate(monkeypatch)
-    assert not _in_saturation([l1], _coefficients((l2,), 1), 1, R)
-    assert not _in_saturation([l1], np.zeros((0, 3), dtype=np.int64), 1, R)
-    assert _in_saturation([], _coefficients((l2,), 1), 1, R)
+    _no_intersect(monkeypatch)
+    calls = _counting_saturations(monkeypatch)
+    mid = _coefficients([l1], 1)
+    assert not _in_saturation(mid, 1, _coefficients((l2,), 1), 1, R)
+    assert not _in_saturation(mid, 1, np.zeros((0, 3), dtype=np.int64), 1, R)
+    assert _in_saturation(mid[:0], 1, _coefficients((l2,), 1), 1, R)
     assert len(calls) == 2
 
 
@@ -267,7 +290,9 @@ def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
     assert (len(_rref(values, m.prime)[1]) == len(values)) is spans
     middle = _middle(m).basis
     mid = [g for g in middle if g.degree() == middle[0].degree()]
-    assert _in_saturation(mid, lef._interpolate(m, i), k, dual_ring(m))
+    s_mid = mid[0].degree()
+    assert _in_saturation(_coefficients(mid, s_mid), s_mid, lef._interpolate(m, i), k,
+                          dual_ring(m))
 
 
 @pytest.mark.parametrize("a,calls", [((4, 4, 4), [4]), ((3, 4, 4), [3, 4])])
