@@ -270,20 +270,22 @@ def _series(lms: Iterable[tuple]) -> list[int]:
     c < C of t^c (1 - t) N_c plus t^C N_C.  A plane staircase, minimal
     generators (a_0 < ... < a_r, b_0 > ... > b_r), has N_c = 1 - sum
     t^(a_i + b_i) + sum t^(a_(i+1) + b_i)."""
-    lms = np.array(sorted(set(lms)), dtype=np.int64).reshape(-1, 3)
-    top = int(lms[:, 2].max(initial=0))
-    out = np.zeros(3 * int(lms.sum(1).max(initial=0)) + 2, dtype=np.int64)
+    lms = sorted(set(lms))
+    top = max((k for *_, k in lms), default=0)
+    out = [0] * (3 * max(map(sum, lms), default=0) + 2)
     for c in range(top + 1):
-        plane = lms[lms[:, 2] <= c, :2]  # sorted by a, then b
-        a, b = plane[plane[:, 1] < np.minimum.accumulate(np.r_[1 << 62, plane[:-1, 1]])].T
-        n_c = np.zeros(len(out), dtype=np.int64)
-        n_c[0] = 1
-        np.add.at(n_c, a + b, -1)
-        np.add.at(n_c, a[1:] + b[:-1], 1)
-        if c < top:
-            n_c -= np.r_[0, n_c[:-1]]
-        out[c:] += n_c[:len(out) - c]
-    return _trimmed(out.tolist())
+        terms, least = [(0, 1)], None
+        for a, b, k in lms:  # sorted by a, then b: a b below all before is minimal
+            if k <= c and (least is None or b < least):
+                terms.append((a + b, -1))
+                if least is not None:
+                    terms.append((a + least, 1))
+                least = b
+        for e, v in terms:  # t^c N_c, times 1 - t below the top
+            out[c + e] += v
+            if c < top:
+                out[c + e + 1] -= v
+    return _trimmed(out)
 
 
 def _strip_one_minus_z(coeffs: list[int]) -> list[int]:
@@ -292,9 +294,10 @@ def _strip_one_minus_z(coeffs: list[int]) -> list[int]:
 
 
 def _trimmed(coeffs: list[int]) -> list[int]:
-    while coeffs and not coeffs[-1]:
-        coeffs = coeffs[:-1]
-    return coeffs
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return coeffs[:n]
 
 
 def measure(gb: GroebnerBasis) -> IdealMeasure:

@@ -24,7 +24,8 @@ is a perfect pairing compatible with multiplication.  In dual bases,
 multiplication by a line from degree d - 4 - i to d - 3 - i is then the
 transpose of the map from degree i to i + 1, up to fixed invertible
 changes of basis, which act invertibly on the span of the maximal minors:
-I_i = I_(d-4-i).  ``locus_ideal`` decides one degree of each such pair.
+I_i = I_(d-4-i).  ``locus_ideal`` decides one degree of each such pair,
+and ``is_lefschetz`` ranks the map out of one degree of each.
 """
 
 from __future__ import annotations
@@ -326,22 +327,32 @@ class LefschetzCheck:
 
 
 def is_lefschetz(m: GradedModule, line) -> LefschetzCheck:
-    """Does multiplication by the line have maximal rank in every degree?"""
+    """Does multiplication by the line have maximal rank in every degree
+    from b_1 - 1 through the socle degree e?  By Serre duality (module
+    docstring) the map out of degree d - 4 - i is the transpose of the map
+    out of degree i, up to invertible changes of basis, so it has the same
+    rank and the same maximal rank.  Only i from b_1 - 1 through the middle
+    degree i* are ranked, and each failing i also fails d - 4 - i; these
+    cover b_1 - 1 through e = d - 3 - b_1.  That needs a module certified
+    by ``GradedModule.build``; any other is refused."""
     p = m.prime
     coords = tuple(int(c) % p for c in line)
     if len(coords) != 3 or not any(coords):
         raise ZeroLineError("a line needs a nonzero coordinate triple")
-    lo, e = m.degrees.b[0], m.degrees.socle_degree
-    failing = []
-    for i in range(lo - 1, e + 1):
+    if not m.certified:
+        raise ValueError("the Lefschetz scan needs a module certified of finite length "
+                         "by GradedModule.build")
+    deg = m.degrees
+    failing: set[int] = set()
+    for i in range(deg.b[0] - 1, deg.middle_degree + 1):
         needed = min(m.h(i), m.h(i + 1))
         if needed == 0:
             continue
         maps = m.variable_maps(i)
         combo = sum(c * mv.a % p for c, mv in zip(coords, maps)) % p
         if rank(Matrix(combo, p)) < needed:
-            failing.append(i)
-    return LefschetzCheck(not failing, tuple(failing))
+            failing.update((i, deg.d - 4 - i))
+    return LefschetzCheck(not failing, tuple(sorted(failing)))
 
 
 def random_line(prime: int, stream: rand.Stream) -> tuple[int, int, int]:

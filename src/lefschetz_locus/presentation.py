@@ -4,8 +4,8 @@ A module is given by degree data (a_1 <= ... <= a_{n+2}), (b_1 <= ... <= b_n)
 and an n x (n+2) matrix of homogeneous forms, entry (j, i) of degree
 a_i - b_j, mapping a sum of twists of the ring onto the module.  The
 engine slices the map degree by degree, picks deterministic coset bases
-for each graded piece of the cokernel, and exposes the multiplication
-maps between consecutive pieces.
+for each graded piece of the cokernel when it is first read, and exposes
+the multiplication maps between consecutive pieces.
 """
 
 from __future__ import annotations
@@ -197,18 +197,25 @@ class GradedModule:
         self._var_maps: dict[int, tuple[Matrix, Matrix, Matrix]] = {}
         self._products: dict[int, np.ndarray] = {}  # x1, x2, x3 maps out of degree t
         self.audit: dict = {}
+        self.certified = False  # finite length checked by ``build``
 
     @classmethod
     def build(cls, pres: PresentationMatrix) -> "GradedModule":
-        """Pieces from b_1 through max(e + 1, b_n); a module that is not of
-        finite length is refused."""
-        deg = pres.degrees
-        hi = max(deg.socle_degree + 1, deg.b[-1])
-        mod = cls(pres, {t: cls._build_piece(pres, t) for t in range(deg.b[0], hi + 1)})
+        """The module, certified of finite length: only the pieces from
+        e + 1 through max(e + 1, b_n) are built here, and a nonzero one is
+        refused (``first_piece_beyond_socle``).  Every other piece is built
+        when ``piece`` first asks for it.  An accepted module is
+        M = H^1_*(E) for the rank-2 bundle E, the kernel of the presentation,
+        with c_1(E) = -d, so E^dual = E(d) and Serre duality pairs M_t
+        perfectly with M_(d-3-t), compatibly with multiplication; ``h`` and
+        ``lefschetz.is_lefschetz`` read only the lower half of each pair."""
+        mod = cls(pres, {})
         t = mod.first_piece_beyond_socle()
         if t is not None:
             raise NonFiniteLengthError(
-                f"nonzero graded piece in degree {t} beyond socle degree {deg.socle_degree}")
+                f"nonzero graded piece in degree {t} beyond socle degree "
+                f"{pres.degrees.socle_degree}")
+        mod.certified = True
         return mod
 
     def first_piece_beyond_socle(self) -> int | None:
@@ -240,8 +247,14 @@ class GradedModule:
         return tuple(range(self.degrees.b[0], self.degrees.socle_degree + 1))
 
     def h(self, t: int) -> int:
-        lo, e = self.degrees.b[0], self.degrees.socle_degree
-        return self.piece(t).dim if lo <= t <= e else 0
+        """dim M_t, zero outside b_1 through e.  On a module that ``build``
+        certified it is read from degree min(t, d - 3 - t), as Serre duality
+        gives h(t) = h(d - 3 - t).  The pieces above the middle are then
+        built only when asked for, as by ``socle`` or a map out of them."""
+        deg = self.degrees
+        if not deg.b[0] <= t <= deg.socle_degree:
+            return 0
+        return self.piece(min(t, deg.d - 3 - t) if self.certified else t).dim
 
     def hilbert(self) -> dict[int, int]:
         return {t: self.h(t) for t in self.support}

@@ -15,7 +15,11 @@ in one twist.  ``multiplication_map_loop``, ``substitute_line_loop`` (with
 and coefficient-by-coefficient loops that the package's index arithmetic and
 line power table replaced.  ``colon`` and ``fold_localization`` (the
 localization claim decided by intersecting every degree's minor ideal and
-comparing saturations) use ``groebner.intersect``.  The root search scans
+comparing saturations) use ``groebner.intersect``.  ``full_scan_is_lefschetz``
+ranks the map out of every degree, where the package ranks one degree of
+each Serre-dual pair, and reads the piece dimensions, not the mirrored
+Hilbert function.  ``series_numpy`` is the array staircase that the
+package's plain-Python Hilbert numerator replaced.  The root search scans
 all of F_p with an O(p) array (16 GB near 2^31), so the point oracles run
 only at primes up to the default 65521."""
 
@@ -275,6 +279,42 @@ def specialize(m, i: int, coords) -> Matrix:
     p = m.prime
     maps = m.variable_maps(i)
     return Matrix(sum(int(c) % p * mv.a % p for c, mv in zip(coords, maps)) % p, p)
+
+
+def full_scan_is_lefschetz(m, line) -> tuple[bool, tuple[int, ...]]:
+    """(ok, failing degrees) of multiplication by the line, the rank taken
+    out of every degree from b_1 - 1 through the socle degree; dimensions
+    are read from the pieces themselves."""
+    lo, e = m.degrees.b[0], m.degrees.socle_degree
+
+    def dim(t):
+        return m.piece(t).dim if lo <= t <= e else 0
+
+    failing = tuple(i for i in range(lo - 1, e + 1) if min(dim(i), dim(i + 1))
+                    and rank(specialize(m, i, line)) < min(dim(i), dim(i + 1)))
+    return not failing, failing
+
+
+def series_numpy(lms) -> list[int]:
+    """Hilbert-series numerator of R/M, M the monomial ideal of ``lms``, by
+    plane staircases in arrays (see ``groebner._series``)."""
+    lms = np.array(sorted(set(lms)), dtype=np.int64).reshape(-1, 3)
+    top = int(lms[:, 2].max(initial=0))
+    out = np.zeros(3 * int(lms.sum(1).max(initial=0)) + 2, dtype=np.int64)
+    for c in range(top + 1):
+        plane = lms[lms[:, 2] <= c, :2]  # sorted by a, then b
+        a, b = plane[plane[:, 1] < np.minimum.accumulate(np.r_[1 << 62, plane[:-1, 1]])].T
+        n_c = np.zeros(len(out), dtype=np.int64)
+        n_c[0] = 1
+        np.add.at(n_c, a + b, -1)
+        np.add.at(n_c, a[1:] + b[:-1], 1)
+        if c < top:
+            n_c -= np.r_[0, n_c[:-1]]
+        out[c:] += n_c[:len(out) - c]
+    coeffs = out.tolist()
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 # -- criteria-free Buchberger oracle --------------------------------------

@@ -406,3 +406,58 @@ def test_finite_length_claim_reads_the_build_predicate():
     assert ("finite-length", True) in cli._structural_claims(m)
     m.first_piece_beyond_socle = lambda: m.degrees.socle_degree + 1
     assert ("finite-length", False) in cli._structural_claims(m)
+
+
+@pytest.mark.parametrize("argv,built", [
+    ("locus --a 4,4,4 --b 0", {*range(0, 6), 10}),
+    ("line --a 2,2,3,3 --b 0,1 --line 1,2,3", {*range(0, 4), 7}),
+    ("hilbert --a 2,2,3,3 --b 0,1", set(range(0, 8))),
+    ("survey --a 4,4,4 --b 0", set(range(0, 11))),
+])
+def test_commands_build_only_the_pieces_they_read(argv, built, capsys, monkeypatch):
+    # build certifies from degree e + 1 alone; Serre duality serves h and the
+    # Lefschetz scan above the middle, while the socle reads every piece
+    from lefschetz_locus.presentation import GradedModule
+
+    seen = set()
+    build_piece = GradedModule._build_piece
+
+    def counted(pres, t):
+        seen.add(t)
+        return build_piece(pres, t)
+
+    monkeypatch.setattr(GradedModule, "_build_piece", staticmethod(counted))
+    code, _ = _run(capsys, argv.split())
+    assert code == 0 and seen == built
+
+
+# sha256 of stdout and the exit code of each command, taken before the
+# graded pieces were built on demand (with the full Lefschetz scan)
+GOLDEN = [
+    ("locus --a 3,4,4 --b 0 --seed 1",
+     "ad252837ee2159b5df12aea1749f509add008e32f93fd717270ee47718aa5ddc", 0),
+    ("locus --a 4,4,4 --b 0 --seed 3",
+     "82b7fb9e91052bead2b83e9f188c62a0bda3e2aba2be5ad73f8e1433d530218d", 0),
+    ("line --a 3,4,4 --b 0 --prime 13 --line 1,6,11",  # fails in degrees [3, 4]
+     "79bcda407cf2515947b5f72be77a370ec834ecf857a1bcad405fbb74f2059256", 0),
+    ("line --a 2,2,3,3 --b 0,1 --prime 13 --line 1,6,0",  # fails in degrees [2, 3]
+     "032921f73a5186fa7ddb2d2df96501c968e3ec0f38c42ed9cc70e605f2843307", 0),
+    ("hilbert --a 2,3,4,4,5 --b 0,0,2",
+     "f4bb8144813a352e11c5a29bd2e68126f728995f6415fc8ca61698bcff278aa5", 0),
+    ("survey --grid ci:2-3 --prime 13 --samples 3 --localization",
+     "71f7256bac2728c63d5408ef9da86a14481a43b90349748db0f37e74a5115b4d", 0),
+]
+
+
+def test_reports_are_byte_identical_to_the_recorded_ones(capsys, monkeypatch):
+    import hashlib
+
+    monkeypatch.delenv("LL_PRIME", raising=False)
+    got = []
+    for argv, _, _ in GOLDEN:
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        got.append((argv, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code))
+    assert got == GOLDEN

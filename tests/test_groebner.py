@@ -14,6 +14,7 @@ from helpers import (
     naive_groebner_leading_terms,
     rational_points_0dim,
     sample_locus_points,
+    series_numpy,
 )
 from lefschetz_locus import field_linalg, groebner, rand
 from lefschetz_locus.groebner import (
@@ -156,6 +157,20 @@ def test_measure_fixture_223_is_six_points():
     gens, ring = _fixture_middle_ideal()
     m = measure(buchberger(gens, ring=ring))
     assert (m.dim_projective, m.degree) == (0, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lms=st.lists(st.tuples(*[st.integers(0, 6)] * 3), max_size=9))
+def test_series_matches_array_staircase(lms):
+    # the plain-Python staircase against the array version it replaced,
+    # duplicates and non-minimal generators included
+    assert groebner._series(lms) == series_numpy(lms)
+
+
+def test_series_of_one_monomial_and_of_none():
+    # R/(l1^2 l3) has numerator 1 - t^3; R itself has 1
+    assert groebner._series([(2, 0, 1)]) == [1, 0, 0, -1]
+    assert groebner._series([]) == [1]
 
 
 def _lex_key(m):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import det_mod, evaluate, fold_localization, rational_points_0dim, specialize
+from helpers import (
+    det_mod,
+    evaluate,
+    fold_localization,
+    full_scan_is_lefschetz,
+    rational_points_0dim,
+    specialize,
+)
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import cli, groebner, rand
 from lefschetz_locus import lefschetz as lef
@@ -500,6 +507,39 @@ def test_monomial_ci_x1_is_not_lefschetz():
     check = is_lefschetz(m, (1, 0, 0))
     assert not check.ok
     assert is_lefschetz(m, (1, 1, 1)).ok
+
+
+def _dual_plane(p):
+    # one coordinate triple for each point of P^2(F_p)
+    return ([(1, b, c) for b in range(p) for c in range(p)]
+            + [(0, 1, c) for c in range(p)] + [(0, 0, 1)])
+
+
+@pytest.mark.parametrize("a,b,grid", [
+    ((3, 4, 4), (0,), None),
+    ((2, 2, 3, 3), (0, 1), None),
+    ((1, 1, 1, 2, 2), (0, 0, 0), None),
+    ((2, 2, 2, 2, 2), (0, 1, 1), None),  # d even: the self-dual degree 2 fails alone
+    ((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]]),
+    ((2, 3, 4, 4, 5), (0, 0, 2), None),  # non-minimal: a unit entry from a = 2 to b = 2
+])
+def test_halved_scan_agrees_with_full_scan_on_every_line_of_f13(a, b, grid):
+    # Serre duality gives the failing degrees above the middle; the oracle
+    # ranks every degree.  Each module has non-Lefschetz lines over F_13
+    m = (generic_module(DegreeData(a, b), 1, 13) if grid is None else _explicit(a, b, grid, 13))
+    failing = 0
+    for line in _dual_plane(13):
+        check = is_lefschetz(m, line)
+        assert (check.ok, check.failing_degrees) == full_scan_is_lefschetz(m, line), line
+        failing += not check.ok
+    assert failing
+
+
+def test_scan_refuses_a_module_build_did_not_certify():
+    # the halved scan rests on Serre duality, which needs finite length
+    pres = presentation_from_strings(DegreeData((2, 2, 3), (0,)), [["x1^2", "x1*x2", "x1^3"]])
+    with pytest.raises(ValueError, match="certified"):
+        is_lefschetz(GradedModule(pres, {}), (1, 2, 3))
 
 
 def test_zero_line_rejected():

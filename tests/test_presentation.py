@@ -255,6 +255,45 @@ def test_finite_length_is_the_vanishing_beyond_the_socle_degree():
     assert _module((2, 2, 3), (0,)).first_piece_beyond_socle() is None
 
 
+@pytest.mark.parametrize("a,b,grid,built", [
+    ((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]], [9]),
+    ((2, 2, 3, 3), (0, 1), [["x1^2", "x2^2", "x3^3", "0"], ["0", "x1", "x2^2", "x3^2"]], [7]),
+])
+def test_build_certifies_from_the_pieces_beyond_the_socle_alone(a, b, grid, built):
+    m = GradedModule.build(presentation_from_strings(DegreeData(a, b), grid))
+    assert m.certified and sorted(m._pieces) == built
+    m.hilbert()  # the lower half of the support, up to (d - 3) / 2
+    assert sorted(m._pieces) == list(range(b[0], (m.degrees.d - 3) // 2 + 1)) + built
+
+
+@pytest.mark.parametrize("grid", [
+    [["x1^2", "x1*x2", "x1^3"]],
+    [["x1^2 + x1*x2", "x1*x3 + x2*x3", "x1^3 + x2^3"]],  # all divisible by x1 + x2
+])
+def test_a_module_of_infinite_length_reads_its_pieces_unmirrored(grid):
+    # only a module that build certified mirrors h(t) = h(d - 3 - t); these
+    # Hilbert values are not symmetric, so a mirrored one would show
+    pres = presentation_from_strings(DegreeData((2, 2, 3), (0,)), grid)
+    with pytest.raises(NonFiniteLengthError):
+        GradedModule.build(pres)
+    m = GradedModule(pres, {})
+    values = [m.piece(t).dim for t in m.support]
+    assert not m.certified and values != values[::-1]
+    assert [m.h(t) for t in m.support] == values
+
+
+@pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
+@pytest.mark.parametrize("a,b,grid", [(a, b, None) for a, b in FIXTURES] + [
+    ((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]]),
+    ((2, 3, 4, 4, 5), (0, 0, 2), None),
+])
+def test_mirrored_hilbert_function_is_every_piece_dimension(a, b, grid, p):
+    deg = DegreeData(a, b)
+    m = (generic_module(deg, 1, p) if grid is None
+         else GradedModule.build(presentation_from_strings(deg, grid, p)))
+    assert [m.h(t) for t in m.support] == [m.piece(t).dim for t in m.support]
+
+
 def test_generic_module_audit_records_seed():
     m = _module((2, 2, 3), (0,), seed=13)
     assert m.audit["requested_seed"] == 13
