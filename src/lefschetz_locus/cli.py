@@ -20,13 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, bundle, jumping, lefschetz, predictor
-from .field_linalg import DEFAULT_PRIME, Matrix, rank
+from .field_linalg import DEFAULT_PRIME, rank
 from .groebner import GroebnerBasis, buchberger, measure
 from .presentation import (
     DegreeData,
     GradedModule,
-    NonFiniteLengthError,
-    NonGenericPresentationError,
     generic_hilbert_profile,
     generic_module,
     presentation_from_strings,
@@ -96,17 +94,21 @@ def _job_from_args(args, parser: _Parser) -> dict:
         parser.error("need at least one target twist (n >= 1)")
     if len(args.a) != len(args.b) + 2:
         parser.error("--a must have exactly two more entries than --b")
-    matrix = None
-    if args.matrix:
-        with open(args.matrix) as fh:
-            matrix = json.load(fh)
     return {
         "a": list(args.a),
         "b": list(args.b),
         "seed": args.seed,
         "prime": _resolve_prime(args),
-        "matrix": matrix,
+        "matrix": _read_matrix(args),
     }
+
+
+def _read_matrix(args) -> list | None:
+    """The grid of polynomial strings in the ``--matrix`` file, if any."""
+    if not args.matrix:
+        return None
+    with open(args.matrix) as fh:
+        return json.load(fh)
 
 
 def build_module(job: dict) -> GradedModule:
@@ -173,7 +175,7 @@ def _expected_socle(mod: GradedModule) -> tuple[int, ...]:
         cols = [i for i, ai in enumerate(deg.a) if ai == w]
         block = np.array([[mod.pres.entries[j][i].terms.get((0, 0, 0), 0) for i in cols]
                           for j in rows], dtype=np.int64).reshape(len(rows), len(cols))
-        cancelled = rank(Matrix(block, mod.prime)) if cols else 0
+        cancelled = rank(block, mod.prime) if cols else 0
         out += [deg.d - 3 - w] * (len(rows) - cancelled)
     return tuple(sorted(out))
 
@@ -301,11 +303,7 @@ def _survey_jobs(args, parser: _Parser) -> list[dict]:
         else:
             parser.error(f"unknown grid {args.grid!r}")
     elif args.a is not None and args.b is not None:
-        grid = None
-        if args.matrix:
-            with open(args.matrix) as fh:
-                grid = json.load(fh)
-        fixtures.append((tuple(args.a), tuple(args.b), grid))
+        fixtures.append((tuple(args.a), tuple(args.b), _read_matrix(args)))
     else:
         parser.error("survey needs --grid or --a/--b")
     if args.monomial:
@@ -422,8 +420,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except SystemExit:
         raise
-    except (NonFiniteLengthError, NonGenericPresentationError, ValueError,
-            ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
         return 1
     return 1

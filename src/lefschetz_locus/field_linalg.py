@@ -1,12 +1,13 @@
 """Exact dense linear algebra over a prime field.
 
-Matrices hold int64 residues in [0, p); all arithmetic is modular and
-exact.  Inside ``_rref`` and ``_matmul`` entries leave [0, p) between
-reductions: each is a residue plus at most ``_room(p)`` products of two
-residues, which int64 holds exactly (p < 2^31 keeps room >= 2), and is
-reduced mod p before more accumulate.  Row reduction processes columns left
-to right, so pivot columns are always the lexicographically earliest
-independent set -- the downstream cokernel bases depend on that.
+A matrix is a 2-D int64 array of residues, with the prime p passed beside
+it; all arithmetic is modular and exact.  Inside ``_rref`` and ``_matmul``
+entries leave [0, p) between reductions: each is a residue plus at most
+``_room(p)`` products of two residues, which int64 holds exactly (p < 2^31
+keeps room >= 2), and is reduced mod p before more accumulate.  Row
+reduction processes columns left to right, so pivot columns are always the
+lexicographically earliest independent set -- the downstream cokernel bases
+depend on that.
 """
 
 from __future__ import annotations
@@ -29,48 +30,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-class Matrix:
-    """Dense matrix over F_p."""
-
-    __slots__ = ("a", "p")
-
-    def __init__(self, a: np.ndarray, p: int = DEFAULT_PRIME):
-        arr = np.asarray(a, dtype=np.int64) % p
-        if arr.ndim != 2:
-            raise ValueError("matrix data must be 2-dimensional")
-        self.a = arr
-        self.p = p
-
-    @classmethod
-    def from_rows(cls, rows, p: int = DEFAULT_PRIME, cols: int | None = None) -> "Matrix":
-        if len(rows) == 0:
-            return cls(np.zeros((0, cols or 0), dtype=np.int64), p)
-        return cls(np.array(rows, dtype=np.int64), p)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, p: int = DEFAULT_PRIME) -> "Matrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols} mod {self.p})"
 
 
 def _room(p: int) -> int:
@@ -130,21 +89,20 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rank(m: Matrix) -> int:
+def rank(a: np.ndarray, p: int) -> int:
     """Rank over F_p."""
-    return len(_rref(m.a, m.p)[1])
+    return len(_rref(a, p)[1])
 
 
-def kernel_basis(m: Matrix) -> list[np.ndarray]:
+def kernel_basis(a: np.ndarray, p: int) -> list[np.ndarray]:
     """Vectors spanning the null space; always cols - rank of them."""
-    red, pivots = _rref(m.a, m.p)
-    free = [c for c in range(m.cols) if c not in pivots]
+    red, pivots = _rref(a, p)
     basis = []
-    for f in free:
-        v = np.zeros(m.cols, dtype=np.int64)
+    for f in (c for c in range(red.shape[1]) if c not in pivots):
+        v = np.zeros(red.shape[1], dtype=np.int64)
         v[f] = 1
         for j, pc in enumerate(pivots):
-            v[pc] = (-int(red[j, f])) % m.p
+            v[pc] = (-int(red[j, f])) % p
         basis.append(v)
     return basis
 
@@ -179,8 +137,8 @@ class CokernelBasis:
         return (free_part - _matmul(r_free.T, v[list(self.pivots), :], self.p)) % self.p
 
 
-def cokernel_basis(m: Matrix) -> CokernelBasis:
-    """Coset basis of coker(m) = target / column span of m."""
-    red, pivots = _rref(m.a.T, m.p)
-    coset = tuple(sorted(set(range(m.rows)).difference(pivots)))
-    return CokernelBasis(tuple(pivots), coset, red[: len(pivots)], m.p)
+def cokernel_basis(a: np.ndarray, p: int) -> CokernelBasis:
+    """Coset basis of coker(a) = target / column span of a."""
+    red, pivots = _rref(a.T, p)
+    coset = tuple(sorted(set(range(a.shape[0])).difference(pivots)))
+    return CokernelBasis(tuple(pivots), coset, red[: len(pivots)], p)

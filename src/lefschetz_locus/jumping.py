@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import rand
 from .bundle import SplittingType
-from .field_linalg import Matrix, kernel_basis, rank
+from .field_linalg import kernel_basis, rank
 from .lefschetz import random_line
-from .polyring import BinaryForm, line_power_table
+from .polyring import line_power_table, position
 from .presentation import DegreeData, PresentationMatrix
 
 
@@ -40,31 +39,29 @@ def line_point(coords, prime: int) -> LinePoint:
     coords = tuple(int(c) % prime for c in coords)
     if len(coords) != 3 or not any(coords):
         raise ValueError("a line needs a nonzero coordinate triple")
-    columns = kernel_basis(Matrix.from_rows([list(coords)], prime))
+    columns = kernel_basis(np.array([coords]), prime)
     if len(columns) != 2:
         raise ValueError("line coordinates do not cut out a 2-plane")
     param = tuple((int(columns[0][i]), int(columns[1][i])) for i in range(3))
     return LinePoint(coords, param)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RestrictedBundle:
-    degrees: DegreeData
-    entries: tuple[tuple[BinaryForm, ...], ...]
-    prime: int
+    """The restricted grid: ``coefficients[j, i, l]`` is the coefficient of
+    s^(k-l) * u^l in entry (j, i), a form of degree k = max(a_i - b_j, 0),
+    and zero for l > k."""
 
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The entries' coefficients in one array, zero-padded to the longest."""
-        top = max(f.degree for row in self.entries for f in row)
-        return np.array([[f.coeffs + (0,) * (top - f.degree) for f in row]
-                         for row in self.entries], dtype=np.int64)
+    degrees: DegreeData
+    coefficients: np.ndarray
+    prime: int
 
 
 def restrict(pres: PresentationMatrix, line: LinePoint) -> RestrictedBundle:
     """Push every entry through the line parametrization: each term c * x^e
     scales the row of x^e in one ``line_power_table``, summed per entry, so
-    entry (j, i) becomes a form of degree max(a_i - b_j, 0).
+    entry (j, i) becomes a form of degree max(a_i - b_j, 0), whose row has
+    zeros past that degree.
 
     The restricted map must stay onto as sheaves; its sections at
     t* = max(d - a_1 - 1, b_n) decide that, as at every t >= t*.  If it is
@@ -78,34 +75,29 @@ def restrict(pres: PresentationMatrix, line: LinePoint) -> RestrictedBundle:
     top = max(deg.a[-1] - deg.b[0], 0)
     tj, ti, exps, coefs = pres.terms
     e = exps.sum(axis=1)
-    r = e - exps[:, 0]
-    rows = e * (e + 1) * (e + 2) // 6 + r * (r + 1) // 2 + r - exps[:, 1]
+    rows = e * (e + 1) * (e + 2) // 6 + position(e, exps)
     acc = np.zeros((deg.n, deg.n + 2, top + 1), dtype=np.int64)
     np.add.at(acc, (tj, ti), coefs[:, None] * line_power_table(line.param, top, p)[rows] % p)
-    grid = (acc % p).tolist()
-    entries = tuple(tuple(BinaryForm(k, tuple(c[:k + 1]), p)
-                          for k, c in zip((max(a - bj, 0) for a in deg.a), row))
-                    for bj, row in zip(deg.b, grid))
-    rb = RestrictedBundle(deg, entries, p)
+    rb = RestrictedBundle(deg, acc % p, p)
     m = section_matrix(rb, max(deg.d - deg.a[0] - 1, deg.b[-1]))
-    if rank(m) != m.rows:
+    if rank(m, p) != len(m):
         raise RestrictionError("restricted map is not surjective in large twists")
     return rb
 
 
-def section_matrix(rb: RestrictedBundle, t: int) -> Matrix:
+def section_matrix(rb: RestrictedBundle, t: int) -> np.ndarray:
     """Degree-t map on binary-form sections induced by the restricted grid.
     Block (j, i) is banded Toeplitz: column q holds the coefficients of
     entry (j, i) in rows q through q + its degree."""
     a, b = np.array(rb.degrees.a), np.array(rb.degrees.b)
     src_dims, tgt_dims = np.maximum(t - a + 1, 0), np.maximum(t - b + 1, 0)
-    m = Matrix.zero(int(tgt_dims.sum()), int(src_dims.sum()), rb.prime)
+    m = np.zeros((tgt_dims.sum(), src_dims.sum()), dtype=np.int64)
     j, i, l = np.nonzero(rb.coefficients)  # a nonzero entry has a_i >= b_j
     q = np.arange(src_dims[0])
     band = q < src_dims[i, None]
     rows = ((np.cumsum(tgt_dims) - tgt_dims)[j] + l)[:, None] + q
     cols = (np.cumsum(src_dims) - src_dims)[i, None] + q
-    m.a[rows[band], cols[band]] = np.repeat(rb.coefficients[j, i, l], src_dims[i])
+    m[rows[band], cols[band]] = np.repeat(rb.coefficients[j, i, l], src_dims[i])
     return m
 
 
@@ -117,7 +109,7 @@ def splitting_type(rb: RestrictedBundle, d: int | None = None) -> SplittingType:
     total = -(d if d is not None else rb.degrees.d)
     half = total // 2
     m = section_matrix(rb, -half - 1)
-    alpha = half + m.cols - rank(m)
+    alpha = half + m.shape[1] - rank(m, rb.prime)
     if alpha < total - alpha:
         raise RestrictionError("section count gives an unsorted splitting")
     return SplittingType(alpha, total - alpha)

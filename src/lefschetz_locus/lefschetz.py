@@ -38,9 +38,9 @@ from math import comb
 import numpy as np
 
 from . import rand
-from .field_linalg import Matrix, _matmul, _rref, rank
-from .groebner import GroebnerBasis, _mono_mul, _pos, _variable_saturations, buchberger
-from .polyring import Polynomial, Ring, monomial_basis
+from .field_linalg import _matmul, _rref, rank
+from .groebner import GroebnerBasis, _pos, _variable_saturations, buchberger
+from .polyring import Polynomial, Ring, monomial_basis, position
 from .presentation import GradedModule
 
 
@@ -87,7 +87,7 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     combination of the minors of M, the same at every point, and no subset
     is enumerated.  A stack holds at most ``_BATCH`` entries (or one
     point's)."""
-    tall = np.stack([mv.a if mv.rows >= mv.cols else mv.a.T for mv in maps])
+    tall = maps if maps.shape[1] >= maps.shape[2] else maps.transpose(0, 2, 1)
     n = tall.shape[1]
     by_kernel, k = _minor_shape(n, size)
     eps = 1
@@ -134,7 +134,7 @@ def _minor_values(m: GradedModule, i: int, size: int, count: int = 0) -> np.ndar
         raise ValueError(f"prime {p} is too small for the degree-{i} minors: "
                          f"the locus needs a prime above the minor size {size}")
     maps = m.variable_maps(i)
-    n = max(maps[0].rows, maps[0].cols)
+    n = max(maps.shape[1:])
     _, k = _minor_shape(n, size)
     if count:
         return _lattice_minors(maps, size, p, _weights(n, k, count, p))
@@ -254,12 +254,12 @@ def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
 def _macaulay_rows(coeffs: np.ndarray, s: int, top: int) -> np.ndarray:
     """Coefficients in degree ``top`` of every degree-(top - s) monomial
     times every degree-s form given by a row of ``coeffs``."""
-    index = {mo: c for c, mo in enumerate(monomial_basis(top).monomials)}
-    shifts = monomial_basis(top - s).monomials
-    out = np.zeros((len(shifts), len(coeffs), len(index)), dtype=np.int64)
-    for k, t in enumerate(shifts):
-        out[k][:, [index[_mono_mul(t, u)] for u in monomial_basis(s).monomials]] = coeffs
-    return out.reshape(-1, len(index))
+    shifts = np.array(monomial_basis(top - s).monomials, dtype=np.int64).reshape(-1, 1, 3)
+    cols = position(top, shifts + np.array(monomial_basis(s).monomials, dtype=np.int64))
+    out = np.zeros((len(shifts), len(coeffs), comb(top + 2, 2)), dtype=np.int64)
+    out[np.arange(len(shifts))[:, None, None], np.arange(len(coeffs))[:, None],
+        cols[:, None]] = coeffs
+    return out.reshape(-1, out.shape[-1])
 
 
 def _in_saturation(mid: np.ndarray, s_mid: int, coeffs: np.ndarray, s: int,
@@ -348,9 +348,7 @@ def is_lefschetz(m: GradedModule, line) -> LefschetzCheck:
         needed = min(m.h(i), m.h(i + 1))
         if needed == 0:
             continue
-        maps = m.variable_maps(i)
-        combo = sum(c * mv.a % p for c, mv in zip(coords, maps)) % p
-        if rank(Matrix(combo, p)) < needed:
+        if rank(m.multiplication_map(coords, i), p) < needed:
             failing.update((i, deg.d - 4 - i))
     return LefschetzCheck(not failing, tuple(sorted(failing)))
 

@@ -72,6 +72,15 @@ def monomial_basis(t: int) -> GradedPieceBasis:
     return GradedPieceBasis(t, tuple(mons))
 
 
+def position(t, e):
+    """Index of the exponent triples ``e`` (the last axis) in
+    ``monomial_basis(t)``, elementwise over arrays of t and e.  With
+    r = t - e1, the r(r+1)/2 monomials of larger x1-exponent come first, then
+    those of x1-exponent e1 by falling e2: the index is r(r+1)/2 + r - e2."""
+    r = t - e[..., 0]
+    return r * (r + 1) // 2 + r - e[..., 1]
+
+
 class Polynomial:
     """Sparse polynomial: exponent triple -> nonzero residue."""
 
@@ -96,13 +105,6 @@ class Polynomial:
     @classmethod
     def constant(cls, ring: Ring, c: int) -> "Polynomial":
         return cls(ring, {(0, 0, 0): c})
-
-    @classmethod
-    def variable(cls, ring: Ring, i: int) -> "Polynomial":
-        if i not in (0, 1, 2):
-            raise ValueError("variable index must be 0, 1 or 2")
-        mono = tuple(1 if j == i else 0 for j in range(3))
-        return cls(ring, {mono: 1})
 
     # -- queries -------------------------------------------------------
 
@@ -181,23 +183,6 @@ def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 # -- restriction of forms to a line ------------------------------------
-
-
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous binary form in coordinates (s, u).
-
-    ``coeffs[i]`` is the coefficient of s^(degree-i) * u^i; a form may be
-    identically zero while still carrying its shape degree.
-    """
-
-    degree: int
-    coeffs: tuple[int, ...]
-    prime: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count does not match degree")
 
 
 def line_power_table(param, top: int, prime: int) -> np.ndarray:

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from . import rand
-from .field_linalg import DEFAULT_PRIME, CokernelBasis, Matrix, cokernel_basis, rank
-from .polyring import GradedPieceBasis, Polynomial, Ring, monomial_basis
+from .field_linalg import DEFAULT_PRIME, CokernelBasis, cokernel_basis, rank
+from .polyring import GradedPieceBasis, Polynomial, Ring, monomial_basis, position
 
 
 class NonFiniteLengthError(ValueError):
@@ -149,12 +149,12 @@ def _block_layout(twists: tuple[int, ...], t: int) -> tuple[list[GradedPieceBasi
     return bases, np.cumsum(sizes) - sizes, int(sizes.sum())
 
 
-def graded_piece_matrix(pres: PresentationMatrix, t: int) -> Matrix:
+def graded_piece_matrix(pres: PresentationMatrix, t: int) -> np.ndarray:
     """The degree-t slice of the presentation map, in monomial bases.  Term
-    c * x^e of entry (j, i) sends the source monomial u to c * x^(e + u),
-    and (e1, e2, e3) sits at r(r+1)/2 + r - e2, r = t - b_j - e1, in
-    ``monomial_basis(t - b_j)``.  All terms with one source twist expand at
-    once; no two land on one position, as an entry's monomials are distinct."""
+    c * x^e of entry (j, i) sends the source monomial u to c * x^(e + u), at
+    its ``position`` in ``monomial_basis(t - b_j)``.  All terms with one
+    source twist expand at once; no two land on one position, as an entry's
+    monomials are distinct."""
     deg = pres.degrees
     _, tgt_off, tgt_dim = _block_layout(deg.b, t)
     src_bases, src_off, src_dim = _block_layout(deg.a, t)
@@ -166,10 +166,9 @@ def graded_piece_matrix(pres: PresentationMatrix, t: int) -> Matrix:
         src = np.array(src_bases[deg.a.index(w)].monomials, dtype=np.int64).reshape(-1, 3)
         expo = exps[sel, None] + src  # term x source monomial
         j = tj[sel, None]
-        r = t - b[j] - expo[..., 0]
-        a[tgt_off[j] + r * (r + 1) // 2 + r - expo[..., 1],
+        a[tgt_off[j] + position(t - b[j], expo),
           src_off[ti[sel], None] + np.arange(len(src))] = coefs[sel, None]
-    return Matrix(a, pres.prime)
+    return a
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,7 @@ class GradedModule:
         self.prime = pres.prime
         self.ring = pres.ring
         self._pieces = pieces
-        self._var_maps: dict[int, tuple[Matrix, Matrix, Matrix]] = {}
-        self._products: dict[int, np.ndarray] = {}  # x1, x2, x3 maps out of degree t
+        self._maps: dict[int, np.ndarray] = {}  # x1, x2, x3 maps out of degree t
         self.audit: dict = {}
         self.certified = False  # finite length checked by ``build``
 
@@ -230,7 +228,7 @@ class GradedModule:
     @staticmethod
     def _build_piece(pres: PresentationMatrix, t: int) -> _Piece:
         tgt_bases, tgt_off, tgt_dim = _block_layout(pres.degrees.b, t)
-        coker = cokernel_basis(graded_piece_matrix(pres, t))
+        coker = cokernel_basis(graded_piece_matrix(pres, t), pres.prime)
         coset = np.array(coker.coset, dtype=np.int64)
         monos = np.array([m for basis in tgt_bases for m in basis.monomials],
                          dtype=np.int64).reshape(-1, 3)
@@ -259,46 +257,38 @@ class GradedModule:
     def hilbert(self) -> dict[int, int]:
         return {t: self.h(t) for t in self.support}
 
-    def multiplication_map(self, ell: Polynomial, t: int) -> Matrix:
-        """Matrix of multiplication by the linear form ell from the degree-t
-        coset basis to the degree-(t+1) one: lift, multiply, reduce mod the
-        image of the next slice.  It is linear in ell, so the coset monomials
-        times x1, x2 and x3 are lifted and reduced together once per degree;
-        (e1, e2, e3) in block j sits at r(r+1)/2 + r - e2, r = t + 1 - b_j - e1."""
-        if ell.ring != self.ring:
-            raise ValueError("linear form lives in the wrong ring")
-        if not ell.is_zero() and (not ell.is_homogeneous() or ell.degree() != 1):
-            raise ValueError("multiplication map needs a linear form")
-        src, dst = self.piece(t), self.piece(t + 1)
-        if src.dim == 0 or dst.dim == 0 or ell.is_zero():
-            return Matrix.zero(dst.dim, src.dim, self.prime)
-        if t not in self._products:
-            expo = src.coset_exponents[:, None] + np.eye(3, dtype=np.int64)  # coset x variable
-            j = src.coset_blocks[:, None]
-            r = t + 1 - np.array(self.degrees.b)[j] - expo[..., 0]
-            lifted = np.zeros((dst.target_dim, src.dim, 3), dtype=np.int64)
-            lifted[dst.offsets[j] + r * (r + 1) // 2 + r - expo[..., 1],
-                   np.arange(src.dim)[:, None], np.arange(3)] = 1
-            self._products[t] = dst.coker.reduce(
-                lifted.reshape(dst.target_dim, -1)).reshape(dst.dim, src.dim, 3)
-        return Matrix(sum(c * self._products[t][..., mono.index(1)] % self.prime
-                          for mono, c in ell.terms.items()), self.prime)
+    def variable_maps(self, t: int) -> np.ndarray:
+        """The maps of x1, x2, x3 from the degree-t coset basis to the
+        degree-(t+1) one, as one (3, h(t+1), h(t)) stack, cached: each coset
+        monomial times each variable is placed at its ``position`` in the
+        next slice and reduced mod the image of that slice."""
+        if t not in self._maps:
+            src, dst = self.piece(t), self.piece(t + 1)
+            expo = src.coset_exponents + np.eye(3, dtype=np.int64)[:, None]  # variable x coset
+            j = src.coset_blocks
+            rows = dst.offsets[j] + position(t + 1 - np.array(self.degrees.b)[j], expo)
+            lifted = np.zeros((dst.target_dim, 3 * src.dim), dtype=np.int64)
+            lifted[rows.ravel(), np.arange(3 * src.dim)] = 1
+            maps = dst.coker.reduce(lifted).reshape(dst.dim, 3, src.dim).transpose(1, 0, 2)
+            maps.flags.writeable = False  # shared by every caller
+            self._maps[t] = maps
+        return self._maps[t]
 
-    def variable_maps(self, t: int) -> tuple[Matrix, Matrix, Matrix]:
-        """Cached multiplication maps by x1, x2, x3 out of degree t."""
-        if t not in self._var_maps:
-            self._var_maps[t] = tuple(
-                self.multiplication_map(Polynomial.variable(self.ring, v), t)
-                for v in range(3)
-            )
-        return self._var_maps[t]
+    def multiplication_map(self, line, t: int) -> np.ndarray:
+        """Map of l1*x1 + l2*x2 + l3*x3 out of degree t, for the coefficient
+        triple ``line`` = (l1, l2, l3): each product l_v * (map of x_v) is
+        reduced mod p before the sum, which keeps it inside int64."""
+        p = self.prime
+        coeffs = np.array([int(c) % p for c in line], dtype=np.int64)
+        return (coeffs[:, None, None] * self.variable_maps(t) % p).sum(axis=0) % p
 
     def socle(self) -> tuple[int, ...]:
         """Degrees (with multiplicity) annihilated by all three variables."""
         out: list[int] = []
         for t in self.support:
-            stacked = np.vstack([m.a for m in self.variable_maps(t)])
-            out.extend([t] * (stacked.shape[1] - rank(Matrix(stacked, self.prime))))
+            maps = self.variable_maps(t)
+            dim = maps.shape[2]
+            out.extend([t] * (dim - rank(maps.reshape(-1, dim), self.prime)))
         return tuple(out)
 
 

@@ -13,9 +13,15 @@ scanning twists for the first section, where the package counts sections
 in one twist.  ``multiplication_map_loop``, ``substitute_line_loop`` (with
 ``restrict_loop``) and ``section_matrix_loop`` are the dict-lookup, convolution
 and coefficient-by-coefficient loops that the package's index arithmetic and
-line power table replaced.  ``colon`` and ``fold_localization`` (the
-localization claim decided by intersecting every degree's minor ideal and
-comparing saturations) use ``groebner.intersect``.  ``full_scan_is_lefschetz``
+line power table replaced; ``multiplication_map_loop`` lifts the whole linear
+form before one reduction, and ``specialize`` sums the variable maps in
+Python ints, where the package reduces each product mod p.  Like the
+package, the oracles take and return matrices as int64 residue arrays with
+the prime beside them, and a form restricted to a line as its tuple of
+coefficients; ``variable`` builds the polynomial x_v (l_v).  ``colon``
+and ``fold_localization`` (the localization claim decided by intersecting
+every degree's minor ideal and comparing saturations) use
+``groebner.intersect``.  ``full_scan_is_lefschetz``
 ranks the map out of every degree, where the package ranks one degree of
 each Serre-dual pair, and reads the piece dimensions, not the mirrored
 Hilbert function.  ``series_numpy`` is the array staircase that the
@@ -29,7 +35,7 @@ import numpy as np
 
 from lefschetz_locus import rand
 from lefschetz_locus.bundle import InconsistencyError, SplittingType, h0
-from lefschetz_locus.field_linalg import DEFAULT_PRIME, Matrix, rank
+from lefschetz_locus.field_linalg import DEFAULT_PRIME, rank
 from lefschetz_locus.groebner import (
     GroebnerBasis,
     _divides,
@@ -42,7 +48,7 @@ from lefschetz_locus.groebner import (
 )
 from lefschetz_locus.jumping import RestrictedBundle, section_matrix
 from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
-from lefschetz_locus.polyring import BinaryForm, DegenerateLineError, Polynomial
+from lefschetz_locus.polyring import DegenerateLineError, Polynomial
 from lefschetz_locus.presentation import _block_layout
 
 
@@ -113,14 +119,14 @@ def basis_index(basis) -> dict:
     return {m: i for i, m in enumerate(basis.monomials)}
 
 
-def graded_piece_matrix_loop(pres, t: int) -> Matrix:
+def graded_piece_matrix_loop(pres, t: int) -> np.ndarray:
     """The degree-t slice of the presentation map, entry by entry through
     dict lookups of each target monomial (``graded_piece_matrix`` computes
     the positions instead)."""
     deg = pres.degrees
     tgt_bases, tgt_off, tgt_dim = _block_layout(deg.b, t)
     src_bases, src_off, src_dim = _block_layout(deg.a, t)
-    m = Matrix.zero(tgt_dim, src_dim, pres.prime)
+    m = np.zeros((tgt_dim, src_dim), dtype=np.int64)
     for j in range(deg.n):
         tgt_index = basis_index(tgt_bases[j])
         for i in range(deg.n + 2):
@@ -131,25 +137,27 @@ def graded_piece_matrix_loop(pres, t: int) -> Matrix:
                 for mf, coef in f.terms.items():
                     target = (mf[0] + mono[0], mf[1] + mono[1], mf[2] + mono[2])
                     r = tgt_off[j] + tgt_index[target]
-                    m.a[r, src_off[i] + c] = (m.a[r, src_off[i] + c] + coef) % pres.prime
+                    m[r, src_off[i] + c] = (m[r, src_off[i] + c] + coef) % pres.prime
     return m
 
 
-def multiplication_map_loop(mod, ell: Polynomial, t: int) -> Matrix:
-    """``GradedModule.multiplication_map`` with each coset monomial lifted
-    through dict lookups of its products, one term of ell at a time."""
+def multiplication_map_loop(mod, line, t: int) -> np.ndarray:
+    """``GradedModule.multiplication_map`` of l1*x1 + l2*x2 + l3*x3, the
+    triple ``line``: each coset monomial times the whole linear form is
+    lifted through dict lookups of its products, one variable at a time,
+    and reduced once (the package reduces the map of each variable)."""
     src, dst = mod.piece(t), mod.piece(t + 1)
-    if src.dim == 0 or dst.dim == 0 or ell.is_zero():
-        return Matrix.zero(dst.dim, src.dim, mod.prime)
+    if src.dim == 0 or dst.dim == 0:
+        return np.zeros((dst.dim, src.dim), dtype=np.int64)
     bases, _, _ = _block_layout(mod.degrees.b, t + 1)
     index = [basis_index(basis) for basis in bases]
     lifted = np.zeros((dst.target_dim, src.dim), dtype=np.int64)
     for c, (j, mono) in enumerate(zip(src.coset_blocks, src.coset_exponents)):
-        for mv, cv in ell.terms.items():
-            target = (int(mono[0]) + mv[0], int(mono[1]) + mv[1], int(mono[2]) + mv[2])
+        for v, cv in enumerate(line):
+            target = tuple(int(e) + (k == v) for k, e in enumerate(mono))
             r = dst.offsets[j] + index[j][target]
-            lifted[r, c] = (lifted[r, c] + cv) % mod.prime
-    return Matrix(dst.coker.reduce(lifted), mod.prime)
+            lifted[r, c] = (lifted[r, c] + int(cv)) % mod.prime
+    return dst.coker.reduce(lifted)
 
 
 # -- restriction to lines by loops -----------------------------------------
@@ -165,11 +173,12 @@ def _binary_mul_loop(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
-def substitute_line_loop(f: Polynomial, param) -> BinaryForm:
+def substitute_line_loop(f: Polynomial, param) -> tuple[int, ...]:
     """Restrict a homogeneous form to the line with 3x2 parametrization
     ``param`` (variable i maps to param[i][0]*s + param[i][1]*u) term by
     term, by convolving powers of the parametrization rows over Python ints
-    (the package reads each monomial's row off ``line_power_table``)."""
+    (the package reads each monomial's row off ``line_power_table``); the
+    coefficient of s^(d-l) * u^l is at l."""
     p = f.ring.prime
     rows = [[int(c) % p for c in row] for row in param]
     if len(rows) != 3 or any(len(r) != 2 for r in rows):
@@ -181,7 +190,7 @@ def substitute_line_loop(f: Polynomial, param) -> BinaryForm:
         raise ValueError("can only restrict homogeneous forms")
     d = f.degree()
     if d < 0:
-        return BinaryForm(0, (0,), p)
+        return (0,)
     powers: dict[tuple[int, int], list[int]] = {}
 
     def row_power(i: int, e: int) -> list[int]:
@@ -197,43 +206,42 @@ def substitute_line_loop(f: Polynomial, param) -> BinaryForm:
                 term = _binary_mul_loop(term, row_power(i, e), p)
         for k, v in enumerate(term):
             acc[k] = (acc[k] + v) % p
-    return BinaryForm(d, tuple(acc), p)
+    return tuple(acc)
 
 
 def restrict_loop(pres, param) -> RestrictedBundle:
     """The restricted grid entry by entry through ``substitute_line_loop``,
-    without the surjectivity check of ``jumping.restrict``; a zero entry
-    keeps the degree a_i - b_j, or 0 where that is negative."""
+    without the surjectivity check of ``jumping.restrict``, each entry
+    zero-padded to the degree max(a_(n+2) - b_1, 0) of the widest one."""
     deg, p = pres.degrees, pres.prime
-    rows = tuple(tuple(
-        substitute_line_loop(f, param) if not f.is_zero() else
-        BinaryForm(max(a - bj, 0), (0,) * (max(a - bj, 0) + 1), p)
-        for a, f in zip(deg.a, row)) for bj, row in zip(deg.b, pres.entries))
-    return RestrictedBundle(deg, rows, p)
+    top = max(deg.a[-1] - deg.b[0], 0)
+    grid = [[list(substitute_line_loop(f, param)) if not f.is_zero() else [] for f in row]
+            for row in pres.entries]
+    return RestrictedBundle(deg, np.array([[c + [0] * (top + 1 - len(c)) for c in row]
+                                           for row in grid], dtype=np.int64), p)
 
 
-def section_matrix_loop(rb, t: int) -> Matrix:
+def section_matrix_loop(rb, t: int) -> np.ndarray:
     """``jumping.section_matrix`` filled one coefficient at a time."""
     deg = rb.degrees
     src_dims = [max(t - ai + 1, 0) for ai in deg.a]
     tgt_dims = [max(t - bj + 1, 0) for bj in deg.b]
     src_off = [sum(src_dims[:i]) for i in range(len(src_dims))]
     tgt_off = [sum(tgt_dims[:j]) for j in range(len(tgt_dims))]
-    m = Matrix.zero(sum(tgt_dims), sum(src_dims), rb.prime)
+    m = np.zeros((sum(tgt_dims), sum(src_dims)), dtype=np.int64)
     for j in range(deg.n):
         if tgt_dims[j] == 0:
             continue
         for i in range(deg.n + 2):
             if src_dims[i] == 0:
                 continue
-            form = rb.entries[j][i]
             for q in range(src_dims[i]):
                 col = src_off[i] + q
-                for l, c in enumerate(form.coeffs):
+                for l, c in enumerate(rb.coefficients[j, i].tolist()):
                     if not c:
                         continue
                     row = tgt_off[j] + q + l
-                    m.a[row, col] = (m.a[row, col] + c) % rb.prime
+                    m[row, col] = (m[row, col] + c) % rb.prime
     return m
 
 
@@ -273,12 +281,11 @@ def det_mod(rows: list[list[int]], p: int) -> int:
     return total % p
 
 
-def specialize(m, i: int, coords) -> Matrix:
+def specialize(m, i: int, coords) -> np.ndarray:
     """The degree-i dual matrix at a line: sum_v c_v * (multiplication by
-    x_v out of degree i) mod p, each product reduced before the sum."""
-    p = m.prime
-    maps = m.variable_maps(i)
-    return Matrix(sum(int(c) % p * mv.a % p for c, mv in zip(coords, maps)) % p, p)
+    x_v out of degree i) mod p, summed in Python ints and reduced once."""
+    return (np.tensordot(np.array([int(c) for c in coords], dtype=object),
+                         m.variable_maps(i).astype(object), 1) % m.prime).astype(np.int64)
 
 
 def full_scan_is_lefschetz(m, line) -> tuple[bool, tuple[int, ...]]:
@@ -291,7 +298,7 @@ def full_scan_is_lefschetz(m, line) -> tuple[bool, tuple[int, ...]]:
         return m.piece(t).dim if lo <= t <= e else 0
 
     failing = tuple(i for i in range(lo - 1, e + 1) if min(dim(i), dim(i + 1))
-                    and rank(specialize(m, i, line)) < min(dim(i), dim(i + 1)))
+                    and rank(specialize(m, i, line), m.prime) < min(dim(i), dim(i + 1)))
     return not failing, failing
 
 
@@ -519,6 +526,11 @@ def elimination_intersect(gens1: list[dict], gens2: list[dict], p: int) -> list[
 # -- polynomial evaluation and exact rank ---------------------------------
 
 
+def variable(ring, v: int) -> Polynomial:
+    """The variable x_(v+1) (l_(v+1) in the dual ring) as a polynomial."""
+    return Polynomial(ring, {tuple(int(k == v) for k in range(3)): 1})
+
+
 def evaluate(f: Polynomial, point) -> int:
     """Value of f at a point of the plane, mod p."""
     p = f.ring.prime
@@ -572,10 +584,10 @@ def rref_loop(rows: list[list[int]], p: int) -> tuple[list[list[int]], tuple[int
     return a, tuple(pivots)
 
 
-def random_matrix(rows: int, cols: int, seed: int, p: int = DEFAULT_PRIME) -> Matrix:
+def random_matrix(rows: int, cols: int, seed: int, p: int = DEFAULT_PRIME) -> np.ndarray:
     stream = rand.Stream(seed)
-    data = [[stream.below(p) for _ in range(cols)] for _ in range(rows)]
-    return Matrix.from_rows(data, p, cols=cols)
+    return np.array([[stream.below(p) for _ in range(cols)] for _ in range(rows)],
+                    dtype=np.int64).reshape(rows, cols)
 
 
 # -- Euler characteristic of the kernel bundle ----------------------------
@@ -610,7 +622,7 @@ def scan_splitting_type(rb) -> SplittingType:
     total = -rb.degrees.d
     for t in range(total - 2, -total + 3):
         m = section_matrix(rb, t)
-        if m.cols > rank(m):
+        if m.shape[1] > rank(m, rb.prime):
             assert -t >= total + t, "section scan produced an unsorted splitting"
             return SplittingType(-t, total + t)
     raise AssertionError(f"no sections for twists in [{total - 2}, {-total + 2}]")
@@ -814,18 +826,18 @@ def sample_locus_points(gens: list[Polynomial], seed: int,
                      for g in gens]
         except ValueError:
             continue  # the two points do not span a line
-        if not any(c for f in forms for c in f.coeffs):
+        if not any(c for f in forms for c in f):
             continue  # pencil lies inside the locus; useless for sampling
         mask = np.ones(p, dtype=bool)
         for form in forms:
             acc = np.zeros(p, dtype=np.int64)
-            for c in form.coeffs:
+            for c in form:
                 acc = (acc * xs + c) % p
             mask &= acc == 0
         for lam in xs[mask]:
             coords = tuple((int(lam) * pt_a[i] + pt_b[i]) % p for i in range(3))
             if any(coords):
                 found.add(_canonical_point(coords, p))
-        if all(form.coeffs[0] == 0 for form in forms) and any(pt_a):
+        if all(form[0] == 0 for form in forms) and any(pt_a):
             found.add(_canonical_point(pt_a, p))
     return sorted(found)

@@ -97,7 +97,7 @@ def test_h0_equals_kernel_of_graded_slice(deg, seed):
     pres = random_presentation(deg, seed)
     for t in range(0, deg.d + 2):
         m = graded_piece_matrix(pres, t)
-        assert m.cols - rank(m) == h0(deg, t)
+        assert m.shape[1] - rank(m, pres.prime) == h0(deg, t)
 
 
 def test_classify_223_stable():

@@ -356,6 +356,14 @@ def test_error_json_names_the_exception_type(tmp_path, capsys, argv, matrix, kin
     assert set(report) == {"error", "type"} and report["type"] == kind
 
 
+def test_missing_matrix_file_is_json_error(tmp_path, capsys):
+    # one reader serves the single-fixture commands and survey alike
+    for command in ("hilbert", "survey"):
+        code, report = _run(capsys, [command, "--a", "2,2,3", "--b", "0",
+                                     "--matrix", str(tmp_path / "absent.json")])
+        assert code == 1 and report["type"] == "FileNotFoundError"
+
+
 @pytest.mark.parametrize("a,b", [("1,1,1", "0"), ("2,2,2", "1")])
 def test_empty_middle_map_is_an_empty_locus(capsys, a, b):
     # h(i*) = 0, so the middle minors form the unit ideal and C(c2_norm, 2)
@@ -446,6 +454,14 @@ GOLDEN = [
      "f4bb8144813a352e11c5a29bd2e68126f728995f6415fc8ca61698bcff278aa5", 0),
     ("survey --grid ci:2-3 --prime 13 --samples 3 --localization",
      "71f7256bac2728c63d5408ef9da86a14481a43b90349748db0f37e74a5115b4d", 0),
+    # these three were taken before the multiplication maps became bare
+    # residue arrays: a pure-power row, a prime just below 2^31, the n = 2 grid
+    ("survey --grid ci:2-3 --monomial 3,4,4 --localization",
+     "4d5267a4a7cddd3ae54cc7ae8a21d92392a3ad6a0968ad840a9020fe65c8c2c2", 2),
+    ("line --a 2,2,3,3 --b 0,1 --line 5,7,11 --seed 3 --prime 2147483647",
+     "549dc74d9d4e989ef8128944e9935a1c9ac00e19d09862dc6c7b21871461d244", 0),
+    ("survey --grid n2 --localization --seed 2",
+     "3d2c3d1064297acca3594cdb336e34c25303c8a5d00d2477dc09a4a6db63ac46", 0),
 ]
 
 

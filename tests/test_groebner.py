@@ -15,6 +15,7 @@ from helpers import (
     rational_points_0dim,
     sample_locus_points,
     series_numpy,
+    variable,
 )
 from lefschetz_locus import field_linalg, groebner, rand
 from lefschetz_locus.groebner import (
@@ -32,9 +33,9 @@ from lefschetz_locus.polyring import Polynomial, Ring, monomial_basis, multiply
 S = Ring(dual=True)
 P = S.prime
 
-L1 = Polynomial.variable(S, 0)
-L2 = Polynomial.variable(S, 1)
-L3 = Polynomial.variable(S, 2)
+L1 = variable(S, 0)
+L2 = variable(S, 1)
+L3 = variable(S, 2)
 
 
 def _fixture_middle_ideal(a=(2, 2, 3), b=(0,), seed=1, prime=P):

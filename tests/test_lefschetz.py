@@ -16,11 +16,12 @@ from helpers import (
     full_scan_is_lefschetz,
     rational_points_0dim,
     specialize,
+    variable,
 )
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import cli, groebner, rand
 from lefschetz_locus import lefschetz as lef
-from lefschetz_locus.field_linalg import Matrix, _matmul, _rref
+from lefschetz_locus.field_linalg import _matmul, _rref
 from lefschetz_locus.groebner import _variable_saturations, buchberger, same_ideal, saturate
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
@@ -89,9 +90,7 @@ def test_specialization_at_coordinate_lines_and_random_lines():
         coords_list = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         coords_list += [random_line(m.prime, stream) for _ in range(10)]
         for coords in coords_list:
-            ell = Polynomial(R, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coords)))
-            direct = m.multiplication_map(ell, i)
-            assert specialize(m, i, coords) == direct
+            assert np.array_equal(specialize(m, i, coords), m.multiplication_map(coords, i))
 
 
 def test_minors_of_223_middle_are_four_cubics():
@@ -111,7 +110,7 @@ def test_minors_of_222_middle_is_one_cubic_determinant():
 def _cofactor_minors(m, i, coords):
     """Every maximal minor of the specialized degree-i matrix by cofactor
     expansion, over subsets of the taller side in lexicographic order."""
-    a = specialize(m, i, coords).a
+    a = specialize(m, i, coords)
     if a.shape[0] < a.shape[1]:
         a = a.T
     size = a.shape[1]
@@ -205,7 +204,7 @@ def test_localization_agrees_with_fold_oracle_off_the_grid():
         middle = _middle(m)
         assert locus_ideal(m, middle) is fold_localization(m, middle) is True
         ring = dual_ring(m)
-        l1 = buchberger([Polynomial.variable(ring, 0)], ring=ring)
+        l1 = buchberger([variable(ring, 0)], ring=ring)
         assert locus_ideal(m, l1) is fold_localization(m, l1), m.degrees
 
 
@@ -214,7 +213,7 @@ def test_localization_fails_where_a_degree_misses_the_middle(monkeypatch):
     # (2,2,3) cuts out, so (l1) lies in no saturation and the fold grows
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
-    middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
+    middle = buchberger([variable(ring, 0)], ring=ring)
     want = fold_localization(m, middle)
     _no_intersect(monkeypatch)
     calls = _counting_saturations(monkeypatch)
@@ -227,12 +226,12 @@ def test_lower_degree_middle_is_shifted_up_to_each_minor_degree(monkeypatch):
     # span R_3, so (l1) passes every degree by rank alone, as the fold agrees
     m = _module((2, 3, 3), (0,))
     ring = dual_ring(m)
-    middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
+    middle = buchberger([variable(ring, 0)], ring=ring)
     assert fold_localization(m, middle)
     monkeypatch.setattr(lef, "_variable_saturations", _forbidden)
     assert locus_ideal(m, middle)
     # (l1) against l1 * m passes in degree D = 2 > 1, without saturation
-    l1, l2, l3 = (Polynomial.variable(ring, v) for v in range(3))
+    l1, l2, l3 = (variable(ring, v) for v in range(3))
     assert _in_saturation(_coefficients([l1], 1), 1,
                           _coefficients((l1 * l1, l1 * l2, l1 * l3), 2), 2, ring)
 
@@ -255,7 +254,7 @@ def _counting_saturations(monkeypatch):
 def test_saturation_decides_where_the_rank_falls_short(monkeypatch):
     # (l3) against (l1^2, l2^2, l3^2, l1*l2): l1*l3 is missing in degree 2,
     # but the ideal is m-primary, so its saturation is the unit ideal
-    l1, l2, l3 = (Polynomial.variable(R, v) for v in range(3))
+    l1, l2, l3 = (variable(R, v) for v in range(3))
     _no_intersect(monkeypatch)
     calls = _counting_saturations(monkeypatch)
     assert _in_saturation(_coefficients([l3], 1), 1,
@@ -266,7 +265,7 @@ def test_saturation_decides_where_the_rank_falls_short(monkeypatch):
 def test_saturation_rejects_a_form_off_the_locus(monkeypatch):
     # (l1) against (l2): the line l2 = 0 is saturated and misses l1; nothing
     # but the zero form lies in the zero ideal (no coefficient rows)
-    l1, l2 = Polynomial.variable(R, 0), Polynomial.variable(R, 1)
+    l1, l2 = variable(R, 0), variable(R, 1)
     _no_intersect(monkeypatch)
     calls = _counting_saturations(monkeypatch)
     mid = _coefficients([l1], 1)
@@ -333,7 +332,7 @@ def test_localization_names_a_prime_too_small_for_another_degree():
     # localization test raises the named error of ``locus_ideal_at``
     m = generic_module(DegreeData((3, 4, 4), (0,)), 1, 7)
     ring = dual_ring(m)
-    middle = buchberger([Polynomial.variable(ring, 0)], ring=ring)
+    middle = buchberger([variable(ring, 0)], ring=ring)
     message = "degree-4 minors: the locus needs a prime above the minor size 9"
     with pytest.raises(ValueError, match=message):
         locus_ideal(m, middle)
@@ -360,7 +359,8 @@ def _stacks(draw):
             a[0] = [0] * s
         maps.append(a)
     wide = draw(st.booleans())
-    return p, s, [Matrix(np.array(a, dtype=np.int64).T if wide else a, p) for a in maps]
+    stack = np.array(maps, dtype=np.int64)
+    return p, s, stack.transpose(0, 2, 1) if wide else stack
 
 
 @settings(max_examples=120, deadline=None)
@@ -374,7 +374,7 @@ def test_lattice_minors_match_cofactor_determinants(stack):
     points = monomial_basis(s).monomials
     assert values.shape[0] == len(points)
     for (_, b, c), row in zip(points, values):
-        a = (maps[0].a + b * maps[1].a + c * maps[2].a) % p
+        a = (maps[0] + b * maps[1] + c * maps[2]) % p
         a = a if a.shape[0] >= a.shape[1] else a.T
         want = [det_mod([[int(x) for x in a[r]] for r in rows], p)
                 for rows in combinations(range(a.shape[0]), s)]
@@ -561,7 +561,7 @@ def test_minor_vanishing_matches_rank_deficiency():
     lines += rational_points_0dim(gb) or []
     for coords in lines:
         all_vanish = all(evaluate(g, coords) == 0 for g in li.gens)
-        r = rank(specialize(m, i_star, coords))
+        r = rank(specialize(m, i_star, coords), m.prime)
         assert all_vanish == (r < min(m.h(i_star), m.h(i_star + 1)))
 
 
@@ -583,7 +583,7 @@ def test_compressed_columns_lie_in_the_span_of_every_minor(stack, data):
     # drops and small primes; on the subset route it is exactly
     # sum_S det Q_j[S] * (column of S)
     p, s, maps = stack
-    n = max(maps[0].rows, maps[0].cols)
+    n = max(maps.shape[1:])
     by_kernel, k = lef._minor_shape(n, s)
     count = data.draw(st.integers(1, 6))
     entries = data.draw(st.lists(st.integers(0, p - 1), min_size=count * n * k,
@@ -692,7 +692,7 @@ def test_zeroed_weights_fall_back_to_every_minor(monkeypatch):
     assert sum(call[2] for call in visits) == 8 and len(visits) == 44
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
-    assert locus_ideal(m, buchberger([Polynomial.variable(ring, 0)], ring=ring)) is False
+    assert locus_ideal(m, buchberger([variable(ring, 0)], ring=ring)) is False
 
 
 def test_all_minors_above_the_cap_is_a_named_error(monkeypatch, capsys):

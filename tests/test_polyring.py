@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from helpers import binary_add, binary_mul, evaluate
+from helpers import binary_add, binary_mul, evaluate, variable
 from lefschetz_locus import rand
 from lefschetz_locus.polyring import (
     DegenerateLineError,
@@ -11,6 +12,7 @@ from lefschetz_locus.polyring import (
     monomial_basis,
     multiply,
     parse_poly,
+    position,
 )
 
 R = Ring()
@@ -38,13 +40,21 @@ def test_monomial_basis_is_deglex_descending():
     assert list(mons) == sorted(mons, reverse=True)
 
 
+def test_position_is_the_index_in_the_monomial_basis():
+    for t in range(13):
+        monos = np.array(monomial_basis(t).monomials, dtype=np.int64).reshape(-1, 3)
+        assert position(t, monos).tolist() == list(range(len(monos))), t
+        for k, mono in enumerate(monomial_basis(t).monomials):
+            assert position(t, np.array(mono)) == k, (t, mono)
+
+
 def test_multiply_by_one():
     f = parse_poly("3*x1^2*x2 - x3^3", R)
     assert multiply(f, Polynomial.constant(R, 1)) == f
 
 
 def test_multiply_variables():
-    x1, x2 = Polynomial.variable(R, 0), Polynomial.variable(R, 1)
+    x1, x2 = variable(R, 0), variable(R, 1)
     assert multiply(x1, x2) == parse_poly("x1*x2", R)
 
 
@@ -56,7 +66,7 @@ def test_multiply_difference_of_squares():
 
 def test_multiply_requires_same_ring():
     with pytest.raises(ValueError):
-        multiply(Polynomial.variable(R, 0), Polynomial.variable(S, 0))
+        multiply(variable(R, 0), variable(S, 0))
 
 
 def _substitute(f, param) -> tuple[int, ...]:
@@ -72,12 +82,12 @@ def _substitute(f, param) -> tuple[int, ...]:
 def test_substitute_line_kills_vanishing_coordinate():
     # the line x1 = 0, parametrized by x2 = s, x3 = u
     param = [[0, 0], [1, 0], [0, 1]]
-    assert _substitute(Polynomial.variable(R, 0), param) == (0, 0)
+    assert _substitute(variable(R, 0), param) == (0, 0)
 
 
 def test_substitute_line_coordinate_passthrough():
     param = [[0, 0], [1, 0], [0, 1]]
-    assert _substitute(Polynomial.variable(R, 1), param) == (1, 0)  # exactly s
+    assert _substitute(variable(R, 1), param) == (1, 0)  # exactly s
 
 
 def test_substitute_line_quadric_matches_direct_expansion():
