@@ -87,6 +87,7 @@ class GroebnerBasis:
         self.deg: list[int] = []
         self.rows: list[np.ndarray] = []
         self.pairs: list[tuple] = []
+        self._reduced: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     @property
     def basis(self) -> tuple[Polynomial, ...]:
@@ -140,6 +141,7 @@ class GroebnerBasis:
         the basis stays reduced."""
         shifts = sorted({(k, lcm) for t, i, j, lcm in self.pairs if t == d for k in (i, j)})
         self.pairs = [pr for pr in self.pairs if pr[0] != d]
+        self._reduced = {}
         led = _pos(d, np.array([lcm for _, lcm in shifts], dtype=np.int64).reshape(-1, 3))
         a = np.vstack([rows, self.lead_at(np.array([k for k, _ in shifts], dtype=np.int64),
                                           led, d)])
@@ -186,14 +188,21 @@ class GroebnerBasis:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The remainder of f on the monomials no leading monomial divides:
-        each degree-d part less its projection on the reduced rows of I_d."""
+        each degree-d part less its projection on the reduced rows of I_d.
+        Once no critical pair is left, those rows are eliminated once per
+        degree and kept until the next ``step``."""
         if f.ring != self.ring:
             raise ValueError("polynomial lives in the wrong ring")
         p, out = self.ring.prime, {}
         for d in {sum(m) for m in f.terms}:
             row = _dense({m: c for m, c in f.terms.items() if sum(m) == d})[1][None]
-            red, pivots = _rref(self.span(d), p)
-            pivots = list(pivots)
+            if d in self._reduced:
+                red, pivots = self._reduced[d]
+            else:
+                red, pivots = _rref(self.span(d), p)
+                pivots = list(pivots)
+                if not self.pairs:
+                    self._reduced[d] = red, pivots
             out.update(_raw((row - _matmul(row[:, pivots], red[:len(pivots)], p))[0] % p, d))
         return Polynomial(self.ring, out)
 

@@ -6,6 +6,9 @@ sections of the restricted kernel in one twist.  This is
 the rank-computation route to jumping lines, independent of the minors
 ideal, so the two can be played against each other.  One table of restricted
 monomials gives every form, and section matrices are filled by index arithmetic.
+A line is jumping when its type is not the generic one.  A balanced type is
+generic by semicontinuity (``is_jumping``), so only an unbalanced line is
+compared with the majority vote over seeded lines.
 """
 
 from __future__ import annotations
@@ -117,14 +120,37 @@ def splitting_type(rb: RestrictedBundle, d: int | None = None) -> SplittingType:
 
 def generic_splitting_empirical(pres: PresentationMatrix, seed: int = 0,
                                 samples: int = 5) -> SplittingType:
-    """Majority splitting type over seeded random lines.  Keeps the general
-    splitting-type statement out of the trusted base: it is observed, not
-    assumed."""
+    """Majority splitting type over up to ``samples`` seeded random lines.
+    Keeps the general splitting-type statement out of the trusted base: it
+    is observed, not assumed.  Drawing stops once one type holds a strict
+    majority, samples // 2 + 1 votes, which no later vote can overturn:
+    a strict majority is the unique most common type.  ``is_jumping`` asks
+    for the vote only on unbalanced lines, whose type semicontinuity does
+    not settle."""
     stream = rand.Stream(rand.derive(seed, 0x591))
     votes: Counter[tuple[int, int]] = Counter()
     for _ in range(samples):
         coords = random_line(pres.prime, stream)
         st = splitting_type(restrict(pres, line_point(coords, pres.prime)))
-        votes[(st.alpha, st.beta)] += 1
+        key = (st.alpha, st.beta)
+        votes[key] += 1
+        if votes[key] > samples // 2:
+            break
     (alpha, beta), _ = votes.most_common(1)[0]
     return SplittingType(alpha, beta)
+
+
+def is_jumping(pres: PresentationMatrix, split: SplittingType, seed: int = 0) -> bool:
+    """Is a line with splitting type ``split`` a jumping line, one whose
+    type differs from the generic one?
+
+    For each t the lines L with h^0(E|_L(-t)) > 0, that is alpha_L >= t,
+    form a closed set in the dual plane (upper semicontinuity, Hartshorne
+    III.12.8), so the generic alpha is the least alpha over all lines.  As
+    alpha + beta = -d on every line, the generic alpha - beta is the least
+    too, and it has the parity of d, as every line's does.  So a balanced
+    line, alpha - beta <= 1, has the generic type and is not jumping: no
+    other line is restricted.  Any other line (a jumping line of a
+    semistable bundle, or any line of an unstable one) is compared with
+    the majority type of ``generic_splitting_empirical``."""
+    return split.alpha - split.beta > 1 and split != generic_splitting_empirical(pres, seed)

@@ -10,7 +10,9 @@ helpers, and point extraction runs it under lex.
 t*I + (1 - t)*J, the route the package's degree-by-degree ``intersect``
 replaced.  ``scan_splitting_type`` finds a splitting type by
 scanning twists for the first section, where the package counts sections
-in one twist.  ``multiplication_map_loop``, ``substitute_line_loop`` (with
+in one twist, and ``vote_generic_splitting`` is the five-line majority vote
+that draws every sample, where the package stops at a strict majority.
+``multiplication_map_loop``, ``substitute_line_loop`` (with
 ``restrict_loop``) and ``section_matrix_loop`` are the dict-lookup, convolution
 and coefficient-by-coefficient loops that the package's index arithmetic and
 line power table replaced; ``multiplication_map_loop`` lifts the whole linear
@@ -31,6 +33,8 @@ only at primes up to the default 65521."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from lefschetz_locus import rand
@@ -46,8 +50,14 @@ from lefschetz_locus.groebner import (
     intersect,
     saturate,
 )
-from lefschetz_locus.jumping import RestrictedBundle, section_matrix
-from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
+from lefschetz_locus.jumping import (
+    RestrictedBundle,
+    line_point,
+    restrict,
+    section_matrix,
+    splitting_type,
+)
+from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at, random_line
 from lefschetz_locus.polyring import DegenerateLineError, Polynomial
 from lefschetz_locus.presentation import _block_layout
 
@@ -626,6 +636,18 @@ def scan_splitting_type(rb) -> SplittingType:
             assert -t >= total + t, "section scan produced an unsorted splitting"
             return SplittingType(-t, total + t)
     raise AssertionError(f"no sections for twists in [{total - 2}, {-total + 2}]")
+
+
+def vote_generic_splitting(pres, seed: int = 0, samples: int = 5) -> SplittingType:
+    """The most common splitting type over all ``samples`` seeded lines of
+    ``jumping.generic_splitting_empirical``'s stream, ties to the first."""
+    stream = rand.Stream(rand.derive(seed, 0x591))
+    votes: Counter[tuple[int, int]] = Counter()
+    for _ in range(samples):
+        st = splitting_type(restrict(pres, line_point(random_line(pres.prime, stream),
+                                                      pres.prime)))
+        votes[(st.alpha, st.beta)] += 1
+    return SplittingType(*votes.most_common(1)[0][0])
 
 
 # -- colon ideals ----------------------------------------------------------

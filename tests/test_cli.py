@@ -462,6 +462,13 @@ GOLDEN = [
      "549dc74d9d4e989ef8128944e9935a1c9ac00e19d09862dc6c7b21871461d244", 0),
     ("survey --grid n2 --localization --seed 2",
      "3d2c3d1064297acca3594cdb336e34c25303c8a5d00d2477dc09a4a6db63ac46", 0),
+    # these two were taken before balanced lines skipped the vote: an
+    # unstable bundle, whose every line is unbalanced and goes to the vote,
+    # and a balanced line of a semistable one
+    ("line --a 1,1,1,8 --b 0,0 --seed 1 --line 1,2,3",
+     "bbf24aa60291413f4f2bf6d648383560f448dbc6474ebe23d2ca8351aa9a0b87", 0),
+    ("line --a 2,2,2 --b 0 --seed 1 --line 1,2,3",
+     "86bb41b9ebfe3f29546c51f0c71a4b56785bc3faa31bad2b753f8f6b95b2cd1e", 0),
 ]
 
 
@@ -477,3 +484,29 @@ def test_reports_are_byte_identical_to_the_recorded_ones(capsys, monkeypatch):
             code = exc.code
         got.append((argv, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code))
     assert got == GOLDEN
+
+
+@pytest.mark.parametrize("argv,most", [
+    ("line --a 2,2,3,3 --b 0,1 --line 1,2,3", 1),  # balanced: no other line
+    ("line --a 2,2,2 --b 0 --seed 1 --line 1,2,3", 1),
+    # the two jumping lines of GOLDEN: three sampled lines agree
+    ("line --a 3,4,4 --b 0 --prime 13 --line 1,6,11", 1 + 3),
+    ("line --a 2,2,3,3 --b 0,1 --prime 13 --line 1,6,0", 1 + 3),
+])
+def test_line_report_restricts_the_line_and_at_most_a_majority(argv, most, capsys,
+                                                               monkeypatch):
+    from lefschetz_locus import jumping
+
+    calls, restrict = [], jumping.restrict
+
+    def counting(*args):
+        calls.append(args[1].coords)
+        return restrict(*args)
+
+    monkeypatch.setattr(jumping, "restrict", counting)
+    assert jumping.restrict is counting
+    assert main(argv.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["jumping"] == (most > 1)
+    assert calls[0] == tuple(report["line"])
+    assert 1 <= len(calls) <= most

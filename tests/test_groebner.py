@@ -254,6 +254,31 @@ def test_batched_engine_matches_dict_oracle(data, p):
         form, list(zip(lms, want)), grevlex_key, p)
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), p=st.sampled_from(_PRIMES))
+def test_normal_forms_of_one_degree_match_dict_oracle_across_growth(data, p):
+    # many forms of one degree: the first eliminates that degree's span and
+    # the rest reuse it; one more generator grown into the basis must not
+    # leave the old span in use
+    ring = Ring(prime=p, dual=True)
+    gens = data.draw(_homogeneous_gens(p, ("form",)))
+    gb = buchberger([Polynomial(ring, g) for g in gens], ring=ring)
+    d = data.draw(st.integers(1, 6))
+    monos = monomial_basis(d).monomials
+    coef = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    for more in ([], data.draw(_homogeneous_gens(p, ("form",)))[:1]):
+        if more:
+            gb.grow(groebner._by_degree([groebner._dense(more[0])]))
+            gens = gens + more
+        want = dict_buchberger(gens, grevlex_key, p)
+        basis = [(max(f, key=grevlex_key), f) for f in want]
+        for _ in range(5):
+            form = {m: c for m, c in zip(monos, data.draw(
+                st.lists(coef, min_size=len(monos), max_size=len(monos)))) if c}
+            assert gb.normal_form(Polynomial(ring, form)).terms == _normal_form(
+                form, basis, grevlex_key, p)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), p=st.sampled_from(_PRIMES))
 def test_intersect_matches_elimination_oracle(data, p):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +11,7 @@ from helpers import (
     sample_locus_points,
     scan_splitting_type,
     section_matrix_loop,
+    vote_generic_splitting,
 )
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import rand
@@ -18,6 +21,7 @@ from lefschetz_locus.jumping import (
     LinePoint,
     RestrictionError,
     generic_splitting_empirical,
+    is_jumping,
     line_point,
     restrict,
     section_matrix,
@@ -35,9 +39,9 @@ from lefschetz_locus.presentation import (
 PRIME = 65521
 
 
-def _monomial_344():
+def _monomial_344(prime=PRIME):
     return presentation_from_strings(DegreeData((3, 4, 4), (0,)),
-                                     [["x1^3", "x2^4", "x3^4"]])
+                                     [["x1^3", "x2^4", "x3^4"]], prime)
 
 
 def test_line_point_geometry():
@@ -165,6 +169,47 @@ def test_jumping_true_on_monomial_curve_points():
     generic = generic_splitting_empirical(pres, seed=0)
     for pt in pts[:5]:
         assert _split(pres, pt) != generic
+
+
+@functools.lru_cache(maxsize=None)
+def _vote_fixture(name, p):
+    if name == "344-monomial":  # its jumping lines form a curve: votes split at p = 13
+        return _monomial_344(p)
+    a, b = {"223": ((2, 2, 3), (0,)), "1118": ((1, 1, 1, 8), (0, 0))}[name]
+    return generic_module(DegreeData(a, b), 1, p).pres
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["223", "344-monomial", "1118"]),
+       p=st.sampled_from([13, 65521, 2**31 - 1]),
+       seed=st.integers(0, 2**32), samples=st.integers(1, 7))
+@example(name="344-monomial", p=13, seed=6, samples=5)  # (1, 1, 3, 3, 3) in alpha - beta
+@example(name="344-monomial", p=13, seed=5, samples=3)  # (3, 1, 1)
+@example(name="344-monomial", p=13, seed=4, samples=6)  # a 3-3 tie, to the first type
+def test_vote_stopped_at_a_strict_majority_matches_the_full_vote(name, p, seed, samples):
+    pres = _vote_fixture(name, p)
+    assert generic_splitting_empirical(pres, seed, samples) == \
+        vote_generic_splitting(pres, seed, samples)
+
+
+_F13_LINES = ([(1, u, v) for u in range(13) for v in range(13)]
+              + [(0, 1, v) for v in range(13)] + [(0, 0, 1)])
+
+
+@pytest.mark.parametrize("a,b,jumping", [((2, 2, 3), (0,), 0), ((2, 2, 2), (0,), 14),
+                                         ((2, 2, 3, 3), (0, 1), 2), ((1, 1, 1, 8), (0, 0), 27)])
+def test_is_jumping_on_every_line_of_the_plane_over_f13(a, b, jumping):
+    # the generic type is the most balanced over all 183 lines; is_jumping
+    # settles balanced lines without the vote and agrees with both it and
+    # the Lefschetz ranks on every line (the counts pin that both occur)
+    m = generic_module(DegreeData(a, b), 1, 13)
+    assert len(set(_F13_LINES)) == 13**2 + 13 + 1
+    splits = {c: _split(m.pres, c) for c in _F13_LINES}
+    generic = min(splits.values(), key=lambda s: s.alpha - s.beta)
+    for c, split in splits.items():
+        got = is_jumping(m.pres, split, 1)
+        assert got == (split != generic) == (not is_lefschetz(m, c).ok), c
+    assert sum(split != generic for split in splits.values()) == jumping
 
 
 @pytest.mark.parametrize("a,b,seed", [((2, 2, 3), (0,), 1), ((1, 1, 1, 8), (0, 0), 1)])
