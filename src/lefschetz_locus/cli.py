@@ -244,7 +244,7 @@ def analyze_line(job: dict, line_coords) -> dict:
     stab = bundle.classify_stability(degrees)
     normalized = split.shifted(stab.t0)
     oracle = bundle.lefschetz_oracle(stab, normalized)
-    jump = jumping.is_jumping(mod.pres, split, job["seed"])
+    jump = jumping.is_jumping(mod.pres, split, stab, job["seed"])
 
     report = _base_report(job, "line")
     report["line"] = list(coords)

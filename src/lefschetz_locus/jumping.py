@@ -6,20 +6,20 @@ sections of the restricted kernel in one twist.  This is
 the rank-computation route to jumping lines, independent of the minors
 ideal, so the two can be played against each other.  One table of restricted
 monomials gives every form, and section matrices are filled by index arithmetic.
-A line is jumping when its type is not the generic one.  A balanced type is
-generic by semicontinuity (``is_jumping``), so only an unbalanced line is
-compared with the majority vote over seeded lines.
+A line is jumping when its type is not the generic one.  The generic alpha
+is the least over all lines and bounded below by the stability data, so a
+line at that bound is not jumping, and a line above it is jumping once a
+seeded line attains the bound (``is_jumping``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rand
-from .bundle import SplittingType
+from .bundle import InconsistencyError, SplittingType, StabilityReport, generic_splitting
 from .field_linalg import kernel_basis, rank
 from .lefschetz import random_line
 from .polyring import line_power_table, position
@@ -118,39 +118,38 @@ def splitting_type(rb: RestrictedBundle, d: int | None = None) -> SplittingType:
     return SplittingType(alpha, total - alpha)
 
 
-def generic_splitting_empirical(pres: PresentationMatrix, seed: int = 0,
-                                samples: int = 5) -> SplittingType:
-    """Majority splitting type over up to ``samples`` seeded random lines.
-    Keeps the general splitting-type statement out of the trusted base: it
-    is observed, not assumed.  Drawing stops once one type holds a strict
-    majority, samples // 2 + 1 votes, which no later vote can overturn:
-    a strict majority is the unique most common type.  ``is_jumping`` asks
-    for the vote only on unbalanced lines, whose type semicontinuity does
-    not settle."""
-    stream = rand.Stream(rand.derive(seed, 0x591))
-    votes: Counter[tuple[int, int]] = Counter()
-    for _ in range(samples):
-        coords = random_line(pres.prime, stream)
-        st = splitting_type(restrict(pres, line_point(coords, pres.prime)))
-        key = (st.alpha, st.beta)
-        votes[key] += 1
-        if votes[key] > samples // 2:
-            break
-    (alpha, beta), _ = votes.most_common(1)[0]
-    return SplittingType(alpha, beta)
+class NoGenericLineError(ValueError):
+    """No seeded line attained the generic splitting type."""
 
 
-def is_jumping(pres: PresentationMatrix, split: SplittingType, seed: int = 0) -> bool:
+def is_jumping(pres: PresentationMatrix, split: SplittingType, stab: StabilityReport,
+               seed: int = 0, tries: int = 25) -> bool:
     """Is a line with splitting type ``split`` a jumping line, one whose
     type differs from the generic one?
 
-    For each t the lines L with h^0(E|_L(-t)) > 0, that is alpha_L >= t,
-    form a closed set in the dual plane (upper semicontinuity, Hartshorne
-    III.12.8), so the generic alpha is the least alpha over all lines.  As
-    alpha + beta = -d on every line, the generic alpha - beta is the least
-    too, and it has the parity of d, as every line's does.  So a balanced
-    line, alpha - beta <= 1, has the generic type and is not jumping: no
-    other line is restricted.  Any other line (a jumping line of a
-    semistable bundle, or any line of an unstable one) is compared with
-    the majority type of ``generic_splitting_empirical``."""
-    return split.alpha - split.beta > 1 and split != generic_splitting_empirical(pres, seed)
+    Let g be the alpha of ``generic_splitting(stab)``, in the normalized
+    frame.  Every line has alpha_L >= g: alpha >= beta gives
+    alpha_L >= ceil(c_1 / 2), which is g for a semistable bundle, and for
+    an unstable one of instability index k = g a section of E(-k) vanishes
+    only on a finite scheme, so it restricts to a nonzero section on every
+    line.  For each t the lines with alpha_L >= t form a closed set
+    (upper semicontinuity, Hartshorne III.12.8), so the generic alpha is
+    the least alpha over all lines, and g bounds it below.  Hence a line
+    with alpha_L = g is not jumping, and no other line is restricted.  A
+    line with alpha_L > g is jumping exactly when some line attains g: the
+    seeded lines are restricted until one does, which is the witness that
+    is observed, not assumed.  If none of ``tries`` does, a
+    ``NoGenericLineError`` is raised rather than a guess."""
+    g = generic_splitting(stab).alpha - stab.t0  # in the frame of ``split``
+    if split.alpha < g:
+        raise InconsistencyError(f"a line has alpha {split.alpha}, below the least "
+                                 f"possible {g}")
+    if split.alpha == g:
+        return False
+    stream = rand.Stream(rand.derive(seed, 0x591))
+    for _ in range(tries):
+        coords = random_line(pres.prime, stream)
+        if splitting_type(restrict(pres, line_point(coords, pres.prime))).alpha == g:
+            return True
+    raise NoGenericLineError(f"none of {tries} seeded lines attains the generic splitting "
+                             f"type, alpha {g}")

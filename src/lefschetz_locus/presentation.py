@@ -2,10 +2,15 @@
 
 A module is given by degree data (a_1 <= ... <= a_{n+2}), (b_1 <= ... <= b_n)
 and an n x (n+2) matrix of homogeneous forms, entry (j, i) of degree
-a_i - b_j, mapping a sum of twists of the ring onto the module.  The
-engine slices the map degree by degree, picks deterministic coset bases
-for each graded piece of the cokernel when it is first read, and exposes
-the multiplication maps between consecutive pieces.
+a_i - b_j, mapping a sum of twists of the ring onto the module.  Each
+graded piece of the cokernel gets a deterministic coset basis when it is
+first read, and the engine exposes the multiplication maps between
+consecutive pieces.  A piece has one of two routes.  Up to degree
+t0 = max(a_(n+2), b_n, i* + 1), where generators and relations are still
+born and every command reads, it is the cokernel of the degree-t slice of
+the map.  Above t0 it is R_1 (x) M_(t-1) modulo the Koszul relations out
+of M_(t-2), a 3h(t-1) x 3h(t-2) elimination that gives the maps into it at
+once (``GradedModule.piece``).
 """
 
 from __future__ import annotations
@@ -184,10 +189,22 @@ class _Piece:
         return self.coker.dim
 
 
+@dataclass(frozen=True)
+class _KoszulPiece:
+    """A piece above t0: coset coordinate v * h(t-1) + i is the class of
+    x_v * m_i, for the i-th basis class m_i of the piece below."""
+
+    coset: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.coset)
+
+
 class GradedModule:
     """Cokernel of a presentation with per-degree coset bases."""
 
-    def __init__(self, pres: PresentationMatrix, pieces: dict[int, _Piece]):
+    def __init__(self, pres: PresentationMatrix, pieces: dict[int, _Piece | _KoszulPiece]):
         self.pres = pres
         self.degrees = pres.degrees
         self.prime = pres.prime
@@ -200,9 +217,11 @@ class GradedModule:
     @classmethod
     def build(cls, pres: PresentationMatrix) -> "GradedModule":
         """The module, certified of finite length: only the pieces from
-        e + 1 through max(e + 1, b_n) are built here, and a nonzero one is
-        refused (``first_piece_beyond_socle``).  Every other piece is built
-        when ``piece`` first asks for it.  An accepted module is
+        e + 1 through max(e + 1, b_n), and those they rest on, are built
+        here, and a nonzero one is refused (``first_piece_beyond_socle``).
+        Above t0 that is the Koszul chain from t0 + 1 up, each step a small
+        elimination, not the largest slice of all.  Every other piece is
+        built when ``piece`` first asks for it.  An accepted module is
         M = H^1_*(E) for the rank-2 bundle E, the kernel of the presentation,
         with c_1(E) = -d, so E^dual = E(d) and Serre duality pairs M_t
         perfectly with M_(d-3-t), compatibly with multiplication; ``h`` and
@@ -235,10 +254,59 @@ class GradedModule:
         return _Piece(tgt_off, tgt_dim, coker,
                       np.searchsorted(tgt_off, coset, side="right") - 1, monos[coset])
 
-    def piece(self, t: int) -> _Piece:
+    @cached_property
+    def slice_top(self) -> int:
+        """t0 = max(a_(n+2), b_n, i* + 1), the last degree built from its
+        slice: generators and relations are born up to max(a_(n+2), b_n),
+        and every command reads the pieces up to the middle map, i* + 1."""
+        deg = self.degrees
+        return max(deg.a[-1], deg.b[-1], deg.middle_degree + 1)
+
+    def piece(self, t: int) -> _Piece | _KoszulPiece:
+        """M_t with its coset basis, built on first read: from its slice up
+        to t0 (``slice_top``), by the Koszul complex above it, lowest
+        degree first.
+
+        Let t > t0, so t > a_(n+2) and t > b_n.  No generator or relation
+        is born in degree t: G_t = R_1 G_(t-1) for the free module
+        G = sum R(-b_j), and N_t = R_1 N_(t-1) for the image N of the
+        presentation.  The Koszul complex of x1, x2, x3 is exact in positive
+        degree, so the kernel of R_1 (x) G_(t-1) -> G_t is spanned by the
+        x_u (x) x_v g - x_v (x) x_u g with g in G_(t-2).  Hence
+        M_t = (R_1 (x) M_(t-1)) / <x_u (x) X_v m - x_v (x) X_u m : u < v,
+        m in M_(t-2)>, where X_v are the maps out of degree t - 2.  That is
+        the cokernel of a 3h(t-1) x 3h(t-2) matrix, and reducing each
+        x_v (x) m_i to coset coordinates is the map of x_v out of degree
+        t - 1, cached with the piece.  Nothing assumes finite length or
+        duality, so ``first_piece_beyond_socle`` stays exact on any input."""
         if t not in self._pieces:
-            self._pieces[t] = self._build_piece(self.pres, t)
+            if t <= self.slice_top:
+                self._pieces[t] = self._build_piece(self.pres, t)
+            else:
+                for s in range(self.slice_top + 1, t + 1):
+                    if s not in self._pieces:
+                        self._pieces[s] = self._koszul_piece(s)
         return self._pieces[t]
+
+    def _koszul_piece(self, t: int) -> _KoszulPiece:
+        """Piece t > t0 as in ``piece``; it stores the maps out of t - 1.
+        Coordinate v * h(t-1) + i of R_1 (x) M_(t-1) is x_v (x) m_i, and
+        the relation of (u, v) and m_k is a column of the matrix."""
+        p, x = self.prime, self.variable_maps(t - 2)
+        _, h, k = x.shape
+        rel = np.zeros((3, h, 3, k), dtype=np.int64)
+        for col, (u, v) in enumerate(((0, 1), (0, 2), (1, 2))):
+            rel[u, :, col] = x[v]
+            rel[v, :, col] = -x[u] % p
+        coker = cokernel_basis(rel.reshape(3 * h, 3 * k), p)
+        coset, pivots = list(coker.coset), list(coker.pivots)
+        maps = np.zeros((coker.dim, 3 * h), dtype=np.int64)
+        maps[:, coset] = np.eye(coker.dim, dtype=np.int64)
+        maps[:, pivots] = -coker.image_rref[:, coset].T % p
+        maps = maps.reshape(coker.dim, 3, h).transpose(1, 0, 2)
+        maps.flags.writeable = False  # shared by every caller
+        self._maps[t - 1] = maps
+        return _KoszulPiece(coker.coset)
 
     @cached_property
     def support(self) -> tuple[int, ...]:
@@ -248,7 +316,8 @@ class GradedModule:
         """dim M_t, zero outside b_1 through e.  On a module that ``build``
         certified it is read from degree min(t, d - 3 - t), as Serre duality
         gives h(t) = h(d - 3 - t).  The pieces above the middle are then
-        built only when asked for, as by ``socle`` or a map out of them."""
+        built only when asked for, as by ``socle`` or a map out of them,
+        by the Koszul route of ``piece`` above t0."""
         deg = self.degrees
         if not deg.b[0] <= t <= deg.socle_degree:
             return 0
@@ -259,9 +328,12 @@ class GradedModule:
 
     def variable_maps(self, t: int) -> np.ndarray:
         """The maps of x1, x2, x3 from the degree-t coset basis to the
-        degree-(t+1) one, as one (3, h(t+1), h(t)) stack, cached: each coset
-        monomial times each variable is placed at its ``position`` in the
-        next slice and reduced mod the image of that slice."""
+        degree-(t+1) one, as one (3, h(t+1), h(t)) stack, cached.  Below t0
+        each coset monomial times each variable is placed at its
+        ``position`` in the next slice and reduced mod the image of that
+        slice; from t0 on the maps come with the Koszul piece t + 1."""
+        if t not in self._maps and t >= self.slice_top:
+            self.piece(t + 1)
         if t not in self._maps:
             src, dst = self.piece(t), self.piece(t + 1)
             expo = src.coset_exponents + np.eye(3, dtype=np.int64)[:, None]  # variable x coset
@@ -301,7 +373,7 @@ def generic_hilbert_profile(degrees: DegreeData) -> dict[int, int]:
     d = degrees.d
     lo, e = degrees.b[0], degrees.socle_degree
     profile = {}
-    for t in range(lo, max(e, lo) + 1):
+    for t in range(lo, e + 1):
         value = (
             sum(_dim_r(t - bj) for bj in degrees.b)
             - sum(_dim_r(t - ai) for ai in degrees.a)

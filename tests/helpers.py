@@ -11,7 +11,9 @@ t*I + (1 - t)*J, the route the package's degree-by-degree ``intersect``
 replaced.  ``scan_splitting_type`` finds a splitting type by
 scanning twists for the first section, where the package counts sections
 in one twist, and ``vote_generic_splitting`` is the five-line majority vote
-that draws every sample, where the package stops at a strict majority.
+that the package replaced by a witness of the least splitting type.
+``slice_maps`` builds the maps out of any degree from the two slices,
+where the package builds every piece above t0 by the Koszul complex.
 ``multiplication_map_loop``, ``substitute_line_loop`` (with
 ``restrict_loop``) and ``section_matrix_loop`` are the dict-lookup, convolution
 and coefficient-by-coefficient loops that the package's index arithmetic and
@@ -39,7 +41,7 @@ import numpy as np
 
 from lefschetz_locus import rand
 from lefschetz_locus.bundle import InconsistencyError, SplittingType, h0
-from lefschetz_locus.field_linalg import DEFAULT_PRIME, rank
+from lefschetz_locus.field_linalg import DEFAULT_PRIME, cokernel_basis, rank
 from lefschetz_locus.groebner import (
     GroebnerBasis,
     _divides,
@@ -59,7 +61,7 @@ from lefschetz_locus.jumping import (
 )
 from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at, random_line
 from lefschetz_locus.polyring import DegenerateLineError, Polynomial
-from lefschetz_locus.presentation import _block_layout
+from lefschetz_locus.presentation import _block_layout, graded_piece_matrix
 
 
 # -- integer power series / Hilbert series -------------------------------
@@ -168,6 +170,26 @@ def multiplication_map_loop(mod, line, t: int) -> np.ndarray:
             r = dst.offsets[j] + index[j][target]
             lifted[r, c] = (lifted[r, c] + int(cv)) % mod.prime
     return dst.coker.reduce(lifted)
+
+
+def slice_maps(pres, t: int) -> np.ndarray:
+    """The maps of x1, x2, x3 out of degree t, as a (3, h(t+1), h(t))
+    stack, with both pieces built from their slices (``graded_piece_matrix``
+    and ``cokernel_basis``) at every degree: each coset monomial times each
+    variable is lifted through dict lookups and reduced in the next slice."""
+    deg, p = pres.degrees, pres.prime
+    src, dst = (cokernel_basis(graded_piece_matrix(pres, s), p) for s in (t, t + 1))
+    src_bases, src_off, _ = _block_layout(deg.b, t)
+    dst_bases, dst_off, dst_dim = _block_layout(deg.b, t + 1)
+    index = [basis_index(basis) for basis in dst_bases]
+    lifted = np.zeros((dst_dim, 3 * src.dim), dtype=np.int64)
+    for c, row in enumerate(src.coset):
+        j = max(k for k in range(deg.n) if src_off[k] <= row)
+        mono = src_bases[j].monomials[row - src_off[j]]
+        for v in range(3):
+            target = tuple(e + (k == v) for k, e in enumerate(mono))
+            lifted[dst_off[j] + index[j][target], v * src.dim + c] = 1
+    return dst.reduce(lifted).reshape(dst.dim, 3, src.dim).transpose(1, 0, 2)
 
 
 # -- restriction to lines by loops -----------------------------------------
@@ -640,7 +662,9 @@ def scan_splitting_type(rb) -> SplittingType:
 
 def vote_generic_splitting(pres, seed: int = 0, samples: int = 5) -> SplittingType:
     """The most common splitting type over all ``samples`` seeded lines of
-    ``jumping.generic_splitting_empirical``'s stream, ties to the first."""
+    the stream ``jumping.is_jumping`` draws its witnesses from, ties to the
+    first.  A vote is no proof of genericity: at p = 13 it can elect a
+    jumping type."""
     stream = rand.Stream(rand.derive(seed, 0x591))
     votes: Counter[tuple[int, int]] = Counter()
     for _ in range(samples):

@@ -4,17 +4,17 @@ its runtime against the stated budget (run pytest with -s to see them)."""
 import time
 from math import comb
 
-from helpers import euler_characteristic, rational_points_0dim, sample_locus_points
+from helpers import (
+    euler_characteristic,
+    rational_points_0dim,
+    sample_locus_points,
+    vote_generic_splitting,
+)
 from lefschetz_locus import rand
 from lefschetz_locus.bundle import chern, classify_stability, lefschetz_oracle
 from lefschetz_locus.cli import analyze_locus, build_module, survey_row
 from lefschetz_locus.groebner import buchberger, measure
-from lefschetz_locus.jumping import (
-    generic_splitting_empirical,
-    line_point,
-    restrict,
-    splitting_type,
-)
+from lefschetz_locus.jumping import is_jumping, line_point, restrict, splitting_type
 from lefschetz_locus.lefschetz import dual_ring, is_lefschetz, locus_ideal_at, random_line
 from lefschetz_locus.presentation import DegreeData, generic_module
 
@@ -115,12 +115,14 @@ def test_criterion_6_jumping_equals_non_lefschetz():
         for seed in fx["seeds"]:
             job = _job(num, seed)
             mod = build_module(job)
-            generic = generic_splitting_empirical(mod.pres, seed=seed)
+            stab = classify_stability(mod.degrees)
+            generic = vote_generic_splitting(mod.pres, seed=seed)
 
             def agree(coords):
                 direct = is_lefschetz(mod, coords).ok
                 split = splitting_type(restrict(mod.pres, line_point(coords, mod.prime)))
-                return (split != generic) == (not direct)
+                jump = is_jumping(mod.pres, split, stab, seed)
+                return jump == (split != generic) == (not direct)
 
             stream = rand.Stream(rand.derive(seed, num))
             for _ in range(150):

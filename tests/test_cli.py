@@ -417,26 +417,59 @@ def test_finite_length_claim_reads_the_build_predicate():
 
 
 @pytest.mark.parametrize("argv,built", [
-    ("locus --a 4,4,4 --b 0", {*range(0, 6), 10}),
-    ("line --a 2,2,3,3 --b 0,1 --line 1,2,3", {*range(0, 4), 7}),
-    ("hilbert --a 2,2,3,3 --b 0,1", set(range(0, 8))),
-    ("survey --a 4,4,4 --b 0", set(range(0, 11))),
+    ("locus --a 4,4,4 --b 0", (set(range(0, 6)), set(range(6, 11)))),
+    ("line --a 2,2,3,3 --b 0,1 --line 1,2,3", (set(range(0, 4)), set(range(4, 8)))),
+    ("hilbert --a 2,2,3,3 --b 0,1", (set(range(0, 4)), set(range(4, 8)))),
+    ("survey --a 4,4,4 --b 0", (set(range(0, 6)), set(range(6, 11)))),
 ])
 def test_commands_build_only_the_pieces_they_read(argv, built, capsys, monkeypatch):
-    # build certifies from degree e + 1 alone; Serre duality serves h and the
-    # Lefschetz scan above the middle, while the socle reads every piece
+    # slices up to t0 = max(a_(n+2), b_n, i* + 1), the Koszul route above
+    # it: build certifies degree e + 1 through the Koszul chain, Serre
+    # duality serves h and the Lefschetz scan above the middle, and the
+    # socle reads every piece
     from lefschetz_locus.presentation import GradedModule
 
-    seen = set()
-    build_piece = GradedModule._build_piece
+    slices, koszul = set(), set()
+    build_piece, koszul_piece = GradedModule._build_piece, GradedModule._koszul_piece
 
     def counted(pres, t):
-        seen.add(t)
+        slices.add(t)
         return build_piece(pres, t)
 
+    def counted_koszul(self, t):
+        koszul.add(t)
+        return koszul_piece(self, t)
+
     monkeypatch.setattr(GradedModule, "_build_piece", staticmethod(counted))
+    monkeypatch.setattr(GradedModule, "_koszul_piece", counted_koszul)
     code, _ = _run(capsys, argv.split())
-    assert code == 0 and seen == built
+    assert code == 0 and (slices, koszul) == built
+
+
+@pytest.mark.parametrize("argv", ["hilbert", "locus", "line --line 1,2,3",
+                                  "survey --localization"])
+def test_the_zero_module_is_accepted(argv, capsys):
+    # (0,0,0 | 0) presents M = 0: its support is empty, and so is the
+    # generic Hilbert profile, which once listed degree b_1 = 0 and made
+    # every seeded draw look non-generic
+    code, report = _run(capsys, argv.split() + ["--a", "0,0,0", "--b", "0"])
+    assert code == 0, report
+    row = report["rows"][0] if "rows" in report else report
+    assert row.get("hilbert", {"values": []})["values"] == []
+    if argv == "hilbert":
+        assert report["socle"] == []
+
+
+def test_a_line_the_vote_called_generic_is_jumping(tmp_path, capsys):
+    # on the pure-power (3,4,4) over F_13 at seed 6, three of the five
+    # seeded lines jump, so a majority vote took (1,0,1) for generic; the
+    # first seeded line that attains the least splitting type is the witness
+    grid = tmp_path / "m.json"
+    grid.write_text(json.dumps([["x1^3", "x2^4", "x3^4"]]))
+    code, report = _run(capsys, ["line", "--a", "3,4,4", "--b", "0", "--matrix", str(grid),
+                                 "--prime", "13", "--seed", "6", "--line", "1,0,1"])
+    assert code == 0 and report["jumping"] and not report["lefschetz"]
+    assert report["splitting_normalized"]["alpha"] > 0
 
 
 # sha256 of stdout and the exit code of each command, taken before the

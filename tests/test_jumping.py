@@ -15,12 +15,18 @@ from helpers import (
 )
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import rand
-from lefschetz_locus.bundle import SplittingType, classify_stability, lefschetz_oracle
+from lefschetz_locus.bundle import (
+    InconsistencyError,
+    SplittingType,
+    classify_stability,
+    generic_splitting,
+    lefschetz_oracle,
+)
 from lefschetz_locus.field_linalg import rank
 from lefschetz_locus.jumping import (
     LinePoint,
+    NoGenericLineError,
     RestrictionError,
-    generic_splitting_empirical,
     is_jumping,
     line_point,
     restrict,
@@ -126,11 +132,9 @@ def test_splitting_sum_is_minus_total_twist(a, b):
 
 
 def test_empirical_generic_type_is_deterministic_and_matches_prediction():
-    from lefschetz_locus.bundle import generic_splitting
-
     pres = random_presentation(DegreeData((2, 2, 3), (0,)), seed=1)
-    st1 = generic_splitting_empirical(pres, seed=0)
-    st2 = generic_splitting_empirical(pres, seed=0)
+    st1 = vote_generic_splitting(pres, seed=0)
+    st2 = vote_generic_splitting(pres, seed=0)
     assert st1 == st2
     stab = classify_stability(pres.degrees)
     assert st1.shifted(stab.t0) == generic_splitting(stab)
@@ -142,7 +146,9 @@ def _split(pres, coords):
 
 def test_jumping_false_on_generic_line():
     pres = random_presentation(DegreeData((2, 2, 3), (0,)), seed=1)
-    assert _split(pres, (1, 2, 3)) == generic_splitting_empirical(pres, seed=0)
+    split = _split(pres, (1, 2, 3))
+    assert split == vote_generic_splitting(pres, seed=0)
+    assert not is_jumping(pres, split, classify_stability(pres.degrees), 0)
 
 
 def test_jumping_true_on_measured_locus_point():
@@ -153,9 +159,11 @@ def test_jumping_true_on_measured_locus_point():
     li = locus_ideal_at(m, m.degrees.middle_degree)
     pts = rational_points_0dim(buchberger(list(li.gens), ring=dual_ring(m)))
     assert pts
-    generic = generic_splitting_empirical(m.pres, seed=0)
+    generic = vote_generic_splitting(m.pres, seed=0)
+    stab = classify_stability(m.degrees)
     for pt in pts:
         assert _split(m.pres, pt) != generic
+        assert is_jumping(m.pres, _split(m.pres, pt), stab, 0)
 
 
 def test_jumping_true_on_monomial_curve_points():
@@ -166,30 +174,11 @@ def test_jumping_true_on_monomial_curve_points():
     li = locus_ideal_at(m, 3)
     pts = sample_locus_points(list(li.gens), seed=1)
     assert pts
-    generic = generic_splitting_empirical(pres, seed=0)
+    generic = vote_generic_splitting(pres, seed=0)
+    stab = classify_stability(pres.degrees)
     for pt in pts[:5]:
         assert _split(pres, pt) != generic
-
-
-@functools.lru_cache(maxsize=None)
-def _vote_fixture(name, p):
-    if name == "344-monomial":  # its jumping lines form a curve: votes split at p = 13
-        return _monomial_344(p)
-    a, b = {"223": ((2, 2, 3), (0,)), "1118": ((1, 1, 1, 8), (0, 0))}[name]
-    return generic_module(DegreeData(a, b), 1, p).pres
-
-
-@settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(["223", "344-monomial", "1118"]),
-       p=st.sampled_from([13, 65521, 2**31 - 1]),
-       seed=st.integers(0, 2**32), samples=st.integers(1, 7))
-@example(name="344-monomial", p=13, seed=6, samples=5)  # (1, 1, 3, 3, 3) in alpha - beta
-@example(name="344-monomial", p=13, seed=5, samples=3)  # (3, 1, 1)
-@example(name="344-monomial", p=13, seed=4, samples=6)  # a 3-3 tie, to the first type
-def test_vote_stopped_at_a_strict_majority_matches_the_full_vote(name, p, seed, samples):
-    pres = _vote_fixture(name, p)
-    assert generic_splitting_empirical(pres, seed, samples) == \
-        vote_generic_splitting(pres, seed, samples)
+        assert is_jumping(pres, _split(pres, pt), stab, 0)
 
 
 _F13_LINES = ([(1, u, v) for u in range(13) for v in range(13)]
@@ -206,20 +195,74 @@ def test_is_jumping_on_every_line_of_the_plane_over_f13(a, b, jumping):
     assert len(set(_F13_LINES)) == 13**2 + 13 + 1
     splits = {c: _split(m.pres, c) for c in _F13_LINES}
     generic = min(splits.values(), key=lambda s: s.alpha - s.beta)
+    stab = classify_stability(m.degrees)
     for c, split in splits.items():
-        got = is_jumping(m.pres, split, 1)
+        got = is_jumping(m.pres, split, stab, 1)
         assert got == (split != generic) == (not is_lefschetz(m, c).ok), c
     assert sum(split != generic for split in splits.values()) == jumping
+
+
+_WITNESS_FIXTURES = [((2, 2, 3), (0,)), ((2, 2, 3, 3), (0, 1)), ((3, 4, 4), (0,)),
+                     ((2, 2, 2), (0,)), ((1, 1, 1, 2), (0, 0)), ((1, 1, 1, 8), (0, 0))]
+
+
+@functools.lru_cache(maxsize=None)
+def _f13_plane(a, b, seed):
+    """A module over F_13 (the pure-power (3,4,4) for seed None) and the
+    splitting type and Lefschetz verdict of each of the 183 lines."""
+    m = (GradedModule.build(_monomial_344(13)) if seed is None
+         else generic_module(DegreeData(a, b), seed, 13))
+    return m, {c: (_split(m.pres, c), is_lefschetz(m, c).ok) for c in _F13_LINES}
+
+
+@pytest.mark.parametrize("a,b,seed,draws", [(a, b, s, s) for a, b in _WITNESS_FIXTURES
+                                            for s in (1, 2, 3)]
+                         + [((3, 4, 4), (0,), None, s) for s in range(1, 7)])
+def test_is_jumping_is_the_least_alpha_over_the_plane(a, b, seed, draws):
+    # exhaustive over P^2(F_13): a line is jumping exactly when its alpha
+    # exceeds the least alpha over all 183 lines, which is the bound
+    # is_jumping reads off the stability data; the pure-power (3,4,4) is
+    # the module whose majority vote at seed 6 elected a jumping type
+    m, lines = _f13_plane(a, b, seed)
+    stab = classify_stability(m.degrees)
+    least = min(split.alpha for split, _ in lines.values())
+    assert least + stab.t0 == generic_splitting(stab).alpha
+    for c, (split, lefschetz) in lines.items():
+        assert is_jumping(m.pres, split, stab, draws) == (split.alpha > least) \
+            == (not lefschetz), c
+
+
+def test_is_jumping_refuses_to_guess_without_a_witness():
+    m, lines = _f13_plane((3, 4, 4), (0,), None)
+    stab = classify_stability(m.degrees)
+    split = lines[(1, 0, 1)][0]  # jumping: a vote at seed 6 called it generic
+    with pytest.raises(NoGenericLineError, match="none of 0 seeded lines"):
+        is_jumping(m.pres, split, stab, 6, tries=0)
+    assert is_jumping(m.pres, split, stab, 6)
+
+
+def test_is_jumping_refuses_a_type_below_the_bound():
+    # every line of an unstable bundle has alpha >= k in the normalized
+    # frame; a balanced type there contradicts the stability data
+    m = generic_module(DegreeData((1, 1, 1, 8), (0, 0)), 1)
+    stab = classify_stability(m.degrees)
+    assert stab.unstable and stab.k > 0
+    total = -m.degrees.d
+    with pytest.raises(InconsistencyError, match="below the least possible"):
+        is_jumping(m.pres, SplittingType(total - total // 2, total // 2), stab)
 
 
 @pytest.mark.parametrize("a,b,seed", [((2, 2, 3), (0,), 1), ((1, 1, 1, 8), (0, 0), 1)])
 def test_jumping_equals_non_lefschetz_on_samples(a, b, seed):
     m = generic_module(DegreeData(a, b), seed)
-    generic = generic_splitting_empirical(m.pres, seed=0)
+    generic = vote_generic_splitting(m.pres, seed=0)
+    stab = classify_stability(m.degrees)
     stream = rand.Stream(777)
     for _ in range(40):
         coords = random_line(m.prime, stream)
-        assert (_split(m.pres, coords) != generic) == (not is_lefschetz(m, coords).ok)
+        split = _split(m.pres, coords)
+        assert (split != generic) == is_jumping(m.pres, split, stab, 0) \
+            == (not is_lefschetz(m, coords).ok)
 
 
 @pytest.mark.parametrize("a,b,seed", [((2, 2, 3), (0,), 1), ((2, 2, 2), (0,), 1),

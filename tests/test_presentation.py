@@ -8,12 +8,15 @@ from helpers import (
     hilbert_series_ci,
     hilbert_series_presented,
     multiplication_map_loop,
+    slice_maps,
 )
 from lefschetz_locus.field_linalg import kernel_basis, rank
 from lefschetz_locus.presentation import (
     DegreeData,
     GradedModule,
     NonFiniteLengthError,
+    _KoszulPiece,
+    _Piece,
     generic_hilbert_profile,
     generic_module,
     graded_piece_matrix,
@@ -137,10 +140,12 @@ def test_multiplication_maps_match_lookup_oracle(deg, seed, line):
     # lookups, for every linear form, zero coefficients included, and for
     # the variables; at 2^31 - 1 a sum of three unreduced products of
     # residues would overflow int64.  The module is taken as presented, so
-    # a small prime's degenerate draw is a case too.
+    # a small prime's degenerate draw is a case too.  These are the maps
+    # between slice-built pieces, up to t0; the Koszul maps above are
+    # checked against the slices in another basis below.
     p, coeffs = line
     m = GradedModule(random_presentation(deg, seed, p), {})
-    for t in range(deg.b[0] - 1, deg.socle_degree + 1):
+    for t in range(deg.b[0] - 1, m.slice_top):
         maps = m.variable_maps(t)
         assert maps.shape == (3, m.piece(t + 1).dim, m.piece(t).dim), t
         got = m.multiplication_map(coeffs, t)
@@ -148,6 +153,65 @@ def test_multiplication_maps_match_lookup_oracle(deg, seed, line):
         assert got.dtype == np.int64 and ((0 <= got) & (got < p)).all(), t
         for v, one in enumerate(np.eye(3, dtype=np.int64)):
             assert np.array_equal(maps[v], multiplication_map_loop(m, one, t)), (t, v)
+
+
+def _assert_koszul_pieces_are_the_slice_pieces(m, top):
+    """Every piece from b_1 - 1 through ``top`` against ``slice_maps``: up
+    to t0 the maps are the slice maps themselves.  Above, M_(t+1) has the
+    slice dimension and its maps are the slice maps in the basis P_(t+1),
+    whose column j is the slice class of x_v * m_i for (v, i) the j-th
+    coordinate of the Koszul coset, m_i the i-th column of P_t, P_(t0) = I."""
+    p, t0 = m.prime, m.slice_top
+    for t in range(m.degrees.b[0] - 1, t0):
+        assert np.array_equal(m.variable_maps(t), slice_maps(m.pres, t)), t
+    basis = np.eye(m.piece(t0).dim, dtype=object)
+    for t in range(t0, top):
+        slices = slice_maps(m.pres, t).astype(object)
+        koszul = m.variable_maps(t).astype(object)
+        assert isinstance(m.piece(t + 1), _KoszulPiece), t
+        assert m.piece(t + 1).dim == slices.shape[1], t
+        v, i = np.divmod(np.array(m.piece(t + 1).coset, dtype=np.int64), m.piece(t).dim)
+        nxt = np.zeros((slices.shape[1], len(v)), dtype=object)
+        for j, (vj, ij) in enumerate(zip(v, i)):
+            nxt[:, j] = slices[vj].dot(basis[:, ij]) % p
+        assert rank(nxt.astype(np.int64), p) == len(v), t  # a basis of M_(t+1)
+        for x in range(3):
+            assert np.array_equal(slices[x].dot(basis) % p, nxt.dot(koszul[x]) % p), (t, x)
+        basis = nxt
+
+
+@settings(max_examples=25, deadline=None)
+@given(deg=_twists(), seed=st.integers(0, 2**32),
+       prime=st.sampled_from([13, 65521, 2**31 - 1]))
+def test_koszul_pieces_are_the_slice_pieces_in_another_basis(deg, seed, prime):
+    # taken as presented, so a degenerate draw at p = 13 is a case too
+    m = GradedModule(random_presentation(deg, seed, prime), {})
+    _assert_koszul_pieces_are_the_slice_pieces(m, max(deg.socle_degree, deg.b[-1]) + 1)
+
+
+_INFINITE_GRIDS = [
+    [["x1^2", "x1*x2", "x1^3"]],
+    [["x1^2 + x1*x2", "x1*x3 + x2*x3", "x1^3 + x2^3"]],  # all divisible by x1 + x2
+]
+
+
+@pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
+@pytest.mark.parametrize("a,b,grid", [
+    ((2, 3, 4, 4, 5), (0, 0, 2), None),
+    ((3, 3, 4, 4, 5), (0, 1, 1), None),
+    ((1, 1, 1, 8), (0, 0), None),
+] + [((2, 2, 3), (0,), grid) for grid in _INFINITE_GRIDS])
+def test_koszul_pieces_match_the_slices_on_fixtures(a, b, grid, p):
+    # three presented modules, and the two of infinite length, whose
+    # pieces beyond the socle degree are nonzero: the Koszul route assumes
+    # neither finite length nor duality
+    deg = DegreeData(a, b)
+    pres = (random_presentation(deg, 1, p) if grid is None
+            else presentation_from_strings(deg, grid, p))
+    m = GradedModule(pres, {})
+    _assert_koszul_pieces_are_the_slice_pieces(m, max(deg.socle_degree, deg.b[-1]) + 2)
+    if grid is not None:
+        assert m.first_piece_beyond_socle() == deg.socle_degree + 1
 
 
 def test_graded_piece_empty_below_targets():
@@ -258,21 +322,29 @@ def test_finite_length_is_the_vanishing_beyond_the_socle_degree():
     assert _module((2, 2, 3), (0,)).first_piece_beyond_socle() is None
 
 
+def _built(m, kind):
+    return sorted(t for t, piece in m._pieces.items() if isinstance(piece, kind))
+
+
 @pytest.mark.parametrize("a,b,grid,built", [
-    ((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]], [9]),
-    ((2, 2, 3, 3), (0, 1), [["x1^2", "x2^2", "x3^3", "0"], ["0", "x1", "x2^2", "x3^2"]], [7]),
+    ((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]], (4, 9)),
+    ((2, 2, 3, 3), (0, 1), [["x1^2", "x2^2", "x3^3", "0"], ["0", "x1", "x2^2", "x3^2"]],
+     (3, 7)),
 ])
 def test_build_certifies_from_the_pieces_beyond_the_socle_alone(a, b, grid, built):
+    # the certificate at e + 1 rests on the Koszul chain from t0 + 1 and on
+    # the two slices t0 - 1 and t0 whose maps start it
+    t0, top = built
     m = GradedModule.build(presentation_from_strings(DegreeData(a, b), grid))
-    assert m.certified and sorted(m._pieces) == built
+    assert m.certified and m.slice_top == t0 and top == m.degrees.socle_degree + 1
+    assert _built(m, _Piece) == [t0 - 1, t0]
+    assert _built(m, _KoszulPiece) == list(range(t0 + 1, top + 1))
     m.hilbert()  # the lower half of the support, up to (d - 3) / 2
-    assert sorted(m._pieces) == list(range(b[0], (m.degrees.d - 3) // 2 + 1)) + built
+    lower = set(range(b[0], (m.degrees.d - 3) // 2 + 1))
+    assert _built(m, _Piece) == sorted(lower | {t0 - 1, t0})
 
 
-@pytest.mark.parametrize("grid", [
-    [["x1^2", "x1*x2", "x1^3"]],
-    [["x1^2 + x1*x2", "x1*x3 + x2*x3", "x1^3 + x2^3"]],  # all divisible by x1 + x2
-])
+@pytest.mark.parametrize("grid", _INFINITE_GRIDS)
 def test_a_module_of_infinite_length_reads_its_pieces_unmirrored(grid):
     # only a module that build certified mirrors h(t) = h(d - 3 - t); these
     # Hilbert values are not symmetric, so a mirrored one would show
@@ -324,9 +396,16 @@ def test_generic_module_reseeds_degenerate_draws_over_tiny_field():
 
 
 def test_coset_basis_monomials_match_dimensions():
+    # slices carry coset monomials up to t0 = 3; above, a Koszul coset
+    # coordinate names x_v times a basis class one degree down
     m = _module((2, 2, 3), (0,))
+    assert m.slice_top == 3
     for t in m.support:
         piece = m.piece(t)
+        if t > m.slice_top:
+            assert piece.dim == m.h(t)
+            assert all(0 <= c < 3 * m.h(t - 1) for c in piece.coset)
+            continue
         assert len(piece.coset_blocks) == len(piece.coset_exponents) == m.h(t)
         for block, mono in zip(piece.coset_blocks, piece.coset_exponents):
             assert block == 0
