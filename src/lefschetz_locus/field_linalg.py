@@ -12,6 +12,7 @@ depend on that.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,9 @@ import numpy as np
 DEFAULT_PRIME = 65521
 
 
+@functools.lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
+    """Trial division, cached: every ``Ring`` checks its prime."""
     if n < 2:
         return False
     if n % 2 == 0:

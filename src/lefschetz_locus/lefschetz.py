@@ -26,6 +26,16 @@ transpose of the map from degree i to i + 1, up to fixed invertible
 changes of basis, which act invertibly on the span of the maximal minors:
 I_i = I_(d-4-i).  ``locus_ideal`` decides one degree of each such pair,
 and ``is_lefschetz`` ranks the map out of one degree of each.
+
+Maximal rank then propagates away from the middle (Harima, Migliore,
+Nagel, Watanabe, J. Algebra 262 (2003), Prop. 2.1, for a module).  M is
+generated in degrees <= b_n, and so is M/lM for every line l; if l is
+onto from degree j >= b_n - 1 to j + 1, then (M/lM)_k = 0 for all k > j,
+so l is onto out of every degree >= j.  By the transpose above, l is
+injective out of degree i exactly when it is onto out of d - 4 - i, so
+if l is injective out of some i <= d - 3 - b_n, it is injective out of
+every degree below i (``_injective_below``).  Both scans therefore walk
+down from the middle and stop at the first degree where that holds.
 """
 
 from __future__ import annotations
@@ -211,11 +221,13 @@ def _interpolate(m: GradedModule, i: int, values=None) -> np.ndarray:
     return both_axes(binom.T, diffs)[b, c].T
 
 
+@functools.lru_cache(maxsize=32)
 def _newton_tables(s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Delta[i, k] = (-1)^(i-k) C(i, k) and F[k, j], the coefficient of x^j
     in C(x, k), for i, j, k <= s, mod p > s.  C(i, k) = i!/(k!(i-k)!) from
     one table of factorials and one inverse; row k of F is the falling
-    factorial x (x - 1) ... (x - k + 1), built in Python ints, over k!."""
+    factorial x (x - 1) ... (x - k + 1), built in Python ints, over k!.
+    Read-only, as they are cached."""
     fact = list(accumulate(range(1, s + 1), lambda f, k: f * k % p, initial=1))
     inv = np.array(list(accumulate(range(s, 0, -1), lambda f, k: f * k % p,
                                    initial=pow(fact[-1], p - 2, p)))[::-1])  # 1/k!
@@ -226,7 +238,10 @@ def _newton_tables(s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, s + 1):  # times x - (k - 1)
         falling = [0] + [(falling[j] - (k - 1) * falling[j + 1]) % p for j in range(s)]
         rows.append(falling)
-    return np.where(gap < 0, 0, np.where(gap & 1, p - c, c)), np.array(rows) * inv[:, None] % p
+    tables = np.where(gap < 0, 0, np.where(gap & 1, p - c, c)), np.array(rows) * inv[:, None] % p
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _forms(ring: Ring, s: int, rows: np.ndarray) -> tuple[Polynomial, ...]:
@@ -280,6 +295,15 @@ def _in_saturation(mid: np.ndarray, s_mid: int, coeffs: np.ndarray, s: int,
     return all(sat.contains(g) for sat in sats for g in _forms(ring, s_mid, mid))
 
 
+def _injective_below(m: GradedModule, i: int) -> bool:
+    """Does a line of maximal rank out of degree i make it injective out of
+    every degree <= i?  Maximal rank is injective when h_i <= h_(i+1), and
+    injectivity out of i <= d - 3 - b_n passes to every lower degree (module
+    docstring), for any line over any extension of the field."""
+    deg = m.degrees
+    return m.h(i) <= m.h(i + 1) and i <= deg.d - 3 - deg.b[-1]
+
+
 def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
     """Does the middle-degree minor ideal I_mid (``middle`` is its reduced
     basis) cut out the whole locus, the scheme of the intersection of the
@@ -294,29 +318,38 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
 
     Degree i and its Serre dual d - 4 - i have one minor ideal (see the
     module docstring), so only the degrees i <= d - 4 - i* are visited,
-    i* the middle degree: from b_1 - 1 (dual to the socle degree) through
-    i* - 1, and i* + 1 for odd d, whose dual is i*.  Degree i* + 1 is
-    kept so that a ``middle`` other than I_(i*) is still tested against
-    every minor ideal."""
+    i* the middle degree: i* + 1 for odd d, whose dual is i*, then i* - 1
+    down to b_1 - 1 (dual to the socle degree).  Degree i* + 1 is kept so
+    that a ``middle`` other than I_(i*) is still tested against every
+    minor ideal.  The walk down stops after the first degree i < i* whose
+    values reach full rank, with h_i <= h_(i+1) and i <= d - 3 - b_n: then
+    I_i holds R_s, so every line over the algebraic closure is injective
+    out of degree i, hence out of every degree k < i (``_injective_below``).
+    Each such I_k has an empty locus, so I_k^sat = R holds I_mid, whatever
+    ``middle`` is, and no value of degree k is computed."""
     deg = m.degrees
     ring = dual_ring(m)
     s_mid = min(middle.deg, default=0)
     mid = np.array([row for d, row in zip(middle.deg, middle.rows) if d == s_mid],
                    dtype=np.int64).reshape(-1, comb(s_mid + 2, 2))
     mid = mid[:, _pos(s_mid, np.array(monomial_basis(s_mid).monomials))]  # to basis order
-    for i in range(deg.b[0] - 1, deg.d - 3 - deg.middle_degree):  # i <= d - 4 - i*
+    i_mid = deg.middle_degree
+    for i in [i_mid + 1] * (deg.d % 2) + list(range(i_mid - 1, deg.b[0] - 2, -1)):
         size = min(m.h(i), m.h(i + 1))
-        if i == deg.middle_degree or size == 0:
+        if size == 0:
             continue
         points = comb(size + 2, 2)
-        if comb(max(m.h(i), m.h(i + 1)), size) > points + 4 and len(
-                _rref(_minor_values(m, i, size, points + 4), m.prime)[1]) == points:
-            continue
-        values = _minor_values(m, i, size)
-        _, pivots = _rref(values, m.prime)
-        if len(pivots) < points and not _in_saturation(
-                mid, s_mid, _interpolate(m, i, values[:, list(pivots)]), size, ring):
-            return False
+        full = comb(max(m.h(i), m.h(i + 1)), size) > points + 4 and len(
+            _rref(_minor_values(m, i, size, points + 4), m.prime)[1]) == points
+        if not full:
+            values = _minor_values(m, i, size)
+            _, pivots = _rref(values, m.prime)
+            full = len(pivots) == points
+            if not full and not _in_saturation(
+                    mid, s_mid, _interpolate(m, i, values[:, list(pivots)]), size, ring):
+                return False
+        if full and i < i_mid and _injective_below(m, i):
+            break
     return True
 
 
@@ -331,10 +364,15 @@ def is_lefschetz(m: GradedModule, line) -> LefschetzCheck:
     from b_1 - 1 through the socle degree e?  By Serre duality (module
     docstring) the map out of degree d - 4 - i is the transpose of the map
     out of degree i, up to invertible changes of basis, so it has the same
-    rank and the same maximal rank.  Only i from b_1 - 1 through the middle
-    degree i* are ranked, and each failing i also fails d - 4 - i; these
-    cover b_1 - 1 through e = d - 3 - b_1.  That needs a module certified
-    by ``GradedModule.build``; any other is refused."""
+    rank and the same maximal rank.  Only i from the middle degree i* down
+    to b_1 - 1 are ranked, and each failing i also fails d - 4 - i; these
+    cover b_1 - 1 through e = d - 3 - b_1.  The walk stops at the first
+    degree i where the line is injective with i <= d - 3 - b_n: the line
+    is onto out of d - 4 - i >= b_n - 1, so M/lM, generated in degrees
+    <= b_n, vanishes above it, and the line is onto out of every higher
+    degree, injective out of every lower one (``_injective_below``).  That
+    needs a module certified by ``GradedModule.build``; any other is
+    refused."""
     p = m.prime
     coords = tuple(int(c) % p for c in line)
     if len(coords) != 3 or not any(coords):
@@ -344,12 +382,14 @@ def is_lefschetz(m: GradedModule, line) -> LefschetzCheck:
                          "by GradedModule.build")
     deg = m.degrees
     failing: set[int] = set()
-    for i in range(deg.b[0] - 1, deg.middle_degree + 1):
+    for i in range(deg.middle_degree, deg.b[0] - 2, -1):
         needed = min(m.h(i), m.h(i + 1))
         if needed == 0:
             continue
         if rank(m.multiplication_map(coords, i), p) < needed:
             failing.update((i, deg.d - 4 - i))
+        elif _injective_below(m, i):
+            break
     return LefschetzCheck(not failing, tuple(sorted(failing)))
 
 

@@ -502,6 +502,12 @@ GOLDEN = [
      "bbf24aa60291413f4f2bf6d648383560f448dbc6474ebe23d2ca8351aa9a0b87", 0),
     ("line --a 2,2,2 --b 0 --seed 1 --line 1,2,3",
      "86bb41b9ebfe3f29546c51f0c71a4b56785bc3faa31bad2b753f8f6b95b2cd1e", 0),
+    # these two were taken before the localization scan stopped at the
+    # first injective degree: the benchmark's survey grid, at two primes
+    ("survey --grid ci:2-4 --localization --seed 1",
+     "6ef362ab39d27d56370c4b3c3e02d84eb2aa9688aaffb25ae3fb13540fc6cc1f", 0),
+    ("survey --grid ci:2-4 --localization --prime 2147483647 --seed 3",
+     "de23b749498296d02eeb36b21659f1417189903b94099d0e9c6ccf54108a11c2", 0),
 ]
 
 

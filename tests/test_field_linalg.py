@@ -8,6 +8,7 @@ from lefschetz_locus.field_linalg import (
     DEFAULT_PRIME,
     _rref,
     cokernel_basis,
+    is_prime,
     kernel_basis,
     rank,
 )
@@ -173,6 +174,17 @@ def test_rank_rational_known_values():
 
 def test_default_prime():
     assert DEFAULT_PRIME == 65521
+
+
+def test_is_prime_matches_a_sieve_and_the_largest_prime():
+    # the check is cached; a repeated call gives the same answer
+    sieve = [False, False] + [True] * 1999
+    for k in range(2, 2001):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(sieve[k * k::k])
+    for _ in range(2):
+        assert [is_prime(n) for n in range(-3, 2001)] == [False] * 3 + sieve
+        assert is_prime(2**31 - 1) and not is_prime(2**31 - 3)
 
 
 def test_cokernel_reduce_is_exact_at_the_largest_prime():

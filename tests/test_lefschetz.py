@@ -19,6 +19,7 @@ from helpers import (
     variable,
 )
 from test_acceptance import CI_GRID, N2_GRID
+from test_jumping import _WITNESS_FIXTURES, _monomial_344
 from lefschetz_locus import cli, groebner, rand
 from lefschetz_locus import lefschetz as lef
 from lefschetz_locus.field_linalg import _matmul, _rref
@@ -327,8 +328,8 @@ def test_identically_vanishing_minors_fail_localization(monkeypatch):
 
 
 def test_localization_names_a_prime_too_small_for_another_degree():
-    # at p = 7 the minors of (3,4,4) below the middle degree 3 (sizes 1, 3
-    # and 6) are decided, but those of degree 4 (size 9) cannot be: the
+    # at p = 7 the minors of degree 4 of (3,4,4) (size 9), the dual of the
+    # middle degree 3 and the first degree visited, cannot be decided: the
     # localization test raises the named error of ``locus_ideal_at``
     m = generic_module(DegreeData((3, 4, 4), (0,)), 1, 7)
     ring = dual_ring(m)
@@ -401,11 +402,14 @@ def test_interpolation_round_trips_random_forms(p, s, cols, seed):
 @pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
 def test_newton_tables_match_their_definitions(p):
     # Delta[i, k] = (-1)^(i-k) C(i, k), and row k of F holds the
-    # coefficients of C(x, k), expanded here in exact rationals
+    # coefficients of C(x, k), expanded here in exact rationals; the
+    # tables are cached, so they are read-only
     from fractions import Fraction
 
     for s in range(0, min(p - 1, 12) + 1):
         delta, binom = lef._newton_tables(s, p)
+        assert lef._newton_tables(s, p)[0] is delta
+        assert not delta.flags.writeable and not binom.flags.writeable
         assert delta.tolist() == [[(-1) ** (i - k) * comb(i, k) % p for k in range(s + 1)]
                                   for i in range(s + 1)]
         poly = [Fraction(1)]
@@ -535,6 +539,57 @@ def test_halved_scan_agrees_with_full_scan_on_every_line_of_f13(a, b, grid):
     assert failing
 
 
+@pytest.mark.parametrize("a,b,seed", [(a, b, s) for a, b in _WITNESS_FIXTURES for s in (1, 2, 3)]
+                         + [((3, 4, 4), (0,), None), ((1, 3, 4, 5), (0, 5), 1)])
+def test_scan_stops_at_the_first_injective_degree_on_every_line_of_f13(a, b, seed,
+                                                                       monkeypatch):
+    # exhaustive over P^2(F_13), on the jumping-line fixtures and the pure
+    # power (3,4,4) (None: it has no seed): the scan down from the middle
+    # gives the full scan's verdict and failing degrees on every line, and
+    # ranks no degree below the first where the line is injective with
+    # i <= d - 3 - b_n.  On (1,3,4,5 | 0,5) that bound, 0, keeps degree 0
+    # ranked below an injective degree 1
+    m = (GradedModule.build(_monomial_344(13)) if seed is None
+         else generic_module(DegreeData(a, b), seed, 13))
+    deg = m.degrees
+    ranked, product = [], m.multiplication_map
+    monkeypatch.setattr(m, "multiplication_map",
+                        lambda line, t: ranked.append(t) or product(line, t))
+    for line in _dual_plane(13):
+        del ranked[:]
+        check = is_lefschetz(m, line)
+        ok, failing = full_scan_is_lefschetz(m, line)
+        assert (check.ok, check.failing_degrees) == (ok, failing), line
+        want = []
+        for i in range(deg.middle_degree, deg.b[0] - 2, -1):
+            if min(m.h(i), m.h(i + 1)):
+                want.append(i)
+                if i not in failing and m.h(i) <= m.h(i + 1) and i <= deg.d - 3 - deg.b[-1]:
+                    break
+        assert ranked == want, line
+
+
+def test_injectivity_passes_down_only_from_a_rising_degree_below_the_bound():
+    # maximal rank is injective only where h_i <= h_(i+1), and injectivity
+    # passes down only from i <= d - 3 - b_n; with d = 8 and b_n = 3 the
+    # bound is 2: degree 2 falls (4 -> 2), degree 3 rises but lies above it
+    hilb = {0: 1, 1: 3, 2: 4, 3: 2, 4: 5}
+    m = SimpleNamespace(degrees=DegreeData((2, 2, 3, 4), (0, 3)), h=lambda t: hilb.get(t, 0))
+    assert [lef._injective_below(m, i) for i in range(4)] == [True, True, False, False]
+
+
+def test_a_lefschetz_line_of_2233_takes_one_rank(monkeypatch):
+    # (2,2,3,3 | 0,1): the middle degree 2 (7 -> 8) is injective at a
+    # Lefschetz line and 2 <= d - 3 - b_n = 5, so degrees 1 and 0 are not
+    # ranked and their maps are never built
+    m = generic_module(DegreeData((2, 2, 3, 3), (0, 1)), 1)
+    ranks, original = [], lef.rank
+    monkeypatch.setattr(lef, "rank", lambda a, p: ranks.append(a.shape) or original(a, p))
+    assert is_lefschetz(m, (1, 2, 3)).ok
+    assert ranks == [(8, 7)]
+    assert 0 not in m._maps and 1 not in m._maps
+
+
 def test_scan_refuses_a_module_build_did_not_certify():
     # the halved scan rests on Serre duality, which needs finite length
     pres = presentation_from_strings(DegreeData((2, 2, 3), (0,)), [["x1^2", "x1*x2", "x1^3"]])
@@ -626,33 +681,44 @@ def _recorded_minors(monkeypatch):
     return calls
 
 
-def test_444_row_decides_degrees_2_and_6_on_compressed_values(monkeypatch):
-    # degrees 2 and 6 of (4,4,4) are 10 x 6 maps with 210 maximal minors
-    # each; degree 6 is the Serre dual of degree 2 (d - 4 - 2 = 6), so only
-    # degree 2 is visited, and its 32 compressed columns reach rank
-    # 28 = C(8, 2): no value matrix of all 210 minors is ever built.  The
-    # middle degree 4 is interpolated for the row's basis; degrees 5 to 9,
-    # dual to 3 down to -1, are never evaluated
-    calls = _recorded_minors(monkeypatch)
-    row = cli.survey_row({"a": [4, 4, 4], "b": [0], "seed": 1, "prime": 65521,
-                          "matrix": None, "localization": True})
-    assert {"claim": "middle-localization", "ok": True} in row["claims"]
-    assert calls == [(4, 12, False), (0, 1, False), (1, 3, True), (2, 6, True), (3, 10, False)]
+def test_survey_rows_visit_down_to_the_first_injective_degree(monkeypatch):
+    # (4,4,4): the middle degree 4 is interpolated for the row's basis;
+    # degree 3 is a 12 x 10 map, 3 <= d - 3 - b_n = 9, whose values reach
+    # rank C(12, 2) = 66, so degrees 2 down to -1, and their duals 6 to 9,
+    # are never evaluated.  (3,4,4), d odd: degree 4 (dual to the middle 3)
+    # comes first, then degree 2, a 9 x 6 map with 84 maximal minors, whose
+    # 32 compressed columns reach rank 28 = C(8, 2): no value matrix of all
+    # 84 minors is built, and degrees 1 down to -1 are skipped
+    for a, want in [((4, 4, 4), [(4, 12, False), (3, 10, False)]),
+                    ((3, 4, 4), [(3, 9, False), (4, 9, False), (2, 6, True)])]:
+        calls = _recorded_minors(monkeypatch)
+        row = cli.survey_row({"a": list(a), "b": [0], "seed": 1, "prime": 65521,
+                              "matrix": None, "localization": True})
+        assert {"claim": "middle-localization", "ok": True} in row["claims"]
+        assert calls == want, a
+        monkeypatch.undo()
 
 
-def _dual_visits(m):
+def _propagated_visits(m):
     """The (degree, size, compressed?) calls that ``locus_ideal`` makes when
     no compressed rank is full: one degree of each Serre-dual pair
-    (i, d - 4 - i), i <= d - 4 - i*, less the middle and the empty maps."""
+    (i, d - 4 - i), i <= d - 4 - i*, less the middle and the empty maps,
+    those above the middle first, then down from i* - 1 through the first
+    degree i < i* whose all-minors values have rank C(s+2, 2), with
+    h_i <= h_(i+1) and i <= d - 3 - b_n."""
     deg = m.degrees
-    out = []
-    for i in range(deg.b[0] - 1, deg.d - 3 - deg.middle_degree):
+    mid, out = deg.middle_degree, []
+    for i in sorted(range(deg.b[0] - 1, deg.d - 3 - mid), key=lambda i: (i < mid, -i)):
         size = min(m.h(i), m.h(i + 1))
-        if i == deg.middle_degree or not size:
+        if i == mid or not size:
             continue
-        if comb(max(m.h(i), m.h(i + 1)), size) > comb(size + 2, 2) + 4:
+        points = comb(size + 2, 2)
+        if comb(max(m.h(i), m.h(i + 1)), size) > points + 4:
             out.append((i, size, True))
         out.append((i, size, False))
+        full = _rank(lef._lattice_minors(m.variable_maps(i), size, m.prime), m.prime) == points
+        if full and i < mid and m.h(i) <= m.h(i + 1) and i <= deg.d - 3 - deg.b[-1]:
+            break
     return out
 
 
@@ -675,8 +741,8 @@ def test_vectorised_draws_continue_the_stream():
 def test_zeroed_weights_fall_back_to_every_minor(monkeypatch):
     # compressed values of rank 0 decide nothing: each visited degree then
     # takes all of its minors, and the verdicts stay as they were.  The
-    # visits are exactly one degree of each dual pair; the other degree of
-    # a pair is never evaluated
+    # visits are one degree of each dual pair, down to the first injective
+    # one; the other degree of a pair is never evaluated
     monkeypatch.setattr(lef, "_weights", lambda n, k, count, p: np.zeros((count, n, k), np.int64))
     calls = _recorded_minors(monkeypatch)
     visits = []
@@ -685,14 +751,39 @@ def test_zeroed_weights_fall_back_to_every_minor(monkeypatch):
         middle = _middle(m)
         del calls[:]
         assert locus_ideal(m, middle) is True, (a, b)
-        assert calls == _dual_visits(m), (a, b)
+        assert calls == _propagated_visits(m), (a, b)
         deg = m.degrees
         assert all(i <= deg.d - 4 - deg.middle_degree for i, _, _ in calls), (a, b)
         visits += calls
-    assert sum(call[2] for call in visits) == 8 and len(visits) == 44
+    assert sum(call[2] for call in visits) == 3 and len(visits) == 24
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
     assert locus_ideal(m, buchberger([variable(ring, 0)], ring=ring)) is False
+
+
+@pytest.mark.parametrize("prime", [65521, 2**31 - 1])
+def test_every_skipped_degree_has_values_of_full_rank(prime, monkeypatch):
+    # the walk down stops once a degree's values span R_s; every lower
+    # degree it skips has all-minors values spanning its own R_s, so its
+    # locus is empty, as the propagation argument says
+    calls = _recorded_minors(monkeypatch)
+    skipped = 0
+    for seed in (1, 2):
+        for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
+            m = generic_module(DegreeData(a, b), seed, prime)
+            middle = _middle(m)
+            del calls[:]
+            assert locus_ideal(m, middle) is True, (a, b, seed)
+            deg = m.degrees
+            visited = {i for i, _, _ in calls} | {deg.middle_degree}
+            for i in range(deg.b[0] - 1, deg.d - 3 - deg.middle_degree):
+                size = min(m.h(i), m.h(i + 1))
+                if size and i not in visited:
+                    assert i < min(visited), (a, b, seed, i)
+                    values = lef._lattice_minors(m.variable_maps(i), size, prime)
+                    assert _rank(values, prime) == comb(size + 2, 2), (a, b, seed, i)
+                    skipped += 1
+    assert skipped == 30
 
 
 def test_all_minors_above_the_cap_is_a_named_error(monkeypatch, capsys):
