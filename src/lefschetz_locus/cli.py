@@ -17,11 +17,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import __version__, bundle, jumping, lefschetz, predictor
-from .field_linalg import DEFAULT_PRIME, rank
-from .groebner import GroebnerBasis, buchberger, measure
+from .field_linalg import DEFAULT_PRIME
+from .groebner import measure
 from .presentation import (
     DegreeData,
     GradedModule,
@@ -163,21 +161,10 @@ def _structural_claims(mod: GradedModule) -> list[tuple[str, bool]]:
 
 
 def _expected_socle(mod: GradedModule) -> tuple[int, ...]:
-    """Degree d - 3 - w once for each minimal generator of degree w, as
-    Serre duality pairs the socle with M / mM.  The generators of degree w
-    are the b_j = w less the rank of the constant block of entries from the
-    a_i = w to the b_j = w, read from the entries themselves: a unit entry
-    cancels a generator."""
-    deg = mod.degrees
-    out = []
-    for w in sorted(set(deg.b)):
-        rows = [j for j, bj in enumerate(deg.b) if bj == w]
-        cols = [i for i, ai in enumerate(deg.a) if ai == w]
-        block = np.array([[mod.pres.entries[j][i].terms.get((0, 0, 0), 0) for i in cols]
-                          for j in rows], dtype=np.int64).reshape(len(rows), len(cols))
-        cancelled = rank(block, mod.prime) if cols else 0
-        out += [deg.d - 3 - w] * (len(rows) - cancelled)
-    return tuple(sorted(out))
+    """Degree d - 3 - w once for each minimal generator of degree w
+    (``PresentationMatrix.generator_degrees``), as Serre duality pairs the
+    socle with M / mM."""
+    return tuple(sorted(mod.degrees.d - 3 - w for w in mod.pres.generator_degrees))
 
 
 def analyze_hilbert(job: dict) -> dict:
@@ -192,19 +179,13 @@ def analyze_hilbert(job: dict) -> dict:
     return report
 
 
-def _middle_basis(mod: GradedModule) -> GroebnerBasis:
-    """Reduced Groebner basis of the middle-degree minor ideal; one per row,
-    shared by the measurement and the localization check."""
-    mid = lefschetz.locus_ideal_at(mod, mod.degrees.middle_degree)
-    return buchberger(list(mid.gens), ring=lefschetz.dual_ring(mod))
-
-
 def analyze_locus(job: dict) -> dict:
     mod = build_module(job)
-    return _locus_report(job, mod, _middle_basis(mod))
+    return _locus_report(job, mod)
 
 
-def _locus_report(job: dict, mod: GradedModule, gb_mid: GroebnerBasis) -> dict:
+def _locus_report(job: dict, mod: GradedModule) -> dict:
+    gb_mid = lefschetz.middle_basis(mod)  # first, as its errors come before any other
     degrees = mod.degrees
     stab = bundle.classify_stability(degrees)
     chern_data = bundle.chern(degrees)
@@ -265,8 +246,7 @@ def analyze_line(job: dict, line_coords) -> dict:
 
 def survey_row(job: dict) -> dict:
     mod = build_module(job)
-    gb_mid = _middle_basis(mod)
-    row = _locus_report(job, mod, gb_mid)
+    row = _locus_report(job, mod)
     claims = _structural_claims(mod)
     witness = lefschetz.find_lefschetz_line(mod, job["seed"], tries=25)
     claims.append(("wlp-witness", witness is not None))
@@ -274,7 +254,7 @@ def survey_row(job: dict) -> dict:
     if stab["class"] == "unstable" or stab["c1_normalized"] == 0:
         claims.append(("expected-codim-one", predictor.expected_codimension(mod) == 1))
     if job.get("localization"):
-        claims.append(("middle-localization", lefschetz.locus_ideal(mod, gb_mid)))
+        claims.append(("middle-localization", lefschetz.locus_ideal(mod)))
     row["claims"] = row["claims"] + [{"claim": name, "ok": ok} for name, ok in claims]
     row["ok"] = all(c["ok"] for c in row["claims"]) and row["verdict"] in (
         "match",

@@ -69,7 +69,7 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
             a[r, c:] = a[i, c:]
             a[i, c:] = top
             col[r], col[i] = col[i], 0
-        piv = a[r, c:] % p * pow(int(col[r]), p - 2, p) % p
+        piv = a[r, c:] % p * pow(int(col[r]), -1, p) % p
         col[r] -= 1
         a[:, c:] -= col[:, None] * piv
         pivots.append(c)

@@ -8,7 +8,8 @@ they are evaluated at the points (1, b, c) with b + c <= s of the chart
 l1 = 1, by complementary minors of one left kernel per point, and
 interpolated in closed form (Newton differences), so a locus needs a prime
 above s.  ``locus_ideal`` decides whether the middle degree alone cuts
-out the whole locus: a degree passes if its minor values have full rank, else
+out the whole locus, against the module's own middle basis
+(``middle_basis``): a degree passes if its minor values have full rank, else
 by one Macaulay-matrix rank, and only where that falls short by normal
 forms against the three variable saturations I : l_v^infinity.  A
 degree with many minors is first tried on C(s+2, 2) + 4 seeded
@@ -25,17 +26,21 @@ multiplication by a line from degree d - 4 - i to d - 3 - i is then the
 transpose of the map from degree i to i + 1, up to fixed invertible
 changes of basis, which act invertibly on the span of the maximal minors:
 I_i = I_(d-4-i).  ``locus_ideal`` decides one degree of each such pair,
-and ``is_lefschetz`` ranks the map out of one degree of each.
+and ``is_lefschetz`` ranks the map out of one degree of each.  The middle
+pair costs ``locus_ideal`` nothing: for odd d its two degrees i* and
+i* + 1 share the middle ideal, and I_(i*)^sat holds I_(i*).
 
 Maximal rank then propagates away from the middle (Harima, Migliore,
 Nagel, Watanabe, J. Algebra 262 (2003), Prop. 2.1, for a module).  M is
-generated in degrees <= b_n, and so is M/lM for every line l; if l is
-onto from degree j >= b_n - 1 to j + 1, then (M/lM)_k = 0 for all k > j,
-so l is onto out of every degree >= j.  By the transpose above, l is
-injective out of degree i exactly when it is onto out of d - 4 - i, so
-if l is injective out of some i <= d - 3 - b_n, it is injective out of
-every degree below i (``_injective_below``).  Both scans therefore walk
-down from the middle and stop at the first degree where that holds.
+generated in degrees <= w, the top degree of a minimal generator
+(``PresentationMatrix.generator_degrees``), and so is M/lM for every line
+l; if l is onto from degree j >= w - 1 to j + 1, then (M/lM)_k = 0 for
+all k > j, so l is onto out of every degree >= j.  By the transpose
+above, l is injective out of degree i exactly when it is onto out of
+d - 4 - i, so if l is injective out of some i <= d - 3 - w, it is
+injective out of every degree below i (``_injective_below``).  Both scans
+therefore walk down from the middle and stop at the first degree where
+that holds.
 """
 
 from __future__ import annotations
@@ -90,6 +95,8 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     kernel, and by Jacobi's complementary-minor identity (0-indexed S)
     det M[S] = (-1)^(sum S + size(size+3)/2) det(U)/det(E) det K[:, S^c]
     (det(U) = 0 where M loses rank).  Else the M[S] themselves are taken.
+    Minors of size k = 1 (corank 1, or a map of size 1) are the entries
+    themselves and take no elimination.
 
     With ``weights`` Q of shape (count, n, k), X the n x k matrix whose k x k
     minors are taken (M, or K^T on the kernel route), column j holds instead
@@ -122,7 +129,8 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
             lam = _eliminate(mats, size, p)[:, None] * eps % p
             mats = mats[:, size:, size:].transpose(0, 2, 1)  # K^T, as det K[:, T] = det K^T[T]
         square = mats[:, subsets] if weights is None else _matmul(q_t, mats[:, None], p)
-        out.append(_eliminate(square.reshape(-1, k, k), k, p).reshape(len(mats), -1) * lam % p)
+        dets = square if k == 1 else _eliminate(square.reshape(-1, k, k), k, p)
+        out.append(dets.reshape(len(mats), -1) * lam % p)
     return np.concatenate(out)
 
 
@@ -159,7 +167,10 @@ def _eliminate(stack: np.ndarray, cols: int, p: int) -> np.ndarray:
     """Fraction-free elimination, in place, of the first ``cols`` columns of
     each matrix: det(U)/det(E), U the leading block of the result and E the
     row operations (a square matrix's determinant).  Rows are scaled by the
-    pivot, not divided: one modular inverse each, products of two residues."""
+    pivot, not divided: one modular inverse each.  A row below the pivot
+    becomes row * piv + row_j * (p - pivot row), a sum of two products of
+    residues, at most (p - 1)(2p - 1) < 2^63 for p < 2^31, so it is
+    reduced exactly with no negative operand."""
     k = np.arange(len(stack))
     sign = np.ones(len(stack), dtype=np.int64)
     running = np.ones(len(stack), dtype=np.int64)  # det(U) so far; a zero pivot gives 0
@@ -175,7 +186,7 @@ def _eliminate(stack: np.ndarray, cols: int, p: int) -> np.ndarray:
         piv = stack[:, j, j]
         below = stack[:, j + 1:, j:]
         stack[:, j + 1:, j:] = (below * piv[:, None, None]
-                                - below[:, :, :1] * stack[:, j:j + 1, j:]) % p
+                                + below[:, :, :1] * (p - stack[:, j:j + 1, j:])) % p
         scale = scale * running % p
         running = running * piv % p
     det_e = scale * _power(running, stack.shape[1] - cols, p) % p  # det(E) / sign
@@ -298,43 +309,53 @@ def _in_saturation(mid: np.ndarray, s_mid: int, coeffs: np.ndarray, s: int,
 def _injective_below(m: GradedModule, i: int) -> bool:
     """Does a line of maximal rank out of degree i make it injective out of
     every degree <= i?  Maximal rank is injective when h_i <= h_(i+1), and
-    injectivity out of i <= d - 3 - b_n passes to every lower degree (module
-    docstring), for any line over any extension of the field."""
-    deg = m.degrees
-    return m.h(i) <= m.h(i + 1) and i <= deg.d - 3 - deg.b[-1]
+    injectivity out of i <= d - 3 - w, w the top degree of a minimal
+    generator, passes to every lower degree (module docstring), for any line
+    over any extension of the field.  Only a nonzero module asks, so w
+    exists."""
+    return m.h(i) <= m.h(i + 1) and i <= m.degrees.d - 3 - m.pres.generator_degrees[-1]
 
 
-def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
-    """Does the middle-degree minor ideal I_mid (``middle`` is its reduced
-    basis) cut out the whole locus, the scheme of the intersection of the
-    minor ideals I_i of all degrees?  That intersection lies in I_mid, so,
-    as saturation commutes with intersection, exactly when every I_i^sat
-    holds I_mid.  Value columns of full rank C(s+2, 2) (Vandermonde times
-    coefficients) span R_s and pass the degree.  Where there are more than
-    C(s+2, 2) + 4 minors, that many seeded combinations of them are tried
-    first: each is a form of I_i, so their full rank passes it exactly.
-    Any shortfall takes every minor, and only then does a basis of their
-    span go to ``_in_saturation``.
+@functools.lru_cache(maxsize=1)
+def middle_basis(m: GradedModule) -> GroebnerBasis:
+    """Reduced Groebner basis of the middle-degree minor ideal I_(i*), kept
+    for the last module asked about: a survey row measures it and then
+    tests its localization, one row at a time."""
+    return buchberger(list(locus_ideal_at(m, m.degrees.middle_degree).gens), ring=dual_ring(m))
+
+
+def locus_ideal(m: GradedModule) -> bool:
+    """Does the middle-degree minor ideal I_mid (``middle_basis`` is its
+    reduced basis) cut out the whole locus, the scheme of the intersection
+    of the minor ideals I_i of all degrees?  That intersection lies in
+    I_mid, so, as saturation commutes with intersection, exactly when every
+    I_i^sat holds I_mid.  Value columns of full rank C(s+2, 2) (Vandermonde
+    times coefficients) span R_s and pass the degree.  Where there are more
+    than C(s+2, 2) + 4 minors, that many seeded combinations of them are
+    tried first: each is a form of I_i, so their full rank passes it
+    exactly.  Any shortfall takes every minor, and only then does a basis
+    of their span go to ``_in_saturation``.
 
     Degree i and its Serre dual d - 4 - i have one minor ideal (see the
-    module docstring), so only the degrees i <= d - 4 - i* are visited,
-    i* the middle degree: i* + 1 for odd d, whose dual is i*, then i* - 1
-    down to b_1 - 1 (dual to the socle degree).  Degree i* + 1 is kept so
-    that a ``middle`` other than I_(i*) is still tested against every
-    minor ideal.  The walk down stops after the first degree i < i* whose
-    values reach full rank, with h_i <= h_(i+1) and i <= d - 3 - b_n: then
-    I_i holds R_s, so every line over the algebraic closure is injective
-    out of degree i, hence out of every degree k < i (``_injective_below``).
-    Each such I_k has an empty locus, so I_k^sat = R holds I_mid, whatever
-    ``middle`` is, and no value of degree k is computed."""
+    module docstring), so one degree of each pair is decided, and the
+    middle pair not at all: I_(i*)^sat holds I_(i*), and for odd d the
+    dual of i* is i* + 1, so I_(i*+1) = I_(i*).  That needs I_mid to be
+    the module's own, which is why no caller passes it.  The walk starts
+    at i* - 1 and goes down towards b_1 - 1 (dual to the socle degree).
+    It stops after the first degree i whose values reach full rank, with
+    h_i <= h_(i+1) and i <= d - 3 - w, w the top degree of a minimal
+    generator: then I_i holds R_s, so every line over the algebraic
+    closure is injective out of degree i, hence out of every degree k < i
+    (``_injective_below``).  Each such I_k has an empty locus, so
+    I_k^sat = R holds I_mid, and no value of degree k is computed."""
     deg = m.degrees
     ring = dual_ring(m)
+    middle = middle_basis(m)
     s_mid = min(middle.deg, default=0)
     mid = np.array([row for d, row in zip(middle.deg, middle.rows) if d == s_mid],
                    dtype=np.int64).reshape(-1, comb(s_mid + 2, 2))
     mid = mid[:, _pos(s_mid, np.array(monomial_basis(s_mid).monomials))]  # to basis order
-    i_mid = deg.middle_degree
-    for i in [i_mid + 1] * (deg.d % 2) + list(range(i_mid - 1, deg.b[0] - 2, -1)):
+    for i in range(deg.middle_degree - 1, deg.b[0] - 2, -1):
         size = min(m.h(i), m.h(i + 1))
         if size == 0:
             continue
@@ -348,7 +369,7 @@ def locus_ideal(m: GradedModule, middle: GroebnerBasis) -> bool:
             if not full and not _in_saturation(
                     mid, s_mid, _interpolate(m, i, values[:, list(pivots)]), size, ring):
                 return False
-        if full and i < i_mid and _injective_below(m, i):
+        if full and _injective_below(m, i):
             break
     return True
 
@@ -367,12 +388,12 @@ def is_lefschetz(m: GradedModule, line) -> LefschetzCheck:
     rank and the same maximal rank.  Only i from the middle degree i* down
     to b_1 - 1 are ranked, and each failing i also fails d - 4 - i; these
     cover b_1 - 1 through e = d - 3 - b_1.  The walk stops at the first
-    degree i where the line is injective with i <= d - 3 - b_n: the line
-    is onto out of d - 4 - i >= b_n - 1, so M/lM, generated in degrees
-    <= b_n, vanishes above it, and the line is onto out of every higher
-    degree, injective out of every lower one (``_injective_below``).  That
-    needs a module certified by ``GradedModule.build``; any other is
-    refused."""
+    degree i where the line is injective with i <= d - 3 - w, w the top
+    degree of a minimal generator: the line is onto out of
+    d - 4 - i >= w - 1, so M/lM, generated in degrees <= w, vanishes above
+    it, and the line is onto out of every higher degree, injective out of
+    every lower one (``_injective_below``).  That needs a module certified
+    by ``GradedModule.build``; any other is refused."""
     p = m.prime
     coords = tuple(int(c) % p for c in line)
     if len(coords) != 3 or not any(coords):

@@ -113,6 +113,22 @@ class PresentationMatrix:
         coefs = np.array([c for f in forms for c in f.terms.values()], dtype=np.int64)
         return j, i, exps, coefs
 
+    @cached_property
+    def generator_degrees(self) -> tuple[int, ...]:
+        """Degrees of a minimal generating set of the cokernel, ascending,
+        with multiplicity.  The generators of degree w are the b_j = w less
+        the rank of the constant block of entries from the a_i = w to the
+        b_j = w, read from the entries themselves: a unit entry cancels a
+        generator."""
+        deg, out = self.degrees, []
+        for w in sorted(set(deg.b)):
+            rows = [j for j, bj in enumerate(deg.b) if bj == w]
+            cols = [i for i, ai in enumerate(deg.a) if ai == w]
+            block = np.array([[self.entries[j][i].terms.get((0, 0, 0), 0) for i in cols]
+                              for j in rows], dtype=np.int64).reshape(len(rows), len(cols))
+            out += [w] * (len(rows) - (rank(block, self.prime) if cols else 0))
+        return tuple(out)
+
 
 def random_presentation(degrees: DegreeData, seed: int,
                         prime: int = DEFAULT_PRIME) -> PresentationMatrix:

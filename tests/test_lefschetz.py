@@ -180,57 +180,87 @@ def test_degenerate_shapes_contribute_unit_ideal():
     one = Polynomial.constant(dual_ring(m), 1)
     for i in (-1, 0, 1):
         assert locus_ideal_at(m, i).gens == (one,)
-    middle = _basis(m, m.degrees.middle_degree)
-    assert middle.is_unit and locus_ideal(m, middle)
+    middle = lef.middle_basis(m)
+    assert middle.is_unit and locus_ideal(m)
 
 
 def _middle(m):
     return _basis(m, m.degrees.middle_degree)
 
 
+def _held_by_every_other_degree(m, forms, s):
+    """Do the degree-s ``forms`` lie in I_i^sat for every degree i other
+    than the middle, as ``fold_localization`` asks of a middle ideal?
+    ``_in_saturation`` on each degree with a nonzero map, none skipped."""
+    ring, deg = dual_ring(m), m.degrees
+    return all(_in_saturation(_coefficients(forms, s), s, lef._interpolate(m, i), size, ring)
+               for i in range(deg.b[0] - 1, deg.socle_degree + 1)
+               if i != deg.middle_degree and (size := min(m.h(i), m.h(i + 1))))
+
+
+def test_middle_basis_is_the_middle_ideal_shared_per_module():
+    # the measurement and the localization of one row read one basis: it
+    # is built once for a module and again for the next one
+    m, other = _module((2, 2, 3), (0,)), _module((2, 2, 3), (0,), seed=2)
+    middle = lef.middle_basis(m)
+    assert middle.basis == _middle(m).basis
+    assert lef.middle_basis(m) is middle
+    assert lef.middle_basis(other).basis == _middle(other).basis
+    assert lef.middle_basis(m) is not middle and lef.middle_basis(m).basis == middle.basis
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_localization_agrees_with_fold_oracle_on_criterion_8(seed):
     for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
         m = _module(a, b, seed=seed)
-        middle = _middle(m)
-        assert locus_ideal(m, middle) is fold_localization(m, middle) is True, (a, b)
+        assert locus_ideal(m) is fold_localization(m, lef.middle_basis(m)) is True, (a, b)
 
 
 def test_localization_agrees_with_fold_oracle_off_the_grid():
-    # ``locus_ideal`` visits one degree of each Serre-dual pair and the
-    # oracle every degree: they agree on the middle ideal and on (l1), on
-    # the explicit presentations (pure powers among them) and on (2,3,3)
+    # ``locus_ideal`` visits one degree of each Serre-dual pair below the
+    # middle and the oracle every degree: they agree on the middle ideal,
+    # on the explicit presentations (pure powers among them) and on
+    # (2,3,3).  On (l1), ``_in_saturation`` on every degree but the middle
+    # agrees with the fold, since saturation commutes with intersection
     modules = [_explicit(a, b, grid, 65521) for a, b, grid in EXPLICIT_PAIRS]
     for m in modules + [_module((2, 3, 3), (0,))]:
-        middle = _middle(m)
-        assert locus_ideal(m, middle) is fold_localization(m, middle) is True
+        assert locus_ideal(m) is fold_localization(m, lef.middle_basis(m)) is True
         ring = dual_ring(m)
-        l1 = buchberger([variable(ring, 0)], ring=ring)
-        assert locus_ideal(m, l1) is fold_localization(m, l1), m.degrees
+        l1 = variable(ring, 0)
+        want = fold_localization(m, buchberger([l1], ring=ring))
+        assert _held_by_every_other_degree(m, [l1], 1) is want, m.degrees
 
 
 def test_localization_fails_where_a_degree_misses_the_middle(monkeypatch):
-    # l1 vanishes at none of the six points that every cubic minor ideal of
-    # (2,2,3) cuts out, so (l1) lies in no saturation and the fold grows
+    # l1 vanishes at none of the six points that the cubic minor ideals of
+    # degrees 1 and 2 of (2,2,3) cut out, so (l1) lies in neither
+    # saturation and the fold grows; each degree is decided by normal forms
+    # against its three variable saturations, with no intersection
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
-    middle = buchberger([variable(ring, 0)], ring=ring)
-    want = fold_localization(m, middle)
+    l1 = variable(ring, 0)
+    want = fold_localization(m, buchberger([l1], ring=ring))
     _no_intersect(monkeypatch)
     calls = _counting_saturations(monkeypatch)
-    assert locus_ideal(m, middle) is want is False
-    assert calls
+    for i in (1, 2):
+        held = _in_saturation(_coefficients([l1], 1), 1, lef._interpolate(m, i), 3, ring)
+        assert held is want is False, i
+    assert len(calls) == 2
 
 
 def test_lower_degree_middle_is_shifted_up_to_each_minor_degree(monkeypatch):
     # on (2,3,3) the minors at degrees 0 and 4 span R_1 and those at 1 and 3
-    # span R_3, so (l1) passes every degree by rank alone, as the fold agrees
+    # span R_3, so (l1) passes each of them by rank alone, as the fold
+    # agrees; so does the module's own middle ideal in ``locus_ideal``
     m = _module((2, 3, 3), (0,))
     ring = dual_ring(m)
-    middle = buchberger([variable(ring, 0)], ring=ring)
-    assert fold_localization(m, middle)
+    l1 = variable(ring, 0)
+    assert fold_localization(m, buchberger([l1], ring=ring))
     monkeypatch.setattr(lef, "_variable_saturations", _forbidden)
-    assert locus_ideal(m, middle)
+    for i in (0, 1, 3, 4):
+        size = min(m.h(i), m.h(i + 1))
+        assert _in_saturation(_coefficients([l1], 1), 1, lef._interpolate(m, i), size, ring), i
+    assert locus_ideal(m)
     # (l1) against l1 * m passes in degree D = 2 > 1, without saturation
     l1, l2, l3 = (variable(ring, v) for v in range(3))
     assert _in_saturation(_coefficients([l1], 1), 1,
@@ -302,11 +332,12 @@ def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
                           dual_ring(m))
 
 
-@pytest.mark.parametrize("a,calls", [((4, 4, 4), [4]), ((3, 4, 4), [3, 4])])
+@pytest.mark.parametrize("a,calls", [((4, 4, 4), [4]), ((3, 4, 4), [3])])
 def test_localization_interpolates_only_degrees_whose_values_fall_short(a, calls, monkeypatch):
     # every other degree of (4,4,4) has minor values of full rank, so a
-    # survey row interpolates the middle degree alone; on (3,4,4) degree 4
-    # has 10 minors of degree 9, which cannot span the 55 forms of R_9
+    # survey row interpolates the middle degree alone.  On (3,4,4) degree 4
+    # has 10 minors of degree 9, which cannot span the 55 forms of R_9, but
+    # it is the Serre dual of the middle degree 3 and is never visited
     seen = []
     original = lef._interpolate
     monkeypatch.setattr(lef, "_interpolate",
@@ -319,37 +350,45 @@ def test_localization_interpolates_only_degrees_whose_values_fall_short(a, calls
 
 def test_identically_vanishing_minors_fail_localization(monkeypatch):
     # a degree whose minors all vanish has the zero ideal, which holds no
-    # middle form: its values have rank 0 and the verdict is False
+    # middle form: its values have rank 0 and the verdict is False.  The
+    # middle basis is built, and kept for the module, before the minors
+    # are zeroed
     m = _module((2, 2, 3), (0,))
-    middle = _middle(m)
+    lef.middle_basis(m)
     minors = lef._lattice_minors
     monkeypatch.setattr(lef, "_lattice_minors", lambda *args: minors(*args) * 0)
-    assert locus_ideal(m, middle) is False
+    assert locus_ideal(m) is False
 
 
 def test_localization_names_a_prime_too_small_for_another_degree():
-    # at p = 7 the minors of degree 4 of (3,4,4) (size 9), the dual of the
-    # middle degree 3 and the first degree visited, cannot be decided: the
-    # localization test raises the named error of ``locus_ideal_at``
+    # at p = 7 the minors of the middle degree 3 of (3,4,4) and of its dual
+    # 4 (size 9) cannot be decided: each raises the named error of its own
+    # degree, and the localization test raises the middle's, whose basis
+    # it builds first.  At p = 11 every degree is decided
     m = generic_module(DegreeData((3, 4, 4), (0,)), 1, 7)
-    ring = dual_ring(m)
-    middle = buchberger([variable(ring, 0)], ring=ring)
-    message = "degree-4 minors: the locus needs a prime above the minor size 9"
-    with pytest.raises(ValueError, match=message):
-        locus_ideal(m, middle)
-    with pytest.raises(ValueError, match=message):
-        locus_ideal_at(m, 4)
+    for i in (3, 4):
+        with pytest.raises(ValueError, match=f"degree-{i} minors: the locus needs a prime "
+                                             "above the minor size 9"):
+            locus_ideal_at(m, i)
+    with pytest.raises(ValueError, match="degree-3 minors"):
+        locus_ideal(m)
+    assert locus_ideal(generic_module(DegreeData((3, 4, 4), (0,)), 1, 11))
 
 
 @st.composite
-def _stacks(draw):
+def _stacks(draw, unit_minors=False):
     """Three random n x s maps (or their transposes) mod a small or large
     prime, as ``_lattice_minors`` takes them: plain, with a rank drop at
     every point, or with a zero first row, so that the leading s x s block
-    is singular and, for n > s, the first pivot comes from below."""
+    is singular and, for n > s, the first pivot comes from below.  With
+    ``unit_minors`` the minors taken have size 1: s = 1, or corank 1."""
     p = draw(st.sampled_from([7, 13, 65521, 2**31 - 1]))
-    n = draw(st.integers(1, 6))
-    s = draw(st.integers(1, min(n, 5)))
+    if unit_minors:
+        s = draw(st.integers(1, 5))
+        n = s + 1 if s > 1 else draw(st.integers(1, 6))
+    else:
+        n = draw(st.integers(1, 6))
+        s = draw(st.integers(1, min(n, 5)))
     kind = draw(st.sampled_from(["random", "rank-drop", "zero-top-row"]))
     maps = []
     for _ in range(3):
@@ -380,6 +419,62 @@ def test_lattice_minors_match_cofactor_determinants(stack):
         want = [det_mod([[int(x) for x in a[r]] for r in rows], p)
                 for rows in combinations(range(a.shape[0]), s)]
         assert [int(x) for x in row] == want, (b, c)
+
+
+def _eliminate_route(maps, size: int, p: int, weights=None) -> np.ndarray:
+    """``_lattice_minors`` with every k x k minor, k = 1 included, taken by
+    ``_eliminate``, all chart points in one stack: the route that minors
+    of size 1 now skip."""
+    tall = maps if maps.shape[1] >= maps.shape[2] else maps.transpose(0, 2, 1)
+    n = tall.shape[1]
+    by_kernel, k = lef._minor_shape(n, size)
+    subsets, eps = np.array(list(combinations(range(n), k)), dtype=np.intp), 1
+    if by_kernel and weights is None:
+        subsets = subsets[::-1]
+        eps = (-1) ** ((n * (n - 1) // 2 - subsets.sum(axis=1) + size * (size + 3) // 2) % 2)
+    points = np.array(monomial_basis(size).monomials, dtype=np.int64)
+    points[:, 0] = 1
+    mats, lam = np.tensordot(points, tall, 1) % p, 1
+    if by_kernel:
+        mats = np.concatenate([mats, np.tile(np.eye(n, dtype=np.int64), (len(mats), 1, 1))], 2)
+        lam = lef._eliminate(mats, size, p)[:, None] * eps % p
+        mats = mats[:, size:, size:].transpose(0, 2, 1)
+    square = (mats[:, subsets] if weights is None
+              else _matmul(weights.transpose(0, 2, 1)[None], mats[:, None], p))
+    return lef._eliminate(square.reshape(-1, k, k), k, p).reshape(len(mats), -1) * lam % p
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=_stacks(unit_minors=True), data=st.data())
+def test_minors_of_size_one_skip_elimination_exactly(stack, data):
+    # corank 1 (the kernel route) and maps of size 1 (the subset route)
+    # take minors of size 1, which are read as entries: the values equal
+    # the elimination route's, with every minor and with seeded weights
+    p, s, maps = stack
+    n = max(maps.shape[1:])
+    assert lef._minor_shape(n, s)[1] == 1
+    count = data.draw(st.integers(1, 6))
+    weights = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=count * n,
+                                          max_size=count * n)), dtype=np.int64)
+    for w in (None, weights.reshape(count, n, 1)):
+        assert (lef._lattice_minors(maps, s, p, w) == _eliminate_route(maps, s, p, w)).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_eliminate_is_exact_at_the_int64_edge(k):
+    # at p = 2^31 - 1 an update sums row * piv and row_j * (p - pivot row),
+    # up to (p - 1)(2p - 1), just below 2^63: entries of p - 1 and 0 reach
+    # it.  Every determinant equals the cofactor expansion in Python ints,
+    # on the all-(p - 1) matrix, on matrices of 0, 1, p - 2 and p - 1, and
+    # on uniform random ones
+    p = 2**31 - 1
+    draw = random.Random(k)
+    mats = [[[p - 1] * k for _ in range(k)]]
+    mats += [[[draw.choice((0, 1, p - 2, p - 1)) for _ in range(k)] for _ in range(k)]
+             for _ in range(60)]
+    mats += [[[draw.randrange(p) for _ in range(k)] for _ in range(k)] for _ in range(60)]
+    got = lef._eliminate(np.array(mats, dtype=np.int64), k, p)
+    assert got.tolist() == [det_mod(a, p) for a in mats]
 
 
 @settings(max_examples=80, deadline=None)
@@ -547,11 +642,17 @@ def test_scan_stops_at_the_first_injective_degree_on_every_line_of_f13(a, b, see
     # power (3,4,4) (None: it has no seed): the scan down from the middle
     # gives the full scan's verdict and failing degrees on every line, and
     # ranks no degree below the first where the line is injective with
-    # i <= d - 3 - b_n.  On (1,3,4,5 | 0,5) that bound, 0, keeps degree 0
-    # ranked below an injective degree 1
+    # i <= d - 3 - w, w the top degree of a minimal generator.  By Serre
+    # duality d - 3 - w is the lowest socle degree.  On (1,3,4,5 | 0,5) a
+    # unit entry cancels the generator of degree 5, so the bound is 5, not
+    # d - 3 - b_n = 0, and degree 0 is no longer ranked below an injective
+    # degree 1
     m = (GradedModule.build(_monomial_344(13)) if seed is None
          else generic_module(DegreeData(a, b), seed, 13))
     deg = m.degrees
+    bound = min(m.socle())
+    if a == (1, 3, 4, 5):
+        assert (bound, deg.d - 3 - deg.b[-1]) == (5, 0)
     ranked, product = [], m.multiplication_map
     monkeypatch.setattr(m, "multiplication_map",
                         lambda line, t: ranked.append(t) or product(line, t))
@@ -564,18 +665,38 @@ def test_scan_stops_at_the_first_injective_degree_on_every_line_of_f13(a, b, see
         for i in range(deg.middle_degree, deg.b[0] - 2, -1):
             if min(m.h(i), m.h(i + 1)):
                 want.append(i)
-                if i not in failing and m.h(i) <= m.h(i + 1) and i <= deg.d - 3 - deg.b[-1]:
+                if i not in failing and m.h(i) <= m.h(i + 1) and i <= bound:
                     break
         assert ranked == want, line
+        if a == (1, 3, 4, 5) and ok:  # the middle degree 2 (3 -> 3) alone
+            assert ranked == [2], line
 
 
 def test_injectivity_passes_down_only_from_a_rising_degree_below_the_bound():
     # maximal rank is injective only where h_i <= h_(i+1), and injectivity
-    # passes down only from i <= d - 3 - b_n; with d = 8 and b_n = 3 the
-    # bound is 2: degree 2 falls (4 -> 2), degree 3 rises but lies above it
+    # passes down only from i <= d - 3 - w, w the top degree of a minimal
+    # generator; with d = 8 and w = 3 the bound is 2: degree 2 falls
+    # (4 -> 2), degree 3 rises but lies above it.  With the generator of
+    # degree 3 cancelled, w = 0 and degree 3 passes too
     hilb = {0: 1, 1: 3, 2: 4, 3: 2, 4: 5}
-    m = SimpleNamespace(degrees=DegreeData((2, 2, 3, 4), (0, 3)), h=lambda t: hilb.get(t, 0))
-    assert [lef._injective_below(m, i) for i in range(4)] == [True, True, False, False]
+    for gens, want in [((0, 3), [True, True, False, False]), ((0,), [True, True, False, True])]:
+        m = SimpleNamespace(degrees=DegreeData((2, 2, 3, 4), (0, 3)), h=lambda t: hilb.get(t, 0),
+                            pres=SimpleNamespace(generator_degrees=gens))
+        assert [lef._injective_below(m, i) for i in range(4)] == want, gens
+
+
+@pytest.mark.parametrize("a,b,seed,gens", [
+    ((2, 2, 3), (0,), 1, (0,)),
+    ((2, 3, 4, 4, 5), (0, 0, 2), 1, (0, 0)),  # a unit entry from a = 2 to b = 2
+    ((1, 3, 4, 5), (0, 5), 1, (0,)),
+    ((2, 2, 3, 3), (0, 1), 1, (0, 1)),
+])
+def test_generator_degrees_are_the_duals_of_the_socle(a, b, seed, gens):
+    # Serre duality pairs the socle with M / mM: a minimal generator of
+    # degree w is a socle element of degree d - 3 - w
+    m = generic_module(DegreeData(a, b), seed)
+    assert m.pres.generator_degrees == gens
+    assert sorted(m.degrees.d - 3 - w for w in gens) == sorted(m.socle())
 
 
 def test_a_lefschetz_line_of_2233_takes_one_rank(monkeypatch):
@@ -683,14 +804,14 @@ def _recorded_minors(monkeypatch):
 
 def test_survey_rows_visit_down_to_the_first_injective_degree(monkeypatch):
     # (4,4,4): the middle degree 4 is interpolated for the row's basis;
-    # degree 3 is a 12 x 10 map, 3 <= d - 3 - b_n = 9, whose values reach
+    # degree 3 is a 12 x 10 map, 3 <= d - 3 - w = 9, whose values reach
     # rank C(12, 2) = 66, so degrees 2 down to -1, and their duals 6 to 9,
-    # are never evaluated.  (3,4,4), d odd: degree 4 (dual to the middle 3)
-    # comes first, then degree 2, a 9 x 6 map with 84 maximal minors, whose
-    # 32 compressed columns reach rank 28 = C(8, 2): no value matrix of all
-    # 84 minors is built, and degrees 1 down to -1 are skipped
+    # are never evaluated.  (3,4,4), d odd: degree 4, dual to the middle 3,
+    # is not visited; degree 2, a 9 x 6 map with 84 maximal minors, comes
+    # first, and its 32 compressed columns reach rank 28 = C(8, 2): no value
+    # matrix of all 84 minors is built, and degrees 1 down to -1 are skipped
     for a, want in [((4, 4, 4), [(4, 12, False), (3, 10, False)]),
-                    ((3, 4, 4), [(3, 9, False), (4, 9, False), (2, 6, True)])]:
+                    ((3, 4, 4), [(3, 9, False), (2, 6, True)])]:
         calls = _recorded_minors(monkeypatch)
         row = cli.survey_row({"a": list(a), "b": [0], "seed": 1, "prime": 65521,
                               "matrix": None, "localization": True})
@@ -702,22 +823,23 @@ def test_survey_rows_visit_down_to_the_first_injective_degree(monkeypatch):
 def _propagated_visits(m):
     """The (degree, size, compressed?) calls that ``locus_ideal`` makes when
     no compressed rank is full: one degree of each Serre-dual pair
-    (i, d - 4 - i), i <= d - 4 - i*, less the middle and the empty maps,
-    those above the middle first, then down from i* - 1 through the first
-    degree i < i* whose all-minors values have rank C(s+2, 2), with
-    h_i <= h_(i+1) and i <= d - 3 - b_n."""
+    (i, d - 4 - i) with i < i*, less the empty maps, down from i* - 1
+    through the first degree whose all-minors values have rank C(s+2, 2),
+    with h_i <= h_(i+1) and i <= the lowest socle degree (d - 3 - w, w the
+    top degree of a minimal generator).  The middle pair, i* and for odd d
+    its dual i* + 1, is never visited."""
     deg = m.degrees
-    mid, out = deg.middle_degree, []
-    for i in sorted(range(deg.b[0] - 1, deg.d - 3 - mid), key=lambda i: (i < mid, -i)):
+    out = []
+    for i in range(deg.middle_degree - 1, deg.b[0] - 2, -1):
         size = min(m.h(i), m.h(i + 1))
-        if i == mid or not size:
+        if not size:
             continue
         points = comb(size + 2, 2)
         if comb(max(m.h(i), m.h(i + 1)), size) > points + 4:
             out.append((i, size, True))
         out.append((i, size, False))
         full = _rank(lef._lattice_minors(m.variable_maps(i), size, m.prime), m.prime) == points
-        if full and i < mid and m.h(i) <= m.h(i + 1) and i <= deg.d - 3 - deg.b[-1]:
+        if full and m.h(i) <= m.h(i + 1) and i <= min(m.socle()):
             break
     return out
 
@@ -741,49 +863,82 @@ def test_vectorised_draws_continue_the_stream():
 def test_zeroed_weights_fall_back_to_every_minor(monkeypatch):
     # compressed values of rank 0 decide nothing: each visited degree then
     # takes all of its minors, and the verdicts stay as they were.  The
-    # visits are one degree of each dual pair, down to the first injective
-    # one; the other degree of a pair is never evaluated
+    # visits are one degree of each dual pair below the middle, down to the
+    # first injective one; the other degree of a pair, and the middle pair,
+    # are never evaluated.  The pure-power (3,4,4), whose maps drop rank at
+    # many chart points, is covered too: 3 of the grid's 18 calls and 2 of
+    # its 4 are compressed
     monkeypatch.setattr(lef, "_weights", lambda n, k, count, p: np.zeros((count, n, k), np.int64))
     calls = _recorded_minors(monkeypatch)
     visits = []
-    for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
-        m = _module(a, b)
-        middle = _middle(m)
+    modules = [_module(a, b) for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID]
+    for m in modules + [GradedModule.build(_monomial_344(65521))]:
+        lef.middle_basis(m)
         del calls[:]
-        assert locus_ideal(m, middle) is True, (a, b)
-        assert calls == _propagated_visits(m), (a, b)
-        deg = m.degrees
-        assert all(i <= deg.d - 4 - deg.middle_degree for i, _, _ in calls), (a, b)
+        assert locus_ideal(m) is True, m.degrees
+        assert calls == _propagated_visits(m), m.degrees
+        assert all(i < m.degrees.middle_degree for i, _, _ in calls), m.degrees
         visits += calls
-    assert sum(call[2] for call in visits) == 3 and len(visits) == 24
-    m = _module((2, 2, 3), (0,))
-    ring = dual_ring(m)
-    assert locus_ideal(m, buchberger([variable(ring, 0)], ring=ring)) is False
+    assert sum(call[2] for call in visits) == 5 and len(visits) == 22
 
 
 @pytest.mark.parametrize("prime", [65521, 2**31 - 1])
 def test_every_skipped_degree_has_values_of_full_rank(prime, monkeypatch):
-    # the walk down stops once a degree's values span R_s; every lower
-    # degree it skips has all-minors values spanning its own R_s, so its
-    # locus is empty, as the propagation argument says
+    # below the middle, the walk down stops once a degree's values span
+    # R_s; every lower degree it skips by propagation has all-minors values
+    # spanning its own R_s, so its locus is empty, as the propagation
+    # argument says.  The middle's dual i* + 1 (d odd) is skipped by
+    # duality instead: its values span the middle's.  (1,3,4,5 | 0,5), whose
+    # unit entry lowers the top generator degree from 5 to 0, is covered too
     calls = _recorded_minors(monkeypatch)
-    skipped = 0
+    by_duality = by_propagation = 0
+    fixtures = [(a, (0,)) for a in CI_GRID] + N2_GRID + [((1, 3, 4, 5), (0, 5))]
     for seed in (1, 2):
-        for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
+        for a, b in fixtures:
             m = generic_module(DegreeData(a, b), seed, prime)
-            middle = _middle(m)
+            lef.middle_basis(m)
             del calls[:]
-            assert locus_ideal(m, middle) is True, (a, b, seed)
+            assert locus_ideal(m) is True, (a, b, seed)
             deg = m.degrees
-            visited = {i for i, _, _ in calls} | {deg.middle_degree}
-            for i in range(deg.b[0] - 1, deg.d - 3 - deg.middle_degree):
+            mid = deg.middle_degree
+            visited = {i for i, _, _ in calls}
+            for i in range(deg.b[0] - 1, deg.d - 3 - mid):
                 size = min(m.h(i), m.h(i + 1))
-                if size and i not in visited:
-                    assert i < min(visited), (a, b, seed, i)
-                    values = lef._lattice_minors(m.variable_maps(i), size, prime)
-                    assert _rank(values, prime) == comb(size + 2, 2), (a, b, seed, i)
-                    skipped += 1
-    assert skipped == 30
+                if not size or i in visited or i == mid:
+                    continue
+                values = lef._lattice_minors(m.variable_maps(i), size, prime)
+                if i > mid:
+                    assert i == deg.d - 4 - mid == mid + 1, (a, b, seed, i)
+                    middle = lef._lattice_minors(m.variable_maps(mid), size, prime)
+                    assert _rank(values, prime) == _rank(middle, prime) == _rank(
+                        np.hstack([values, middle]), prime), (a, b, seed)
+                    by_duality += 1
+                    continue
+                assert i < min(visited | {mid}), (a, b, seed, i)
+                assert _rank(values, prime) == comb(size + 2, 2), (a, b, seed, i)
+                by_propagation += 1
+    assert (by_duality, by_propagation) == (12, 30)
+
+
+@pytest.mark.parametrize("prime", [65521, 2**31 - 1])
+def test_the_dual_of_the_middle_has_the_middle_minor_forms(prime):
+    # d odd: the minor ideals of i* and of its Serre dual i* + 1 are one
+    # ideal, generated in the one degree s, so their interpolated forms span
+    # one space of forms and have one reduced row echelon form.  That is why
+    # ``locus_ideal`` visits neither degree of the middle pair
+    odd = 0
+    for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
+        m = generic_module(DegreeData(a, b), 1, prime)
+        mid = m.degrees.middle_degree
+        if m.degrees.d % 2 == 0:
+            continue
+        forms = [_rref(lef._interpolate(m, i), prime) for i in (mid, mid + 1)]
+        assert forms[0][1] == forms[1][1], (a, b)
+        rows = len(forms[0][1])
+        assert (forms[0][0][:rows] == forms[1][0][:rows]).all(), (a, b)
+        assert all(i != mid + 1 for i, _, _ in _propagated_visits(m)), (a, b)
+        odd += 1
+    assert odd == 6
 
 
 def test_all_minors_above_the_cap_is_a_named_error(monkeypatch, capsys):
