@@ -74,7 +74,9 @@ def dual_ring(m: GradedModule) -> Ring:
     return Ring(prime=m.prime, dual=True)
 
 
-_BATCH = 1 << 14  # matrix entries eliminated together (128 KiB of int64)
+# matrix entries taken together (512 KiB of int64): with hundreds of minors
+# per point, a smaller batch leaves the [M | I] step a few points per call
+_BATCH = 1 << 16
 _MAX_VALUES = 1 << 25  # entries of an all-minors value matrix (256 MiB of int64)
 
 
@@ -95,8 +97,11 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     kernel, and by Jacobi's complementary-minor identity (0-indexed S)
     det M[S] = (-1)^(sum S + size(size+3)/2) det(U)/det(E) det K[:, S^c]
     (det(U) = 0 where M loses rank).  Else the M[S] themselves are taken.
-    Minors of size k = 1 (corank 1, or a map of size 1) are the entries
-    themselves and take no elimination.
+    Minors of size k <= 3 (corank 1 to 3, or a side of 1 to 3) take the
+    closed forms of ``_cofactor_det``, with no elimination: a 2 x 2 sum is
+    at most (p - 1)(2p - 1) < 2^63, and a 3 x 3 expansion, whose three
+    terms reach about 3p^2, is reduced after its second.  ``_eliminate``
+    takes only the [M | I_n] step and square stacks of size k >= 4.
 
     With ``weights`` Q of shape (count, n, k), X the n x k matrix whose k x k
     minors are taken (M, or K^T on the kernel route), column j holds instead
@@ -129,9 +134,35 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
             lam = _eliminate(mats, size, p)[:, None] * eps % p
             mats = mats[:, size:, size:].transpose(0, 2, 1)  # K^T, as det K[:, T] = det K^T[T]
         square = mats[:, subsets] if weights is None else _matmul(q_t, mats[:, None], p)
-        dets = square if k == 1 else _eliminate(square.reshape(-1, k, k), k, p)
+        dets = _cofactor_det(square, p) if k <= 3 else _eliminate(square.reshape(-1, k, k), k, p)
         out.append(dets.reshape(len(mats), -1) * lam % p)
     return np.concatenate(out)
+
+
+def _cofactor_det(square: np.ndarray, p: int) -> np.ndarray:
+    """Determinants of a (..., k, k) stack of residues, k <= 3, in closed
+    form, with no elimination and no inverse.  k = 1 is the entry.  A 2 x 2
+    determinant is wz + x(p - y), at most (p - 1)(2p - 1) < 2^63 for
+    p < 2^31.  A 3 x 3 one is expanded along its first row with each 2 x 2
+    cofactor reduced; its three terms reach about 3p^2, past 2^63, so the
+    sum is reduced after the second: a residue plus one product of two
+    residues stays below 2^63."""
+    k = square.shape[-1]
+    rows = [[square[..., r, c] for c in range(k)] for r in range(k)]
+    if k == 1:
+        return rows[0][0]
+
+    def two(w, x, y, z):  # det [[w, x], [y, z]] mod p
+        return (w * z + x * (p - y)) % p
+
+    if k == 2:
+        return two(*rows[0], *rows[1])
+
+    def cofactor(skip):  # the 2 x 2 minor off row 0 and column ``skip``
+        return two(*(row[c] for row in rows[1:] for c in range(3) if c != skip))
+
+    a, b, c = rows[0]
+    return ((a * cofactor(0) + b * (p - cofactor(1))) % p + c * cofactor(2)) % p
 
 
 @functools.lru_cache(maxsize=32)
@@ -166,7 +197,9 @@ def _minor_values(m: GradedModule, i: int, size: int, count: int = 0) -> np.ndar
 def _eliminate(stack: np.ndarray, cols: int, p: int) -> np.ndarray:
     """Fraction-free elimination, in place, of the first ``cols`` columns of
     each matrix: det(U)/det(E), U the leading block of the result and E the
-    row operations (a square matrix's determinant).  Rows are scaled by the
+    row operations (a square matrix's determinant).  ``_lattice_minors``
+    calls it for the kernel step on [M | I_n] and for square stacks of size
+    >= 4; smaller minors take ``_cofactor_det``.  Rows are scaled by the
     pivot, not divided: one modular inverse each.  A row below the pivot
     becomes row * piv + row_j * (p - pivot row), a sum of two products of
     residues, at most (p - 1)(2p - 1) < 2^63 for p < 2^31, so it is

@@ -262,8 +262,15 @@ class GradedModule:
 
     @staticmethod
     def _build_piece(pres: PresentationMatrix, t: int) -> _Piece:
+        """The cokernel of the degree-t slice.  Below a_1 the slice has no
+        source column, so every target coordinate is a coset coordinate and
+        neither the slice nor an elimination is built."""
         tgt_bases, tgt_off, tgt_dim = _block_layout(pres.degrees.b, t)
-        coker = cokernel_basis(graded_piece_matrix(pres, t), pres.prime)
+        if t < pres.degrees.a[0]:
+            coker = CokernelBasis((), tuple(range(tgt_dim)),
+                                  np.zeros((0, tgt_dim), dtype=np.int64), pres.prime)
+        else:
+            coker = cokernel_basis(graded_piece_matrix(pres, t), pres.prime)
         coset = np.array(coker.coset, dtype=np.int64)
         monos = np.array([m for basis in tgt_bases for m in basis.monomials],
                          dtype=np.int64).reshape(-1, 3)

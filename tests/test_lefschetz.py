@@ -376,16 +376,19 @@ def test_localization_names_a_prime_too_small_for_another_degree():
 
 
 @st.composite
-def _stacks(draw, unit_minors=False):
+def _stacks(draw, minor_size=0, prime=0):
     """Three random n x s maps (or their transposes) mod a small or large
-    prime, as ``_lattice_minors`` takes them: plain, with a rank drop at
-    every point, or with a zero first row, so that the leading s x s block
-    is singular and, for n > s, the first pivot comes from below.  With
-    ``unit_minors`` the minors taken have size 1: s = 1, or corank 1."""
-    p = draw(st.sampled_from([7, 13, 65521, 2**31 - 1]))
-    if unit_minors:
-        s = draw(st.integers(1, 5))
-        n = s + 1 if s > 1 else draw(st.integers(1, 6))
+    prime (or ``prime``), as ``_lattice_minors`` takes them: plain, with a
+    rank drop at every point, or with a zero first row, so that the leading
+    s x s block is singular and, for n > s, the first pivot comes from
+    below.  With a ``minor_size`` k the minors taken have size k: corank k
+    below s (the kernel route), or s = k with n = k or n >= 2k (the
+    subset route)."""
+    p = prime or draw(st.sampled_from([7, 13, 65521, 2**31 - 1]))
+    if minor_size:
+        k = minor_size
+        s = draw(st.integers(k + 1, 5) | st.just(k))
+        n = s + k if s > k else draw(st.sampled_from([k, *range(2 * k, 7)]))
     else:
         n = draw(st.integers(1, 6))
         s = draw(st.integers(1, min(n, 5)))
@@ -422,9 +425,9 @@ def test_lattice_minors_match_cofactor_determinants(stack):
 
 
 def _eliminate_route(maps, size: int, p: int, weights=None) -> np.ndarray:
-    """``_lattice_minors`` with every k x k minor, k = 1 included, taken by
+    """``_lattice_minors`` with every k x k minor, k <= 3 included, taken by
     ``_eliminate``, all chart points in one stack: the route that minors
-    of size 1 now skip."""
+    of size 1 to 3 now skip."""
     tall = maps if maps.shape[1] >= maps.shape[2] else maps.transpose(0, 2, 1)
     n = tall.shape[1]
     by_kernel, k = lef._minor_shape(n, size)
@@ -445,7 +448,7 @@ def _eliminate_route(maps, size: int, p: int, weights=None) -> np.ndarray:
 
 
 @settings(max_examples=80, deadline=None)
-@given(stack=_stacks(unit_minors=True), data=st.data())
+@given(stack=_stacks(minor_size=1), data=st.data())
 def test_minors_of_size_one_skip_elimination_exactly(stack, data):
     # corank 1 (the kernel route) and maps of size 1 (the subset route)
     # take minors of size 1, which are read as entries: the values equal
@@ -460,20 +463,88 @@ def test_minors_of_size_one_skip_elimination_exactly(stack, data):
         assert (lef._lattice_minors(maps, s, p, w) == _eliminate_route(maps, s, p, w)).all()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
-def test_eliminate_is_exact_at_the_int64_edge(k):
-    # at p = 2^31 - 1 an update sums row * piv and row_j * (p - pivot row),
-    # up to (p - 1)(2p - 1), just below 2^63: entries of p - 1 and 0 reach
-    # it.  Every determinant equals the cofactor expansion in Python ints,
-    # on the all-(p - 1) matrix, on matrices of 0, 1, p - 2 and p - 1, and
-    # on uniform random ones
-    p = 2**31 - 1
+@pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_minors_of_size_two_and_three_take_closed_forms_exactly(k, p, data):
+    # the kernel route at corank 2 and 3 and the subset route with a side
+    # of 2 and 3 take cofactor formulas: the values equal the elimination
+    # route's, with every minor and with seeded weights, whether the chart
+    # points go in one batch or one point per batch
+    _, s, maps = data.draw(_stacks(minor_size=k, prime=p))
+    n = max(maps.shape[1:])
+    assert lef._minor_shape(n, s)[1] == k
+    count = data.draw(st.integers(1, 6))
+    weights = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=count * n * k,
+                                          max_size=count * n * k)), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        for batch in (lef._BATCH, 1):
+            patch.setattr(lef, "_BATCH", batch)
+            for w in (None, weights.reshape(count, n, k)):
+                want = _eliminate_route(maps, s, p, w)
+                assert (lef._lattice_minors(maps, s, p, w) == want).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=_stacks(), data=st.data())
+def test_lattice_minors_eliminate_only_kernels_and_squares_above_three(stack, data):
+    # _eliminate sees the [M | I] kernel elimination, or square stacks of
+    # size >= 4; every minor of size <= 3 is a closed form
+    p, s, maps = stack
+    n = max(maps.shape[1:])
+    k = lef._minor_shape(n, s)[1]
+    weights = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=3 * n * k,
+                                          max_size=3 * n * k)), dtype=np.int64)
+    calls, eliminate = [], lef._eliminate
+
+    def counted(stack, cols, p):
+        calls.append((stack.shape[1:], cols))
+        return eliminate(stack, cols, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lef, "_eliminate", counted)
+        for w in (None, weights.reshape(3, n, k)):
+            lef._lattice_minors(maps, s, p, w)
+    for (rows, width), cols in calls:
+        assert (rows, width) == (n, n + s) and cols == s or rows == width == cols >= 4
+    assert any(rows == width for (rows, width), _ in calls) == (k >= 4)
+
+
+def _edge_matrices(k: int, p: int) -> list[list[list[int]]]:
+    """k x k residue matrices near the int64 edge at p = 2^31 - 1: the
+    all-(p - 1) matrix, matrices of 0, 1, p - 2 and p - 1, and uniform
+    random ones."""
     draw = random.Random(k)
     mats = [[[p - 1] * k for _ in range(k)]]
     mats += [[[draw.choice((0, 1, p - 2, p - 1)) for _ in range(k)] for _ in range(k)]
              for _ in range(60)]
-    mats += [[[draw.randrange(p) for _ in range(k)] for _ in range(k)] for _ in range(60)]
+    return mats + [[[draw.randrange(p) for _ in range(k)] for _ in range(k)]
+                   for _ in range(60)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_eliminate_is_exact_at_the_int64_edge(k):
+    # at p = 2^31 - 1 an update sums row * piv and row_j * (p - pivot row),
+    # up to (p - 1)(2p - 1), just below 2^63: entries of p - 1 and 0 reach
+    # it.  Every determinant equals the cofactor expansion in Python ints
+    p = 2**31 - 1
+    mats = _edge_matrices(k, p)
     got = lef._eliminate(np.array(mats, dtype=np.int64), k, p)
+    assert got.tolist() == [det_mod(a, p) for a in mats]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cofactor_det_is_exact_at_the_int64_edge(k):
+    # at p = 2^31 - 1 a 2 x 2 determinant sums products up to
+    # (p - 1)(2p - 1), and a 3 x 3 expansion's three terms reach about 3p^2,
+    # past 2^63: the last matrix has cofactors p - 1, 0 and p - 1 under a
+    # first row of p - 1, so an unreduced sum overflows.  Every determinant
+    # equals the cofactor expansion in Python ints
+    p = 2**31 - 1
+    mats = _edge_matrices(k, p) + [[[p - 1, p - 1], [0, p - 1]] if k == 2
+                                   else [[p - 1, p - 1, p - 1], [0, 1, 0], [1, 0, p - 1]]]
+    got = lef._cofactor_det(np.array(mats, dtype=np.int64), p)
     assert got.tolist() == [det_mod(a, p) for a in mats]
 
 

@@ -10,13 +10,16 @@ from helpers import (
     multiplication_map_loop,
     slice_maps,
 )
-from lefschetz_locus.field_linalg import kernel_basis, rank
+from test_acceptance import CI_GRID, N2_GRID
+from lefschetz_locus import presentation
+from lefschetz_locus.field_linalg import cokernel_basis, kernel_basis, rank
 from lefschetz_locus.presentation import (
     DegreeData,
     GradedModule,
     NonFiniteLengthError,
     _KoszulPiece,
     _Piece,
+    _block_layout,
     generic_hilbert_profile,
     generic_module,
     graded_piece_matrix,
@@ -212,6 +215,46 @@ def test_koszul_pieces_match_the_slices_on_fixtures(a, b, grid, p):
     _assert_koszul_pieces_are_the_slice_pieces(m, max(deg.socle_degree, deg.b[-1]) + 2)
     if grid is not None:
         assert m.first_piece_beyond_socle() == deg.socle_degree + 1
+
+
+_BELOW_A1 = [(a, b, seed) for seed in (1, 2) for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID]
+_BELOW_A1.append(((2, 2, 3, 3), (0, 1),
+                  [["x1^2", "x2^2", "x3^3", "0"], ["0", "x1", "x2^2", "x3^2"]]))
+
+
+@pytest.mark.parametrize("a,b,source", _BELOW_A1)
+def test_pieces_below_a1_take_every_coordinate_with_no_slice(a, b, source, monkeypatch):
+    # below a_1 the slice has no source column: the piece is the whole
+    # target, equal to the cokernel_basis route in its coset, pivots, image,
+    # offsets, blocks and exponents, and its maps are the slice maps, yet
+    # graded_piece_matrix is never called there
+    deg = DegreeData(a, b)
+    pres = (random_presentation(deg, source, 65521) if isinstance(source, int)
+            else presentation_from_strings(deg, source))
+    sliced = []
+    slice_of = presentation.graded_piece_matrix
+
+    def counted(pres, t):
+        sliced.append(t)
+        return slice_of(pres, t)
+
+    monkeypatch.setattr(presentation, "graded_piece_matrix", counted)
+    below = range(deg.b[0] - 1, deg.a[0])
+    pieces = {t: GradedModule._build_piece(pres, t) for t in below}
+    assert sliced == []
+    monkeypatch.undo()
+    m = GradedModule(pres, dict(pieces))
+    for t, piece in pieces.items():
+        want = cokernel_basis(graded_piece_matrix(pres, t), pres.prime)
+        bases, offsets, dim = _block_layout(deg.b, t)
+        assert (piece.coker.coset, piece.coker.pivots) == (want.coset, want.pivots), t
+        assert piece.coker.image_rref.shape == want.image_rref.shape == (0, dim), t
+        assert np.array_equal(piece.offsets, offsets) and piece.target_dim == dim, t
+        assert piece.coset_blocks.tolist() == [j for j, basis in enumerate(bases)
+                                               for _ in basis.monomials], t
+        assert piece.coset_exponents.reshape(-1, 3).tolist() == [
+            list(mono) for basis in bases for mono in basis.monomials], t
+        assert np.array_equal(m.variable_maps(t), slice_maps(pres, t)), t
 
 
 def test_graded_piece_empty_below_targets():
