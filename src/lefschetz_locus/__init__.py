@@ -5,7 +5,7 @@ the associated rank-2 kernel bundle on the projective plane."""
 __version__ = "0.1.0"
 
 from .field_linalg import DEFAULT_PRIME, cokernel_basis, kernel_basis, rank
-from .polyring import Polynomial, Ring, line_power_table, monomial_basis
+from .polyring import Ring, line_power_table, monomial_basis
 from .presentation import (
     DegreeData,
     GradedModule,
@@ -43,7 +43,6 @@ __all__ = [
     "GroebnerBasis",
     "IdealMeasure",
     "LinePoint",
-    "Polynomial",
     "PresentationMatrix",
     "Ring",
     "SplittingType",

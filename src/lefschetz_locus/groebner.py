@@ -4,20 +4,22 @@ One class, :class:`GroebnerBasis`, is both the engine and its result: a
 homogeneous graded reverse-lex basis held as dense rows and grown one
 degree at a time.  It is F4 (Faugere 1999) in the per-degree form
 homogeneous ideals allow (Lazard 1983): a form of degree D is a dense
-residue row over the monomials of R_D in decreasing grevlex order, a
+residue row over the monomials of R_D in decreasing grevlex order
+(``_table`` and ``_pos``, the one column order of the dual ring), a
 monomial shift is one index scatter, and each degree's generators and
 critical pairs, pruned by the Gebauer-Moller criteria, are reduced together
-with their reducers by one ``field_linalg._rref``.  Inhomogeneous input is
-a named error.  Leading monomials, normal forms and membership read the
-stored rows.  Ideal dimension and degree come from the Hilbert series of
-the leading-term ideal, intersection degree by degree from the pieces I_D
-and J_D, and the saturation by the irrelevant ideal is the intersection of
-the three variable saturations I : l_v^infinity, each stripped off a basis
-with l_v last (Bayer-Stillman).
+with their reducers by one ``field_linalg._rref``.  Generators come as
+rows by degree, so every one is homogeneous.  Leading monomials, normal
+forms and membership read the stored rows.  Ideal dimension and degree
+come from the Hilbert series of the leading-term ideal, intersection
+degree by degree from the pieces I_D and J_D, and the saturation by the
+irrelevant ideal is the intersection of the three variable saturations
+I : l_v^infinity, each stripped off a basis with l_v last (Bayer-Stillman).
 
-Polynomials are :class:`~.polyring.Polynomial` at the public surface and
-dense rows inside; ``GroebnerBasis.basis`` builds the polynomials only when
-read.
+Forms are rows throughout: ``buchberger`` takes them by degree, and
+``normal_form`` and ``contains`` take and return rows of one degree.  Only
+``GroebnerBasis.basis`` builds :class:`~.polyring.Polynomial` objects,
+when read, for ``same_ideal`` and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ import functools
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .field_linalg import _matmul, _rref
 from .polyring import Polynomial, Ring, monomial_basis
-
-RawPoly = dict[tuple, int]
 
 # -- monomials -----------------------------------------------------------
 
@@ -93,7 +93,9 @@ class GroebnerBasis:
     def basis(self) -> tuple[Polynomial, ...]:
         """The elements as polynomials, sorted by leading monomial."""
         order = sorted(range(len(self.lms)), key=lambda k: grevlex_key(self.lms[k]))
-        return tuple(Polynomial(self.ring, _raw(self.rows[k], self.deg[k])) for k in order)
+        return tuple(Polynomial(self.ring, {_table(self.deg[k])[1][c]: int(self.rows[k][c])
+                                            for c in np.flatnonzero(self.rows[k])})
+                     for k in order)
 
     @property
     def is_unit(self) -> bool:
@@ -186,41 +188,24 @@ class GroebnerBasis:
             self.step(d, todo.pop(d, np.zeros((0, comb(d + 2, 2)), dtype=np.int64)))
         return self
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        """The remainder of f on the monomials no leading monomial divides:
-        each degree-d part less its projection on the reduced rows of I_d.
-        Once no critical pair is left, those rows are eliminated once per
-        degree and kept until the next ``step``."""
-        if f.ring != self.ring:
-            raise ValueError("polynomial lives in the wrong ring")
-        p, out = self.ring.prime, {}
-        for d in {sum(m) for m in f.terms}:
-            row = _dense({m: c for m, c in f.terms.items() if sum(m) == d})[1][None]
-            if d in self._reduced:
-                red, pivots = self._reduced[d]
-            else:
-                red, pivots = _rref(self.span(d), p)
-                pivots = list(pivots)
-                if not self.pairs:
-                    self._reduced[d] = red, pivots
-            out.update(_raw((row - _matmul(row[:, pivots], red[:len(pivots)], p))[0] % p, d))
-        return Polynomial(self.ring, out)
+    def normal_form(self, d: int, rows: np.ndarray) -> np.ndarray:
+        """The remainders of the degree-d forms ``rows`` on the monomials no
+        leading monomial divides: each row less its projection on the
+        reduced rows of I_d.  Once no critical pair is left, those rows are
+        eliminated once per degree and kept until the next ``step``."""
+        p = self.ring.prime
+        if d in self._reduced:
+            red, pivots = self._reduced[d]
+        else:
+            red, pivots = _rref(self.span(d), p)
+            pivots = list(pivots)
+            if not self.pairs:
+                self._reduced[d] = red, pivots
+        return (rows - _matmul(rows[:, pivots], red[:len(pivots)], p)) % p
 
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
-
-
-def _dense(f: RawPoly) -> tuple[int, np.ndarray]:
-    """Degree and dense row of a nonzero form, which must be homogeneous."""
-    e = np.array(list(f), dtype=np.int64).reshape(-1, 3)
-    degrees = e.sum(1)
-    if (degrees != degrees[0]).any():
-        raise ValueError("the Groebner engine takes homogeneous generators; got one with "
-                         f"terms of degrees {sorted(set(degrees.tolist()))}")
-    d = int(degrees[0])
-    row = np.zeros(comb(d + 2, 2), dtype=np.int64)
-    row[_pos(d, e)] = list(f.values())
-    return d, row
+    def contains(self, d: int, rows: np.ndarray) -> bool:
+        """Do the degree-d forms ``rows`` all lie in the ideal?"""
+        return not self.normal_form(d, rows).any()
 
 
 def _by_degree(forms: Iterable[tuple[int, np.ndarray]]) -> dict[int, np.ndarray]:
@@ -231,22 +216,10 @@ def _by_degree(forms: Iterable[tuple[int, np.ndarray]]) -> dict[int, np.ndarray]
     return {d: np.array(rows) for d, rows in out.items()}
 
 
-def _raw(row: np.ndarray, d: int) -> RawPoly:
-    monos, nz = _table(d)[1], np.flatnonzero(row)
-    return dict(zip([monos[j] for j in nz.tolist()], row[nz].tolist()))
-
-
-def buchberger(gens: Sequence[Polynomial], ring: Ring | None = None) -> GroebnerBasis:
-    """Reduced grevlex Groebner basis of the given homogeneous generators."""
-    gens = list(gens)
-    if ring is None:
-        if not gens:
-            raise ValueError("ring required for an empty generator list")
-        ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("mixed rings in generator list")
-    return GroebnerBasis(ring).grow(_by_degree(_dense(g.terms) for g in gens if g.terms))
+def buchberger(ring: Ring, forms: dict[int, np.ndarray]) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of the forms ``forms``, coefficient
+    rows by degree."""
+    return GroebnerBasis(ring).grow(dict(forms))
 
 
 def same_ideal(a: GroebnerBasis, b: GroebnerBasis) -> bool:

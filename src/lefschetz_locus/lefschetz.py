@@ -7,11 +7,13 @@ the maximal minors, forms of degree s = min(h_i, h_{i+1}) in l1, l2, l3:
 they are evaluated at the points (1, b, c) with b + c <= s of the chart
 l1 = 1, by complementary minors of one left kernel per point, and
 interpolated in closed form (Newton differences), so a locus needs a prime
-above s.  ``locus_ideal`` decides whether the middle degree alone cuts
-out the whole locus, against the module's own middle basis
-(``middle_basis``): a degree passes if its minor values have full rank, else
-by one Macaulay-matrix rank, and only where that falls short by normal
-forms against the three variable saturations I : l_v^infinity.  A
+above s.  The forms stay coefficient rows in the grevlex column order of
+:mod:`.groebner` from the interpolation to the Groebner basis.
+``locus_ideal`` decides whether the middle degree alone cuts out the whole
+locus, against the module's own middle basis (``middle_basis``): a degree
+passes if its minor values have full rank, else by one Macaulay-matrix
+rank, and only where that falls short by normal forms against the three
+variable saturations I : l_v^infinity.  A
 degree with many minors is first tried on C(s+2, 2) + 4 seeded
 combinations det(Q_j^T X) of them (Cauchy-Binet), which need no subset
 enumeration: each is the value vector of a form in the degree's minor
@@ -54,8 +56,8 @@ import numpy as np
 
 from . import rand
 from .field_linalg import _matmul, _rref, rank
-from .groebner import GroebnerBasis, _pos, _variable_saturations, buchberger
-from .polyring import Polynomial, Ring, monomial_basis, position
+from .groebner import GroebnerBasis, _pos, _table, _variable_saturations, buchberger
+from .polyring import Ring, monomial_basis
 from .presentation import GradedModule
 
 
@@ -63,11 +65,13 @@ class ZeroLineError(ValueError):
     """The zero triple does not define a line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocusIdeal:
-    """Homogeneous ideal in the dual ring cutting out a (partial) locus."""
+    """Homogeneous ideal in the dual ring cutting out a (partial) locus:
+    its generators, forms of one degree, as coefficient rows."""
 
-    gens: tuple[Polynomial, ...]
+    degree: int
+    gens: np.ndarray
 
 
 def dual_ring(m: GradedModule) -> Ring:
@@ -238,14 +242,15 @@ def _power(x: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def _interpolate(m: GradedModule, i: int, values=None) -> np.ndarray:
-    """Coefficient rows, in ``monomial_basis`` order, of the degree-i
-    maximal minors, or of the forms whose values at the chart points are
-    the columns of ``values``.  A degree-s form f is g(b, c) = f(1, b, c) on
-    the grid b + c <= s, and g's coefficient of b^j c^k is f's of
-    l1^(s-j-k) l2^j l3^k.  In closed form (Newton): the differences
-    D = Delta G Delta^T of the values G, Delta[i, k] = (-1)^(i-k) C(i, k),
-    give g = sum_{i+j<=s} D[i, j] C(b, i) C(c, j) (D beyond i + j = s sees
-    the zero padding of G, not g), so its coefficients are F^T D F, F[i, k]
+    """Coefficient rows, in grevlex order (``groebner._table``), of the
+    degree-i maximal minors, or of the forms whose values at the chart
+    points (in ``monomial_basis`` order) are the columns of ``values``.  A
+    degree-s form f is g(b, c) = f(1, b, c) on the grid b + c <= s, and g's
+    coefficient of b^j c^k is f's of l1^(s-j-k) l2^j l3^k.  In closed form
+    (Newton): the differences D = Delta G Delta^T of the values G,
+    Delta[i, k] = (-1)^(i-k) C(i, k), give
+    g = sum_{i+j<=s} D[i, j] C(b, i) C(c, j) (D beyond i + j = s sees the
+    zero padding of G, not g), so its coefficients are F^T D F, F[i, k]
     that of x^k in C(x, i).  The 1/i! in F needs p > s, as the values do."""
     size = min(m.h(i), m.h(i + 1))
     values = _minor_values(m, i, size) if values is None else values
@@ -262,6 +267,7 @@ def _interpolate(m: GradedModule, i: int, values=None) -> np.ndarray:
     grid[b, c] = values
     diffs = both_axes(delta, grid)
     diffs[np.add.outer(np.arange(n), np.arange(n)) > size] = 0  # beyond the grid
+    _, b, c = _table(size)[0].T  # the coefficients, in grevlex order
     return both_axes(binom.T, diffs)[b, c].T
 
 
@@ -288,33 +294,24 @@ def _newton_tables(s: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _forms(ring: Ring, s: int, rows: np.ndarray) -> tuple[Polynomial, ...]:
-    """The nonzero degree-s forms with these coefficient rows (the zero
-    form if there is none)."""
-    monos = monomial_basis(s).monomials
-    gens = tuple(f for f in (Polynomial(ring, dict(zip(monos, map(int, row)))) for row in rows)
-                 if not f.is_zero())
-    return gens or (Polynomial.zero(ring),)
-
-
 def locus_ideal_at(m: GradedModule, i: int) -> LocusIdeal:
     """Ideal of maximal minors of sum_v l_v * (multiplication by x_v out of
     degree i), forms of degree s in l1, l2, l3.  A shape with a zero side
     has trivially maximal rank everywhere, so it contributes the unit ideal
-    (empty locus).  Generators keep the row-subset order of the taller side;
-    zero minors are dropped."""
-    ring = dual_ring(m)
+    (empty locus), the form 1 of degree 0.  Generators keep the row-subset
+    order of the taller side; zero minors are dropped."""
     size = min(m.h(i), m.h(i + 1))
     if size == 0:
-        return LocusIdeal((Polynomial.constant(ring, 1),))
-    return LocusIdeal(_forms(ring, size, _interpolate(m, i)))
+        return LocusIdeal(0, np.ones((1, 1), dtype=np.int64))
+    rows = _interpolate(m, i)
+    return LocusIdeal(size, rows[rows.any(1)])
 
 
 def _macaulay_rows(coeffs: np.ndarray, s: int, top: int) -> np.ndarray:
-    """Coefficients in degree ``top`` of every degree-(top - s) monomial
-    times every degree-s form given by a row of ``coeffs``."""
-    shifts = np.array(monomial_basis(top - s).monomials, dtype=np.int64).reshape(-1, 1, 3)
-    cols = position(top, shifts + np.array(monomial_basis(s).monomials, dtype=np.int64))
+    """Rows in degree ``top`` of every degree-(top - s) monomial times every
+    degree-s form given by a row of ``coeffs``."""
+    shifts = _table(top - s)[0][:, None]
+    cols = _pos(top, shifts + _table(s)[0])
     out = np.zeros((len(shifts), len(coeffs), comb(top + 2, 2)), dtype=np.int64)
     out[np.arange(len(shifts))[:, None, None], np.arange(len(coeffs))[:, None],
         cols[:, None]] = coeffs
@@ -324,9 +321,9 @@ def _macaulay_rows(coeffs: np.ndarray, s: int, top: int) -> np.ndarray:
 def _in_saturation(mid: np.ndarray, s_mid: int, coeffs: np.ndarray, s: int,
                    ring: Ring) -> bool:
     """Do the degree-s_mid forms with the coefficient rows ``mid`` lie in
-    I^sat, I the ideal of the degree-s forms with the rows ``coeffs`` (rows
-    in ``monomial_basis`` order)?  With D = max(s_mid, s), mid * R_{D-s_mid}
-    must reduce to zero against R_{D-s} times those forms; that puts
+    I^sat, I the ideal of the degree-s forms with the rows ``coeffs``?
+    With D = max(s_mid, s), mid * R_{D-s_mid} must reduce to zero against
+    R_{D-s} times those forms; that puts
     m^(D-s_mid) * mid in I.  Only where it fails are the forms tested
     against each of the three bases of I : l_v^infinity, whose intersection
     is I^sat (``groebner._variable_saturations``)."""
@@ -335,8 +332,8 @@ def _in_saturation(mid: np.ndarray, s_mid: int, coeffs: np.ndarray, s: int,
     rows = _macaulay_rows(mid, s_mid, max(s_mid, s))
     if not ((rows - _matmul(rows[:, list(pivots)], span[:len(pivots)], p)) % p).any():
         return True
-    sats = _variable_saturations(buchberger(list(_forms(ring, s, coeffs)), ring=ring))
-    return all(sat.contains(g) for sat in sats for g in _forms(ring, s_mid, mid))
+    sats = _variable_saturations(buchberger(ring, {s: coeffs}))
+    return all(sat.contains(s_mid, mid) for sat in sats)
 
 
 def _injective_below(m: GradedModule, i: int) -> bool:
@@ -354,7 +351,8 @@ def middle_basis(m: GradedModule) -> GroebnerBasis:
     """Reduced Groebner basis of the middle-degree minor ideal I_(i*), kept
     for the last module asked about: a survey row measures it and then
     tests its localization, one row at a time."""
-    return buchberger(list(locus_ideal_at(m, m.degrees.middle_degree).gens), ring=dual_ring(m))
+    ideal = locus_ideal_at(m, m.degrees.middle_degree)
+    return buchberger(dual_ring(m), {ideal.degree: ideal.gens})
 
 
 def locus_ideal(m: GradedModule) -> bool:
@@ -387,7 +385,6 @@ def locus_ideal(m: GradedModule) -> bool:
     s_mid = min(middle.deg, default=0)
     mid = np.array([row for d, row in zip(middle.deg, middle.rows) if d == s_mid],
                    dtype=np.int64).reshape(-1, comb(s_mid + 2, 2))
-    mid = mid[:, _pos(s_mid, np.array(monomial_basis(s_mid).monomials))]  # to basis order
     for i in range(deg.middle_degree - 1, deg.b[0] - 2, -1):
         size = min(m.h(i), m.h(i + 1))
         if size == 0:

@@ -1,12 +1,14 @@
-"""Polynomial arithmetic in three variables over a prime field.
+"""Monomials and forms in three variables over a prime field.
 
 Two rings share the same machinery: the primal ring with variables
 x1, x2, x3 and the dual coordinate ring of the plane of lines with
-variables l1, l2, l3.  Monomials are exponent triples; terms print and
-graded bases list in deg-lex order with x1 > x2 > x3 (resp. l1 > l2 > l3),
-which makes every printed polynomial and every derived matrix
-byte-reproducible.  Groebner bases use grevlex (see :mod:`.groebner`).
-Forms restrict to a line through a table of restricted monomials, degree by degree.
+variables l1, l2, l3.  Monomials are exponent triples.  Graded bases of
+the primal ring list in deg-lex order with x1 > x2 > x3, which makes every
+derived matrix byte-reproducible; the dual ring's coefficient rows are in
+grevlex order (see :mod:`.groebner`).  A polynomial string is parsed at
+the boundary into a term dict, and ``Polynomial`` is only the form that a
+Groebner basis reads off its rows.  Forms restrict to a line through a
+table of restricted monomials, degree by degree.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class Ring:
         return ("l1", "l2", "l3") if self.dual else ("x1", "x2", "x3")
 
 
-def deglex_key(mono: tuple[int, ...]) -> tuple:
-    return (sum(mono), mono)
-
-
 @dataclass(frozen=True)
 class GradedPieceBasis:
     """All degree-t monomials, largest first in deg-lex."""
@@ -82,78 +80,13 @@ def position(t, e):
 
 
 class Polynomial:
-    """Sparse polynomial: exponent triple -> nonzero residue."""
-
-    __slots__ = ("ring", "terms")
+    """A form as ``GroebnerBasis.basis`` reads it off its rows: the ring and
+    the terms, exponent triple -> nonzero residue.  Forms are coefficient
+    rows everywhere else."""
 
     def __init__(self, ring: Ring, terms: dict[Mono, int]):
-        p = ring.prime
-        clean = {}
-        for mono, c in terms.items():
-            c %= p
-            if c:
-                clean[mono] = c
         self.ring = ring
-        self.terms = clean
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring: Ring) -> "Polynomial":
-        return cls(ring, {})
-
-    @classmethod
-    def constant(cls, ring: Ring, c: int) -> "Polynomial":
-        return cls(ring, {(0, 0, 0): c})
-
-    # -- queries -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise ValueError("polynomials live in different rings")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(self.ring, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Polynomial(self.ring, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check_ring(other)
-        return multiply(self, other)
-
-    __rmul__ = __mul__
+        self.terms = terms
 
     def __eq__(self, other) -> bool:
         return (
@@ -161,25 +94,6 @@ class Polynomial:
             and self.ring == other.ring
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        return format_poly(self)
-
-
-def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact product; requires matching ring tags."""
-    if f.ring != g.ring:
-        raise ValueError("polynomials live in different rings")
-    p = f.ring.prime
-    out: dict[Mono, int] = {}
-    for mf, cf in f.terms.items():
-        for mg, cg in g.terms.items():
-            m = (mf[0] + mg[0], mf[1] + mg[1], mf[2] + mg[2])
-            out[m] = (out.get(m, 0) + cf * cg) % p
-    return Polynomial(f.ring, out)
 
 
 # -- restriction of forms to a line ------------------------------------
@@ -220,42 +134,11 @@ def line_power_table(param, top: int, prime: int) -> np.ndarray:
 _FACTOR_RE = re.compile(r"^([xl][123])(?:\^(\d+))?$")
 
 
-def format_poly(f: Polynomial) -> str:
-    """Canonical text form: deg-lex descending terms, signed small
-    coefficients, `*` between factors, `^` for exponents > 1."""
-    if f.is_zero():
-        return "0"
-    p = f.ring.prime
-    names = f.ring.variables
-    half = p // 2
-    pieces: list[tuple[bool, str]] = []
-    for mono in sorted(f.terms, key=deglex_key, reverse=True):
-        c = f.terms[mono]
-        signed = c if c <= half else c - p
-        negative = signed < 0
-        mag = abs(signed)
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        pieces.append((negative, body))
-    neg, body = pieces[0]
-    out = ("-" if neg else "") + body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
-def parse_poly(text: str, ring: Ring) -> Polynomial:
-    """Parse the text format produced by :func:`format_poly`."""
+def parse_poly(text: str, ring: Ring) -> dict[Mono, int]:
+    """The terms, exponent triple -> nonzero residue, of a polynomial string:
+    signed terms such as ``3*x1^2*x2`` (``l1`` ... in the dual ring), with
+    ``*`` between factors and ``^`` for exponents.  Terms that cancel mod p
+    are dropped."""
     names = ring.variables
     var_index = {name: i for i, name in enumerate(names)}
     s = text.strip()
@@ -288,4 +171,4 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
             exps[i] += int(m.group(2)) if m.group(2) else 1
         mono = (exps[0], exps[1], exps[2])
         terms[mono] = terms.get(mono, 0) + sign * coef
-    return Polynomial(ring, terms)
+    return {mono: c % ring.prime for mono, c in terms.items() if c % ring.prime}

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rand
 from .field_linalg import DEFAULT_PRIME, CokernelBasis, cokernel_basis, rank
-from .polyring import GradedPieceBasis, Polynomial, Ring, monomial_basis, position
+from .polyring import GradedPieceBasis, Ring, monomial_basis, parse_poly, position
 
 
 class NonFiniteLengthError(ValueError):
@@ -74,93 +74,84 @@ class DegreeData:
         return (self.d - 4) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PresentationMatrix:
+    """The presentation held as its terms, entry by entry in row order:
+    target j, source i, exponent triples and nonzero coefficients, as
+    arrays.  Entry (j, i) is homogeneous of degree a_i - b_j."""
+
     degrees: DegreeData
-    entries: tuple[tuple[Polynomial, ...], ...]
-    ring: Ring
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    prime: int
 
     def __post_init__(self):
-        deg = self.degrees
-        if len(self.entries) != deg.n:
-            raise ValueError("entry grid must have one row per target twist")
-        for j, row in enumerate(self.entries):
-            if len(row) != deg.n + 2:
-                raise ValueError("entry grid must have one column per source twist")
-            for i, f in enumerate(row):
-                if f.ring != self.ring:
-                    raise ValueError("entry ring mismatch")
-                want = deg.a[i] - deg.b[j]
-                if f.is_zero():
-                    continue
-                if not f.is_homogeneous() or f.degree() != want:
-                    raise ValueError(
-                        f"entry ({j},{i}) must be homogeneous of degree {want}"
-                    )
-
-    @property
-    def prime(self) -> int:
-        return self.ring.prime
-
-    @cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every term of every entry, entry by entry in row order, as arrays:
-        target j, source i, exponent triples and coefficients."""
-        forms = [f for row in self.entries for f in row]
-        j, i = np.divmod(np.repeat(np.arange(len(forms)), [len(f.terms) for f in forms]),
-                         self.degrees.n + 2)
-        exps = np.array([m for f in forms for m in f.terms], dtype=np.int64).reshape(-1, 3)
-        coefs = np.array([c for f in forms for c in f.terms.values()], dtype=np.int64)
-        return j, i, exps, coefs
+        deg, (j, i, exps, _) = self.degrees, self.terms
+        wrong = exps.sum(1) != np.array(deg.a)[i] - np.array(deg.b)[j]
+        if wrong.any():  # name the first such entry in row order
+            j, i = divmod(int((j * (deg.n + 2) + i)[wrong].min()), deg.n + 2)
+            raise ValueError(
+                f"entry ({j},{i}) must be homogeneous of degree {deg.a[i] - deg.b[j]}")
 
     @cached_property
     def generator_degrees(self) -> tuple[int, ...]:
         """Degrees of a minimal generating set of the cokernel, ascending,
         with multiplicity.  The generators of degree w are the b_j = w less
         the rank of the constant block of entries from the a_i = w to the
-        b_j = w, read from the entries themselves: a unit entry cancels a
+        b_j = w, read from the constant terms: a unit entry cancels a
         generator."""
-        deg, out = self.degrees, []
+        deg, (j, i, exps, coefs) = self.degrees, self.terms
+        constant = np.zeros((deg.n, deg.n + 2), dtype=np.int64)
+        unit = ~exps.any(1)
+        constant[j[unit], i[unit]] = coefs[unit]
+        out = []
         for w in sorted(set(deg.b)):
-            rows = [j for j, bj in enumerate(deg.b) if bj == w]
-            cols = [i for i, ai in enumerate(deg.a) if ai == w]
-            block = np.array([[self.entries[j][i].terms.get((0, 0, 0), 0) for i in cols]
-                              for j in rows], dtype=np.int64).reshape(len(rows), len(cols))
-            out += [w] * (len(rows) - (rank(block, self.prime) if cols else 0))
+            block = constant[np.equal(deg.b, w)][:, np.equal(deg.a, w)]
+            out += [w] * (len(block) - (rank(block, self.prime) if block.size else 0))
         return tuple(out)
 
 
 def random_presentation(degrees: DegreeData, seed: int,
                         prime: int = DEFAULT_PRIME) -> PresentationMatrix:
-    """Dense presentation with seeded uniform coefficients; entries whose
-    required degree is negative stay zero."""
-    ring = Ring(prime=prime, dual=False)
-    stream = rand.Stream(seed)
-    rows = []
-    for j in range(degrees.n):
-        row = []
-        for i in range(degrees.n + 2):
-            e = degrees.a[i] - degrees.b[j]
-            if e < 0:
-                row.append(Polynomial.zero(ring))
-                continue
-            terms = {m: stream.below(prime) for m in monomial_basis(e).monomials}
-            row.append(Polynomial(ring, terms))
-        rows.append(tuple(row))
-    return PresentationMatrix(degrees, tuple(rows), ring)
+    """Dense presentation with seeded uniform coefficients, drawn entry by
+    entry in row order over ``monomial_basis(a_i - b_j)``: entries whose
+    required degree is negative stay zero, and zero residues are dropped."""
+    Ring(prime=prime)  # refuses a number that is not a usable prime
+    n = degrees.n
+    j, i = np.divmod(np.arange(n * (n + 2)), n + 2)
+    bases = [monomial_basis(degrees.a[c] - degrees.b[r]).monomials
+             for r, c in zip(j.tolist(), i.tolist())]
+    sizes = [len(basis) for basis in bases]
+    coefs = rand.Stream(seed).below_many(prime, sum(sizes))
+    exps = np.array([m for basis in bases for m in basis], dtype=np.int64).reshape(-1, 3)
+    drawn = coefs != 0
+    return PresentationMatrix(degrees, (np.repeat(j, sizes)[drawn], np.repeat(i, sizes)[drawn],
+                                        exps[drawn], coefs[drawn]), prime)
 
 
 def presentation_from_strings(degrees: DegreeData, grid: list[list[str]],
                               prime: int = DEFAULT_PRIME) -> PresentationMatrix:
-    from .polyring import parse_poly
-
+    """The presentation of a grid of polynomial strings.  Rows are checked
+    in order: a row of the wrong width is reported after the degree errors
+    of the rows above it."""
     if not (isinstance(grid, list) and all(
             isinstance(row, list) and all(isinstance(s, str) for s in row) for row in grid)):
         raise ValueError(f"the matrix must be a list of {degrees.n} rows, each a list of "
                          f"{degrees.n + 2} polynomial strings")
     ring = Ring(prime=prime, dual=False)
-    rows = tuple(tuple(parse_poly(s, ring) for s in row) for row in grid)
-    return PresentationMatrix(degrees, rows, ring)
+    entries = [[parse_poly(s, ring) for s in row] for row in grid]
+    if len(entries) != degrees.n:
+        raise ValueError("entry grid must have one row per target twist")
+    short = next((j for j, row in enumerate(entries) if len(row) != degrees.n + 2), degrees.n)
+    # an exponent above every entry degree is capped there: its term stays of
+    # a wrong degree, and no sum leaves int64
+    top = max(degrees.a[-1] - degrees.b[0], 0) + 1
+    flat = [(j, i, [min(e, top) for e in mono], c) for j, row in enumerate(entries[:short])
+            for i, f in enumerate(row) for mono, c in f.items()]
+    j, i, exps, coefs = (np.array(col, dtype=np.int64) for col in list(zip(*flat)) or [()] * 4)
+    pres = PresentationMatrix(degrees, (j, i, exps.reshape(-1, 3), coefs), prime)
+    if short < degrees.n:
+        raise ValueError("entry grid must have one column per source twist")
+    return pres
 
 
 def _block_layout(twists: tuple[int, ...], t: int) -> tuple[list[GradedPieceBasis], np.ndarray, int]:
@@ -224,7 +215,6 @@ class GradedModule:
         self.pres = pres
         self.degrees = pres.degrees
         self.prime = pres.prime
-        self.ring = pres.ring
         self._pieces = pieces
         self._maps: dict[int, np.ndarray] = {}  # x1, x2, x3 maps out of degree t
         self.audit: dict = {}

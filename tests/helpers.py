@@ -31,7 +31,14 @@ each Serre-dual pair, and reads the piece dimensions, not the mirrored
 Hilbert function.  ``series_numpy`` is the array staircase that the
 package's plain-Python Hilbert numerator replaced.  The root search scans
 all of F_p with an O(p) array (16 GB near 2^31), so the point oracles run
-only at primes up to the default 65521."""
+only at primes up to the default 65521.
+
+``Polynomial`` is the test-side polynomial: the package's ``Polynomial``
+(what ``GroebnerBasis.basis`` returns) with the queries, arithmetic and
+text format (``format_poly``) that no command needs.  ``rows``,
+``by_degree``, ``basis_of``, ``normal_form``, ``contains``,
+``minor_forms`` and ``entries`` carry it to and from the package's
+coefficient rows and presentation term arrays."""
 
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ from collections import Counter
 
 import numpy as np
 
-from lefschetz_locus import rand
+from lefschetz_locus import polyring, rand
 from lefschetz_locus.bundle import InconsistencyError, SplittingType, h0
 from lefschetz_locus.field_linalg import DEFAULT_PRIME, cokernel_basis, rank
 from lefschetz_locus.groebner import (
@@ -47,6 +54,7 @@ from lefschetz_locus.groebner import (
     _divides,
     _mono_lcm,
     _mono_mul,
+    _table,
     buchberger,
     grevlex_key,
     intersect,
@@ -60,8 +68,209 @@ from lefschetz_locus.jumping import (
     splitting_type,
 )
 from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at, random_line
-from lefschetz_locus.polyring import DegenerateLineError, Polynomial
+from lefschetz_locus.polyring import DegenerateLineError, Ring
 from lefschetz_locus.presentation import _block_layout, graded_piece_matrix
+
+
+# -- the test-side polynomial ----------------------------------------------
+
+
+def deglex_key(mono: tuple[int, ...]) -> tuple:
+    return (sum(mono), mono)
+
+
+class Polynomial(polyring.Polynomial):
+    """Sparse polynomial: exponent triple -> nonzero residue.  The package
+    holds forms as coefficient rows and builds its own ``Polynomial`` only
+    for ``GroebnerBasis.basis``; this subclass, equal to it on equal terms,
+    adds reduction mod p on construction, queries, arithmetic and the text
+    format for the tests."""
+
+    def __init__(self, ring: Ring, terms: dict):
+        p = ring.prime
+        super().__init__(ring, {mono: c % p for mono, c in terms.items() if c % p})
+
+    @classmethod
+    def zero(cls, ring: Ring) -> "Polynomial":
+        return cls(ring, {})
+
+    @classmethod
+    def constant(cls, ring: Ring, c: int) -> "Polynomial":
+        return cls(ring, {(0, 0, 0): c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max((sum(m) for m in self.terms), default=-1)
+
+    def is_homogeneous(self) -> bool:
+        return len({sum(m) for m in self.terms}) <= 1
+
+    def _check_ring(self, other: "Polynomial"):
+        if self.ring != other.ring:
+            raise ValueError("polynomials live in different rings")
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        self._check_ring(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return Polynomial(self.ring, out)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + Polynomial(other.ring, {m: -c for m, c in other.terms.items()})
+
+    def __neg__(self) -> "Polynomial":
+        return self.scale(-1)
+
+    def scale(self, c: int) -> "Polynomial":
+        return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        return multiply(self, other)
+
+    __rmul__ = __mul__
+
+    def __hash__(self):
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
+
+    def __repr__(self) -> str:
+        return format_poly(self)
+
+
+def multiply(f, g) -> Polynomial:
+    """Exact product; requires matching ring tags."""
+    if f.ring != g.ring:
+        raise ValueError("polynomials live in different rings")
+    out: dict = {}
+    for mf, cf in f.terms.items():
+        for mg, cg in g.terms.items():
+            m = (mf[0] + mg[0], mf[1] + mg[1], mf[2] + mg[2])
+            out[m] = out.get(m, 0) + cf * cg
+    return Polynomial(f.ring, out)
+
+
+def format_poly(f) -> str:
+    """Canonical text form: deg-lex descending terms, signed small
+    coefficients, `*` between factors, `^` for exponents > 1; the package's
+    ``parse_poly`` reads it back."""
+    if not f.terms:
+        return "0"
+    p, half = f.ring.prime, f.ring.prime // 2
+    pieces: list[tuple[bool, str]] = []
+    for mono in sorted(f.terms, key=deglex_key, reverse=True):
+        signed = f.terms[mono] if f.terms[mono] <= half else f.terms[mono] - p
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(f.ring.variables, mono) if e]
+        mag = abs(signed)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        pieces.append((signed < 0, body))
+    neg, body = pieces[0]
+    out = ("-" if neg else "") + body
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+def parse(text: str, ring: Ring) -> Polynomial:
+    """``polyring.parse_poly`` as a polynomial."""
+    return Polynomial(ring, polyring.parse_poly(text, ring))
+
+
+# -- polynomials to and from the package's coefficient rows ----------------
+
+
+def rows(forms, d: int) -> np.ndarray:
+    """Coefficient rows of degree-d forms, in the dual ring's grevlex
+    column order (``groebner._table``)."""
+    monos = _table(d)[1]
+    return np.array([[f.terms.get(m, 0) for m in monos] for f in forms],
+                    dtype=np.int64).reshape(len(forms), len(monos))
+
+
+def form_of(ring: Ring, d: int, row) -> Polynomial:
+    """The degree-d form with the coefficient row ``row``."""
+    return Polynomial(ring, dict(zip(_table(d)[1], np.asarray(row).tolist())))
+
+
+def by_degree(gens) -> dict[int, np.ndarray]:
+    """Nonzero homogeneous polynomials as coefficient rows by degree, as
+    ``groebner.buchberger`` takes them."""
+    forms: dict[int, list] = {}
+    for f in gens:
+        degrees = {sum(m) for m in f.terms}
+        assert len(degrees) <= 1, f"not homogeneous: {f.terms}"
+        if degrees:
+            forms.setdefault(degrees.pop(), []).append(f)
+    return {d: rows(fs, d) for d, fs in forms.items()}
+
+
+def basis_of(gens, ring: Ring | None = None) -> GroebnerBasis:
+    """``groebner.buchberger`` of homogeneous polynomials (the ring of the
+    first, unless given)."""
+    gens = list(gens)
+    return buchberger(ring or gens[0].ring, by_degree(gens))
+
+
+def _parts(f) -> dict[int, np.ndarray]:
+    """The homogeneous parts of f, each as one coefficient row."""
+    out: dict[int, dict] = {}
+    for m, c in f.terms.items():
+        out.setdefault(sum(m), {})[m] = c
+    return {d: rows([Polynomial(f.ring, part)], d) for d, part in out.items()}
+
+
+def normal_form(gb: GroebnerBasis, f) -> Polynomial:
+    """``GroebnerBasis.normal_form`` of a polynomial, part by part."""
+    out: dict = {}
+    for d, row in _parts(f).items():
+        out.update(form_of(f.ring, d, gb.normal_form(d, row)[0]).terms)
+    return Polynomial(f.ring, out)
+
+
+def contains(gb: GroebnerBasis, f) -> bool:
+    """``GroebnerBasis.contains`` of a polynomial, part by part."""
+    return all(gb.contains(d, row) for d, row in _parts(f).items())
+
+
+def minor_forms(m, i: int) -> list[Polynomial]:
+    """The generators of ``locus_ideal_at(m, i)`` as polynomials."""
+    ideal = locus_ideal_at(m, i)
+    return [form_of(dual_ring(m), ideal.degree, row) for row in ideal.gens]
+
+
+def minor_basis(m, i: int) -> GroebnerBasis:
+    """The reduced basis of the degree-i minor ideal."""
+    ideal = locus_ideal_at(m, i)
+    return buchberger(dual_ring(m), {ideal.degree: ideal.gens})
+
+
+def random_presentation_loop(degrees, seed: int, prime: int) -> list[list[Polynomial]]:
+    """The entries ``presentation.random_presentation`` draws, one
+    ``Stream.below`` per monomial of ``monomial_basis(a_i - b_j)``, entry by
+    entry in row order (the package draws them all by one ``below_many``)."""
+    ring, stream = Ring(prime=prime), rand.Stream(seed)
+    return [[Polynomial(ring, {m: stream.below(prime) for m in
+                               polyring.monomial_basis(degrees.a[i] - degrees.b[j]).monomials})
+             for i in range(degrees.n + 2)] for j in range(degrees.n)]
+
+
+def entries(pres) -> list[list[Polynomial]]:
+    """The presentation's entries as polynomials, from its term arrays."""
+    n, ring = pres.degrees.n, Ring(prime=pres.prime)
+    grid: list[list[dict]] = [[{} for _ in range(n + 2)] for _ in range(n)]
+    for j, i, mono, c in zip(*(a.tolist() for a in pres.terms)):
+        grid[j][i][tuple(mono)] = c
+    return [[Polynomial(ring, terms) for terms in row] for row in grid]
 
 
 # -- integer power series / Hilbert series -------------------------------
@@ -139,10 +348,11 @@ def graded_piece_matrix_loop(pres, t: int) -> np.ndarray:
     tgt_bases, tgt_off, tgt_dim = _block_layout(deg.b, t)
     src_bases, src_off, src_dim = _block_layout(deg.a, t)
     m = np.zeros((tgt_dim, src_dim), dtype=np.int64)
+    grid = entries(pres)
     for j in range(deg.n):
         tgt_index = basis_index(tgt_bases[j])
         for i in range(deg.n + 2):
-            f = pres.entries[j][i]
+            f = grid[j][i]
             if f.is_zero() or len(src_bases[i]) == 0:
                 continue
             for c, mono in enumerate(src_bases[i].monomials):
@@ -248,7 +458,7 @@ def restrict_loop(pres, param) -> RestrictedBundle:
     deg, p = pres.degrees, pres.prime
     top = max(deg.a[-1] - deg.b[0], 0)
     grid = [[list(substitute_line_loop(f, param)) if not f.is_zero() else [] for f in row]
-            for row in pres.entries]
+            for row in entries(pres)]
     return RestrictedBundle(deg, np.array([[c + [0] * (top + 1 - len(c)) for c in row]
                                            for row in grid], dtype=np.int64), p)
 
@@ -705,9 +915,9 @@ def colon(ideal: GroebnerBasis, f: Polynomial) -> GroebnerBasis:
     if f.is_zero():
         raise ValueError("colon by zero")
     ring = ideal.ring
-    meet = intersect(ideal, buchberger([f], ring=ring))
-    return buchberger([Polynomial(ring, _divide_exact(g.terms, f.terms, ring.prime))
-                       for g in meet.basis], ring=ring)
+    meet = intersect(ideal, basis_of([f]))
+    return basis_of([Polynomial(ring, _divide_exact(g.terms, f.terms, ring.prime))
+                     for g in meet.basis], ring)
 
 
 # -- localization by intersection -----------------------------------------
@@ -718,20 +928,19 @@ def fold_localization(m, middle: GroebnerBasis) -> bool:
     other degree's minor ideal onto ``middle`` by intersection (skipping a
     degree whose basis already contains the running ideal), then compare
     the saturations of the result and of ``middle`` both ways."""
-    ring = dual_ring(m)
     deg = m.degrees
     running = middle
     for i in range(deg.b[0] - 1, deg.socle_degree + 1):
         if i == deg.middle_degree:
             continue
-        gb_i = buchberger(list(locus_ideal_at(m, i).gens), ring=ring)
-        if not all(gb_i.contains(g) for g in running.basis):
+        gb_i = minor_basis(m, i)
+        if not all(contains(gb_i, g) for g in running.basis):
             running = intersect(running, gb_i)
     if running.basis == middle.basis:
         return True
     sat_mid, sat_full = saturate(middle), saturate(running)
-    return all(sat_full.contains(g) for g in sat_mid.basis) and all(
-        sat_mid.contains(g) for g in sat_full.basis)
+    return all(contains(sat_full, g) for g in sat_mid.basis) and all(
+        contains(sat_mid, g) for g in sat_full.basis)
 
 
 # -- rational points (O(p) root scans) -------------------------------------

@@ -6,6 +6,8 @@ from math import comb
 
 from helpers import (
     euler_characteristic,
+    minor_basis,
+    minor_forms,
     rational_points_0dim,
     sample_locus_points,
     vote_generic_splitting,
@@ -13,9 +15,9 @@ from helpers import (
 from lefschetz_locus import rand
 from lefschetz_locus.bundle import chern, classify_stability, lefschetz_oracle
 from lefschetz_locus.cli import analyze_locus, build_module, survey_row
-from lefschetz_locus.groebner import buchberger, measure
+from lefschetz_locus.groebner import measure
 from lefschetz_locus.jumping import is_jumping, line_point, restrict, splitting_type
-from lefschetz_locus.lefschetz import dual_ring, is_lefschetz, locus_ideal_at, random_line
+from lefschetz_locus.lefschetz import is_lefschetz, random_line
 from lefschetz_locus.presentation import DegreeData, generic_module
 
 MONOMIAL_GRID = [["x1^3", "x2^4", "x3^4"]]
@@ -128,12 +130,12 @@ def test_criterion_6_jumping_equals_non_lefschetz():
             for _ in range(150):
                 assert agree(random_line(mod.prime, stream))
 
-            mid = locus_ideal_at(mod, mod.degrees.middle_degree)
-            gb = buchberger(list(mid.gens), ring=dual_ring(mod))
+            gb = minor_basis(mod, mod.degrees.middle_degree)
             if measure(gb).dim_projective == 0:
                 points = rational_points_0dim(gb) or []
             else:
-                points = sample_locus_points(list(mid.gens), seed=seed, pencils=25)
+                points = sample_locus_points(minor_forms(mod, mod.degrees.middle_degree),
+                                             seed=seed, pencils=25)
             for pt in points:
                 assert agree(pt)
                 assert not is_lefschetz(mod, pt).ok

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import hilbert_series_ci, rational_points_0dim
+from helpers import hilbert_series_ci, minor_basis, rational_points_0dim, rows, variable
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import cli
 from lefschetz_locus.cli import main
@@ -111,13 +111,10 @@ def test_line_zero_rejected(capsys):
 
 
 def test_line_on_locus_point(capsys):
-    from lefschetz_locus.groebner import buchberger
-    from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
     from lefschetz_locus.presentation import DegreeData, generic_module
 
     m = generic_module(DegreeData((1, 1, 1, 2), (0, 0)), 2)
-    li = locus_ideal_at(m, m.degrees.middle_degree)
-    pts = rational_points_0dim(buchberger(list(li.gens), ring=dual_ring(m)))
+    pts = rational_points_0dim(minor_basis(m, m.degrees.middle_degree))
     assert pts
     coords = ",".join(str(c) for c in pts[0])
     code, report = _run(capsys, ["line", "--a", "1,1,1,2", "--b", "0,0",
@@ -337,6 +334,76 @@ def test_malformed_matrix_file_is_json_error(tmp_path, capsys, content):
         out = capsys.readouterr().out
         assert code == 1 and len(out.splitlines()) == 1
         assert "list of 1 rows, each a list of 3 polynomial strings" in json.loads(out)["error"]
+
+
+_GRID_SHAPE = "the matrix must be a list of 1 rows, each a list of 3 polynomial strings"
+
+
+@pytest.mark.parametrize("a,b,matrix,message", [
+    ("3,4,4", "0", '[["x1^3", "x2^4"]]', "entry grid must have one column per source twist"),
+    ("3,4,4", "0", "[]", "entry grid must have one row per target twist"),
+    ("3,4,4", "0", '{"a": 1}', _GRID_SHAPE),
+    ("3,4,4", "0", '[["x1^3", 4, "x3^4"]]', _GRID_SHAPE),
+    ("3,4,4", "0", '[["x1^3", "x2^4 + x1", "x3^4"]]',
+     "entry (0,1) must be homogeneous of degree 4"),
+    ("3,4,4", "0", '[["x1^99999999999999999999", "x2^4", "x3^4"]]',
+     "entry (0,0) must be homogeneous of degree 3"),
+    # three exponents whose sum wraps to 3 in int64
+    ("3,4,4", "0", '[["x1^4611686018427387906*x2^4611686018427387906*x3^9223372036854775807", '
+     '"x2^4", "x3^4"]]', "entry (0,0) must be homogeneous of degree 3"),
+    ("3,4,4", "0", '[["x1^3", "y^4", "x3^4"]]',
+     "unrecognized factor 'y^4' for ring variables ('x1', 'x2', 'x3')"),
+    # rows are checked in order: a degree error in row 0 comes before a
+    # short row 1, and a short row 0 before a degree error in row 1
+    ("2,2,3,3", "0,1", '[["x1^2", "x2", "x3^3", "x1^3"], ["x1"]]',
+     "entry (0,1) must be homogeneous of degree 2"),
+    ("2,2,3,3", "0,1", '[["x1^2"], ["x1", "x2", "x3^2", "x1"]]',
+     "entry grid must have one column per source twist"),
+], ids=["short-row", "no-rows", "object", "number", "inhomogeneous", "huge-exponent",
+        "wrapping-exponents", "unknown-variable",
+        "degree-before-short-row", "short-row-before-degree"])
+def test_matrix_boundary_names_the_first_fault(tmp_path, capsys, a, b, matrix, message):
+    grid = tmp_path / "grid.json"
+    grid.write_text(matrix)
+    code, report = _run(capsys, ["locus", "--a", a, "--b", b, "--matrix", str(grid)])
+    assert code == 1
+    assert report == {"error": message, "type": "ValueError"}
+
+
+def test_matrix_terms_that_cancel_are_no_degree_error(tmp_path, capsys):
+    # x1 - x1 cancels before the degree check: the row is the pure powers
+    grids = [[["x1^3", "x2^4 + x1 - x1", "x3^4"]], [["x1^3", "x2^4", "x3^4"]]]
+    reports = []
+    for k, rows in enumerate(grids):
+        grid = tmp_path / f"grid{k}.json"
+        grid.write_text(json.dumps(rows))
+        reports.append(_run(capsys, ["locus", "--a", "3,4,4", "--b", "0", "--matrix", str(grid)]))
+    assert reports[0] == reports[1] and reports[0][0] == 2
+
+
+def test_commands_build_no_polynomial(tmp_path, capsys, monkeypatch):
+    # forms stay coefficient rows from the presentation to the Groebner
+    # basis: only ``GroebnerBasis.basis`` builds a ``Polynomial``, and no
+    # command reads it.  The localization fallback, which none of these
+    # commands reaches, runs on its own: (l3) against an m-primary ideal
+    from lefschetz_locus import lefschetz, polyring
+
+    ring = polyring.Ring(dual=True)
+    l1, l2, l3 = (variable(ring, v) for v in range(3))
+    mid, ideal = rows([l3], 1), rows((l1 * l1, l2 * l2, l3 * l3, l1 * l2), 2)
+
+    def refused(*args):
+        raise AssertionError("a Polynomial was built")
+
+    monkeypatch.setattr(polyring.Polynomial, "__init__", refused)
+    grid = tmp_path / "monomial.json"
+    grid.write_text(json.dumps([["x1^3", "x2^4", "x3^4"]]))
+    for argv in ("locus --a 3,4,4 --b 0", f"locus --a 3,4,4 --b 0 --matrix {grid}",
+                 "survey --grid ci:2-3 --monomial 3,4,4 --localization",
+                 "line --a 2,2,3,3 --b 0,1 --line 1,2,3",
+                 f"hilbert --a 3,4,4 --b 0 --matrix {grid}"):
+        assert _run(capsys, argv.split())[0] in (0, 2), argv
+    assert lefschetz._in_saturation(mid, 1, ideal, 2, ring)
 
 
 @pytest.mark.parametrize("argv,matrix,kind", [

@@ -1,18 +1,28 @@
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Polynomial,
     _elim1_key,
     _normal_form,
+    basis_of,
+    by_degree,
     colon,
+    contains,
     dict_buchberger,
     elimination_intersect,
     evaluate,
+    minor_basis,
+    minor_forms,
+    multiply,
     naive_groebner_leading_terms,
+    normal_form,
     rational_points_0dim,
+    rows,
     sample_locus_points,
     series_numpy,
     variable,
@@ -28,7 +38,7 @@ from lefschetz_locus.groebner import (
     same_ideal,
     saturate,
 )
-from lefschetz_locus.polyring import Polynomial, Ring, monomial_basis, multiply
+from lefschetz_locus.polyring import Ring, monomial_basis
 
 S = Ring(dual=True)
 P = S.prime
@@ -39,28 +49,27 @@ L3 = variable(S, 2)
 
 
 def _fixture_middle_ideal(a=(2, 2, 3), b=(0,), seed=1, prime=P):
-    from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
+    from lefschetz_locus.lefschetz import dual_ring
     from lefschetz_locus.presentation import DegreeData, generic_module
 
     m = generic_module(DegreeData(a, b), seed, prime)
-    li = locus_ideal_at(m, m.degrees.middle_degree)
-    return list(li.gens), dual_ring(m)
+    return minor_forms(m, m.degrees.middle_degree), dual_ring(m)
 
 
 def test_single_generator_is_its_own_basis():
-    gb = buchberger([L1])
+    gb = basis_of([L1])
     assert gb.basis == (L1,)
 
 
 def test_unit_ideal():
-    gb = buchberger([Polynomial.constant(S, 5)])
+    gb = basis_of([Polynomial.constant(S, 5)])
     assert gb.is_unit
     assert gb.basis == (Polynomial.constant(S, 1),)
 
 
 def test_two_monomial_generators_match_naive_oracle():
     gens = [multiply(L1, L2), multiply(L1, L3)]
-    gb = buchberger(gens)
+    gb = basis_of(gens)
     want = naive_groebner_leading_terms([g.terms for g in gens], P)
     got = set(gb.leading_monomials())
     assert got == want
@@ -90,7 +99,7 @@ def test_random_small_ideals_match_naive_oracle(seed):
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             pytest.skip("empty draw")
-    gb = buchberger(gens)
+    gb = basis_of(gens)
     want = naive_groebner_leading_terms([g.terms for g in gens], P)
     assert set(gb.leading_monomials()) == want
     if seed == "cubic":
@@ -110,25 +119,23 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 @pytest.mark.parametrize("a,b,i", [((2, 2, 3), (0,), None), ((2, 2, 2), (0,), None),
                                    ((2, 2, 2, 3), (0, 1), 1)])
 def test_buchberger_criterion_on_fixture_ideals(a, b, i):
-    from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
+    from lefschetz_locus.lefschetz import dual_ring
     from lefschetz_locus.presentation import DegreeData, generic_module
 
     m = generic_module(DegreeData(a, b), 1)
-    degree = m.degrees.middle_degree if i is None else i
-    gens = list(locus_ideal_at(m, degree).gens)
-    ring = dual_ring(m)
-    gb = buchberger(gens, ring=ring)
+    gens = minor_forms(m, m.degrees.middle_degree if i is None else i)
+    gb = basis_of(gens, dual_ring(m))
     basis = list(gb.basis)
     for r in range(len(basis)):
         for s in range(r + 1, len(basis)):
-            assert gb.normal_form(_spoly(basis[r], basis[s])).is_zero()
+            assert normal_form(gb, _spoly(basis[r], basis[s])).is_zero()
     for g in gens:
-        assert gb.contains(g)
+        assert contains(gb, g)
 
 
 def test_reduced_basis_is_actually_reduced():
     gens, ring = _fixture_middle_ideal(seed=2)
-    gb = buchberger(gens, ring=ring)
+    gb = basis_of(gens, ring)
     lms = gb.leading_monomials()
     for i, f in enumerate(gb.basis):
         others = [lm for j, lm in enumerate(lms) if j != i]
@@ -137,26 +144,26 @@ def test_reduced_basis_is_actually_reduced():
 
 
 def test_measure_line():
-    m = measure(buchberger([L1]))
+    m = measure(basis_of([L1]))
     assert (m.dim_projective, m.degree) == (1, 1)
     assert m.codim == 1
 
 
 def test_measure_point():
-    m = measure(buchberger([L1, L2]))
+    m = measure(basis_of([L1, L2]))
     assert (m.dim_projective, m.degree) == (0, 1)
 
 
 def test_measure_empty_and_whole_plane():
-    assert measure(buchberger([Polynomial.constant(S, 1)])).dim_projective == -1
-    assert measure(buchberger([L1, L2, L3])).dim_projective == -1
-    whole = measure(buchberger([], ring=S))
+    assert measure(basis_of([Polynomial.constant(S, 1)])).dim_projective == -1
+    assert measure(basis_of([L1, L2, L3])).dim_projective == -1
+    whole = measure(basis_of([], S))
     assert (whole.dim_projective, whole.degree) == (2, 1)
 
 
 def test_measure_fixture_223_is_six_points():
     gens, ring = _fixture_middle_ideal()
-    m = measure(buchberger(gens, ring=ring))
+    m = measure(basis_of(gens, ring))
     assert (m.dim_projective, m.degree) == (0, 6)
 
 
@@ -182,13 +189,13 @@ def _measure_leading_terms(gens, key, ring):
     # measure of the initial monomial ideal under ``key``; for a homogeneous
     # ideal it has the ideal's Hilbert function whatever the order
     raw = dict_buchberger([g.terms for g in gens], key, ring.prime)
-    return measure(buchberger([Polynomial(ring, {max(f, key=key): 1}) for f in raw], ring=ring))
+    return measure(basis_of([Polynomial(ring, {max(f, key=key): 1}) for f in raw], ring))
 
 
 @pytest.mark.parametrize("a,b", [((2, 2, 3), (0,)), ((2, 2, 2), (0,)), ((1, 1, 1, 2), (0, 0))])
 def test_measure_is_order_independent(a, b):
     gens, ring = _fixture_middle_ideal(a, b)
-    m1 = measure(buchberger(gens, ring=ring))
+    m1 = measure(basis_of(gens, ring))
     m2 = _measure_leading_terms(gens, _lex_key, ring)
     assert (m1.dim_projective, m1.degree) == (m2.dim_projective, m2.degree)
 
@@ -199,7 +206,7 @@ def test_grevlex_measure_matches_lex_leading_terms(a, seed):
     # n = 1 twist data: the middle minor ideal measured from its grevlex
     # basis and from its lex initial ideal
     gens, ring = _fixture_middle_ideal(tuple(sorted(a)), (0,), seed)
-    m1 = measure(buchberger(gens, ring=ring))
+    m1 = measure(basis_of(gens, ring))
     m2 = _measure_leading_terms(gens, _lex_key, ring)
     assert (m1.dim_projective, m1.degree) == (m2.dim_projective, m2.degree)
 
@@ -208,12 +215,12 @@ def test_degree_matches_eliminant_degree_on_points():
     # an independent route to the degree of a finite locus: saturate, project
     # out the first variable, and read the degree of the binary eliminant
     gens, ring = _fixture_middle_ideal(seed=3)
-    gb = saturate(buchberger(gens, ring=ring))
+    gb = saturate(basis_of(gens, ring))
     elim = dict_buchberger([f.terms for f in gb.basis], _elim1_key, ring.prime)
     free = [f for f in elim if all(m[0] == 0 for m in f)]
     assert free, "projection ideal is zero"
     eliminant = Polynomial(ring, min(free, key=lambda f: max(sum(m) for m in f)))
-    measured = measure(buchberger(list(gb.basis), ring=ring))
+    measured = measure(basis_of(list(gb.basis), ring))
     assert eliminant.degree() == measured.degree == 6
 
 
@@ -243,14 +250,14 @@ def test_batched_engine_matches_dict_oracle(data, p):
     # the basis, and what ``measure`` and ``contains`` read off its rows
     ring = Ring(prime=p, dual=True)
     gens = data.draw(_homogeneous_gens(p))
-    gb = buchberger([Polynomial(ring, g) for g in gens], ring=ring)
+    gb = basis_of([Polynomial(ring, g) for g in gens], ring)
     want = dict_buchberger(gens, grevlex_key, p)
     assert [f.terms for f in gb.basis] == want
     lms = [max(f, key=grevlex_key) for f in want]
     assert gb.leading_monomials() == lms
     assert gb.is_unit == any(sum(m) == 0 for f in want for m in f)
     form = data.draw(_homogeneous_gens(p, ("form",)))[0]
-    assert gb.normal_form(Polynomial(ring, form)).terms == _normal_form(
+    assert normal_form(gb, Polynomial(ring, form)).terms == _normal_form(
         form, list(zip(lms, want)), grevlex_key, p)
 
 
@@ -262,20 +269,20 @@ def test_normal_forms_of_one_degree_match_dict_oracle_across_growth(data, p):
     # leave the old span in use
     ring = Ring(prime=p, dual=True)
     gens = data.draw(_homogeneous_gens(p, ("form",)))
-    gb = buchberger([Polynomial(ring, g) for g in gens], ring=ring)
+    gb = basis_of([Polynomial(ring, g) for g in gens], ring)
     d = data.draw(st.integers(1, 6))
     monos = monomial_basis(d).monomials
     coef = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
     for more in ([], data.draw(_homogeneous_gens(p, ("form",)))[:1]):
         if more:
-            gb.grow(groebner._by_degree([groebner._dense(more[0])]))
+            gb.grow(by_degree([Polynomial(ring, more[0])]))
             gens = gens + more
         want = dict_buchberger(gens, grevlex_key, p)
         basis = [(max(f, key=grevlex_key), f) for f in want]
         for _ in range(5):
             form = {m: c for m, c in zip(monos, data.draw(
                 st.lists(coef, min_size=len(monos), max_size=len(monos)))) if c}
-            assert gb.normal_form(Polynomial(ring, form)).terms == _normal_form(
+            assert normal_form(gb, Polynomial(ring, form)).terms == _normal_form(
                 form, basis, grevlex_key, p)
 
 
@@ -284,14 +291,28 @@ def test_normal_forms_of_one_degree_match_dict_oracle_across_growth(data, p):
 def test_intersect_matches_elimination_oracle(data, p):
     ring = Ring(prime=p, dual=True)
     left, right = (data.draw(_homogeneous_gens(p, ("form",), top=3)) for _ in range(2))
-    meet = intersect(*(buchberger([Polynomial(ring, f) for f in gens], ring=ring)
+    meet = intersect(*(basis_of([Polynomial(ring, f) for f in gens], ring)
                        for gens in (left, right)))
     assert meet.basis == tuple(Polynomial(ring, f) for f in elimination_intersect(left, right, p))
 
 
-def test_inhomogeneous_input_is_a_named_error():
-    with pytest.raises(ValueError, match="homogeneous generators; got one with terms of degrees"):
-        buchberger([L1 + multiply(L2, L3)])
+def test_buchberger_takes_rows_by_degree_and_leaves_them():
+    # the engine's own API: coefficient rows by degree in, rows of one
+    # degree to ``normal_form`` and ``contains``; the caller's dict stays
+    gens = [multiply(L1, L2), multiply(L1, L3), multiply(L2, multiply(L2, L3))]
+    forms = by_degree(gens)
+    kept = {d: r.copy() for d, r in forms.items()}
+    gb = buchberger(S, forms)
+    assert sorted(forms) == sorted(kept) == [2, 3]
+    assert all((forms[d] == kept[d]).all() for d in kept)
+    assert gb.basis == basis_of(gens).basis
+    assert buchberger(S, {0: np.ones((1, 1), dtype=np.int64)}).is_unit
+    assert not buchberger(S, {3: np.zeros((0, 10), dtype=np.int64)}).lms
+    # l1 l2 l3 lies in the ideal and l3^3 reduces to itself
+    cubes = rows([multiply(L1, multiply(L2, L3)), multiply(L3, multiply(L3, L3))], 3)
+    remainders = gb.normal_form(3, cubes)
+    assert not remainders[0].any() and (remainders[1] == cubes[1]).all()
+    assert gb.contains(3, cubes[:1]) and not gb.contains(3, cubes)
 
 
 def test_middle_basis_takes_three_narrow_reductions(monkeypatch):
@@ -307,7 +328,7 @@ def test_middle_basis_takes_three_narrow_reductions(monkeypatch):
         return field_linalg._rref(a, p)
 
     monkeypatch.setattr(groebner, "_rref", counted)
-    gb = buchberger(gens, ring=ring)
+    gb = basis_of(gens, ring)
     assert (s, len(gb.basis)) == (9, 10)
     assert len(shapes) <= 3, shapes
     assert max(cols for _, cols in shapes) <= comb(s + 3, 2), shapes
@@ -315,40 +336,40 @@ def test_middle_basis_takes_three_narrow_reductions(monkeypatch):
 
 def test_intersect_with_unit_is_identity():
     gens, ring = _fixture_middle_ideal()
-    gb = buchberger(gens, ring=ring)
-    unit = buchberger([Polynomial.constant(ring, 1)], ring=ring)
+    gb = basis_of(gens, ring)
+    unit = basis_of([Polynomial.constant(ring, 1)], ring)
     assert same_ideal(intersect(gb, unit), gb)
 
 
 def test_intersect_self_is_identity():
-    gb = buchberger([L1 + L2, multiply(L2, L3)])
+    gb = basis_of([L1 + L2, multiply(L2, L3)])
     assert same_ideal(intersect(gb, gb), gb)
 
 
 def test_intersect_principal_ideals():
-    meet = intersect(buchberger([L1]), buchberger([L2]))
+    meet = intersect(basis_of([L1]), basis_of([L2]))
     assert meet.basis == (multiply(L1, L2),)
 
 
 def test_intersect_membership_both_ways():
     f = L1 + 2 * L2
     g = multiply(L2, L3) + multiply(L1, L1)
-    gb_f, gb_g = buchberger([f]), buchberger([g])
+    gb_f, gb_g = basis_of([f]), basis_of([g])
     meet = intersect(gb_f, gb_g)
     for h in meet.basis:
-        assert gb_f.contains(h) and gb_g.contains(h)
-    assert meet.contains(multiply(f, g))
+        assert contains(gb_f, h) and contains(gb_g, h)
+    assert contains(meet, multiply(f, g))
 
 
 def test_colon_divides_out():
-    ideal = buchberger([multiply(L1, L1), multiply(L1, L2)])
+    ideal = basis_of([multiply(L1, L1), multiply(L1, L2)])
     quo = colon(ideal, L1)
-    assert same_ideal(quo, buchberger([L1, L2]))
+    assert same_ideal(quo, basis_of([L1, L2]))
 
 
 def test_saturate_strips_irrelevant_power():
     gens = [multiply(L1, L1), multiply(L1, L2), multiply(L1, L3)]
-    sat = saturate(buchberger(gens))
+    sat = saturate(basis_of(gens))
     assert sat.basis == (L1,)
 
 
@@ -373,7 +394,7 @@ _COLON_FIXTURES = [
 
 @pytest.mark.parametrize("gens", _COLON_FIXTURES)
 def test_saturate_matches_iterated_colon_oracle(gens):
-    ideal = buchberger([g() for g in gens])
+    ideal = basis_of([g() for g in gens])
     assert same_ideal(saturate(ideal), _saturate_by_iterated_colon(ideal))
 
 
@@ -382,33 +403,31 @@ def test_variable_saturations_decide_iterated_colon_membership(gens):
     # a form lies in the saturation exactly when it lies in all three
     # I : l_v^infinity: every monomial up to degree 3, and every element of
     # the oracle's basis and of the three bases
-    ideal = buchberger([g() for g in gens])
+    ideal = basis_of([g() for g in gens])
     sats, oracle = _variable_saturations(ideal), _saturate_by_iterated_colon(ideal)
     forms = [Polynomial(S, {m: 1}) for d in range(4) for m in monomial_basis(d).monomials]
     for g in forms + list(oracle.basis) + [h for sat in sats for h in sat.basis]:
-        assert all(sat.contains(g) for sat in sats) == oracle.contains(g), g
+        assert all(contains(sat, g) for sat in sats) == contains(oracle, g), g
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), p=st.sampled_from(_PRIMES))
 def test_variable_saturations_decide_saturation_membership(data, p):
     ring = Ring(prime=p, dual=True)
-    ideal = buchberger([Polynomial(ring, f) for f in data.draw(
+    ideal = basis_of([Polynomial(ring, f) for f in data.draw(
         _homogeneous_gens(p, ("form",), top=3))], ring=ring)
     sats, sat = _variable_saturations(ideal), saturate(ideal)
     forms = [Polynomial(ring, f) for f in data.draw(_homogeneous_gens(p, ("form",), top=3))]
     for g in forms + list(sat.basis) + [h for part in sats for h in part.basis]:
-        assert all(part.contains(g) for part in sats) == sat.contains(g), g
+        assert all(contains(part, g) for part in sats) == contains(sat, g), g
 
 
 def test_saturate_monomial_fixture_matches_oracle():
-    from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
     from lefschetz_locus.presentation import DegreeData, GradedModule, presentation_from_strings
 
     pres = presentation_from_strings(DegreeData((3, 4, 4), (0,)),
                                      [["x1^3", "x2^4", "x3^4"]])
-    m = GradedModule.build(pres)
-    gb = buchberger(list(locus_ideal_at(m, 3).gens), ring=dual_ring(m))
+    gb = minor_basis(GradedModule.build(pres), 3)
     assert same_ideal(saturate(gb), _saturate_by_iterated_colon(gb))
 
 
@@ -417,13 +436,11 @@ def test_old_pair_criterion_prunes_saturation_rows(monkeypatch):
     # several degrees under the variable saturations; pruning old pairs
     # whose lcm a new leading monomial divides keeps the reductions to 280
     # rows, where the engine without that criterion hands 283 to ``_rref``
-    from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
     from lefschetz_locus.presentation import DegreeData, GradedModule, presentation_from_strings
 
     pres = presentation_from_strings(DegreeData((3, 4, 4), (0,)),
                                      [["x1^3", "x2^4", "x3^4"]])
-    m = GradedModule.build(pres)
-    gb = buchberger(list(locus_ideal_at(m, 3).gens), ring=dual_ring(m))
+    gb = minor_basis(GradedModule.build(pres), 3)
     rows = []
 
     def counted(a, p):
@@ -436,12 +453,12 @@ def test_old_pair_criterion_prunes_saturation_rows(monkeypatch):
 
 
 def test_saturate_unit_and_idempotence():
-    unit = buchberger([Polynomial.constant(S, 1)])
+    unit = basis_of([Polynomial.constant(S, 1)])
     assert saturate(unit).is_unit
-    prin = buchberger([L1 + L2])
+    prin = basis_of([L1 + L2])
     assert same_ideal(saturate(prin), prin)
     gens = [multiply(L1, L1), multiply(L1, L2), multiply(L1, L3)]
-    once = saturate(buchberger(gens))
+    once = saturate(basis_of(gens))
     assert same_ideal(saturate(once), once)
 
 
@@ -449,7 +466,7 @@ def test_saturate_unit_and_idempotence():
 def test_rational_points_match_brute_force_small_prime(seed):
     prime = 101
     gens, ring = _fixture_middle_ideal(seed=seed, prime=prime)
-    pts = rational_points_0dim(buchberger(gens, ring=ring))
+    pts = rational_points_0dim(basis_of(gens, ring))
     assert pts is not None
 
     def vanish(pt):
@@ -470,7 +487,7 @@ def test_rational_points_match_brute_force_small_prime(seed):
 
 def test_rational_points_against_curve_returns_none():
     # a curve has positive dimension; the 0-dimensional extractor must say so
-    curve = buchberger([multiply(L1, L2) - multiply(L3, L3)])
+    curve = basis_of([multiply(L1, L2) - multiply(L3, L3)])
     assert rational_points_0dim(curve) is None
 
 

@@ -6,6 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    minor_basis,
+    minor_forms,
     rational_points_0dim,
     restrict_loop,
     sample_locus_points,
@@ -33,7 +35,7 @@ from lefschetz_locus.jumping import (
     section_matrix,
     splitting_type,
 )
-from lefschetz_locus.lefschetz import is_lefschetz, locus_ideal_at, random_line
+from lefschetz_locus.lefschetz import is_lefschetz, random_line
 from lefschetz_locus.presentation import (
     DegreeData,
     GradedModule,
@@ -152,12 +154,8 @@ def test_jumping_false_on_generic_line():
 
 
 def test_jumping_true_on_measured_locus_point():
-    from lefschetz_locus.groebner import buchberger
-    from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at
-
     m = generic_module(DegreeData((1, 1, 1, 2), (0, 0)), 2)
-    li = locus_ideal_at(m, m.degrees.middle_degree)
-    pts = rational_points_0dim(buchberger(list(li.gens), ring=dual_ring(m)))
+    pts = rational_points_0dim(minor_basis(m, m.degrees.middle_degree))
     assert pts
     generic = vote_generic_splitting(m.pres, seed=0)
     stab = classify_stability(m.degrees)
@@ -167,12 +165,9 @@ def test_jumping_true_on_measured_locus_point():
 
 
 def test_jumping_true_on_monomial_curve_points():
-    from lefschetz_locus.lefschetz import locus_ideal_at
-
     pres = _monomial_344()
     m = GradedModule.build(pres)
-    li = locus_ideal_at(m, 3)
-    pts = sample_locus_points(list(li.gens), seed=1)
+    pts = sample_locus_points(minor_forms(m, 3), seed=1)
     assert pts
     generic = vote_generic_splitting(pres, seed=0)
     stab = classify_stability(pres.degrees)
@@ -286,7 +281,7 @@ def test_section_count_agrees_with_scan_oracle():
         m = generic_module(DegreeData(a, b), 1)
         lines += [(m, random_line(PRIME, stream)) for _ in range(14)]
     m = GradedModule.build(_monomial_344())
-    jumping = sample_locus_points(list(locus_ideal_at(m, 3).gens), seed=1)
+    jumping = sample_locus_points(minor_forms(m, 3), seed=1)
     lines += [(m, pt) for pt in jumping]
     for m, coords in lines:
         rb = restrict(m.pres, line_point(coords, PRIME))

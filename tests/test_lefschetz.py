@@ -10,11 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Polynomial,
+    basis_of,
     det_mod,
     evaluate,
     fold_localization,
     full_scan_is_lefschetz,
+    minor_basis,
+    minor_forms,
     rational_points_0dim,
+    rows,
     specialize,
     variable,
 )
@@ -23,7 +28,7 @@ from test_jumping import _WITNESS_FIXTURES, _monomial_344
 from lefschetz_locus import cli, groebner, rand
 from lefschetz_locus import lefschetz as lef
 from lefschetz_locus.field_linalg import _matmul, _rref
-from lefschetz_locus.groebner import _variable_saturations, buchberger, same_ideal, saturate
+from lefschetz_locus.groebner import _table, _variable_saturations, same_ideal, saturate
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
     _in_saturation,
@@ -34,7 +39,7 @@ from lefschetz_locus.lefschetz import (
     locus_ideal_at,
     random_line,
 )
-from lefschetz_locus.polyring import Polynomial, Ring, monomial_basis
+from lefschetz_locus.polyring import Ring, monomial_basis
 from lefschetz_locus.presentation import (
     DegreeData,
     GradedModule,
@@ -65,12 +70,6 @@ def _explicit(a, b, grid, p):
     return GradedModule.build(presentation_from_strings(DegreeData(a, b), grid, p))
 
 
-def _coefficients(gens, s):
-    # coefficient rows of degree-s forms, in ``monomial_basis`` order
-    return np.array([[g.terms.get(mo, 0) for mo in monomial_basis(s).monomials] for g in gens],
-                    dtype=np.int64).reshape(len(gens), -1)
-
-
 def _no_intersect(monkeypatch):
     # the fallback tests membership in the three variable saturations and
     # never forms their intersection
@@ -78,10 +77,6 @@ def _no_intersect(monkeypatch):
         raise AssertionError("the localization fallback intersected ideals")
 
     monkeypatch.setattr(groebner, "intersect", forbidden)
-
-
-def _basis(m, i):
-    return buchberger(list(locus_ideal_at(m, i).gens), ring=dual_ring(m))
 
 
 def test_specialization_at_coordinate_lines_and_random_lines():
@@ -97,15 +92,13 @@ def test_specialization_at_coordinate_lines_and_random_lines():
 def test_minors_of_223_middle_are_four_cubics():
     m = _module((2, 2, 3), (0,))
     li = locus_ideal_at(m, 1)
-    assert len(li.gens) == 4
-    assert all(g.is_homogeneous() and g.degree() == 3 for g in li.gens)
+    assert li.degree == 3 and li.gens.shape == (4, 10)
 
 
 def test_minors_of_222_middle_is_one_cubic_determinant():
     m = _module((2, 2, 2), (0,))
     li = locus_ideal_at(m, 1)
-    assert len(li.gens) == 1
-    assert li.gens[0].is_homogeneous() and li.gens[0].degree() == 3
+    assert li.degree == 3 and li.gens.shape == (1, 10)
 
 
 def _cofactor_minors(m, i, coords):
@@ -131,12 +124,12 @@ def test_minor_values_match_independent_determinant(a, i, shape, count, prime):
     # and compare with a cofactor determinant of the specialized submatrix
     m = generic_module(DegreeData(a, (0,)), 6, prime)
     assert (m.h(i + 1), m.h(i)) == shape
-    li = locus_ideal_at(m, i)
-    assert len(li.gens) == count
+    gens = minor_forms(m, i)
+    assert len(gens) == count
     stream = rand.Stream(123)
     for _ in range(3):
         coords = random_line(m.prime, stream)
-        assert [evaluate(g, coords) for g in li.gens] == _cofactor_minors(m, i, coords)
+        assert [evaluate(g, coords) for g in gens] == _cofactor_minors(m, i, coords)
 
 
 @settings(max_examples=25, deadline=None)
@@ -150,7 +143,7 @@ def test_minors_match_cofactor_oracle_on_random_twists(a, seed, pick, line):
     degrees = [i for i in range(-1, m.degrees.socle_degree + 1) if min(m.h(i), m.h(i + 1))]
     assume(degrees and any(line))
     i = degrees[pick % len(degrees)]
-    values = [evaluate(g, line) for g in locus_ideal_at(m, i).gens]
+    values = [evaluate(g, line) for g in minor_forms(m, i)]
     matched = 0
     for v in _cofactor_minors(m, i, line):
         if matched < len(values) and values[matched] == v:
@@ -177,15 +170,15 @@ def test_locus_needs_a_prime_above_the_minor_size(capsys):
 def test_degenerate_shapes_contribute_unit_ideal():
     m = _module((1, 1, 1), (0,))  # the module is one-dimensional in degree 0
     assert m.hilbert() == {0: 1}
-    one = Polynomial.constant(dual_ring(m), 1)
     for i in (-1, 0, 1):
-        assert locus_ideal_at(m, i).gens == (one,)
+        ideal = locus_ideal_at(m, i)
+        assert ideal.degree == 0 and ideal.gens.tolist() == [[1]]
     middle = lef.middle_basis(m)
     assert middle.is_unit and locus_ideal(m)
 
 
 def _middle(m):
-    return _basis(m, m.degrees.middle_degree)
+    return minor_basis(m, m.degrees.middle_degree)
 
 
 def _held_by_every_other_degree(m, forms, s):
@@ -193,7 +186,7 @@ def _held_by_every_other_degree(m, forms, s):
     than the middle, as ``fold_localization`` asks of a middle ideal?
     ``_in_saturation`` on each degree with a nonzero map, none skipped."""
     ring, deg = dual_ring(m), m.degrees
-    return all(_in_saturation(_coefficients(forms, s), s, lef._interpolate(m, i), size, ring)
+    return all(_in_saturation(rows(forms, s), s, lef._interpolate(m, i), size, ring)
                for i in range(deg.b[0] - 1, deg.socle_degree + 1)
                if i != deg.middle_degree and (size := min(m.h(i), m.h(i + 1))))
 
@@ -227,7 +220,7 @@ def test_localization_agrees_with_fold_oracle_off_the_grid():
         assert locus_ideal(m) is fold_localization(m, lef.middle_basis(m)) is True
         ring = dual_ring(m)
         l1 = variable(ring, 0)
-        want = fold_localization(m, buchberger([l1], ring=ring))
+        want = fold_localization(m, basis_of([l1]))
         assert _held_by_every_other_degree(m, [l1], 1) is want, m.degrees
 
 
@@ -239,11 +232,11 @@ def test_localization_fails_where_a_degree_misses_the_middle(monkeypatch):
     m = _module((2, 2, 3), (0,))
     ring = dual_ring(m)
     l1 = variable(ring, 0)
-    want = fold_localization(m, buchberger([l1], ring=ring))
+    want = fold_localization(m, basis_of([l1]))
     _no_intersect(monkeypatch)
     calls = _counting_saturations(monkeypatch)
     for i in (1, 2):
-        held = _in_saturation(_coefficients([l1], 1), 1, lef._interpolate(m, i), 3, ring)
+        held = _in_saturation(rows([l1], 1), 1, lef._interpolate(m, i), 3, ring)
         assert held is want is False, i
     assert len(calls) == 2
 
@@ -255,16 +248,16 @@ def test_lower_degree_middle_is_shifted_up_to_each_minor_degree(monkeypatch):
     m = _module((2, 3, 3), (0,))
     ring = dual_ring(m)
     l1 = variable(ring, 0)
-    assert fold_localization(m, buchberger([l1], ring=ring))
+    assert fold_localization(m, basis_of([l1]))
     monkeypatch.setattr(lef, "_variable_saturations", _forbidden)
     for i in (0, 1, 3, 4):
         size = min(m.h(i), m.h(i + 1))
-        assert _in_saturation(_coefficients([l1], 1), 1, lef._interpolate(m, i), size, ring), i
+        assert _in_saturation(rows([l1], 1), 1, lef._interpolate(m, i), size, ring), i
     assert locus_ideal(m)
     # (l1) against l1 * m passes in degree D = 2 > 1, without saturation
     l1, l2, l3 = (variable(ring, v) for v in range(3))
-    assert _in_saturation(_coefficients([l1], 1), 1,
-                          _coefficients((l1 * l1, l1 * l2, l1 * l3), 2), 2, ring)
+    assert _in_saturation(rows([l1], 1), 1,
+                          rows((l1 * l1, l1 * l2, l1 * l3), 2), 2, ring)
 
 
 def _forbidden(*args):
@@ -288,8 +281,8 @@ def test_saturation_decides_where_the_rank_falls_short(monkeypatch):
     l1, l2, l3 = (variable(R, v) for v in range(3))
     _no_intersect(monkeypatch)
     calls = _counting_saturations(monkeypatch)
-    assert _in_saturation(_coefficients([l3], 1), 1,
-                          _coefficients((l1 * l1, l2 * l2, l3 * l3, l1 * l2), 2), 2, R)
+    assert _in_saturation(rows([l3], 1), 1,
+                          rows((l1 * l1, l2 * l2, l3 * l3, l1 * l2), 2), 2, R)
     assert len(calls) == 1
 
 
@@ -299,10 +292,10 @@ def test_saturation_rejects_a_form_off_the_locus(monkeypatch):
     l1, l2 = variable(R, 0), variable(R, 1)
     _no_intersect(monkeypatch)
     calls = _counting_saturations(monkeypatch)
-    mid = _coefficients([l1], 1)
-    assert not _in_saturation(mid, 1, _coefficients((l2,), 1), 1, R)
+    mid = rows([l1], 1)
+    assert not _in_saturation(mid, 1, rows((l2,), 1), 1, R)
     assert not _in_saturation(mid, 1, np.zeros((0, 3), dtype=np.int64), 1, R)
-    assert _in_saturation(mid[:0], 1, _coefficients((l2,), 1), 1, R)
+    assert _in_saturation(mid[:0], 1, rows((l2,), 1), 1, R)
     assert len(calls) == 2
 
 
@@ -316,19 +309,18 @@ def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
     # R_10.  On (2,2,3), degree 1 is the middle, which its own generators
     # pass by the Macaulay matrix.
     m = _module(a, (0,))
-    li = locus_ideal_at(m, i)
-    k = li.gens[0].degree()
-    basis = set(_basis(m, i).basis)
+    k = locus_ideal_at(m, i).degree
+    basis = {Polynomial(f.ring, f.terms) for f in minor_basis(m, i).basis}
     power = {Polynomial(dual_ring(m), {mono: 1}) for mono in monomial_basis(k).monomials}
     assert (basis == power) is spans
     if spans:
         assert (k, len(basis)) == (10, 66)
     values = lef._lattice_minors(m.variable_maps(i), k, m.prime)
     assert (len(_rref(values, m.prime)[1]) == len(values)) is spans
-    middle = _middle(m).basis
+    middle = [Polynomial(f.ring, f.terms) for f in _middle(m).basis]
     mid = [g for g in middle if g.degree() == middle[0].degree()]
     s_mid = mid[0].degree()
-    assert _in_saturation(_coefficients(mid, s_mid), s_mid, lef._interpolate(m, i), k,
+    assert _in_saturation(rows(mid, s_mid), s_mid, lef._interpolate(m, i), k,
                           dual_ring(m))
 
 
@@ -554,13 +546,15 @@ def test_cofactor_det_is_exact_at_the_int64_edge(k):
 @example(p=13, s=12, cols=5, seed=0)  # s = p - 1: every 1/i!, i <= s, exists mod p
 @example(p=2**31 - 1, s=12, cols=5, seed=1)
 def test_interpolation_round_trips_random_forms(p, s, cols, seed):
-    # coefficient rows of random degree-s forms, evaluated in Python ints at
-    # the chart points (1, b, c) and interpolated back exactly
-    monos = monomial_basis(s).monomials
+    # coefficient rows of random degree-s forms (in grevlex order), evaluated
+    # in Python ints at the chart points (1, b, c) (in ``monomial_basis``
+    # order) and interpolated back exactly
+    monos = _table(s)[1]
     draw = random.Random(seed)
     coeffs = [[draw.randrange(p) for _ in monos] for _ in range(cols)]
     values = np.array([[sum(f * b ** j * c ** k for f, (_, j, k) in zip(row, monos)) % p
-                        for row in coeffs] for _, b, c in monos], dtype=np.int64)
+                        for row in coeffs] for _, b, c in monomial_basis(s).monomials],
+                      dtype=np.int64)
     chart = SimpleNamespace(h=lambda i: s, prime=p)  # degree-0 minors of size s
     assert lef._interpolate(chart, 0, values).tolist() == coeffs
 
@@ -614,8 +608,8 @@ def test_middle_pair_selfduality_for_odd_total_twist():
         assert m.degrees.d % 2 == 1
         i_star = m.degrees.middle_degree
         ring = dual_ring(m)
-        lhs = saturate(buchberger(list(locus_ideal_at(m, i_star).gens), ring=ring))
-        rhs = saturate(buchberger(list(locus_ideal_at(m, i_star + 1).gens), ring=ring))
+        lhs = saturate(minor_basis(m, i_star))
+        rhs = saturate(minor_basis(m, i_star + 1))
         assert same_ideal(lhs, rhs)
 
 
@@ -658,9 +652,7 @@ def test_is_lefschetz_generic_line():
 
 def test_is_lefschetz_fails_exactly_on_locus_points():
     m = _module((1, 1, 1, 2), (0, 0), seed=2)
-    li = locus_ideal_at(m, m.degrees.middle_degree)
-    gb = buchberger(list(li.gens), ring=dual_ring(m))
-    points = rational_points_0dim(gb)
+    points = rational_points_0dim(minor_basis(m, m.degrees.middle_degree))
     assert points
     for pt in points:
         check = is_lefschetz(m, pt)
@@ -799,15 +791,14 @@ def test_minor_vanishing_matches_rank_deficiency():
     # a line kills all middle minors exactly when the middle map drops rank
     m = _module((1, 1, 1, 2), (0, 0), seed=3)
     i_star = m.degrees.middle_degree
-    li = locus_ideal_at(m, i_star)
+    gens = minor_forms(m, i_star)
     stream = rand.Stream(55)
     from lefschetz_locus.field_linalg import rank
 
     lines = [random_line(m.prime, stream) for _ in range(100)]
-    gb = buchberger(list(li.gens), ring=dual_ring(m))
-    lines += rational_points_0dim(gb) or []
+    lines += rational_points_0dim(minor_basis(m, i_star)) or []
     for coords in lines:
-        all_vanish = all(evaluate(g, coords) == 0 for g in li.gens)
+        all_vanish = all(evaluate(g, coords) == 0 for g in gens)
         r = rank(specialize(m, i_star, coords), m.prime)
         assert all_vanish == (r < min(m.h(i_star), m.h(i_star + 1)))
 
@@ -1010,6 +1001,35 @@ def test_the_dual_of_the_middle_has_the_middle_minor_forms(prime):
         assert all(i != mid + 1 for i, _, _ in _propagated_visits(m)), (a, b)
         odd += 1
     assert odd == 6
+
+
+@pytest.mark.parametrize("a,digest", [
+    ((2, 2, 4), "c4daf70ee4c9b235"),  # a 4 x 4 square, kernel and subset minors of size 1
+    ((2, 3, 3), "d51a03485d29c609"),  # a 5 x 5 square, kernel minors of size 2
+    ((3, 3, 3), "825fa2bddaaf654d"),  # 14 seeded combinations of 3 x 3 subset minors
+    ((3, 4, 4), "55d37233692ac830"),  # 32 seeded combinations of 3 x 3 kernel minors
+    ((4, 4, 5), "3e10671367eb535a"),  # 70 of them
+    ((5, 5, 5), "81c192ceecf59a95"),  # 140 of them, and a 19 x 18 kernel step
+], ids=["2,2,4", "2,3,3", "3,3,3", "3,4,4", "4,4,5", "5,5,5"])
+def test_localization_minor_values_are_pinned(a, digest, monkeypatch):
+    # SHA-256 of every ``_minor_values`` array that ``locus_ideal`` asks for
+    # at p = 2^31 - 1, seed 1, in call order, with its degree, minor size
+    # and combination count (0 for all minors).  Outside the middle degree
+    # a value matrix is only ranked, so an inexact value that keeps its
+    # rank leaves every report unchanged; this sees it
+    import hashlib
+
+    h, values = hashlib.sha256(), lef._minor_values
+
+    def hashed(m, i, size, count=0):
+        out = values(m, i, size, count)
+        h.update(np.array([i, size, count, *out.shape], dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
+        return out
+
+    monkeypatch.setattr(lef, "_minor_values", hashed)
+    assert locus_ideal(generic_module(DegreeData(a, (0,)), 1, 2**31 - 1))
+    assert h.hexdigest()[:16] == digest
 
 
 def test_all_minors_above_the_cap_is_a_named_error(monkeypatch, capsys):

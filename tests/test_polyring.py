@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
-from helpers import binary_add, binary_mul, evaluate, variable
+from helpers import (
+    Polynomial,
+    binary_add,
+    binary_mul,
+    evaluate,
+    format_poly,
+    multiply,
+    parse,
+    variable,
+)
 from lefschetz_locus import rand
 from lefschetz_locus.polyring import (
     DegenerateLineError,
-    Polynomial,
     Ring,
-    format_poly,
     line_power_table,
     monomial_basis,
-    multiply,
     parse_poly,
     position,
 )
@@ -49,19 +55,19 @@ def test_position_is_the_index_in_the_monomial_basis():
 
 
 def test_multiply_by_one():
-    f = parse_poly("3*x1^2*x2 - x3^3", R)
+    f = parse("3*x1^2*x2 - x3^3", R)
     assert multiply(f, Polynomial.constant(R, 1)) == f
 
 
 def test_multiply_variables():
     x1, x2 = variable(R, 0), variable(R, 1)
-    assert multiply(x1, x2) == parse_poly("x1*x2", R)
+    assert multiply(x1, x2) == parse("x1*x2", R)
 
 
 def test_multiply_difference_of_squares():
-    f = parse_poly("x1 + x2", R)
-    g = parse_poly("x1 - x2", R)
-    assert multiply(f, g) == parse_poly("x1^2 - x2^2", R)
+    f = parse("x1 + x2", R)
+    g = parse("x1 - x2", R)
+    assert multiply(f, g) == parse("x1^2 - x2^2", R)
 
 
 def test_multiply_requires_same_ring():
@@ -95,7 +101,7 @@ def test_substitute_line_quadric_matches_direct_expansion():
     p = R.prime
     param = [[stream.below(p), stream.below(p)] for _ in range(3)]
     a, b = param[0]
-    assert _substitute(parse_poly("x1^2", R), param) == ((a * a) % p, (2 * a * b) % p, (b * b) % p)
+    assert _substitute(parse("x1^2", R), param) == ((a * a) % p, (2 * a * b) % p, (b * b) % p)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -117,12 +123,12 @@ def test_substitute_line_rejects_degenerate_parametrization():
 
 
 def test_format_documented_example():
-    f = parse_poly("3*x1^2*x2 - x3^3", R)
+    f = parse("3*x1^2*x2 - x3^3", R)
     assert format_poly(f) == "3*x1^2*x2 - x3^3"
 
 
 def test_format_dual_ring_tokens():
-    f = parse_poly("l1*l2 - 2*l3^2", S)
+    f = parse("l1*l2 - 2*l3^2", S)
     assert format_poly(f) == "l1*l2 - 2*l3^2"
     with pytest.raises(ValueError):
         parse_poly("x1 + x2", S)
@@ -138,20 +144,27 @@ def test_format_zero_and_constants():
 def test_parse_format_roundtrip(seed):
     stream = rand.Stream(600 + seed)
     f = _random_poly(R, seed % 4, stream)
-    assert parse_poly(format_poly(f), R) == f
+    assert parse_poly(format_poly(f), R) == f.terms
+
+
+def test_parse_returns_nonzero_residues():
+    # terms are summed and reduced mod p, and the ones that cancel dropped
+    assert parse_poly("x1 - x1 + 65521*x2 + 3*x3 - 5*x3^2", R) == {(0, 0, 1): 3,
+                                                                    (0, 0, 2): 65516}
+    assert parse_poly("x1^2 - x1*x1", R) == {}
 
 
 def test_parse_accepts_whitespace_and_signs():
-    assert parse_poly(" -x1  + 2*x2 ", R) == parse_poly("2*x2 - x1", R)
+    assert parse(" -x1  + 2*x2 ", R) == parse("2*x2 - x1", R)
 
 
 def test_homogeneity_queries():
-    f = parse_poly("x1^2 + x2*x3", R)
+    f = parse("x1^2 + x2*x3", R)
     assert f.is_homogeneous() and f.degree() == 2
-    g = parse_poly("x1 + 1", R)
+    g = parse("x1 + 1", R)
     assert not g.is_homogeneous()
 
 
 def test_evaluate():
-    f = parse_poly("x1^2*x2 - x3", R)
+    f = parse("x1^2*x2 - x3", R)
     assert evaluate(f, (2, 3, 5)) == (4 * 3 - 5) % R.prime

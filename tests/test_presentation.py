@@ -4,10 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    entries,
     graded_piece_matrix_loop,
     hilbert_series_ci,
     hilbert_series_presented,
     multiplication_map_loop,
+    random_presentation_loop,
     slice_maps,
 )
 from test_acceptance import CI_GRID, N2_GRID
@@ -17,6 +19,7 @@ from lefschetz_locus.presentation import (
     DegreeData,
     GradedModule,
     NonFiniteLengthError,
+    PresentationMatrix,
     _KoszulPiece,
     _Piece,
     _block_layout,
@@ -53,20 +56,67 @@ def test_degree_data_validation():
 
 def test_random_presentation_shape():
     pres = random_presentation(DegreeData((2, 2, 3), (0,)), seed=9)
-    assert len(pres.entries) == 1 and len(pres.entries[0]) == 3
-    assert [f.degree() for f in pres.entries[0]] == [2, 2, 3]
-    assert all(f.is_homogeneous() for f in pres.entries[0])
+    grid = entries(pres)
+    assert len(grid) == 1 and len(grid[0]) == 3
+    assert [f.degree() for f in grid[0]] == [2, 2, 3]
+    assert all(f.is_homogeneous() for f in grid[0])
 
 
 def test_random_presentation_deterministic():
     deg = DegreeData((2, 2, 3), (0,))
-    assert random_presentation(deg, 11).entries == random_presentation(deg, 11).entries
-    assert random_presentation(deg, 11).entries != random_presentation(deg, 12).entries
+    assert entries(random_presentation(deg, 11)) == entries(random_presentation(deg, 11))
+    assert entries(random_presentation(deg, 11)) != entries(random_presentation(deg, 12))
 
 
 def test_random_presentation_negative_degree_entries_are_zero():
     pres = random_presentation(DegreeData((1, 2, 2, 3), (0, 2)), seed=3)
-    assert pres.entries[1][0].is_zero()  # degree 1 - 2 < 0
+    assert entries(pres)[1][0].is_zero()  # degree 1 - 2 < 0
+
+
+def test_presentation_names_the_first_entry_of_a_wrong_degree():
+    # terms in any order: the first wrong entry in row order is named, here
+    # (0,3) with a term of degree 2, before (1,0) with a constant term
+    deg = DegreeData((2, 2, 3, 3), (0, 1))
+    terms = (np.array([1, 0, 0]), np.array([0, 3, 2]),
+             np.array([[0, 0, 0], [1, 1, 0], [3, 0, 0]]), np.array([1, 1, 1]))
+    with pytest.raises(ValueError, match=r"^entry \(0,3\) must be homogeneous of degree 3$"):
+        PresentationMatrix(deg, terms, 65521)
+    fixed = (terms[0][2:], terms[1][2:], terms[2][2:], terms[3][2:])
+    assert PresentationMatrix(deg, fixed, 65521).generator_degrees == (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1), p=st.sampled_from([13, 65521, 2**31 - 1]))
+def test_seeded_draws_match_the_draw_by_draw_loop(data, seed, p):
+    # one ``below_many`` over every entry equals one ``below`` per monomial,
+    # with the zero residues dropped; entries of negative degree draw nothing
+    n = data.draw(st.integers(1, 3))
+    degrees = DegreeData(*(tuple(sorted(data.draw(st.lists(st.integers(-1, 4), min_size=k,
+                                                            max_size=k)))) for k in (n + 2, n)))
+    assert entries(random_presentation(degrees, seed, p)) == random_presentation_loop(
+        degrees, seed, p)
+
+
+@pytest.mark.parametrize("a,b,p,digest", [
+    ((3, 4, 4), (0,), 13, "148d7391c6fe07de"),
+    ((3, 4, 4), (0,), 65521, "a4fb7c8a02fa7821"),
+    ((2, 2, 3, 3), (0, 1), 13, "21168f3f494c01fa"),  # two zero residues dropped
+    ((2, 2, 3, 3), (0, 1), 65521, "15a346a174b50e19"),
+    ((1, 1, 1, 2, 2), (0, 0, 0), 13, "b3ff157d88e1f534"),  # two dropped
+    ((1, 1, 1, 2, 2), (0, 0, 0), 65521, "6f4e336dd3aa777b"),
+    ((1, 1, 2, 4), (0, 3), 13, "8288c255adf2ad3c"),  # entries of negative degree
+    ((1, 1, 2, 4), (0, 3), 65521, "26d468e68052af1e"),
+])
+def test_seeded_draws_are_pinned(a, b, p, digest):
+    # SHA-256 of the term arrays (target, source, exponents, coefficients)
+    # drawn at seed 7: entry by entry in row order, each in
+    # ``monomial_basis`` order with its zero residues dropped
+    import hashlib
+
+    h = hashlib.sha256()
+    for arr in random_presentation(DegreeData(a, b), 7, p).terms:
+        h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_hilbert_223_matches_series_oracle():

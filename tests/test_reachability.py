@@ -15,10 +15,14 @@ installs.  Exports must be reached from ``cli.main`` alone.
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import importlib.util
+import io
 from pathlib import Path
 
 import lefschetz_locus
+from lefschetz_locus import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lefschetz_locus"
@@ -115,3 +119,24 @@ def test_every_traced_target_resolves():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert not missing, f"traced by perfbench/spans.py but not defined: {missing}"
+
+
+def test_traced_commands_run_and_count():
+    # the tracer reads what the traced functions return (the minor forms of
+    # ``locus_ideal_at`` and the basis of ``buchberger``), so a change of
+    # their shape would crash a traced benchmark run
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer("lefschetz_locus")
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            codes = [cli.main(argv.split()) for argv in (
+                "locus --a 3,4,4 --b 0", "survey --grid ci:2-3 --localization")]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0] and len(out.getvalue().splitlines()) == 2
+    _, counts, _ = tracer.take()
+    for name in ("lefschetz.minor_gens", "groebner.buchberger_calls", "groebner.basis_elems"):
+        assert counts[name] > 0, name
