@@ -15,11 +15,9 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, bundle, jumping, lefschetz, predictor
 from .field_linalg import DEFAULT_PRIME
-from .groebner import measure
 from .presentation import (
     DegreeData,
     GradedModule,
@@ -185,11 +183,13 @@ def analyze_locus(job: dict) -> dict:
 
 
 def _locus_report(job: dict, mod: GradedModule) -> dict:
-    gb_mid = lefschetz.middle_basis(mod)  # first, as its errors come before any other
+    # the middle locus first, as its errors come before any other: from one
+    # seeded line where it settles the square and corank-1 shapes, else
+    # from the middle Groebner basis
+    measured = lefschetz.middle_measure(mod)
     degrees = mod.degrees
     stab = bundle.classify_stability(degrees)
     chern_data = bundle.chern(degrees)
-    measured = measure(gb_mid)
     comp = predictor.compare(mod, stab, chern_data, measured)
 
     report = _base_report(job, "locus")
@@ -311,6 +311,8 @@ def analyze_survey(jobs: list[dict], workers: int = 1) -> dict:
     # more than there are jobs or cores
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: its import is slow
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(survey_row, jobs))
     else:

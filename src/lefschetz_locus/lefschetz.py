@@ -9,6 +9,18 @@ l1 = 1, by complementary minors of one left kernel per point, and
 interpolated in closed form (Newton differences), so a locus needs a prime
 above s.  The forms stay coefficient rows in the grevlex column order of
 :mod:`.groebner` from the interpolation to the Groebner basis.
+
+``middle_measure`` needs neither when the middle map is square or has
+corank 1: the minors restricted to one seeded line settle the locus.  A
+square map has the one minor det, a principal ideal, so its locus is the
+curve V(det) of degree s once det takes a nonzero value.  For an
+(s+1) x s map, s + 1 independent restrictions span every binary form of
+degree s, so the line misses V(I); a curve meets every line, so V(I) is
+finite, and as Eagon-Northcott bound the height of the proper ideal I by
+2, the height is 2 and Hilbert-Burch fixes the degree at C(s+1, 2).  Any
+other shape, and a line that certifies nothing, takes the Groebner basis
+(``middle_basis``).
+
 ``locus_ideal`` decides whether the middle degree alone cuts out the whole
 locus, against the module's own middle basis (``middle_basis``): a degree
 passes if its minor values have full rank, else by one Macaulay-matrix
@@ -56,7 +68,8 @@ import numpy as np
 
 from . import rand
 from .field_linalg import _matmul, _rref, rank
-from .groebner import GroebnerBasis, _pos, _table, _variable_saturations, buchberger
+from .groebner import (GroebnerBasis, IdealMeasure, _pos, _table, _variable_saturations,
+                       buchberger, measure)
 from .polyring import Ring, monomial_basis
 from .presentation import GradedModule
 
@@ -91,14 +104,17 @@ def _minor_shape(n: int, size: int) -> tuple[bool, int]:
     return by_kernel, n - size if by_kernel else size
 
 
-def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
+def _lattice_minors(maps, size: int, p: int, weights=None, points=None) -> np.ndarray:
     """Values of every maximal minor of the n x size (taller side) matrix
     M = sum_v l_v * maps[v] at each chart point: the row of the degree-``size``
     monomial (a, b, c) (``monomial_basis`` order) holds the values at
     (1, b, c), unisolvent as b, c <= size < p; a column per row subset S (in
-    lexicographic order).  If 0 < n - size < size, one elimination of
-    [M | I_n] gives E M = [U; 0], the bottom rows K of E span the left
-    kernel, and by Jacobi's complementary-minor identity (0-indexed S)
+    lexicographic order).  Given ``points``, rows of residues (l1, l2, l3),
+    row j holds the values at point j instead.  Each l_v * maps[v] is
+    reduced before the sum, which stays below 3p.  If 0 < n - size < size,
+    one elimination of [M | I_n] gives E M = [U; 0], the bottom rows K of E
+    span the left kernel, and by Jacobi's complementary-minor identity
+    (0-indexed S)
     det M[S] = (-1)^(sum S + size(size+3)/2) det(U)/det(E) det K[:, S^c]
     (det(U) = 0 where M loses rank).  Else the M[S] themselves are taken.
     Minors of size k <= 3 (corank 1 to 3, or a side of 1 to 3) take the
@@ -126,12 +142,13 @@ def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     else:
         q_t = weights.transpose(0, 2, 1)[None]
         cols = len(weights)
-    points = np.array(monomial_basis(size).monomials, dtype=np.int64)
-    points[:, 0] = 1  # the chart l1 = 1
+    if points is None:
+        points = np.array(monomial_basis(size).monomials, dtype=np.int64)
+        points[:, 0] = 1  # the chart l1 = 1
     step = max(1, _BATCH // max(n * (n + size) * by_kernel, cols * k * k))
     out = []
     for lo in range(0, len(points), step):
-        mats = np.tensordot(points[lo:lo + step], tall, 1) % p  # entries <= (size + 1)(p - 1)
+        mats = (points[lo:lo + step, :, None, None] * tall % p).sum(1) % p
         lam = 1
         if by_kernel:
             mats = np.concatenate([mats, np.tile(np.eye(n, dtype=np.int64), (len(mats), 1, 1))], 2)
@@ -178,24 +195,46 @@ def _weights(n: int, k: int, count: int, p: int) -> np.ndarray:
     return out
 
 
-def _minor_values(m: GradedModule, i: int, size: int, count: int = 0) -> np.ndarray:
-    """``_lattice_minors`` of degree i: every maximal minor or, with a
-    ``count``, that many seeded combinations of them.  The all-minors value
-    matrix is refused above ``_MAX_VALUES`` entries with a named error."""
-    p = m.prime
+@functools.lru_cache(maxsize=32)
+def _line_points(s: int, p: int) -> np.ndarray:
+    """The s + 1 points P + lambda Q (lambda = 0..s) of one seeded line of
+    the dual plane, P and Q independent draws of a fixed-tag stream, the
+    same in every run and worker: distinct points for p > s.  Read-only,
+    as they are cached."""
+    stream = rand.Stream(rand.derive(0, 0x11AE))
+    pq = stream.below_many(p, 6).reshape(2, 3)
+    while not (np.cross(*pq) % p).any():
+        pq = stream.below_many(p, 6).reshape(2, 3)
+    out = (pq[0] + np.arange(s + 1)[:, None] * pq[1]) % p
+    out.flags.writeable = False
+    return out
+
+
+def _check_prime(p: int, i: int, size: int) -> None:
     if p <= size:
         raise ValueError(f"prime {p} is too small for the degree-{i} minors: "
                          f"the locus needs a prime above the minor size {size}")
+
+
+def _minor_values(m: GradedModule, i: int, size: int, count: int = 0,
+                  points=None) -> np.ndarray:
+    """``_lattice_minors`` of degree i: every maximal minor (at ``points``
+    if given) or, with a ``count``, that many seeded combinations of them.
+    The all-minors value matrix is refused above ``_MAX_VALUES`` entries
+    with a named error."""
+    p = m.prime
+    _check_prime(p, i, size)
     maps = m.variable_maps(i)
     n = max(maps.shape[1:])
     _, k = _minor_shape(n, size)
     if count:
         return _lattice_minors(maps, size, p, _weights(n, k, count, p))
-    points, minors = comb(size + 2, 2), comb(n, k)
-    if points * minors > _MAX_VALUES:
-        raise ValueError(f"the degree-{i} minors of a {n} x {size} map take {points} points "
+    rows = comb(size + 2, 2) if points is None else len(points)
+    minors = comb(n, k)
+    if rows * minors > _MAX_VALUES:
+        raise ValueError(f"the degree-{i} minors of a {n} x {size} map take {rows} points "
                          f"x {minors} minors, above the cap of {_MAX_VALUES} values")
-    return _lattice_minors(maps, size, p)
+    return _lattice_minors(maps, size, p, None, points)
 
 
 def _eliminate(stack: np.ndarray, cols: int, p: int) -> np.ndarray:
@@ -349,10 +388,51 @@ def _injective_below(m: GradedModule, i: int) -> bool:
 @functools.lru_cache(maxsize=1)
 def middle_basis(m: GradedModule) -> GroebnerBasis:
     """Reduced Groebner basis of the middle-degree minor ideal I_(i*), kept
-    for the last module asked about: a survey row measures it and then
-    tests its localization, one row at a time."""
+    for the last module asked about: a survey row may measure it
+    (``middle_measure``'s fallback) and then test a degree that falls short
+    against it (``locus_ideal``), one row at a time."""
     ideal = locus_ideal_at(m, m.degrees.middle_degree)
     return buchberger(dual_ring(m), {ideal.degree: ideal.gens})
+
+
+def _middle_rows(m: GradedModule) -> tuple[np.ndarray, int]:
+    """The lowest-degree elements of ``middle_basis``, as rows, and their
+    degree s_mid."""
+    middle = middle_basis(m)
+    s_mid = min(middle.deg, default=0)
+    rows = [row for d, row in zip(middle.deg, middle.rows) if d == s_mid]
+    return np.array(rows, dtype=np.int64).reshape(-1, comb(s_mid + 2, 2)), s_mid
+
+
+def middle_measure(m: GradedModule) -> IdealMeasure:
+    """Dimension and degree of the middle locus V(I), I = I_(i*) the ideal
+    of the maximal minors of the middle map, of degree s, taken from their
+    values at the s + 1 points of one seeded line (``_line_points``) when
+    they settle it, else from ``middle_basis``.
+    - Square (h_(i*) = h_(i*+1) = s): I = (det), so a nonzero value proves
+      det != 0, and V(I) is the curve V(det) of degree s.
+    - Corank 1 ((s+1) x s): the s + 1 minors restricted to the line are
+      binary forms of degree s; values of rank s + 1 (Vandermonde times
+      coefficients) mean they span all of them, so the line misses V(I).
+      Every curve meets every line, so V(I) is finite.  By Eagon-Northcott
+      (Proc. R. Soc. A 269, 1962) the maximal minors of an (s+1) x s matrix
+      generate a proper ideal of height at most 2, so the height is 2, I is
+      perfect with the Hilbert-Burch resolution
+      0 -> R(-s-1)^s -> R(-s)^(s+1) -> I -> 0, and V(I) is a finite scheme
+      of degree C(s+1, 2), the measure its Groebner basis would give.
+    - Anything else: any other shape, a determinant vanishing on the whole
+      line, or a line through a point of V(I), takes the Groebner basis.
+    The middle's named errors (a prime not above s) come first, as from
+    ``middle_basis``."""
+    i = m.degrees.middle_degree
+    size, n = sorted((m.h(i), m.h(i + 1)))
+    if size and n - size <= 1:
+        values = _minor_values(m, i, size, points=_line_points(size, m.prime))
+        if n == size and values.any():
+            return IdealMeasure(1, size)
+        if n > size and rank(values, m.prime) == size + 1:
+            return IdealMeasure(0, comb(size + 1, 2))
+    return measure(middle_basis(m))
 
 
 def locus_ideal(m: GradedModule) -> bool:
@@ -365,7 +445,14 @@ def locus_ideal(m: GradedModule) -> bool:
     than C(s+2, 2) + 4 minors, that many seeded combinations of them are
     tried first: each is a form of I_i, so their full rank passes it
     exactly.  Any shortfall takes every minor, and only then does a basis
-    of their span go to ``_in_saturation``.
+    of their span go to ``_in_saturation``, against the lowest-degree
+    elements of ``middle_basis``, which is built only then.  A prime not
+    above the middle minor size is refused first, with the middle's error.
+    The middle locus itself is ``middle_measure``'s: the curve of a
+    principal ideal (det) for a square middle, and for corank 1 a finite
+    scheme, as a curve would meet the seeded line, of height 2 by
+    Eagon-Northcott and degree C(s+1, 2) by Hilbert-Burch; any other middle
+    falls back to the same ``middle_basis``.
 
     Degree i and its Serre dual d - 4 - i have one minor ideal (see the
     module docstring), so one degree of each pair is decided, and the
@@ -380,12 +467,9 @@ def locus_ideal(m: GradedModule) -> bool:
     (``_injective_below``).  Each such I_k has an empty locus, so
     I_k^sat = R holds I_mid, and no value of degree k is computed."""
     deg = m.degrees
-    ring = dual_ring(m)
-    middle = middle_basis(m)
-    s_mid = min(middle.deg, default=0)
-    mid = np.array([row for d, row in zip(middle.deg, middle.rows) if d == s_mid],
-                   dtype=np.int64).reshape(-1, comb(s_mid + 2, 2))
-    for i in range(deg.middle_degree - 1, deg.b[0] - 2, -1):
+    mid_degree = deg.middle_degree
+    _check_prime(m.prime, mid_degree, min(m.h(mid_degree), m.h(mid_degree + 1)))
+    for i in range(mid_degree - 1, deg.b[0] - 2, -1):
         size = min(m.h(i), m.h(i + 1))
         if size == 0:
             continue
@@ -397,7 +481,8 @@ def locus_ideal(m: GradedModule) -> bool:
             _, pivots = _rref(values, m.prime)
             full = len(pivots) == points
             if not full and not _in_saturation(
-                    mid, s_mid, _interpolate(m, i, values[:, list(pivots)]), size, ring):
+                    *_middle_rows(m), _interpolate(m, i, values[:, list(pivots)]), size,
+                    dual_ring(m)):
                 return False
         if full and _injective_below(m, i):
             break

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -247,11 +248,13 @@ def test_samples_belongs_to_survey_only(command, capsys):
 
 
 def test_localization_row_takes_one_basis_and_no_saturation(monkeypatch):
-    # the middle basis is the only Groebner basis a criterion-8 row builds:
-    # every other degree passes the containment test by rank alone
+    # every criterion-8 row measures its middle locus on one seeded line,
+    # with no Groebner basis and no ``measure``.  Only (2,2,4) builds the
+    # middle basis, once, for the one degree whose values fall short; every
+    # other degree passes the containment test by rank alone
     from lefschetz_locus import groebner, lefschetz
 
-    calls = {"buchberger": 0, "_variable_saturations": 0}
+    calls = {"buchberger": 0, "_variable_saturations": 0, "measure": 0}
     for name in calls:
         original = getattr(groebner, name)
 
@@ -262,14 +265,15 @@ def test_localization_row_takes_one_basis_and_no_saturation(monkeypatch):
         for mod in (cli, groebner, lefschetz):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
-    # the localization test binds both, so neither count passes vacuously
+    # the locus code binds all three, so no count passes vacuously
     assert all(getattr(lefschetz, name).__name__ == "counted" for name in calls)
     for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID:
-        calls.update(buchberger=0, _variable_saturations=0)
+        calls.update(buchberger=0, _variable_saturations=0, measure=0)
         row = cli.survey_row({"a": list(a), "b": list(b), "seed": 1, "prime": 65521,
                               "matrix": None, "localization": True})
         assert {"claim": "middle-localization", "ok": True} in row["claims"]
-        assert calls == {"buchberger": 1, "_variable_saturations": 0}, a
+        bases = int(a == (2, 2, 4))
+        assert calls == {"buchberger": bases, "_variable_saturations": 0, "measure": 0}, a
 
 
 @pytest.mark.parametrize("argv", [["--grid", "ci:2-3", "--seed", "4"],
@@ -301,7 +305,7 @@ def test_survey_jobs_capped_by_fixture_and_core_counts(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     argv = ["survey", "--a", "2,2,3", "--b", "0", "--samples", "3", "--jobs", "1000000"]
     reports = []
     for cores in (2, 64, None):
@@ -458,6 +462,18 @@ def test_console_module_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hilbert"]["values"] == [1, 3, 4, 3, 1]
+
+
+def test_cli_imports_the_process_pool_only_for_workers():
+    # concurrent.futures.process takes a tenth of the CLI's import time, and
+    # only ``survey --jobs`` above 1 uses it (run by
+    # ``test_survey_parallel_matches_serial``)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lefschetz_locus.cli; "
+         "print(sorted(k for k in sys.modules if k.startswith('concurrent')))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_bad_grid_argument_is_usage_error(capsys):

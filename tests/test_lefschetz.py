@@ -28,7 +28,8 @@ from test_jumping import _WITNESS_FIXTURES, _monomial_344
 from lefschetz_locus import cli, groebner, rand
 from lefschetz_locus import lefschetz as lef
 from lefschetz_locus.field_linalg import _matmul, _rref
-from lefschetz_locus.groebner import _table, _variable_saturations, same_ideal, saturate
+from lefschetz_locus.groebner import (IdealMeasure, _table, _variable_saturations, same_ideal,
+                                      saturate)
 from lefschetz_locus.lefschetz import (
     ZeroLineError,
     _in_saturation,
@@ -324,12 +325,15 @@ def test_spanned_degree_agrees_with_groebner_oracle(a, i, spans):
                           dual_ring(m))
 
 
-@pytest.mark.parametrize("a,calls", [((4, 4, 4), [4]), ((3, 4, 4), [3])])
+@pytest.mark.parametrize("a,calls", [((4, 4, 4), []), ((3, 4, 4), []), ((2, 2, 4), [2, 1])])
 def test_localization_interpolates_only_degrees_whose_values_fall_short(a, calls, monkeypatch):
-    # every other degree of (4,4,4) has minor values of full rank, so a
-    # survey row interpolates the middle degree alone.  On (3,4,4) degree 4
+    # the middle locus is measured on one seeded line, with no
+    # interpolation, and every other degree of (4,4,4) has minor values of
+    # full rank, so a survey row interpolates nothing.  On (3,4,4) degree 4
     # has 10 minors of degree 9, which cannot span the 55 forms of R_9, but
-    # it is the Serre dual of the middle degree 3 and is never visited
+    # it is the Serre dual of the middle degree 3 and is never visited.  On
+    # (2,2,4) the values of degree 1 fall short: only then is the middle
+    # degree 2 interpolated, for its basis, and then degree 1's forms
     seen = []
     original = lef._interpolate
     monkeypatch.setattr(lef, "_interpolate",
@@ -856,24 +860,33 @@ def test_compressed_rank_equals_full_rank_on_criterion_8():
 
 
 def _recorded_minors(monkeypatch):
-    """(degree, size, compressed?) of every ``_minor_values`` call."""
+    """(degree, size, compressed?) of every ``_minor_values`` call, with
+    "line" in place of compressed? for the values on the seeded line."""
     calls = []
     values = lef._minor_values
-    monkeypatch.setattr(lef, "_minor_values", lambda m, i, size, count=0: calls.append(
-        (i, size, bool(count))) or values(m, i, size, count))
+
+    def recorded(m, i, size, count=0, points=None):
+        assert points is None or points is lef._line_points(size, m.prime)
+        calls.append((i, size, "line" if points is not None else bool(count)))
+        return values(m, i, size, count, points)
+
+    monkeypatch.setattr(lef, "_minor_values", recorded)
     return calls
 
 
 def test_survey_rows_visit_down_to_the_first_injective_degree(monkeypatch):
-    # (4,4,4): the middle degree 4 is interpolated for the row's basis;
-    # degree 3 is a 12 x 10 map, 3 <= d - 3 - w = 9, whose values reach
+    # (4,4,4): the middle degree 4, a 12 x 12 square, is measured by its
+    # determinant on the seeded line; degree 3 is a 12 x 10 map,
+    # 3 <= d - 3 - w = 9, whose values reach
     # rank C(12, 2) = 66, so degrees 2 down to -1, and their duals 6 to 9,
-    # are never evaluated.  (3,4,4), d odd: degree 4, dual to the middle 3,
-    # is not visited; degree 2, a 9 x 6 map with 84 maximal minors, comes
-    # first, and its 32 compressed columns reach rank 28 = C(8, 2): no value
-    # matrix of all 84 minors is built, and degrees 1 down to -1 are skipped
-    for a, want in [((4, 4, 4), [(4, 12, False), (3, 10, False)]),
-                    ((3, 4, 4), [(3, 9, False), (2, 6, True)])]:
+    # are never evaluated.  (3,4,4), d odd: the middle 3, a 10 x 9 map, is
+    # measured by its 10 minors on the line, and degree 4, its dual, is not
+    # visited; degree 2, a 9 x 6 map with 84 maximal minors, comes first,
+    # and its 32 compressed columns reach rank 28 = C(8, 2): no value matrix
+    # of all 84 minors is built, and degrees 1 down to -1 are skipped.  No
+    # row evaluates the middle on the chart
+    for a, want in [((4, 4, 4), [(4, 12, "line"), (3, 10, False)]),
+                    ((3, 4, 4), [(3, 9, "line"), (2, 6, True)])]:
         calls = _recorded_minors(monkeypatch)
         row = cli.survey_row({"a": list(a), "b": [0], "seed": 1, "prime": 65521,
                               "matrix": None, "localization": True})
@@ -1012,33 +1025,239 @@ def test_the_dual_of_the_middle_has_the_middle_minor_forms(prime):
     ((5, 5, 5), "81c192ceecf59a95"),  # 140 of them, and a 19 x 18 kernel step
 ], ids=["2,2,4", "2,3,3", "3,3,3", "3,4,4", "4,4,5", "5,5,5"])
 def test_localization_minor_values_are_pinned(a, digest, monkeypatch):
-    # SHA-256 of every ``_minor_values`` array that ``locus_ideal`` asks for
-    # at p = 2^31 - 1, seed 1, in call order, with its degree, minor size
-    # and combination count (0 for all minors).  Outside the middle degree
-    # a value matrix is only ranked, so an inexact value that keeps its
-    # rank leaves every report unchanged; this sees it
+    # SHA-256 of every ``_minor_values`` array that ``middle_basis`` and
+    # then ``locus_ideal`` ask for at p = 2^31 - 1, seed 1, in call order,
+    # with its degree, minor size and combination count (0 for all minors).
+    # Outside the middle degree a value matrix is only ranked, so an inexact
+    # value that keeps its rank leaves every report unchanged; this sees it.
+    # ``locus_ideal`` builds the middle basis only where a degree falls
+    # short, so it is asked for first, as the walk used to
     import hashlib
 
     h, values = hashlib.sha256(), lef._minor_values
 
-    def hashed(m, i, size, count=0):
+    def hashed(m, i, size, count=0, points=None):
+        assert points is None
         out = values(m, i, size, count)
         h.update(np.array([i, size, count, *out.shape], dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
         return out
 
     monkeypatch.setattr(lef, "_minor_values", hashed)
-    assert locus_ideal(generic_module(DegreeData(a, (0,)), 1, 2**31 - 1))
+    m = generic_module(DegreeData(a, (0,)), 1, 2**31 - 1)
+    lef.middle_basis(m)
+    assert locus_ideal(m)
     assert h.hexdigest()[:16] == digest
 
 
-def test_all_minors_above_the_cap_is_a_named_error(monkeypatch, capsys):
-    # the middle degree 3 of (3,4,4) is a 10 x 9 map: 55 points x 10 minors
+def test_all_minors_above_the_cap_is_a_named_error(monkeypatch, capsys, tmp_path):
+    # the middle degree 3 of (3,4,4) is a 10 x 9 map: 55 points x 10 minors.
+    # The pure-power module's middle minors vanish on a curve, which meets
+    # the seeded line, so its locus takes every minor at every chart point
+    # and the middle basis; the seeded module's takes only the 10 x 10
+    # values on the line
+    grid = tmp_path / "monomial.json"
+    grid.write_text(json.dumps([["x1^3", "x2^4", "x3^4"]]))
+    argv = ["locus", "--a", "3,4,4", "--b", "0", "--matrix", str(grid)]
     monkeypatch.setattr(lef, "_MAX_VALUES", 549)
-    assert cli.main(["locus", "--a", "3,4,4", "--b", "0"]) == 1
+    assert cli.main(argv) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["type"] == "ValueError"
     assert report["error"] == ("the degree-3 minors of a 10 x 9 map take 55 points x 10 minors, "
                                "above the cap of 549 values")
-    monkeypatch.setattr(lef, "_MAX_VALUES", 550)
     assert cli.main(["locus", "--a", "3,4,4", "--b", "0"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(lef, "_MAX_VALUES", 550)
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "generality-required"
+
+
+_COORD = st.just(-1) | st.integers(0, 2**31)  # a coordinate, taken mod p; -1 is p - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=_stacks(), points=st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1,
+                                        max_size=4))
+@example(stack=(2**31 - 1, 2, (2**31 - 2) * np.array([[[1, 1]] * 3] * 2 + [[[0, 1], [1, 0], [1, 1]]])),
+         points=[(-1, -1, -1), (-1, 0, -1)])
+def test_lattice_minors_at_given_points_match_cofactor_determinants(stack, points):
+    # the chart passed as ``points`` is the default route, and any points
+    # give every minor at each point, in Python ints.  Near 2^31 one
+    # (p - 1) * (p - 1) is about 2^62, and three of them pass 2^63, so each
+    # l_v * maps[v] is reduced before the sum; the example has entries of
+    # p - 1 in all three maps at only some positions, so an unreduced sum
+    # would change some entries and not others, and with them the minors
+    p, s, maps = stack
+    chart = np.array(monomial_basis(s).monomials, dtype=np.int64)
+    chart[:, 0] = 1
+    assert (lef._lattice_minors(maps, s, p, points=chart)
+            == lef._lattice_minors(maps, s, p)).all()
+    points = [[x % p for x in point] for point in points]
+    values = lef._lattice_minors(maps, s, p, points=np.array(points, dtype=np.int64))
+    assert values.shape[0] == len(points)
+    for point, row in zip(points, values):
+        a = [[sum(point[v] * int(maps[v][r][c]) for v in range(3)) % p
+              for c in range(maps.shape[2])] for r in range(maps.shape[1])]
+        a = a if len(a) >= len(a[0]) else [list(col) for col in zip(*a)]
+        want = [det_mod([a[r] for r in rows], p) for rows in combinations(range(len(a)), s)]
+        assert [int(x) for x in row] == want, point
+
+
+@pytest.mark.parametrize("p", [2, 13, 65521, 2**31 - 1])
+def test_line_points_are_one_seeded_line(p):
+    # s + 1 distinct points P + lambda Q of one line, P and Q the first
+    # independent pair of the fixed-tag stream; cached, so read-only
+    stream = rand.Stream(rand.derive(0, 0x11AE))
+    while True:
+        pq = [[stream.below(p) for _ in range(3)] for _ in range(2)]
+        (x1, x2, x3), (y1, y2, y3) = pq
+        if any(v % p for v in (x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)):
+            break
+    for s in range(min(p - 1, 6) + 1):
+        got = lef._line_points(s, p)
+        assert lef._line_points(s, p) is got and not got.flags.writeable
+        assert got.tolist() == [[(x + lam * y) % p for x, y in zip(*pq)] for lam in range(s + 1)]
+        assert len({tuple(point) for point in got.tolist()}) == s + 1
+
+
+_MIDDLE_TWISTS = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).map(
+    lambda a: (tuple(sorted(a)), (0,))) | st.sampled_from(
+    N2_GRID + [((2, 2, 3, 3), (0, 1)), ((2, 2, 2, 3), (0, 2)), ((1, 1, 1, 2, 2), (0, 0, 0)),
+               ((2, 2, 2, 2, 2), (0, 1, 1)), ((2, 3, 3, 4), (0, 1)),
+               ((2, 3, 4, 4, 5), (0, 0, 2))])
+
+
+def _outcome(f, m):
+    try:
+        return f(m)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([13, 65521, 2**31 - 1]), seed=st.integers(1, 10**6),
+       twist=_MIDDLE_TWISTS)
+@example(p=13, seed=1, twist=((3, 4, 4), (0,)))  # s = 9 < 13
+@example(p=13, seed=1, twist=((4, 4, 5), (0,)))  # s = 15: the middle's named error
+def test_middle_measure_is_the_measure_of_the_middle_basis(p, seed, twist):
+    # the line's certificate, or its fallback, gives the measure of the
+    # middle Groebner basis, or the same named error, on seeded modules with
+    # n = 1, 2 and 3 (square and corank-1 middles)
+    try:
+        m = generic_module(DegreeData(*twist), seed, p)
+    except ValueError:  # no generic draw at a small prime
+        assume(False)
+    got = _outcome(lef.middle_measure, m)
+    lef.middle_basis.cache_clear()
+    assert got == _outcome(lambda m: groebner.measure(lef.middle_basis(m)), m), m.degrees
+
+
+class _Middle:
+    """A stand-in module whose middle degree 0 maps by three given target x
+    source matrices: all that ``middle_measure`` and ``middle_basis`` read.
+    Hashed by identity, as ``middle_basis`` caches."""
+
+    def __init__(self, maps, p):
+        self.maps, self.prime = np.array(maps, dtype=np.int64) % p, p
+        self.degrees = SimpleNamespace(middle_degree=0)
+
+    def h(self, i):
+        return {0: self.maps.shape[2], 1: self.maps.shape[1]}.get(i, 0)
+
+    def variable_maps(self, i):
+        return self.maps
+
+
+@st.composite
+def _middles(draw):
+    """Three (s + c) x s maps, c = 0, 1 or 2, mod p: random; a determinant
+    or minors vanishing identically (a column repeated); minors sharing a
+    linear factor (a first column L(l) w, so the locus holds the line
+    L = 0); or minors vanishing at a point u, with the seeded line moved
+    through u.  Returns the prime, the maps, the kind and u."""
+    p = draw(st.sampled_from([13, 65521, 2**31 - 1]))
+    s, c = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["random", "vanishing", "common-curve", "through-point"]))
+    entry = st.integers(0, p - 1)
+    maps = [[[draw(entry) for _ in range(s)] for _ in range(s + c)] for _ in range(3)]
+    u = [draw(entry), draw(entry), 1]
+    for v in range(3):
+        for r in range(s + c):
+            if kind == "vanishing" and s > 1:
+                maps[v][r][-1] = maps[v][r][0]
+            elif kind == "common-curve":
+                maps[v][r][0] = u[v] * maps[0][r][-1] % p
+            elif kind == "through-point" and v == 2:  # column 0 vanishes at u
+                maps[2][r][0] = -(u[0] * maps[0][r][0] + u[1] * maps[1][r][0]) % p
+    return p, maps, kind, u
+
+
+@settings(max_examples=120, deadline=None)
+@given(middle=_middles(), q=st.tuples(_COORD, _COORD, _COORD))
+def test_middle_measure_falls_back_where_the_line_certifies_nothing(middle, q):
+    # the measure equals that of the Groebner basis on every stack.  It is
+    # read off the basis, by one ``measure`` call, wherever the line cannot
+    # certify it: corank 2, minors vanishing identically, or corank 1 with a
+    # locus that meets the line (a common curve meets every line; a line
+    # through u meets its point).  Whatever the line certifies is the
+    # square's curve of degree s or the Hilbert-Burch points
+    p, maps, kind, u = middle
+    q = [x % p for x in q]
+    assume(kind != "through-point" or any(
+        (u[j] * q[k] - u[k] * q[j]) % p for j, k in ((0, 1), (1, 2), (0, 2))))
+    m, calls = _Middle(maps, p), []
+    s, n = m.h(0), m.h(1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lef, "measure", lambda gb: calls.append(gb) or groebner.measure(gb))
+        if kind == "through-point":
+            line = np.array([[(a + lam * b) % p for a, b in zip(u, q)] for lam in range(s + 1)])
+            mp.setattr(lef, "_line_points", lambda size, prime: line)
+        got = lef.middle_measure(m)
+    lef.middle_basis.cache_clear()
+    want = groebner.measure(lef.middle_basis(m))
+    assert got == want
+    if n - s == 2 or kind == "vanishing" and s > 1 or n > s and kind in (
+            "common-curve", "through-point"):
+        assert len(calls) == 1
+    if not calls:  # certified on the line
+        assert got == (IdealMeasure(1, s) if n == s else IdealMeasure(0, comb(s + 1, 2)))
+
+
+@pytest.mark.parametrize("a,digest", [
+    ((2, 2, 4), "75592aa00156e4ba"),  # a 4 x 4 square: 5 values of det
+    ((2, 3, 3), "5e092414f50a4279"),  # a 5 x 5 square
+    ((3, 3, 3), "49f24a99361b8bf6"),  # 7 x 6: 7 minors at 7 points
+    ((3, 4, 4), "74bf1d3cb86bb2e5"),  # 10 x 9
+    ((4, 4, 5), "1af014c46acf453e"),  # 14 x 13
+    ((5, 5, 5), "4fcd81e844447774"),  # 19 x 18
+], ids=["2,2,4", "2,3,3", "3,3,3", "3,4,4", "4,4,5", "5,5,5"])
+def test_middle_line_values_are_pinned(a, digest, monkeypatch):
+    # SHA-256 of the one ``_minor_values`` array that ``middle_measure``
+    # asks for at p = 2^31 - 1, seed 1, with its degree, minor size and
+    # shape: the middle's maximal minors at the s + 1 points of the seeded
+    # line, which certify every one of these middles.  Where s <= 6 each
+    # value is also the cofactor oracle's
+    import hashlib
+
+    h, values, calls = hashlib.sha256(), lef._minor_values, []
+
+    def hashed(m, i, size, count=0, points=None):
+        out = values(m, i, size, count, points)
+        calls.append((i, size, count, points))
+        h.update(np.array([i, size, count, *out.shape], dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
+        return out
+
+    monkeypatch.setattr(lef, "_minor_values", hashed)
+    monkeypatch.setattr(lef, "measure", None)  # no fallback
+    m = generic_module(DegreeData(a, (0,)), 1, 2**31 - 1)
+    got = lef.middle_measure(m)
+    s, n = sorted(m.h(i) for i in (m.degrees.middle_degree, m.degrees.middle_degree + 1))
+    assert got == (IdealMeasure(1, s) if n == s else IdealMeasure(0, comb(s + 1, 2)))
+    [(i, size, count, points)] = calls
+    assert (i, size, count) == (m.degrees.middle_degree, s, 0)
+    assert points is lef._line_points(s, m.prime)
+    assert h.hexdigest()[:16] == digest
+    if s <= 6:
+        want = [_cofactor_minors(m, i, point) for point in points.tolist()]
+        assert values(m, i, s, 0, points).tolist() == want

@@ -124,7 +124,9 @@ def test_every_traced_target_resolves():
 def test_traced_commands_run_and_count():
     # the tracer reads what the traced functions return (the minor forms of
     # ``locus_ideal_at`` and the basis of ``buchberger``), so a change of
-    # their shape would crash a traced benchmark run
+    # their shape would crash a traced benchmark run.  The seeded middles
+    # are measured on one line, with no basis; (2,2,4) still builds one,
+    # for the degree whose minor values fall short
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -133,10 +135,11 @@ def test_traced_commands_run_and_count():
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             codes = [cli.main(argv.split()) for argv in (
-                "locus --a 3,4,4 --b 0", "survey --grid ci:2-3 --localization")]
+                "locus --a 3,4,4 --b 0", "survey --grid ci:2-3 --localization",
+                "survey --a 2,2,4 --b 0 --localization")]
     finally:
         tracer.uninstall()
-    assert codes == [0, 0] and len(out.getvalue().splitlines()) == 2
+    assert codes == [0, 0, 0] and len(out.getvalue().splitlines()) == 3
     _, counts, _ = tracer.take()
     for name in ("lefschetz.minor_gens", "groebner.buchberger_calls", "groebner.basis_elems"):
         assert counts[name] > 0, name
