@@ -83,8 +83,10 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residue matrices, or stacks of them (broadcast as by
     ``@``), exact in int64: the inner sums are taken a chunk of terms at a
-    time and reduced in between."""
+    time and reduced in between, in one chunk when they fit."""
     step = _room(p)  # terms per int64 sum
+    if a.shape[-1] <= step:
+        return a @ b % p
     out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]),
                    dtype=np.int64)
     for lo in range(0, a.shape[-1], step):

@@ -410,7 +410,8 @@ def middle_measure(m: GradedModule) -> IdealMeasure:
     values at the s + 1 points of one seeded line (``_line_points``) when
     they settle it, else from ``middle_basis``.
     - Square (h_(i*) = h_(i*+1) = s): I = (det), so a nonzero value proves
-      det != 0, and V(I) is the curve V(det) of degree s.
+      det != 0, and V(I) is the curve V(det) of degree s.  The first point
+      is evaluated alone, and the other s only where its value is 0.
     - Corank 1 ((s+1) x s): the s + 1 minors restricted to the line are
       binary forms of degree s; values of rank s + 1 (Vandermonde times
       coefficients) mean they span all of them, so the line misses V(I).
@@ -427,10 +428,12 @@ def middle_measure(m: GradedModule) -> IdealMeasure:
     i = m.degrees.middle_degree
     size, n = sorted((m.h(i), m.h(i + 1)))
     if size and n - size <= 1:
-        values = _minor_values(m, i, size, points=_line_points(size, m.prime))
-        if n == size and values.any():
-            return IdealMeasure(1, size)
-        if n > size and rank(values, m.prime) == size + 1:
+        points = _line_points(size, m.prime)
+        if n == size:
+            if any(_minor_values(m, i, size, points=part).any()
+                   for part in (points[:1], points[1:])):
+                return IdealMeasure(1, size)
+        elif rank(_minor_values(m, i, size, points=points), m.prime) == size + 1:
             return IdealMeasure(0, comb(size + 1, 2))
     return measure(middle_basis(m))
 

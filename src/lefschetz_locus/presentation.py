@@ -5,23 +5,25 @@ and an n x (n+2) matrix of homogeneous forms, entry (j, i) of degree
 a_i - b_j, mapping a sum of twists of the ring onto the module.  Each
 graded piece of the cokernel gets a deterministic coset basis when it is
 first read, and the engine exposes the multiplication maps between
-consecutive pieces.  A piece has one of two routes.  Up to degree
+consecutive pieces.  A piece has one of three routes.  Up to degree
 t0 = max(a_(n+2), b_n, i* + 1), where generators and relations are still
 born and every command reads, it is the cokernel of the degree-t slice of
 the map.  Above t0 it is R_1 (x) M_(t-1) modulo the Koszul relations out
 of M_(t-2), a 3h(t-1) x 3h(t-2) elimination that gives the maps into it at
-once (``GradedModule.piece``).
+once, until a seeded line maps one piece onto the next.  From there on
+each piece is the one below modulo a small kernel, an elimination with
+h(t-1) - h(t) pivots (``GradedModule.piece``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import rand
-from .field_linalg import DEFAULT_PRIME, CokernelBasis, cokernel_basis, rank
+from .field_linalg import DEFAULT_PRIME, CokernelBasis, _matmul, _rref, cokernel_basis, rank
 from .polyring import GradedPieceBasis, Ring, monomial_basis, parse_poly, position
 
 
@@ -208,10 +210,60 @@ class _KoszulPiece:
         return len(self.coset)
 
 
+@dataclass(frozen=True)
+class _QuotientPiece:
+    """A piece M_t = M_(t-1)/K_t above the first degree where the seeded
+    line is onto: coset coordinate j is the class of l * m_(coset[j]), and
+    the rows of ``kernel`` (reduced, one per pivot) span K_t, the kernel
+    of the map of l out of t - 1."""
+
+    coset: tuple[int, ...]
+    kernel: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.coset)
+
+
+@lru_cache(maxsize=8)
+def _seeded_line(p: int) -> tuple[int, int, int]:
+    """The coefficients (c1, c2, c3) of the line of the quotient route,
+    c1 != 0, drawn from a fixed-tag stream: the same in every run and
+    worker."""
+    stream = rand.Stream(rand.derive(0, 0x1170))
+    c = stream.below_many(p, 3)
+    while not c[0]:
+        c = stream.below_many(p, 3)
+    return tuple(int(v) for v in c)
+
+
+def _section(l: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(sigma, N) with l sigma = I and the rows of N a basis of ker l, or
+    None where l is not onto, from one elimination of [l^T | I]: its
+    reduced form is [E l^T | E], and l is onto exactly when its first
+    h = rows(l) pivots are the first h columns.  Then E l^T = [I; 0], so
+    sigma is the transpose of E's first h rows and N is E's other rows."""
+    h, k = l.shape
+    red, pivots = _rref(np.hstack([l.T, np.eye(k, dtype=np.int64)]), p)
+    if pivots[h - 1] != h - 1:
+        return None
+    return red[:h, h:].T, red[h:, h:]
+
+
+def _projection(coker: CokernelBasis, n: int) -> np.ndarray:
+    """The map from target coordinates to coset coordinates, as a matrix:
+    the identity on the coset, the reduced image rows on the pivots."""
+    out = np.zeros((coker.dim, n), dtype=np.int64)
+    out[:, list(coker.coset)] = np.eye(coker.dim, dtype=np.int64)
+    out[:, list(coker.pivots)] = -coker.image_rref[:, list(coker.coset)].T % coker.p
+    return out
+
+
 class GradedModule:
     """Cokernel of a presentation with per-degree coset bases."""
 
-    def __init__(self, pres: PresentationMatrix, pieces: dict[int, _Piece | _KoszulPiece]):
+    def __init__(self, pres: PresentationMatrix,
+                 pieces: dict[int, _Piece | _KoszulPiece | _QuotientPiece]):
         self.pres = pres
         self.degrees = pres.degrees
         self.prime = pres.prime
@@ -225,8 +277,8 @@ class GradedModule:
         """The module, certified of finite length: only the pieces from
         e + 1 through max(e + 1, b_n), and those they rest on, are built
         here, and a nonzero one is refused (``first_piece_beyond_socle``).
-        Above t0 that is the Koszul chain from t0 + 1 up, each step a small
-        elimination, not the largest slice of all.  Every other piece is
+        Above t0 that is the chain of Koszul steps and quotients from t0 + 1
+        up, each step a small elimination, not the largest slice of all.  Every other piece is
         built when ``piece`` first asks for it.  An accepted module is
         M = H^1_*(E) for the rank-2 bundle E, the kernel of the presentation,
         with c_1(E) = -d, so E^dual = E(d) and Serre duality pairs M_t
@@ -275,10 +327,10 @@ class GradedModule:
         deg = self.degrees
         return max(deg.a[-1], deg.b[-1], deg.middle_degree + 1)
 
-    def piece(self, t: int) -> _Piece | _KoszulPiece:
+    def piece(self, t: int) -> _Piece | _KoszulPiece | _QuotientPiece:
         """M_t with its coset basis, built on first read: from its slice up
-        to t0 (``slice_top``), by the Koszul complex above it, lowest
-        degree first.
+        to t0 (``slice_top``), above it from the pieces below, by the
+        Koszul complex and then as quotients, lowest degree first.
 
         Let t > t0, so t > a_(n+2) and t > b_n.  No generator or relation
         is born in degree t: G_t = R_1 G_(t-1) for the free module
@@ -290,16 +342,77 @@ class GradedModule:
         m in M_(t-2)>, where X_v are the maps out of degree t - 2.  That is
         the cokernel of a 3h(t-1) x 3h(t-2) matrix, and reducing each
         x_v (x) m_i to coset coordinates is the map of x_v out of degree
-        t - 1, cached with the piece.  Nothing assumes finite length or
-        duality, so ``first_piece_beyond_socle`` stays exact on any input."""
+        t - 1, cached with the piece.
+
+        The same complex in the coordinates (l, x2, x3) of R_1, for the
+        seeded line l = c1 x1 + c2 x2 + c3 x3 with c1 != 0
+        (``_seeded_line``), has the relations l (x) Y m - x2 (x) L m,
+        l (x) Z m - x3 (x) L m and x2 (x) Z m - x3 (x) Y m, where L, Y, Z
+        are the maps of l, x2, x3 out of degree t - 2.  Let L be onto
+        M_(t-1), with a section sigma (L sigma = I).  Then
+        phi(l (x) a + x2 (x) b + x3 (x) c) = a + Y sigma b + Z sigma c maps
+        R_1 (x) M_(t-1) onto M_(t-1), and its kernel, spanned by the
+        x2 (x) n - l (x) Y sigma n and x3 (x) n - l (x) Z sigma n, consists of
+        relations (those of m = sigma n).  So M_t = M_(t-1)/K_t, where the
+        class of l (x) n is that of n and K_t is the image of the relations
+        under phi: Y(m - sigma L m) and Z(m - sigma L m), where m - sigma L m
+        runs over ker L, and (Y sigma Z - Z sigma Y) m, so
+        K_t = Y(ker L) + Z(ker L) + (Y sigma Z - Z sigma Y)(M_(t-2)).
+        One elimination of those generators, with
+        h(t-1) - h(t) pivots, gives the coset: coordinate j is the class of
+        l m_(coset[j]).  The maps out of t - 1 are the projection pi for l,
+        pi Y sigma for x2, pi Z sigma for x3, and
+        c1^-1 (pi - c2 pi Y sigma - c3 pi Z sigma) for x1.  As pi is onto,
+        with the coset coordinates as a section and K_t as its kernel,
+        every later piece takes the same step with no further elimination
+        for them: from the first piece M_j that the line is onto, the
+        quotient steps spend h(j) pivots in all.  The first step needs one
+        elimination of [L^T | I] for sigma and ker L (``_section``), tried
+        only where 0 < h(t-1) <= h(t-2) (M_t = 0 when h(t-1) = 0); the
+        Koszul step stays for every degree where it fails.  Nothing assumes
+        finite length or duality, so
+        ``first_piece_beyond_socle`` stays exact on any input."""
         if t not in self._pieces:
             if t <= self.slice_top:
                 self._pieces[t] = self._build_piece(self.pres, t)
             else:
                 for s in range(self.slice_top + 1, t + 1):
                     if s not in self._pieces:
-                        self._pieces[s] = self._koszul_piece(s)
+                        self._pieces[s] = self._upper_piece(s)
         return self._pieces[t]
+
+    def _upper_piece(self, t: int) -> _KoszulPiece | _QuotientPiece:
+        """Piece t > t0 as in ``piece``: a quotient where the seeded line
+        maps M_(t-2) onto M_(t-1), else by the Koszul complex."""
+        below = self.piece(t - 1)
+        if isinstance(below, _QuotientPiece):  # l is onto it, by pi
+            _, y, z = self.variable_maps(t - 2)
+            return self._quotient_piece(t, y[:, below.coset], z[:, below.coset], below.kernel)
+        if 0 < below.dim <= self.piece(t - 2).dim:
+            onto = _section(self.multiplication_map(_seeded_line(self.prime), t - 2), self.prime)
+            if onto is not None:
+                (section, kernel), (_, y, z) = onto, self.variable_maps(t - 2)
+                return self._quotient_piece(t, _matmul(y, section, self.prime),
+                                            _matmul(z, section, self.prime), kernel)
+        return self._koszul_piece(t)
+
+    def _quotient_piece(self, t: int, ysec: np.ndarray, zsec: np.ndarray,
+                        kernel: np.ndarray) -> _QuotientPiece:
+        """Piece t = M_(t-1)/K_t as in ``piece``, from Y sigma, Z sigma and
+        the rows of a basis of ker L out of t - 2; it stores the maps out
+        of t - 1."""
+        p, (c1, c2, c3) = self.prime, _seeded_line(self.prime)
+        _, y, z = self.variable_maps(t - 2)
+        coker = cokernel_basis(np.hstack([
+            _matmul(y, kernel.T, p), _matmul(z, kernel.T, p),
+            (_matmul(ysec, z, p) - _matmul(zsec, y, p)) % p]), p)
+        pi = _projection(coker, len(ysec))
+        ymap, zmap = _matmul(pi, ysec, p), _matmul(pi, zsec, p)
+        xmap = (pi - c2 * ymap % p - c3 * zmap % p) % p * pow(c1, -1, p) % p
+        maps = np.stack([xmap, ymap, zmap])
+        maps.flags.writeable = False  # shared by every caller
+        self._maps[t - 1] = maps
+        return _QuotientPiece(coker.coset, coker.image_rref)
 
     def _koszul_piece(self, t: int) -> _KoszulPiece:
         """Piece t > t0 as in ``piece``; it stores the maps out of t - 1.
@@ -312,11 +425,7 @@ class GradedModule:
             rel[u, :, col] = x[v]
             rel[v, :, col] = -x[u] % p
         coker = cokernel_basis(rel.reshape(3 * h, 3 * k), p)
-        coset, pivots = list(coker.coset), list(coker.pivots)
-        maps = np.zeros((coker.dim, 3 * h), dtype=np.int64)
-        maps[:, coset] = np.eye(coker.dim, dtype=np.int64)
-        maps[:, pivots] = -coker.image_rref[:, coset].T % p
-        maps = maps.reshape(coker.dim, 3, h).transpose(1, 0, 2)
+        maps = _projection(coker, 3 * h).reshape(coker.dim, 3, h).transpose(1, 0, 2)
         maps.flags.writeable = False  # shared by every caller
         self._maps[t - 1] = maps
         return _KoszulPiece(coker.coset)
@@ -330,7 +439,7 @@ class GradedModule:
         certified it is read from degree min(t, d - 3 - t), as Serre duality
         gives h(t) = h(d - 3 - t).  The pieces above the middle are then
         built only when asked for, as by ``socle`` or a map out of them,
-        by the Koszul route of ``piece`` above t0."""
+        by the Koszul or quotient route of ``piece`` above t0."""
         deg = self.degrees
         if not deg.b[0] <= t <= deg.socle_degree:
             return 0
@@ -344,7 +453,7 @@ class GradedModule:
         degree-(t+1) one, as one (3, h(t+1), h(t)) stack, cached.  Below t0
         each coset monomial times each variable is placed at its
         ``position`` in the next slice and reduced mod the image of that
-        slice; from t0 on the maps come with the Koszul piece t + 1."""
+        slice; from t0 on the maps come with the piece t + 1."""
         if t not in self._maps and t >= self.slice_top:
             self.piece(t + 1)
         if t not in self._maps:

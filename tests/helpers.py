@@ -13,7 +13,9 @@ scanning twists for the first section, where the package counts sections
 in one twist, and ``vote_generic_splitting`` is the five-line majority vote
 that the package replaced by a witness of the least splitting type.
 ``slice_maps`` builds the maps out of any degree from the two slices,
-where the package builds every piece above t0 by the Koszul complex.
+where the package builds the pieces above t0 by the Koszul complex and,
+from the first piece a seeded line is onto, as quotients of the piece
+below.
 ``multiplication_map_loop``, ``substitute_line_loop`` (with
 ``restrict_loop``) and ``section_matrix_loop`` are the dict-lookup, convolution
 and coefficient-by-coefficient loops that the package's index arithmetic and

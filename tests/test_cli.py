@@ -500,20 +500,23 @@ def test_finite_length_claim_reads_the_build_predicate():
 
 
 @pytest.mark.parametrize("argv,built", [
-    ("locus --a 4,4,4 --b 0", (set(range(0, 6)), set(range(6, 11)))),
-    ("line --a 2,2,3,3 --b 0,1 --line 1,2,3", (set(range(0, 4)), set(range(4, 8)))),
-    ("hilbert --a 2,2,3,3 --b 0,1", (set(range(0, 4)), set(range(4, 8)))),
-    ("survey --a 4,4,4 --b 0", (set(range(0, 6)), set(range(6, 11)))),
+    ("locus --a 4,4,4 --b 0", (set(range(0, 6)), set(), set(range(6, 11)))),
+    ("line --a 2,2,3,3 --b 0,1 --line 1,2,3", (set(range(0, 4)), {4}, set(range(5, 8)))),
+    ("hilbert --a 2,2,3,3 --b 0,1", (set(range(0, 4)), {4}, set(range(5, 8)))),
+    ("survey --a 4,4,4 --b 0", (set(range(0, 6)), set(), set(range(6, 11)))),
 ])
 def test_commands_build_only_the_pieces_they_read(argv, built, capsys, monkeypatch):
     # slices up to t0 = max(a_(n+2), b_n, i* + 1), the Koszul route above
-    # it: build certifies degree e + 1 through the Koszul chain, Serre
-    # duality serves h and the Lefschetz scan above the middle, and the
-    # socle reads every piece
+    # it until the seeded line is onto, quotients from there: build
+    # certifies degree e + 1 through that chain, Serre duality serves h and
+    # the Lefschetz scan above the middle, and the socle reads every piece.
+    # On (4,4,4), h(4) = h(5) and the line is onto at once; on (2,2,3,3|0,1),
+    # h(3) > h(2) leaves piece 4 to the Koszul complex
     from lefschetz_locus.presentation import GradedModule
 
-    slices, koszul = set(), set()
+    slices, koszul, quotient = set(), set(), set()
     build_piece, koszul_piece = GradedModule._build_piece, GradedModule._koszul_piece
+    quotient_piece = GradedModule._quotient_piece
 
     def counted(pres, t):
         slices.add(t)
@@ -523,10 +526,15 @@ def test_commands_build_only_the_pieces_they_read(argv, built, capsys, monkeypat
         koszul.add(t)
         return koszul_piece(self, t)
 
+    def counted_quotient(self, t, *args):
+        quotient.add(t)
+        return quotient_piece(self, t, *args)
+
     monkeypatch.setattr(GradedModule, "_build_piece", staticmethod(counted))
     monkeypatch.setattr(GradedModule, "_koszul_piece", counted_koszul)
+    monkeypatch.setattr(GradedModule, "_quotient_piece", counted_quotient)
     code, _ = _run(capsys, argv.split())
-    assert code == 0 and (slices, koszul) == built
+    assert code == 0 and (slices, koszul, quotient) == built
 
 
 @pytest.mark.parametrize("argv", ["hilbert", "locus", "line --line 1,2,3",

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from helpers import rank_rational, random_matrix, rref_loop
 from lefschetz_locus.field_linalg import (
     DEFAULT_PRIME,
+    _matmul,
+    _room,
     _rref,
     cokernel_basis,
     is_prime,
@@ -198,3 +200,24 @@ def test_cokernel_reduce_is_exact_at_the_largest_prime():
              - r_free.T.dot(v[list(ck.pivots), :].astype(object))) % p
     assert len(ck.pivots) == 7
     assert ck.reduce(v).tolist() == exact.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([13, 65521, 2**31 - 1]), data=st.data())
+def test_matmul_is_the_python_int_product_on_both_sides_of_the_room(p, data):
+    # one product where the inner sum fits _room(p), chunks where it does
+    # not: at 2^31 - 1 the room is 2, so inner sizes 1 to 5 take both,
+    # and entries of p - 1 make every unreduced sum of three products wrap
+    inner = data.draw(st.integers(0, 5))
+    stack, rows, cols = (data.draw(st.integers(1, 3)) for _ in range(3))
+    entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    a = np.array(data.draw(st.lists(entry, min_size=stack * rows * inner,
+                                    max_size=stack * rows * inner)),
+                 dtype=np.int64).reshape(stack, rows, inner)
+    b = np.array(data.draw(st.lists(entry, min_size=inner * cols, max_size=inner * cols)),
+                 dtype=np.int64).reshape(inner, cols)
+    got = _matmul(a, b, p)
+    want = [[[sum(int(a[k, i, j]) * int(b[j, c]) for j in range(inner)) % p
+              for c in range(cols)] for i in range(rows)] for k in range(stack)]
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert (inner <= _room(p)) == (p != 2**31 - 1 or inner <= 2)

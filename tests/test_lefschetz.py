@@ -861,12 +861,14 @@ def test_compressed_rank_equals_full_rank_on_criterion_8():
 
 def _recorded_minors(monkeypatch):
     """(degree, size, compressed?) of every ``_minor_values`` call, with
-    "line" in place of compressed? for the values on the seeded line."""
+    "line" in place of compressed? for the values at points of the seeded
+    line, all of them or a slice."""
     calls = []
     values = lef._minor_values
 
     def recorded(m, i, size, count=0, points=None):
-        assert points is None or points is lef._line_points(size, m.prime)
+        line = lef._line_points(size, m.prime)
+        assert points is None or points is line or points.base is line
         calls.append((i, size, "line" if points is not None else bool(count)))
         return values(m, i, size, count, points)
 
@@ -1232,32 +1234,40 @@ def test_middle_measure_falls_back_where_the_line_certifies_nothing(middle, q):
     ((5, 5, 5), "4fcd81e844447774"),  # 19 x 18
 ], ids=["2,2,4", "2,3,3", "3,3,3", "3,4,4", "4,4,5", "5,5,5"])
 def test_middle_line_values_are_pinned(a, digest, monkeypatch):
-    # SHA-256 of the one ``_minor_values`` array that ``middle_measure``
-    # asks for at p = 2^31 - 1, seed 1, with its degree, minor size and
-    # shape: the middle's maximal minors at the s + 1 points of the seeded
-    # line, which certify every one of these middles.  Where s <= 6 each
-    # value is also the cofactor oracle's
+    # SHA-256 of the ``_minor_values`` array at p = 2^31 - 1, seed 1, with
+    # its degree, minor size and shape: the middle's maximal minors at the
+    # s + 1 points of the seeded line, which certify every one of these
+    # middles.  ``middle_measure`` asks for all of them on a corank-1
+    # middle, and for the first point alone on a square, whose value is
+    # that array's first row.  Where s <= 6 each value is also the
+    # cofactor oracle's
     import hashlib
 
-    h, values, calls = hashlib.sha256(), lef._minor_values, []
+    values, calls = lef._minor_values, []
 
-    def hashed(m, i, size, count=0, points=None):
+    def recorded(m, i, size, count=0, points=None):
         out = values(m, i, size, count, points)
-        calls.append((i, size, count, points))
-        h.update(np.array([i, size, count, *out.shape], dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
+        calls.append((i, size, count, points, out))
         return out
 
-    monkeypatch.setattr(lef, "_minor_values", hashed)
+    monkeypatch.setattr(lef, "_minor_values", recorded)
     monkeypatch.setattr(lef, "measure", None)  # no fallback
     m = generic_module(DegreeData(a, (0,)), 1, 2**31 - 1)
     got = lef.middle_measure(m)
     s, n = sorted(m.h(i) for i in (m.degrees.middle_degree, m.degrees.middle_degree + 1))
     assert got == (IdealMeasure(1, s) if n == s else IdealMeasure(0, comb(s + 1, 2)))
-    [(i, size, count, points)] = calls
+    [(i, size, count, asked, seen)] = calls
     assert (i, size, count) == (m.degrees.middle_degree, s, 0)
-    assert points is lef._line_points(s, m.prime)
+    points = lef._line_points(s, m.prime)
+    out = values(m, i, s, 0, points)
+    h = hashlib.sha256(np.array([i, s, 0, *out.shape], dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
     assert h.hexdigest()[:16] == digest
+    if n == s:
+        assert asked.base is points and asked.tolist() == points[:1].tolist()
+        assert seen.tolist() == out[:1].tolist() and seen.any()
+    else:
+        assert asked is points and np.array_equal(seen, out)
     if s <= 6:
         want = [_cofactor_minors(m, i, point) for point in points.tolist()]
         assert values(m, i, s, 0, points).tolist() == want

@@ -22,6 +22,7 @@ from lefschetz_locus.presentation import (
     PresentationMatrix,
     _KoszulPiece,
     _Piece,
+    _QuotientPiece,
     _block_layout,
     generic_hilbert_profile,
     generic_module,
@@ -194,8 +195,8 @@ def test_multiplication_maps_match_lookup_oracle(deg, seed, line):
     # the variables; at 2^31 - 1 a sum of three unreduced products of
     # residues would overflow int64.  The module is taken as presented, so
     # a small prime's degenerate draw is a case too.  These are the maps
-    # between slice-built pieces, up to t0; the Koszul maps above are
-    # checked against the slices in another basis below.
+    # between slice-built pieces, up to t0; the Koszul and quotient maps
+    # above are checked against the slices in another basis below.
     p, coeffs = line
     m = GradedModule(random_presentation(deg, seed, p), {})
     for t in range(deg.b[0] - 1, m.slice_top):
@@ -208,38 +209,74 @@ def test_multiplication_maps_match_lookup_oracle(deg, seed, line):
             assert np.array_equal(maps[v], multiplication_map_loop(m, one, t)), (t, v)
 
 
-def _assert_koszul_pieces_are_the_slice_pieces(m, top):
+def _assert_upper_pieces_are_the_slice_pieces(m, top):
     """Every piece from b_1 - 1 through ``top`` against ``slice_maps``: up
     to t0 the maps are the slice maps themselves.  Above, M_(t+1) has the
     slice dimension and its maps are the slice maps in the basis P_(t+1),
-    whose column j is the slice class of x_v * m_i for (v, i) the j-th
-    coordinate of the Koszul coset, m_i the i-th column of P_t, P_(t0) = I."""
+    P_(t0) = I, whose column j is the slice class of x_v * m_i for (v, i)
+    the j-th coordinate of a Koszul coset, and of l * m_(coset[j]) for a
+    quotient coset, l the seeded line and m_i the i-th column of P_t.  A
+    quotient piece's kernel rows are a basis of the kernel of l out of t.
+    Returns the route of each piece above t0, K or Q, and checks that no
+    Koszul piece follows a quotient."""
     p, t0 = m.prime, m.slice_top
+    line = np.array(presentation._seeded_line(p), dtype=object)
     for t in range(m.degrees.b[0] - 1, t0):
         assert np.array_equal(m.variable_maps(t), slice_maps(m.pres, t)), t
     basis = np.eye(m.piece(t0).dim, dtype=object)
+    routes = ""
     for t in range(t0, top):
         slices = slice_maps(m.pres, t).astype(object)
-        koszul = m.variable_maps(t).astype(object)
-        assert isinstance(m.piece(t + 1), _KoszulPiece), t
-        assert m.piece(t + 1).dim == slices.shape[1], t
-        v, i = np.divmod(np.array(m.piece(t + 1).coset, dtype=np.int64), m.piece(t).dim)
-        nxt = np.zeros((slices.shape[1], len(v)), dtype=object)
-        for j, (vj, ij) in enumerate(zip(v, i)):
-            nxt[:, j] = slices[vj].dot(basis[:, ij]) % p
-        assert rank(nxt.astype(np.int64), p) == len(v), t  # a basis of M_(t+1)
+        maps = m.variable_maps(t).astype(object)
+        piece = m.piece(t + 1)
+        assert piece.dim == slices.shape[1], t
+        coset = np.array(piece.coset, dtype=np.int64)
+        if isinstance(piece, _KoszulPiece):
+            routes += "K"
+            v, i = np.divmod(coset, m.piece(t).dim)
+            nxt = np.zeros((slices.shape[1], len(v)), dtype=object)
+            for j, (vj, ij) in enumerate(zip(v, i)):
+                nxt[:, j] = slices[vj].dot(basis[:, ij]) % p
+        else:
+            assert isinstance(piece, _QuotientPiece), t
+            routes += "Q"
+            l_slice = (line[:, None, None] * slices).sum(axis=0) % p
+            nxt = l_slice.dot(basis[:, coset]) % p
+            kernel = piece.kernel.astype(object)
+            assert kernel.shape == (m.piece(t).dim - piece.dim, m.piece(t).dim), t
+            assert rank(piece.kernel, p) == len(kernel), t
+            assert not (l_slice.dot(basis).dot(kernel.T) % p).any(), t
+        assert rank(nxt.astype(np.int64), p) == len(coset), t  # a basis of M_(t+1)
         for x in range(3):
-            assert np.array_equal(slices[x].dot(basis) % p, nxt.dot(koszul[x]) % p), (t, x)
+            assert np.array_equal(slices[x].dot(basis) % p, nxt.dot(maps[x]) % p), (t, x)
         basis = nxt
+    assert "QK" not in routes
+    return routes
+
+
+# the seeded line; the zero form, onto no nonzero piece, so every step stays
+# Koszul; and x1, onto only from a higher degree than the seeded line on the
+# pure powers (3,4,4)
+_LINES = {"seeded": None, "never": (0, 0, 0), "x1": (1, 0, 0)}
+
+
+def _set_line(mp, name):
+    if _LINES[name] is not None:
+        mp.setattr(presentation, "_seeded_line", lambda p: _LINES[name])
 
 
 @settings(max_examples=25, deadline=None)
 @given(deg=_twists(), seed=st.integers(0, 2**32),
-       prime=st.sampled_from([13, 65521, 2**31 - 1]))
-def test_koszul_pieces_are_the_slice_pieces_in_another_basis(deg, seed, prime):
+       prime=st.sampled_from([13, 65521, 2**31 - 1]), line=st.sampled_from(sorted(_LINES)))
+def test_koszul_pieces_are_the_slice_pieces_in_another_basis(deg, seed, prime, line):
     # taken as presented, so a degenerate draw at p = 13 is a case too
-    m = GradedModule(random_presentation(deg, seed, prime), {})
-    _assert_koszul_pieces_are_the_slice_pieces(m, max(deg.socle_degree, deg.b[-1]) + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        _set_line(mp, line)
+        m = GradedModule(random_presentation(deg, seed, prime), {})
+        routes = _assert_upper_pieces_are_the_slice_pieces(
+            m, max(deg.socle_degree, deg.b[-1]) + 1)
+    if line == "never":
+        assert set(routes) <= {"K"}
 
 
 _INFINITE_GRIDS = [
@@ -248,23 +285,64 @@ _INFINITE_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
-@pytest.mark.parametrize("a,b,grid", [
+_UPPER_FIXTURES = [
     ((2, 3, 4, 4, 5), (0, 0, 2), None),
     ((3, 3, 4, 4, 5), (0, 1, 1), None),
     ((1, 1, 1, 8), (0, 0), None),
-] + [((2, 2, 3), (0,), grid) for grid in _INFINITE_GRIDS])
-def test_koszul_pieces_match_the_slices_on_fixtures(a, b, grid, p):
-    # three presented modules, and the two of infinite length, whose
-    # pieces beyond the socle degree are nonzero: the Koszul route assumes
-    # neither finite length nor duality
+] + [((2, 2, 3), (0,), grid) for grid in _INFINITE_GRIDS] + [
+    ((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]]),
+    ((2, 2, 3, 3), (0, 1), [["x1^2 + x2*x3", "x2^2", "x3^3 + x1^3", "x1^2*x2"],
+                            ["x3", "x1", "x2^2", "x3^2 + x1*x2"]]),
+]
+
+# the route of each piece above t0 on the finite grids, by line, keyed by
+# the grid's first entry
+_GRID_ROUTES = {
+    "x1^3": {"seeded": "KQQQQQ", "never": "KKKKKK", "x1": "KKKQQQ"},
+    "x1^2 + x2*x3": {"seeded": "KQQQQ", "never": "KKKKK", "x1": "KQQQQ"},
+}
+
+
+def _assert_upper_pieces_on_fixture(a, b, grid, p, line):
+    """The oracle two degrees past the socle.  No line is onto a piece of a
+    module whose support holds a curve, as every line meets it, so the
+    infinite grids stay Koszul and are refused at e + 1 as before; the
+    seeded line is onto from some degree on every finite fixture; x1
+    maps the pure powers' M_t onto M_(t+1) only from t = 6, where the
+    seeded line already does from t = 4; and the last grid's first quotient
+    step needs every block of K_t, the x3 images of ker L among them."""
     deg = DegreeData(a, b)
     pres = (random_presentation(deg, 1, p) if grid is None
             else presentation_from_strings(deg, grid, p))
     m = GradedModule(pres, {})
-    _assert_koszul_pieces_are_the_slice_pieces(m, max(deg.socle_degree, deg.b[-1]) + 2)
-    if grid is not None:
+    routes = _assert_upper_pieces_are_the_slice_pieces(m, max(deg.socle_degree, deg.b[-1]) + 2)
+    if grid in _INFINITE_GRIDS:
+        assert set(routes) == {"K"}
         assert m.first_piece_beyond_socle() == deg.socle_degree + 1
+    elif line == "never":
+        assert set(routes) == {"K"}
+    elif line == "seeded":
+        assert "Q" in routes
+    if grid is not None and grid not in _INFINITE_GRIDS:
+        assert routes == _GRID_ROUTES[grid[0][0]][line]
+
+
+@pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
+@pytest.mark.parametrize("a,b,grid", _UPPER_FIXTURES)
+def test_koszul_pieces_match_the_slices_on_fixtures(a, b, grid, p):
+    # three presented modules, the two of infinite length, whose pieces
+    # beyond the socle degree are nonzero, the pure powers and a sparse
+    # grid: neither route assumes finite length or duality
+    _assert_upper_pieces_on_fixture(a, b, grid, p, "seeded")
+
+
+@pytest.mark.parametrize("line", ["never", "x1"])
+@pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
+@pytest.mark.parametrize("a,b,grid", _UPPER_FIXTURES)
+def test_upper_pieces_under_other_lines_match_the_slices_on_fixtures(a, b, grid, p, line,
+                                                                     monkeypatch):
+    _set_line(monkeypatch, line)
+    _assert_upper_pieces_on_fixture(a, b, grid, p, line)
 
 
 _BELOW_A1 = [(a, b, seed) for seed in (1, 2) for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID]
@@ -420,18 +498,21 @@ def _built(m, kind):
 
 
 @pytest.mark.parametrize("a,b,grid,built", [
-    ((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]], (4, 9)),
+    ((3, 4, 4), (0,), [["x1^3", "x2^4", "x3^4"]], (4, 5, 9)),
     ((2, 2, 3, 3), (0, 1), [["x1^2", "x2^2", "x3^3", "0"], ["0", "x1", "x2^2", "x3^2"]],
-     (3, 7)),
+     (3, 4, 7)),
 ])
 def test_build_certifies_from_the_pieces_beyond_the_socle_alone(a, b, grid, built):
-    # the certificate at e + 1 rests on the Koszul chain from t0 + 1 and on
-    # the two slices t0 - 1 and t0 whose maps start it
-    t0, top = built
+    # the certificate at e + 1 rests on one Koszul step at t0 + 1, where
+    # h(t0) > h(t0 - 1) rules the line out, then on quotients up to e + 1,
+    # and on the two slices t0 - 1 and t0 whose maps start the chain
+    t0, koszul, top = built
     m = GradedModule.build(presentation_from_strings(DegreeData(a, b), grid))
     assert m.certified and m.slice_top == t0 and top == m.degrees.socle_degree + 1
+    assert m.piece(t0).dim > m.piece(t0 - 1).dim
     assert _built(m, _Piece) == [t0 - 1, t0]
-    assert _built(m, _KoszulPiece) == list(range(t0 + 1, top + 1))
+    assert _built(m, _KoszulPiece) == list(range(t0 + 1, koszul + 1))
+    assert _built(m, _QuotientPiece) == list(range(koszul + 1, top + 1))
     m.hilbert()  # the lower half of the support, up to (d - 3) / 2
     lower = set(range(b[0], (m.degrees.d - 3) // 2 + 1))
     assert _built(m, _Piece) == sorted(lower | {t0 - 1, t0})
@@ -489,15 +570,19 @@ def test_generic_module_reseeds_degenerate_draws_over_tiny_field():
 
 
 def test_coset_basis_monomials_match_dimensions():
-    # slices carry coset monomials up to t0 = 3; above, a Koszul coset
-    # coordinate names x_v times a basis class one degree down
+    # slices carry coset monomials up to t0 = 3; above, a quotient coset
+    # coordinate names l times a basis class one degree down, each at most
+    # once, and its kernel rows fill the rest of that piece
     m = _module((2, 2, 3), (0,))
     assert m.slice_top == 3
     for t in m.support:
         piece = m.piece(t)
         if t > m.slice_top:
+            assert isinstance(piece, _QuotientPiece)
             assert piece.dim == m.h(t)
-            assert all(0 <= c < 3 * m.h(t - 1) for c in piece.coset)
+            assert list(piece.coset) == sorted(set(piece.coset))
+            assert all(0 <= c < m.h(t - 1) for c in piece.coset)
+            assert piece.kernel.shape == (m.h(t - 1) - m.h(t), m.h(t - 1))
             continue
         assert len(piece.coset_blocks) == len(piece.coset_exponents) == m.h(t)
         for block, mono in zip(piece.coset_blocks, piece.coset_exponents):
