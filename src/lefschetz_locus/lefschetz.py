@@ -10,14 +10,17 @@ interpolated in closed form (Newton differences), so a locus needs a prime
 above s.  The forms stay coefficient rows in the grevlex column order of
 :mod:`.groebner` from the interpolation to the Groebner basis.
 
-``middle_measure`` needs neither when the middle map is square or has
-corank 1: the minors restricted to one seeded line settle the locus.  A
-square map has the one minor det, a principal ideal, so its locus is the
-curve V(det) of degree s once det takes a nonzero value.  For an
-(s+1) x s map, s + 1 independent restrictions span every binary form of
-degree s, so the line misses V(I); a curve meets every line, so V(I) is
-finite, and as Eagon-Northcott bound the height of the proper ideal I by
-2, the height is 2 and Hilbert-Burch fixes the degree at C(s+1, 2).  Any
+``middle_measure`` needs no minor when the middle map is square or has
+corank 1: the map on one seeded line settles the locus.  A square map has
+the one minor det, a principal ideal, so its locus is the curve V(det) of
+degree s once the map has rank s at one point.  An (s+1) x s pencil that
+keeps rank s at every point of the line, over the algebraic closure (one
+elimination and a Kalman rank, by the Popov-Belevitch-Hautus test), shows
+that the line misses V(I); a curve meets every line, so V(I) is finite,
+and as Eagon-Northcott bound the height of the proper ideal I by 2, the
+height is 2 and Hilbert-Burch fixes the degree at C(s+1, 2).  By
+Kronecker's canonical form that certifies exactly the middles whose
+minors, restricted to the line, span every binary form of degree s.  Any
 other shape, and a line that certifies nothing, takes the Groebner basis
 (``middle_basis``).
 
@@ -104,14 +107,13 @@ def _minor_shape(n: int, size: int) -> tuple[bool, int]:
     return by_kernel, n - size if by_kernel else size
 
 
-def _lattice_minors(maps, size: int, p: int, weights=None, points=None) -> np.ndarray:
+def _lattice_minors(maps, size: int, p: int, weights=None) -> np.ndarray:
     """Values of every maximal minor of the n x size (taller side) matrix
     M = sum_v l_v * maps[v] at each chart point: the row of the degree-``size``
     monomial (a, b, c) (``monomial_basis`` order) holds the values at
     (1, b, c), unisolvent as b, c <= size < p; a column per row subset S (in
-    lexicographic order).  Given ``points``, rows of residues (l1, l2, l3),
-    row j holds the values at point j instead.  Each l_v * maps[v] is
-    reduced before the sum, which stays below 3p.  If 0 < n - size < size,
+    lexicographic order).  Each l_v * maps[v] is reduced before the sum,
+    which stays below 3p.  If 0 < n - size < size,
     one elimination of [M | I_n] gives E M = [U; 0], the bottom rows K of E
     span the left kernel, and by Jacobi's complementary-minor identity
     (0-indexed S)
@@ -142,9 +144,8 @@ def _lattice_minors(maps, size: int, p: int, weights=None, points=None) -> np.nd
     else:
         q_t = weights.transpose(0, 2, 1)[None]
         cols = len(weights)
-    if points is None:
-        points = np.array(monomial_basis(size).monomials, dtype=np.int64)
-        points[:, 0] = 1  # the chart l1 = 1
+    points = np.array(monomial_basis(size).monomials, dtype=np.int64)
+    points[:, 0] = 1  # the chart l1 = 1
     step = max(1, _BATCH // max(n * (n + size) * by_kernel, cols * k * k))
     out = []
     for lo in range(0, len(points), step):
@@ -216,12 +217,10 @@ def _check_prime(p: int, i: int, size: int) -> None:
                          f"the locus needs a prime above the minor size {size}")
 
 
-def _minor_values(m: GradedModule, i: int, size: int, count: int = 0,
-                  points=None) -> np.ndarray:
-    """``_lattice_minors`` of degree i: every maximal minor (at ``points``
-    if given) or, with a ``count``, that many seeded combinations of them.
-    The all-minors value matrix is refused above ``_MAX_VALUES`` entries
-    with a named error."""
+def _minor_values(m: GradedModule, i: int, size: int, count: int = 0) -> np.ndarray:
+    """``_lattice_minors`` of degree i: every maximal minor or, with a
+    ``count``, that many seeded combinations of them.  The all-minors value
+    matrix is refused above ``_MAX_VALUES`` entries with a named error."""
     p = m.prime
     _check_prime(p, i, size)
     maps = m.variable_maps(i)
@@ -229,12 +228,12 @@ def _minor_values(m: GradedModule, i: int, size: int, count: int = 0,
     _, k = _minor_shape(n, size)
     if count:
         return _lattice_minors(maps, size, p, _weights(n, k, count, p))
-    rows = comb(size + 2, 2) if points is None else len(points)
+    rows = comb(size + 2, 2)
     minors = comb(n, k)
     if rows * minors > _MAX_VALUES:
         raise ValueError(f"the degree-{i} minors of a {n} x {size} map take {rows} points "
                          f"x {minors} minors, above the cap of {_MAX_VALUES} values")
-    return _lattice_minors(maps, size, p, None, points)
+    return _lattice_minors(maps, size, p)
 
 
 def _eliminate(stack: np.ndarray, cols: int, p: int) -> np.ndarray:
@@ -404,37 +403,73 @@ def _middle_rows(m: GradedModule) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64).reshape(-1, comb(s_mid + 2, 2)), s_mid
 
 
+def _observable(mq: np.ndarray, mp: np.ndarray, p: int) -> bool:
+    """Does the (s+1) x s pencil M(P) + lambda M(Q) (``mq``, ``mp`` taken
+    on the tall side) keep rank s at every point of its line over the
+    algebraic closure, lambda = infinity (the point Q) included?  One
+    Gauss-Jordan of [M(Q) | M(P)]: its first s pivots in the first s
+    columns show that M(Q) is injective and leave E M(Q) = [I; 0] and
+    E M(P) = [B; c], c a row, so E(M(P) + lambda M(Q)) = [B + lambda I; c]
+    loses rank exactly where an eigenvector of B with eigenvalue -lambda
+    lies in ker c.  By the Popov-Belevitch-Hautus test there is none
+    exactly when the Kalman matrix [c; cB; ...; cB^(s-1)] has rank s.  A
+    pivot that the elimination takes in row s scales c and adds multiples
+    of c to the rows of B, which changes neither that rank nor ker c."""
+    s = mq.shape[1]
+    red, pivots = _rref(np.hstack([mq, mp]), p)
+    if pivots[:s] != tuple(range(s)):
+        return False
+    b, rows = red[:s, s:], [red[s:, s:]]
+    for _ in range(s - 1):
+        rows.append(_matmul(rows[-1], b, p))
+    return rank(np.vstack(rows), p) == s
+
+
 def middle_measure(m: GradedModule) -> IdealMeasure:
     """Dimension and degree of the middle locus V(I), I = I_(i*) the ideal
-    of the maximal minors of the middle map, of degree s, taken from their
-    values at the s + 1 points of one seeded line (``_line_points``) when
-    they settle it, else from ``middle_basis``.
-    - Square (h_(i*) = h_(i*+1) = s): I = (det), so a nonzero value proves
-      det != 0, and V(I) is the curve V(det) of degree s.  The first point
-      is evaluated alone, and the other s only where its value is 0.
-    - Corank 1 ((s+1) x s): the s + 1 minors restricted to the line are
-      binary forms of degree s; values of rank s + 1 (Vandermonde times
-      coefficients) mean they span all of them, so the line misses V(I).
+    of the maximal minors of the middle map, of degree s, read off the map
+    on one seeded line (``_line_points``: the points P + lambda Q,
+    lambda = 0..s) when that settles it, else from ``middle_basis``.  No
+    minor is evaluated.
+    - Square (h_(i*) = h_(i*+1) = s): I = (det), so a point of rank s
+      proves det != 0, and V(I) is the curve V(det) of degree s.  The
+      points are ranked in order, each only where the ones before it fell
+      short; det is a binary form of degree s on the line, so all s + 1
+      fall short exactly when it vanishes there.
+    - Corank 1 ((s+1) x s): ``_observable`` proves that no point of the
+      line over the algebraic closure drops rank, so the line misses V(I).
       Every curve meets every line, so V(I) is finite.  By Eagon-Northcott
       (Proc. R. Soc. A 269, 1962) the maximal minors of an (s+1) x s matrix
       generate a proper ideal of height at most 2, so the height is 2, I is
       perfect with the Hilbert-Burch resolution
       0 -> R(-s-1)^s -> R(-s)^(s+1) -> I -> 0, and V(I) is a finite scheme
       of degree C(s+1, 2), the measure its Groebner basis would give.
+      This certifies exactly the middles whose s + 1 minors, restricted to
+      the line, span every binary form of degree s.  Where they do, they
+      have no common zero on it.  Conversely, the Kronecker canonical form
+      (Gantmacher, The Theory of Matrices II, Ch. XII) of an (s+1) x s
+      pencil of rank s at every point of P^1 has no elementary divisor,
+      finite or infinite, and no block L_e, as each loses rank somewhere;
+      its blocks L_e^T each have one row more than columns, so there is
+      one, L_s^T, whose maximal minors are, up to sign, the s + 1
+      monomials of degree s, and the constant invertible matrices of the
+      equivalence act invertibly on the span of the minors.
     - Anything else: any other shape, a determinant vanishing on the whole
       line, or a line through a point of V(I), takes the Groebner basis.
     The middle's named errors (a prime not above s) come first, as from
     ``middle_basis``."""
-    i = m.degrees.middle_degree
+    i, p = m.degrees.middle_degree, m.prime
     size, n = sorted((m.h(i), m.h(i + 1)))
     if size and n - size <= 1:
-        points = _line_points(size, m.prime)
+        _check_prime(p, i, size)
+        points = _line_points(size, p)
         if n == size:
-            if any(_minor_values(m, i, size, points=part).any()
-                   for part in (points[:1], points[1:])):
+            if any(rank(m.multiplication_map(point, i), p) == size for point in points):
                 return IdealMeasure(1, size)
-        elif rank(_minor_values(m, i, size, points=points), m.prime) == size + 1:
-            return IdealMeasure(0, comb(size + 1, 2))
+        else:
+            pencil = [m.multiplication_map(v, i) for v in (points[1] - points[0], points[0])]
+            if _observable(*(pencil if len(pencil[0]) > size else [a.T for a in pencil]), p):
+                return IdealMeasure(0, comb(size + 1, 2))
     return measure(middle_basis(m))
 
 

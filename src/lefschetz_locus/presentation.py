@@ -10,9 +10,11 @@ t0 = max(a_(n+2), b_n, i* + 1), where generators and relations are still
 born and every command reads, it is the cokernel of the degree-t slice of
 the map.  Above t0 it is R_1 (x) M_(t-1) modulo the Koszul relations out
 of M_(t-2), a 3h(t-1) x 3h(t-2) elimination that gives the maps into it at
-once, until a seeded line maps one piece onto the next.  From there on
-each piece is the one below modulo a small kernel, an elimination with
-h(t-1) - h(t) pivots (``GradedModule.piece``).
+once, until a seeded line maps one piece V onto the next.  From there on
+each piece is V/W_t in V's own coordinates, W_t grown from W_(t-1) by the
+images of the rows that the step before added, one elimination with
+h(t-1) - h(t) pivots, and the maps out of those degrees are formed only
+when read (``GradedModule.piece``).
 """
 
 from __future__ import annotations
@@ -212,17 +214,34 @@ class _KoszulPiece:
 
 @dataclass(frozen=True)
 class _QuotientPiece:
-    """A piece M_t = M_(t-1)/K_t above the first degree where the seeded
-    line is onto: coset coordinate j is the class of l * m_(coset[j]), and
-    the rows of ``kernel`` (reduced, one per pivot) span K_t, the kernel
-    of the map of l out of t - 1."""
+    """A piece M_t = V/W_t above the first degree where the seeded line is
+    onto, V = M_j the first piece that it maps onto its successor: coset
+    coordinate k is the class of l * m_(coset[k]), for the basis classes
+    m_i of the piece below, and the rows of ``kernel`` (reduced, one per
+    pivot) span K_t = W_t/W_(t-1), the kernel of the map of l out of
+    t - 1, in their coordinates.  ``span`` is W_t in V's coordinates, whose
+    coset is that of M_t, and ``ab`` holds the maps A, B of V into itself
+    that give x2 and x3, the same for every piece from M_(j+1) up
+    (``piece``)."""
 
     coset: tuple[int, ...]
     kernel: np.ndarray
+    span: CokernelBasis
+    ab: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.coset)
+
+    def images(self) -> np.ndarray:
+        """A v and B v for the kernel rows v, read in V's coordinates (the
+        last rows of ``span``), reduced mod W_t to the coset coordinates of
+        M_t: one (h(t), 2k) matrix, column u * k + i for the i-th row and
+        A (u = 0) or B (u = 1)."""
+        k, span = len(self.kernel), self.span
+        rows = span.image_rref[len(span.pivots) - k:]
+        out = _matmul(self.ab, rows.T, span.p).transpose(1, 0, 2)
+        return span.reduce(out.reshape(len(out), 2 * k))
 
 
 @lru_cache(maxsize=8)
@@ -349,29 +368,41 @@ class GradedModule:
         (``_seeded_line``), has the relations l (x) Y m - x2 (x) L m,
         l (x) Z m - x3 (x) L m and x2 (x) Z m - x3 (x) Y m, where L, Y, Z
         are the maps of l, x2, x3 out of degree t - 2.  Let L be onto
-        M_(t-1), with a section sigma (L sigma = I).  Then
+        V = M_(t-1), with a section sigma (L sigma = I).  Then
         phi(l (x) a + x2 (x) b + x3 (x) c) = a + Y sigma b + Z sigma c maps
         R_1 (x) M_(t-1) onto M_(t-1), and its kernel, spanned by the
         x2 (x) n - l (x) Y sigma n and x3 (x) n - l (x) Z sigma n, consists of
-        relations (those of m = sigma n).  So M_t = M_(t-1)/K_t, where the
-        class of l (x) n is that of n and K_t is the image of the relations
-        under phi: Y(m - sigma L m) and Z(m - sigma L m), where m - sigma L m
-        runs over ker L, and (Y sigma Z - Z sigma Y) m, so
-        K_t = Y(ker L) + Z(ker L) + (Y sigma Z - Z sigma Y)(M_(t-2)).
-        One elimination of those generators, with
-        h(t-1) - h(t) pivots, gives the coset: coordinate j is the class of
-        l m_(coset[j]).  The maps out of t - 1 are the projection pi for l,
-        pi Y sigma for x2, pi Z sigma for x3, and
-        c1^-1 (pi - c2 pi Y sigma - c3 pi Z sigma) for x1.  As pi is onto,
-        with the coset coordinates as a section and K_t as its kernel,
-        every later piece takes the same step with no further elimination
-        for them: from the first piece M_j that the line is onto, the
-        quotient steps spend h(j) pivots in all.  The first step needs one
-        elimination of [L^T | I] for sigma and ker L (``_section``), tried
-        only where 0 < h(t-1) <= h(t-2) (M_t = 0 when h(t-1) = 0); the
-        Koszul step stays for every degree where it fails.  Nothing assumes
-        finite length or duality, so
-        ``first_piece_beyond_socle`` stays exact on any input."""
+        relations (those of m = sigma n).  So M_t = V/W_t, where the class
+        of l (x) v is that of v and W_t is the image of the relations under
+        phi: Y(m - sigma L m) and Z(m - sigma L m), where m - sigma L m runs
+        over ker L, and (Y sigma Z - Z sigma Y) m, so
+        W_t = Y(ker L) + Z(ker L) + (Y sigma Z - Z sigma Y)(M_(t-2)).
+
+        With A = Y sigma and B = Z sigma, x2 v = x2 L sigma v = l A v, so x2
+        maps the class of v to that of A v, and x3 to that of B v.  As l is
+        onto from there on, M_s = V/W_s for every s >= t - 1 (W_(t-1) = 0),
+        the class of v in M_s standing for l^(s-t+1) v: l maps it to the
+        class of v in M_(s+1), x2 and x3 to those of A v and B v, and x1 to
+        that of c1^-1 (I - c2 A - c3 B) v.  W_(s+1) is the kernel of
+        V -> M_(s+1), and the same step taken from M_s gives
+        W_(s+1) = W_s + A W_s + B W_s: its relation block,
+        (A sigma' B - B sigma' A)(M_(s-1)) for a lift sigma', lies in
+        [A, B] V + A W_s + B W_s, and [A, B] = (Y sigma Z - Z sigma Y) sigma
+        maps V into W_t.  As A W_(s-1) and B W_(s-1) lie in W_s,
+        W_(s+1) = W_s + A D + B D, D the rows that W_s added to W_(s-1):
+        one elimination of their images, reduced mod W_s, with
+        h(s) - h(s+1) pivots (``_quotient_step``).  The pivots of W_(s+1)
+        extend those of W_s, so its coset is the coset of that elimination
+        within that of W_s, and coordinate j of M_(s+1) is the class of
+        l m_(coset[j]), the basis of a quotient taken step by step.  The
+        maps out of s are not formed with the piece; ``variable_maps``
+        reduces [I | A | B] at the coset of W_s mod W_(s+1) when they are
+        first read.  The first step needs one elimination of [L^T | I] for
+        sigma and ker L (``_section``), tried only where
+        0 < h(t-1) <= h(t-2) (M_t = 0 when h(t-1) = 0); the Koszul step
+        stays for every degree where it fails.  Nothing assumes finite
+        length or duality, so ``first_piece_beyond_socle`` stays exact on
+        any input."""
         if t not in self._pieces:
             if t <= self.slice_top:
                 self._pieces[t] = self._build_piece(self.pres, t)
@@ -385,34 +416,40 @@ class GradedModule:
         """Piece t > t0 as in ``piece``: a quotient where the seeded line
         maps M_(t-2) onto M_(t-1), else by the Koszul complex."""
         below = self.piece(t - 1)
-        if isinstance(below, _QuotientPiece):  # l is onto it, by pi
-            _, y, z = self.variable_maps(t - 2)
-            return self._quotient_piece(t, y[:, below.coset], z[:, below.coset], below.kernel)
+        if isinstance(below, _QuotientPiece):  # l is onto it
+            return self._quotient_step(below)
         if 0 < below.dim <= self.piece(t - 2).dim:
             onto = _section(self.multiplication_map(_seeded_line(self.prime), t - 2), self.prime)
             if onto is not None:
-                (section, kernel), (_, y, z) = onto, self.variable_maps(t - 2)
-                return self._quotient_piece(t, _matmul(y, section, self.prime),
-                                            _matmul(z, section, self.prime), kernel)
+                return self._first_quotient(t, *onto)
         return self._koszul_piece(t)
 
-    def _quotient_piece(self, t: int, ysec: np.ndarray, zsec: np.ndarray,
+    def _first_quotient(self, t: int, section: np.ndarray,
                         kernel: np.ndarray) -> _QuotientPiece:
-        """Piece t = M_(t-1)/K_t as in ``piece``, from Y sigma, Z sigma and
-        the rows of a basis of ker L out of t - 2; it stores the maps out
-        of t - 1."""
-        p, (c1, c2, c3) = self.prime, _seeded_line(self.prime)
-        _, y, z = self.variable_maps(t - 2)
-        coker = cokernel_basis(np.hstack([
-            _matmul(y, kernel.T, p), _matmul(z, kernel.T, p),
-            (_matmul(ysec, z, p) - _matmul(zsec, y, p)) % p]), p)
-        pi = _projection(coker, len(ysec))
-        ymap, zmap = _matmul(pi, ysec, p), _matmul(pi, zsec, p)
-        xmap = (pi - c2 * ymap % p - c3 * zmap % p) % p * pow(c1, -1, p) % p
-        maps = np.stack([xmap, ymap, zmap])
-        maps.flags.writeable = False  # shared by every caller
-        self._maps[t - 1] = maps
-        return _QuotientPiece(coker.coset, coker.image_rref)
+        """Piece t = V/W_t, V = M_(t-1), as in ``piece``, from the section
+        sigma and the rows of a basis of ker L out of t - 2."""
+        p, (_, y, z) = self.prime, self.variable_maps(t - 2)
+        ab = _matmul(np.stack([y, z]), section, p)
+        ab.flags.writeable = False  # shared by the chain
+        span = cokernel_basis(np.hstack([_matmul(y, kernel.T, p), _matmul(z, kernel.T, p),
+                                         (_matmul(ab[0], z, p) - _matmul(ab[1], y, p)) % p]), p)
+        return _QuotientPiece(span.coset, span.image_rref, span, ab)
+
+    def _quotient_step(self, below: _QuotientPiece) -> _QuotientPiece:
+        """The piece above ``below`` = V/W, as in ``piece``: the images of
+        its kernel rows under A and B, reduced mod W, give the kernel, and
+        W gains those rows, each lifted by zeros on W's pivots, with W's
+        rows reduced on their pivots."""
+        w = below.span
+        coker = cokernel_basis(below.images(), w.p)
+        free = np.array(w.coset, dtype=np.intp)
+        new = np.zeros((len(coker.pivots), below.ab.shape[1]), dtype=np.int64)
+        new[:, free] = coker.image_rref
+        grown = free[list(coker.pivots)]
+        old = (w.image_rref - _matmul(w.image_rref[:, grown], new, w.p)) % w.p
+        span = CokernelBasis(w.pivots + tuple(grown.tolist()),
+                             tuple(free[list(coker.coset)].tolist()), np.vstack([old, new]), w.p)
+        return _QuotientPiece(coker.coset, coker.image_rref, span, below.ab)
 
     def _koszul_piece(self, t: int) -> _KoszulPiece:
         """Piece t > t0 as in ``piece``; it stores the maps out of t - 1.
@@ -453,9 +490,26 @@ class GradedModule:
         degree-(t+1) one, as one (3, h(t+1), h(t)) stack, cached.  Below t0
         each coset monomial times each variable is placed at its
         ``position`` in the next slice and reduced mod the image of that
-        slice; from t0 on the maps come with the piece t + 1."""
+        slice.  From t0 on they come with a Koszul piece t + 1; a quotient
+        piece V/W stores none, and they are formed when first read: the
+        seeded line l = c1 x1 + c2 x2 + c3 x3 maps the class of v in M_t to
+        that of v in M_(t+1), and x2, x3 map it to those of A v, B v, so one
+        reduction mod W of the columns of [I | A | B] at the coset of M_t in
+        V gives the maps of l, x2, x3, and x1 is c1^-1 (l - c2 x2 - c3 x3)."""
         if t not in self._maps and t >= self.slice_top:
-            self.piece(t + 1)
+            above = self.piece(t + 1)
+            if isinstance(above, _QuotientPiece):
+                p, (c1, c2, c3) = self.prime, _seeded_line(self.prime)
+                below = self.piece(t)
+                cols = list(below.span.coset if isinstance(below, _QuotientPiece)
+                            else range(below.dim))
+                stack = np.concatenate([np.eye(len(above.ab[0]), dtype=np.int64)[None],
+                                        above.ab])[:, :, cols].transpose(1, 0, 2)
+                maps = above.span.reduce(stack.reshape(len(stack), 3 * len(cols)))
+                maps = maps.reshape(above.dim, 3, len(cols)).transpose(1, 0, 2)
+                maps[0] = (maps[0] - c2 * maps[1] % p - c3 * maps[2] % p) % p * pow(c1, -1, p) % p
+                maps.flags.writeable = False  # shared by every caller
+                self._maps[t] = maps
         if t not in self._maps:
             src, dst = self.piece(t), self.piece(t + 1)
             expo = src.coset_exponents + np.eye(3, dtype=np.int64)[:, None]  # variable x coset
@@ -477,9 +531,20 @@ class GradedModule:
         return (coeffs[:, None, None] * self.variable_maps(t) % p).sum(axis=0) % p
 
     def socle(self) -> tuple[int, ...]:
-        """Degrees (with multiplicity) annihilated by all three variables."""
+        """Degrees (with multiplicity) annihilated by all three variables:
+        in degree t, dim M_t less the rank of the three maps out of it,
+        stacked.  Where M_(t+1) = V/W is a quotient piece, the socle lies in
+        the kernel of l out of t, whose basis is that piece's kernel rows v;
+        as x1 = c1^-1 (l - c2 x2 - c3 x3), it is the part that x2 and x3
+        kill too, the kernel of v -> (A v, B v) mod W (``images``), and no
+        map out of t is formed."""
         out: list[int] = []
         for t in self.support:
+            above = self.piece(t + 1)
+            if isinstance(above, _QuotientPiece):
+                k, images = len(above.kernel), above.images()
+                out.extend([t] * (k - rank(np.vstack([images[:, :k], images[:, k:]]), self.prime)))
+                continue
             maps = self.variable_maps(t)
             dim = maps.shape[2]
             out.extend([t] * (dim - rank(maps.reshape(-1, dim), self.prime)))

@@ -14,8 +14,13 @@ in one twist, and ``vote_generic_splitting`` is the five-line majority vote
 that the package replaced by a witness of the least splitting type.
 ``slice_maps`` builds the maps out of any degree from the two slices,
 where the package builds the pieces above t0 by the Koszul complex and,
-from the first piece a seeded line is onto, as quotients of the piece
-below.
+from the first piece V that a seeded line is onto, as quotients V/W of
+that piece, and ``socle_by_slices`` ranks those maps in every degree,
+where the package reads the kernel of the seeded line below a quotient
+piece.  ``line_values_measure`` decides the middle locus by the values of
+its maximal minors at the points of the seeded line
+(``minors_at_points``), where the package ranks the map there and, for
+corank 1, eliminates the pencil and takes a Kalman rank.
 ``multiplication_map_loop``, ``substitute_line_loop`` (with
 ``restrict_loop``) and ``section_matrix_loop`` are the dict-lookup, convolution
 and coefficient-by-coefficient loops that the package's index arithmetic and
@@ -45,14 +50,16 @@ coefficient rows and presentation term arrays."""
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 
 import numpy as np
 
-from lefschetz_locus import polyring, rand
+from lefschetz_locus import lefschetz, polyring, rand
 from lefschetz_locus.bundle import InconsistencyError, SplittingType, h0
 from lefschetz_locus.field_linalg import DEFAULT_PRIME, cokernel_basis, rank
 from lefschetz_locus.groebner import (
     GroebnerBasis,
+    IdealMeasure,
     _divides,
     _mono_lcm,
     _mono_mul,
@@ -69,7 +76,7 @@ from lefschetz_locus.jumping import (
     section_matrix,
     splitting_type,
 )
-from lefschetz_locus.lefschetz import dual_ring, locus_ideal_at, random_line
+from lefschetz_locus.lefschetz import _lattice_minors, dual_ring, locus_ideal_at, random_line
 from lefschetz_locus.polyring import DegenerateLineError, Ring
 from lefschetz_locus.presentation import _block_layout, graded_piece_matrix
 
@@ -530,6 +537,50 @@ def specialize(m, i: int, coords) -> np.ndarray:
     x_v out of degree i) mod p, summed in Python ints and reduced once."""
     return (np.tensordot(np.array([int(c) for c in coords], dtype=object),
                          m.variable_maps(i).astype(object), 1) % m.prime).astype(np.int64)
+
+
+def minors_at_points(maps, size: int, p: int, points) -> np.ndarray:
+    """Every maximal minor of M = sum_v l_v * maps[v] at each point, rows of
+    residues (l1, l2, l3): a row per point, a column per row subset of the
+    taller side in lexicographic order.  Each l_v * maps[v] is reduced before
+    the sum.  The minors of one M are those of the stack [M, 0, 0] at any
+    chart point, taken from ``_lattice_minors``."""
+    out = []
+    for point in np.asarray(points, dtype=np.int64):
+        mat = (point[:, None, None] * maps % p).sum(axis=0) % p
+        out.append(_lattice_minors(np.stack([mat, 0 * mat, 0 * mat]), size, p)[0])
+    return np.array(out, dtype=np.int64).reshape(len(out), -1)
+
+
+def line_values_measure(m) -> IdealMeasure | None:
+    """The middle measure that the maximal minors' values at the s + 1 points
+    of the seeded line (``lefschetz._line_points``) certify, or None where
+    they certify nothing: a square middle with a nonzero value is the curve
+    V(det) of degree s, and a corank-1 middle whose (s+1) x (s+1) values have
+    full rank is a finite scheme of degree C(s+1, 2).  This is the route that
+    ``middle_measure`` took before its rank and Kalman certificates; the
+    prime is assumed above s."""
+    i = m.degrees.middle_degree
+    size, n = sorted((m.h(i), m.h(i + 1)))
+    if not size or n - size > 1:
+        return None
+    values = minors_at_points(m.variable_maps(i), size, m.prime,
+                              lefschetz._line_points(size, m.prime))
+    if n == size:
+        return IdealMeasure(1, size) if values.any() else None
+    return IdealMeasure(0, comb(size + 1, 2)) if rank(values, m.prime) == size + 1 else None
+
+
+def socle_by_slices(pres) -> tuple[int, ...]:
+    """The socle degrees, with multiplicity, of the cokernel of ``pres``:
+    in each degree t from b_1 through the socle degree, dim M_t less the
+    rank of the three stacked ``slice_maps`` out of t."""
+    deg, out = pres.degrees, []
+    for t in range(deg.b[0], deg.socle_degree + 1):
+        maps = slice_maps(pres, t)
+        dim = maps.shape[2]
+        out += [t] * (dim - (rank(maps.reshape(-1, dim), pres.prime) if dim else 0))
+    return tuple(out)
 
 
 def full_scan_is_lefschetz(m, line) -> tuple[bool, tuple[int, ...]]:

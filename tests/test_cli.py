@@ -512,29 +512,55 @@ def test_commands_build_only_the_pieces_they_read(argv, built, capsys, monkeypat
     # the Lefschetz scan above the middle, and the socle reads every piece.
     # On (4,4,4), h(4) = h(5) and the line is onto at once; on (2,2,3,3|0,1),
     # h(3) > h(2) leaves piece 4 to the Koszul complex
-    from lefschetz_locus.presentation import GradedModule
+    from lefschetz_locus.presentation import GradedModule, _KoszulPiece, _QuotientPiece
 
     slices, koszul, quotient = set(), set(), set()
-    build_piece, koszul_piece = GradedModule._build_piece, GradedModule._koszul_piece
-    quotient_piece = GradedModule._quotient_piece
+    build_piece, upper_piece = GradedModule._build_piece, GradedModule._upper_piece
 
     def counted(pres, t):
         slices.add(t)
         return build_piece(pres, t)
 
-    def counted_koszul(self, t):
-        koszul.add(t)
-        return koszul_piece(self, t)
-
-    def counted_quotient(self, t, *args):
-        quotient.add(t)
-        return quotient_piece(self, t, *args)
+    def counted_upper(self, t):
+        piece = upper_piece(self, t)
+        route = koszul if type(piece) is _KoszulPiece else quotient
+        assert type(piece) in (_KoszulPiece, _QuotientPiece) and t not in route
+        route.add(t)
+        return piece
 
     monkeypatch.setattr(GradedModule, "_build_piece", staticmethod(counted))
-    monkeypatch.setattr(GradedModule, "_koszul_piece", counted_koszul)
-    monkeypatch.setattr(GradedModule, "_quotient_piece", counted_quotient)
+    monkeypatch.setattr(GradedModule, "_upper_piece", counted_upper)
     code, _ = _run(capsys, argv.split())
     assert code == 0 and (slices, koszul, quotient) == built
+
+
+@pytest.mark.parametrize("argv", ["locus --a 4,4,4 --b 0", "locus --a 3,4,4 --b 0",
+                                  "line --a 2,2,3,3 --b 0,1 --line 1,2,3",
+                                  "line --a 4,4,4 --b 0 --line 1,0,0",
+                                  "hilbert --a 4,4,4 --b 0", "hilbert --a 2,2,3,3 --b 0,1",
+                                  "survey --a 3,4,4 --b 0 --localization",
+                                  "survey --grid n2 --samples 1"])
+def test_no_command_forms_a_map_into_a_quotient_piece(argv, capsys, monkeypatch):
+    # a quotient piece V/W stores no maps: those out of the degree below it
+    # are formed only when read, and no command reads them.  ``locus`` and
+    # ``line`` read maps only from the middle down, and the socles of
+    # ``hilbert`` and ``survey`` read the kernel of the seeded line there.
+    # Every command builds quotient pieces, so this is not vacuous
+    from lefschetz_locus.presentation import GradedModule, _QuotientPiece
+
+    modules, init = [], GradedModule.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        modules.append(self)
+
+    monkeypatch.setattr(GradedModule, "__init__", recorded)
+    code, _ = _run(capsys, argv.split())
+    assert code == 0 and modules
+    for mod in modules:
+        upper = [t for t, piece in mod._pieces.items() if isinstance(piece, _QuotientPiece)]
+        assert upper, mod.degrees
+        assert not [t for t in mod._maps if t + 1 in upper], mod.degrees
 
 
 @pytest.mark.parametrize("argv", ["hilbert", "locus", "line --line 1,2,3",

@@ -16,8 +16,10 @@ from helpers import (
     evaluate,
     fold_localization,
     full_scan_is_lefschetz,
+    line_values_measure,
     minor_basis,
     minor_forms,
+    minors_at_points,
     rational_points_0dim,
     rows,
     specialize,
@@ -860,40 +862,37 @@ def test_compressed_rank_equals_full_rank_on_criterion_8():
 
 
 def _recorded_minors(monkeypatch):
-    """(degree, size, compressed?) of every ``_minor_values`` call, with
-    "line" in place of compressed? for the values at points of the seeded
-    line, all of them or a slice."""
+    """(degree, size, compressed?) of every ``_minor_values`` call."""
     calls = []
     values = lef._minor_values
 
-    def recorded(m, i, size, count=0, points=None):
-        line = lef._line_points(size, m.prime)
-        assert points is None or points is line or points.base is line
-        calls.append((i, size, "line" if points is not None else bool(count)))
-        return values(m, i, size, count, points)
+    def recorded(m, i, size, count=0):
+        calls.append((i, size, bool(count)))
+        return values(m, i, size, count)
 
     monkeypatch.setattr(lef, "_minor_values", recorded)
     return calls
 
 
 def test_survey_rows_visit_down_to_the_first_injective_degree(monkeypatch):
-    # (4,4,4): the middle degree 4, a 12 x 12 square, is measured by its
-    # determinant on the seeded line; degree 3 is a 12 x 10 map,
-    # 3 <= d - 3 - w = 9, whose values reach
-    # rank C(12, 2) = 66, so degrees 2 down to -1, and their duals 6 to 9,
-    # are never evaluated.  (3,4,4), d odd: the middle 3, a 10 x 9 map, is
-    # measured by its 10 minors on the line, and degree 4, its dual, is not
-    # visited; degree 2, a 9 x 6 map with 84 maximal minors, comes first,
-    # and its 32 compressed columns reach rank 28 = C(8, 2): no value matrix
-    # of all 84 minors is built, and degrees 1 down to -1 are skipped.  No
-    # row evaluates the middle on the chart
-    for a, want in [((4, 4, 4), [(4, 12, "line"), (3, 10, False)]),
-                    ((3, 4, 4), [(3, 9, "line"), (2, 6, True)])]:
-        calls = _recorded_minors(monkeypatch)
+    # (4,4,4): the middle degree 4, a 12 x 12 square, is certified by the
+    # rank of its map at the first point of the seeded line, with no minor
+    # value; degree 3 is a 12 x 10 map, 3 <= d - 3 - w = 9, whose values
+    # reach rank C(12, 2) = 66, so degrees 2 down to -1, and their duals 6
+    # to 9, are never evaluated.  (3,4,4), d odd: the middle 3, a 10 x 9
+    # map, is certified by one elimination of its pencil on the line and a
+    # Kalman rank, and degree 4, its dual, is not visited; degree 2, a 9 x 6
+    # map with 84 maximal minors, comes first, and its 32 compressed columns
+    # reach rank 28 = C(8, 2): no value matrix of all 84 minors is built,
+    # and degrees 1 down to -1 are skipped.  No row takes a minor value or
+    # a basis for the middle
+    for a, want in [((4, 4, 4), [(3, 10, False)]), ((3, 4, 4), [(2, 6, True)])]:
+        calls, measured = _recorded_minors(monkeypatch), []
+        monkeypatch.setattr(lef, "measure", lambda gb: measured.append(gb))
         row = cli.survey_row({"a": list(a), "b": [0], "seed": 1, "prime": 65521,
                               "matrix": None, "localization": True})
         assert {"claim": "middle-localization", "ok": True} in row["claims"]
-        assert calls == want, a
+        assert calls == want and measured == [], a
         monkeypatch.undo()
 
 
@@ -1083,19 +1082,20 @@ _COORD = st.just(-1) | st.integers(0, 2**31)  # a coordinate, taken mod p; -1 is
 @example(stack=(2**31 - 1, 2, (2**31 - 2) * np.array([[[1, 1]] * 3] * 2 + [[[0, 1], [1, 0], [1, 1]]])),
          points=[(-1, -1, -1), (-1, 0, -1)])
 def test_lattice_minors_at_given_points_match_cofactor_determinants(stack, points):
-    # the chart passed as ``points`` is the default route, and any points
-    # give every minor at each point, in Python ints.  Near 2^31 one
-    # (p - 1) * (p - 1) is about 2^62, and three of them pass 2^63, so each
-    # l_v * maps[v] is reduced before the sum; the example has entries of
-    # p - 1 in all three maps at only some positions, so an unreduced sum
-    # would change some entries and not others, and with them the minors
+    # the oracle ``minors_at_points``, by which the line-values decision of
+    # the middle is checked, takes the chart to the default route of
+    # ``_lattice_minors``, and any points to every minor at each point, in
+    # Python ints.  Near 2^31 one (p - 1) * (p - 1) is about 2^62, and three
+    # of them pass 2^63, so each l_v * maps[v] is reduced before the sum;
+    # the example has entries of p - 1 in all three maps at only some
+    # positions, so an unreduced sum would change some entries and not
+    # others, and with them the minors
     p, s, maps = stack
     chart = np.array(monomial_basis(s).monomials, dtype=np.int64)
     chart[:, 0] = 1
-    assert (lef._lattice_minors(maps, s, p, points=chart)
-            == lef._lattice_minors(maps, s, p)).all()
+    assert (minors_at_points(maps, s, p, chart) == lef._lattice_minors(maps, s, p)).all()
     points = [[x % p for x in point] for point in points]
-    values = lef._lattice_minors(maps, s, p, points=np.array(points, dtype=np.int64))
+    values = minors_at_points(maps, s, p, points)
     assert values.shape[0] == len(points)
     for point, row in zip(points, values):
         a = [[sum(point[v] * int(maps[v][r][c]) for v in range(3)) % p
@@ -1156,8 +1156,11 @@ def test_middle_measure_is_the_measure_of_the_middle_basis(p, seed, twist):
 
 class _Middle:
     """A stand-in module whose middle degree 0 maps by three given target x
-    source matrices: all that ``middle_measure`` and ``middle_basis`` read.
-    Hashed by identity, as ``middle_basis`` caches."""
+    source matrices: all that ``middle_measure`` and ``middle_basis`` read,
+    the map of a line formed as the module's own.  Hashed by identity, as
+    ``middle_basis`` caches."""
+
+    multiplication_map = GradedModule.multiplication_map
 
     def __init__(self, maps, p):
         self.maps, self.prime = np.array(maps, dtype=np.int64) % p, p
@@ -1176,10 +1179,13 @@ def _middles(draw):
     or minors vanishing identically (a column repeated); minors sharing a
     linear factor (a first column L(l) w, so the locus holds the line
     L = 0); or minors vanishing at a point u, with the seeded line moved
-    through u.  Returns the prime, the maps, the kind and u."""
+    through u, as its first point P ("through-point") or as its point Q at
+    infinity, where M(Q) is then singular ("singular-q").  Returns the
+    prime, the maps, the kind and u."""
     p = draw(st.sampled_from([13, 65521, 2**31 - 1]))
     s, c = draw(st.integers(1, 4)), draw(st.integers(0, 2))
-    kind = draw(st.sampled_from(["random", "vanishing", "common-curve", "through-point"]))
+    kind = draw(st.sampled_from(["random", "vanishing", "common-curve", "through-point",
+                                 "singular-q"]))
     entry = st.integers(0, p - 1)
     maps = [[[draw(entry) for _ in range(s)] for _ in range(s + c)] for _ in range(3)]
     u = [draw(entry), draw(entry), 1]
@@ -1189,37 +1195,53 @@ def _middles(draw):
                 maps[v][r][-1] = maps[v][r][0]
             elif kind == "common-curve":
                 maps[v][r][0] = u[v] * maps[0][r][-1] % p
-            elif kind == "through-point" and v == 2:  # column 0 vanishes at u
+            elif kind in ("through-point", "singular-q") and v == 2:  # column 0 vanishes at u
                 maps[2][r][0] = -(u[0] * maps[0][r][0] + u[1] * maps[1][r][0]) % p
     return p, maps, kind, u
 
 
-@settings(max_examples=120, deadline=None)
+def _move_line(mp, kind, u, q, p, s):
+    """Put the seeded line through u: as its first point P, or as its point
+    Q at infinity, from the other point q.  False where u and q span no
+    line, so nothing was moved."""
+    if not any((u[j] * q[k] - u[k] * q[j]) % p for j, k in ((0, 1), (1, 2), (0, 2))):
+        return False
+    first, step = (u, q) if kind == "through-point" else (q, u)
+    line = np.array([[(a + lam * b) % p for a, b in zip(first, step)] for lam in range(s + 1)])
+    mp.setattr(lef, "_line_points", lambda size, prime: line)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
 @given(middle=_middles(), q=st.tuples(_COORD, _COORD, _COORD))
+@example(middle=(13, [[[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]], [[0, 0]] * 3],
+                 "random", [0, 0, 1]), q=(0, 0, 0))  # L_2^T in the first two variables
 def test_middle_measure_falls_back_where_the_line_certifies_nothing(middle, q):
     # the measure equals that of the Groebner basis on every stack.  It is
     # read off the basis, by one ``measure`` call, wherever the line cannot
     # certify it: corank 2, minors vanishing identically, or corank 1 with a
     # locus that meets the line (a common curve meets every line; a line
-    # through u meets its point).  Whatever the line certifies is the
-    # square's curve of degree s or the Hilbert-Burch points
+    # through u meets its point, at P or at Q).  Whatever the line
+    # certifies is the square's curve of degree s or the Hilbert-Burch
+    # points.  The rank and Kalman certificates decide exactly as the
+    # maximal minors' values on the line did (``line_values_measure``, the
+    # oracle): the line certifies a middle exactly where its values do
     p, maps, kind, u = middle
     q = [x % p for x in q]
-    assume(kind != "through-point" or any(
-        (u[j] * q[k] - u[k] * q[j]) % p for j, k in ((0, 1), (1, 2), (0, 2))))
     m, calls = _Middle(maps, p), []
     s, n = m.h(0), m.h(1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lef, "measure", lambda gb: calls.append(gb) or groebner.measure(gb))
-        if kind == "through-point":
-            line = np.array([[(a + lam * b) % p for a, b in zip(u, q)] for lam in range(s + 1)])
-            mp.setattr(lef, "_line_points", lambda size, prime: line)
+        if kind in ("through-point", "singular-q"):
+            assume(_move_line(mp, kind, u, q, p, s))
         got = lef.middle_measure(m)
+        oracle = line_values_measure(m)
     lef.middle_basis.cache_clear()
     want = groebner.measure(lef.middle_basis(m))
     assert got == want
+    assert (oracle is None) == bool(calls) and oracle in (None, got)
     if n - s == 2 or kind == "vanishing" and s > 1 or n > s and kind in (
-            "common-curve", "through-point"):
+            "common-curve", "through-point", "singular-q"):
         assert len(calls) == 1
     if not calls:  # certified on the line
         assert got == (IdealMeasure(1, s) if n == s else IdealMeasure(0, comb(s + 1, 2)))
@@ -1234,40 +1256,42 @@ def test_middle_measure_falls_back_where_the_line_certifies_nothing(middle, q):
     ((5, 5, 5), "4fcd81e844447774"),  # 19 x 18
 ], ids=["2,2,4", "2,3,3", "3,3,3", "3,4,4", "4,4,5", "5,5,5"])
 def test_middle_line_values_are_pinned(a, digest, monkeypatch):
-    # SHA-256 of the ``_minor_values`` array at p = 2^31 - 1, seed 1, with
-    # its degree, minor size and shape: the middle's maximal minors at the
-    # s + 1 points of the seeded line, which certify every one of these
-    # middles.  ``middle_measure`` asks for all of them on a corank-1
-    # middle, and for the first point alone on a square, whose value is
-    # that array's first row.  Where s <= 6 each value is also the
-    # cofactor oracle's
+    # SHA-256 of the oracle's value array (``minors_at_points``) at
+    # p = 2^31 - 1, seed 1, with its degree, minor size and shape: the
+    # middle's maximal minors at the s + 1 points of the seeded line, which
+    # certify every one of these middles (``line_values_measure``), as
+    # ``middle_measure`` once computed them.  ``middle_measure`` certifies
+    # each with no minor value and no basis: a square by the map at the
+    # first point alone, whose value, the array's first row, is nonzero, and
+    # a corank-1 middle by its pencil at Q and P.  Where s <= 6 each value
+    # is also the cofactor oracle's
     import hashlib
 
-    values, calls = lef._minor_values, []
+    lines, forms = [], GradedModule.multiplication_map
 
-    def recorded(m, i, size, count=0, points=None):
-        out = values(m, i, size, count, points)
-        calls.append((i, size, count, points, out))
-        return out
+    def recorded(m, line, t):
+        lines.append((t, [int(c) for c in line]))
+        return forms(m, line, t)
 
-    monkeypatch.setattr(lef, "_minor_values", recorded)
-    monkeypatch.setattr(lef, "measure", None)  # no fallback
     m = generic_module(DegreeData(a, (0,)), 1, 2**31 - 1)
+    i = m.degrees.middle_degree
+    monkeypatch.setattr(GradedModule, "multiplication_map", recorded)
+    monkeypatch.setattr(lef, "_minor_values", None)  # no minor value
+    monkeypatch.setattr(lef, "measure", None)  # no fallback
     got = lef.middle_measure(m)
-    s, n = sorted(m.h(i) for i in (m.degrees.middle_degree, m.degrees.middle_degree + 1))
+    s, n = sorted(m.h(t) for t in (i, i + 1))
     assert got == (IdealMeasure(1, s) if n == s else IdealMeasure(0, comb(s + 1, 2)))
-    [(i, size, count, asked, seen)] = calls
-    assert (i, size, count) == (m.degrees.middle_degree, s, 0)
+    assert line_values_measure(m) == got
     points = lef._line_points(s, m.prime)
-    out = values(m, i, s, 0, points)
+    out = minors_at_points(m.variable_maps(i), s, m.prime, points)
     h = hashlib.sha256(np.array([i, s, 0, *out.shape], dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
     assert h.hexdigest()[:16] == digest
+    p, q = points[0].tolist(), ((points[1] - points[0]) % m.prime).tolist()
     if n == s:
-        assert asked.base is points and asked.tolist() == points[:1].tolist()
-        assert seen.tolist() == out[:1].tolist() and seen.any()
+        assert lines == [(i, p)] and out[0].any()
     else:
-        assert asked is points and np.array_equal(seen, out)
+        assert [(t, [c % m.prime for c in line]) for t, line in lines] == [(i, q), (i, p)]
     if s <= 6:
         want = [_cofactor_minors(m, i, point) for point in points.tolist()]
-        assert values(m, i, s, 0, points).tolist() == want
+        assert out.tolist() == want

@@ -11,6 +11,7 @@ from helpers import (
     multiplication_map_loop,
     random_presentation_loop,
     slice_maps,
+    socle_by_slices,
 )
 from test_acceptance import CI_GRID, N2_GRID
 from lefschetz_locus import presentation
@@ -209,6 +210,13 @@ def test_multiplication_maps_match_lookup_oracle(deg, seed, line):
             assert np.array_equal(maps[v], multiplication_map_loop(m, one, t)), (t, v)
 
 
+def _assert_socle_is_the_slice_socle(m):
+    """The socle against ``socle_by_slices``, with no map formed into a
+    quotient piece: those degrees read the kernel of the seeded line."""
+    assert m.socle() == socle_by_slices(m.pres)
+    assert not [t for t in m._maps if isinstance(m._pieces.get(t + 1), _QuotientPiece)]
+
+
 def _assert_upper_pieces_are_the_slice_pieces(m, top):
     """Every piece from b_1 - 1 through ``top`` against ``slice_maps``: up
     to t0 the maps are the slice maps themselves.  Above, M_(t+1) has the
@@ -275,6 +283,7 @@ def test_koszul_pieces_are_the_slice_pieces_in_another_basis(deg, seed, prime, l
         m = GradedModule(random_presentation(deg, seed, prime), {})
         routes = _assert_upper_pieces_are_the_slice_pieces(
             m, max(deg.socle_degree, deg.b[-1]) + 1)
+        _assert_socle_is_the_slice_socle(GradedModule(m.pres, {}))
     if line == "never":
         assert set(routes) <= {"K"}
 
@@ -325,6 +334,7 @@ def _assert_upper_pieces_on_fixture(a, b, grid, p, line):
         assert "Q" in routes
     if grid is not None and grid not in _INFINITE_GRIDS:
         assert routes == _GRID_ROUTES[grid[0][0]][line]
+    _assert_socle_is_the_slice_socle(GradedModule(pres, {}))
 
 
 @pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
