@@ -5,16 +5,14 @@ and an n x (n+2) matrix of homogeneous forms, entry (j, i) of degree
 a_i - b_j, mapping a sum of twists of the ring onto the module.  Each
 graded piece of the cokernel gets a deterministic coset basis when it is
 first read, and the engine exposes the multiplication maps between
-consecutive pieces.  A piece has one of three routes.  Up to degree
-t0 = max(a_(n+2), b_n, i* + 1), where generators and relations are still
-born and every command reads, it is the cokernel of the degree-t slice of
-the map.  Above t0 it is R_1 (x) M_(t-1) modulo the Koszul relations out
-of M_(t-2), a 3h(t-1) x 3h(t-2) elimination that gives the maps into it at
-once, until a seeded line maps one piece V onto the next.  From there on
-each piece is V/W_t in V's own coordinates, W_t grown from W_(t-1) by the
-images of the rows that the step before added, one elimination with
-h(t-1) - h(t) pivots, and the maps out of those degrees are formed only
-when read (``GradedModule.piece``).
+consecutive pieces.  A piece has one of two routes.  It is the cokernel
+of the degree-t slice of the map up to t0 = max(a_(n+2), b_n), the last
+degree where a generator or relation is born, and above t0 until a seeded
+line maps one piece V onto the next.  From there on each piece is V/W_t
+in V's own coordinates, W_t grown from W_(t-1) by the images of the rows
+that the step before added, one elimination with h(t-1) - h(t) pivots,
+and the maps out of those degrees are formed only when read
+(``GradedModule.piece``).
 """
 
 from __future__ import annotations
@@ -158,11 +156,16 @@ def presentation_from_strings(degrees: DegreeData, grid: list[list[str]],
     return pres
 
 
-def _block_layout(twists: tuple[int, ...], t: int) -> tuple[list[GradedPieceBasis], np.ndarray, int]:
-    """Monomial bases of the blocks R_{t - w}, their offsets and total size."""
-    bases = [monomial_basis(t - w) for w in twists]
+@lru_cache(maxsize=256)
+def _block_layout(twists: tuple[int, ...], t: int) -> tuple[tuple[GradedPieceBasis, ...],
+                                                          np.ndarray, int]:
+    """Monomial bases of the blocks R_{t - w}, their offsets and total size.
+    Read-only, as they are cached."""
+    bases = tuple(monomial_basis(t - w) for w in twists)
     sizes = np.array([len(basis) for basis in bases], dtype=np.int64)
-    return bases, np.cumsum(sizes) - sizes, int(sizes.sum())
+    offsets = np.cumsum(sizes) - sizes
+    offsets.flags.writeable = False
+    return bases, offsets, int(sizes.sum())
 
 
 def graded_piece_matrix(pres: PresentationMatrix, t: int) -> np.ndarray:
@@ -198,18 +201,6 @@ class _Piece:
     @property
     def dim(self) -> int:
         return self.coker.dim
-
-
-@dataclass(frozen=True)
-class _KoszulPiece:
-    """A piece above t0: coset coordinate v * h(t-1) + i is the class of
-    x_v * m_i, for the i-th basis class m_i of the piece below."""
-
-    coset: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coset)
 
 
 @dataclass(frozen=True)
@@ -269,20 +260,11 @@ def _section(l: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
     return red[:h, h:].T, red[h:, h:]
 
 
-def _projection(coker: CokernelBasis, n: int) -> np.ndarray:
-    """The map from target coordinates to coset coordinates, as a matrix:
-    the identity on the coset, the reduced image rows on the pivots."""
-    out = np.zeros((coker.dim, n), dtype=np.int64)
-    out[:, list(coker.coset)] = np.eye(coker.dim, dtype=np.int64)
-    out[:, list(coker.pivots)] = -coker.image_rref[:, list(coker.coset)].T % coker.p
-    return out
-
-
 class GradedModule:
     """Cokernel of a presentation with per-degree coset bases."""
 
     def __init__(self, pres: PresentationMatrix,
-                 pieces: dict[int, _Piece | _KoszulPiece | _QuotientPiece]):
+                 pieces: dict[int, _Piece | _QuotientPiece]):
         self.pres = pres
         self.degrees = pres.degrees
         self.prime = pres.prime
@@ -296,8 +278,10 @@ class GradedModule:
         """The module, certified of finite length: only the pieces from
         e + 1 through max(e + 1, b_n), and those they rest on, are built
         here, and a nonzero one is refused (``first_piece_beyond_socle``).
-        Above t0 that is the chain of Koszul steps and quotients from t0 + 1
-        up, each step a small elimination, not the largest slice of all.  Every other piece is
+        Above t0 that is the chain from t0 + 1 up: slices until the seeded
+        line is onto, then quotients, each a small elimination, not the
+        largest slice of all; where the line is never onto, as on a module
+        of infinite length, piece e + 1 is its slice.  Every other piece is
         built when ``piece`` first asks for it.  An accepted module is
         M = H^1_*(E) for the rank-2 bundle E, the kernel of the presentation,
         with c_1(E) = -d, so E^dual = E(d) and Serre duality pairs M_t
@@ -340,16 +324,15 @@ class GradedModule:
 
     @cached_property
     def slice_top(self) -> int:
-        """t0 = max(a_(n+2), b_n, i* + 1), the last degree built from its
-        slice: generators and relations are born up to max(a_(n+2), b_n),
-        and every command reads the pieces up to the middle map, i* + 1."""
-        deg = self.degrees
-        return max(deg.a[-1], deg.b[-1], deg.middle_degree + 1)
+        """t0 = max(a_(n+2), b_n), the last degree where a generator or
+        relation is born, and so the last that is always built from its
+        slice: above it ``piece`` can take the quotient route."""
+        return max(self.degrees.a[-1], self.degrees.b[-1])
 
-    def piece(self, t: int) -> _Piece | _KoszulPiece | _QuotientPiece:
+    def piece(self, t: int) -> _Piece | _QuotientPiece:
         """M_t with its coset basis, built on first read: from its slice up
-        to t0 (``slice_top``), above it from the pieces below, by the
-        Koszul complex and then as quotients, lowest degree first.
+        to t0 (``slice_top``) and above it until the seeded line is onto,
+        from there on as quotients, lowest degree first above t0.
 
         Let t > t0, so t > a_(n+2) and t > b_n.  No generator or relation
         is born in degree t: G_t = R_1 G_(t-1) for the free module
@@ -358,10 +341,7 @@ class GradedModule:
         degree, so the kernel of R_1 (x) G_(t-1) -> G_t is spanned by the
         x_u (x) x_v g - x_v (x) x_u g with g in G_(t-2).  Hence
         M_t = (R_1 (x) M_(t-1)) / <x_u (x) X_v m - x_v (x) X_u m : u < v,
-        m in M_(t-2)>, where X_v are the maps out of degree t - 2.  That is
-        the cokernel of a 3h(t-1) x 3h(t-2) matrix, and reducing each
-        x_v (x) m_i to coset coordinates is the map of x_v out of degree
-        t - 1, cached with the piece.
+        m in M_(t-2)>, where X_v are the maps out of degree t - 2.
 
         The same complex in the coordinates (l, x2, x3) of R_1, for the
         seeded line l = c1 x1 + c2 x2 + c3 x3 with c1 != 0
@@ -399,10 +379,11 @@ class GradedModule:
         reduces [I | A | B] at the coset of W_s mod W_(s+1) when they are
         first read.  The first step needs one elimination of [L^T | I] for
         sigma and ker L (``_section``), tried only where
-        0 < h(t-1) <= h(t-2) (M_t = 0 when h(t-1) = 0); the Koszul step
-        stays for every degree where it fails.  Nothing assumes finite
-        length or duality, so ``first_piece_beyond_socle`` stays exact on
-        any input."""
+        0 < h(t-1) <= h(t-2); every other degree above t0 takes its slice
+        until one succeeds.  Nothing assumes finite length or duality, so
+        ``first_piece_beyond_socle`` stays exact on any input: where no
+        seeded line is onto, as on a module of infinite length, piece e + 1
+        is its slice."""
         if t not in self._pieces:
             if t <= self.slice_top:
                 self._pieces[t] = self._build_piece(self.pres, t)
@@ -412,9 +393,9 @@ class GradedModule:
                         self._pieces[s] = self._upper_piece(s)
         return self._pieces[t]
 
-    def _upper_piece(self, t: int) -> _KoszulPiece | _QuotientPiece:
+    def _upper_piece(self, t: int) -> _Piece | _QuotientPiece:
         """Piece t > t0 as in ``piece``: a quotient where the seeded line
-        maps M_(t-2) onto M_(t-1), else by the Koszul complex."""
+        maps M_(t-2) onto M_(t-1), else its slice."""
         below = self.piece(t - 1)
         if isinstance(below, _QuotientPiece):  # l is onto it
             return self._quotient_step(below)
@@ -422,7 +403,7 @@ class GradedModule:
             onto = _section(self.multiplication_map(_seeded_line(self.prime), t - 2), self.prime)
             if onto is not None:
                 return self._first_quotient(t, *onto)
-        return self._koszul_piece(t)
+        return self._build_piece(self.pres, t)
 
     def _first_quotient(self, t: int, section: np.ndarray,
                         kernel: np.ndarray) -> _QuotientPiece:
@@ -451,22 +432,6 @@ class GradedModule:
                              tuple(free[list(coker.coset)].tolist()), np.vstack([old, new]), w.p)
         return _QuotientPiece(coker.coset, coker.image_rref, span, below.ab)
 
-    def _koszul_piece(self, t: int) -> _KoszulPiece:
-        """Piece t > t0 as in ``piece``; it stores the maps out of t - 1.
-        Coordinate v * h(t-1) + i of R_1 (x) M_(t-1) is x_v (x) m_i, and
-        the relation of (u, v) and m_k is a column of the matrix."""
-        p, x = self.prime, self.variable_maps(t - 2)
-        _, h, k = x.shape
-        rel = np.zeros((3, h, 3, k), dtype=np.int64)
-        for col, (u, v) in enumerate(((0, 1), (0, 2), (1, 2))):
-            rel[u, :, col] = x[v]
-            rel[v, :, col] = -x[u] % p
-        coker = cokernel_basis(rel.reshape(3 * h, 3 * k), p)
-        maps = _projection(coker, 3 * h).reshape(coker.dim, 3, h).transpose(1, 0, 2)
-        maps.flags.writeable = False  # shared by every caller
-        self._maps[t - 1] = maps
-        return _KoszulPiece(coker.coset)
-
     @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(range(self.degrees.b[0], self.degrees.socle_degree + 1))
@@ -476,7 +441,7 @@ class GradedModule:
         certified it is read from degree min(t, d - 3 - t), as Serre duality
         gives h(t) = h(d - 3 - t).  The pieces above the middle are then
         built only when asked for, as by ``socle`` or a map out of them,
-        by the Koszul or quotient route of ``piece`` above t0."""
+        by the slice or quotient route of ``piece``."""
         deg = self.degrees
         if not deg.b[0] <= t <= deg.socle_degree:
             return 0
@@ -487,37 +452,33 @@ class GradedModule:
 
     def variable_maps(self, t: int) -> np.ndarray:
         """The maps of x1, x2, x3 from the degree-t coset basis to the
-        degree-(t+1) one, as one (3, h(t+1), h(t)) stack, cached.  Below t0
-        each coset monomial times each variable is placed at its
-        ``position`` in the next slice and reduced mod the image of that
-        slice.  From t0 on they come with a Koszul piece t + 1; a quotient
-        piece V/W stores none, and they are formed when first read: the
-        seeded line l = c1 x1 + c2 x2 + c3 x3 maps the class of v in M_t to
-        that of v in M_(t+1), and x2, x3 map it to those of A v, B v, so one
-        reduction mod W of the columns of [I | A | B] at the coset of M_t in
-        V gives the maps of l, x2, x3, and x1 is c1^-1 (l - c2 x2 - c3 x3)."""
-        if t not in self._maps and t >= self.slice_top:
-            above = self.piece(t + 1)
-            if isinstance(above, _QuotientPiece):
-                p, (c1, c2, c3) = self.prime, _seeded_line(self.prime)
-                below = self.piece(t)
-                cols = list(below.span.coset if isinstance(below, _QuotientPiece)
-                            else range(below.dim))
-                stack = np.concatenate([np.eye(len(above.ab[0]), dtype=np.int64)[None],
-                                        above.ab])[:, :, cols].transpose(1, 0, 2)
-                maps = above.span.reduce(stack.reshape(len(stack), 3 * len(cols)))
-                maps = maps.reshape(above.dim, 3, len(cols)).transpose(1, 0, 2)
-                maps[0] = (maps[0] - c2 * maps[1] % p - c3 * maps[2] % p) % p * pow(c1, -1, p) % p
-                maps.flags.writeable = False  # shared by every caller
-                self._maps[t] = maps
+        degree-(t+1) one, as one (3, h(t+1), h(t)) stack, cached.  Into a
+        slice piece, each coset monomial times each variable is placed at
+        its ``position`` in that slice and reduced mod its image.  A
+        quotient piece V/W stores none, and they are formed when first read:
+        the seeded line l = c1 x1 + c2 x2 + c3 x3 maps the class of v in M_t
+        to that of v in M_(t+1), and x2, x3 map it to those of A v, B v, so
+        one reduction mod W of the columns of [I | A | B] at the coset of
+        M_t in V gives the maps of l, x2, x3, and x1 is
+        c1^-1 (l - c2 x2 - c3 x3)."""
         if t not in self._maps:
             src, dst = self.piece(t), self.piece(t + 1)
-            expo = src.coset_exponents + np.eye(3, dtype=np.int64)[:, None]  # variable x coset
-            j = src.coset_blocks
-            rows = dst.offsets[j] + position(t + 1 - np.array(self.degrees.b)[j], expo)
-            lifted = np.zeros((dst.target_dim, 3 * src.dim), dtype=np.int64)
-            lifted[rows.ravel(), np.arange(3 * src.dim)] = 1
-            maps = dst.coker.reduce(lifted).reshape(dst.dim, 3, src.dim).transpose(1, 0, 2)
+            if isinstance(dst, _QuotientPiece):
+                p, (c1, c2, c3) = self.prime, _seeded_line(self.prime)
+                cols = list(src.span.coset if isinstance(src, _QuotientPiece)
+                            else range(src.dim))
+                stack = np.concatenate([np.eye(len(dst.ab[0]), dtype=np.int64)[None],
+                                        dst.ab])[:, :, cols].transpose(1, 0, 2)
+                maps = dst.span.reduce(stack.reshape(len(stack), 3 * len(cols)))
+                maps = maps.reshape(dst.dim, 3, len(cols)).transpose(1, 0, 2)
+                maps[0] = (maps[0] - c2 * maps[1] % p - c3 * maps[2] % p) % p * pow(c1, -1, p) % p
+            else:
+                expo = src.coset_exponents + np.eye(3, dtype=np.int64)[:, None]  # variable x coset
+                j = src.coset_blocks
+                rows = dst.offsets[j] + position(t + 1 - np.array(self.degrees.b)[j], expo)
+                lifted = np.zeros((dst.target_dim, 3 * src.dim), dtype=np.int64)
+                lifted[rows.ravel(), np.arange(3 * src.dim)] = 1
+                maps = dst.coker.reduce(lifted).reshape(dst.dim, 3, src.dim).transpose(1, 0, 2)
             maps.flags.writeable = False  # shared by every caller
             self._maps[t] = maps
         return self._maps[t]

@@ -13,12 +13,12 @@ scanning twists for the first section, where the package counts sections
 in one twist, and ``vote_generic_splitting`` is the five-line majority vote
 that the package replaced by a witness of the least splitting type.
 ``slice_maps`` builds the maps out of any degree from the two slices,
-where the package builds the pieces above t0 by the Koszul complex and,
-from the first piece V that a seeded line is onto, as quotients V/W of
-that piece, and ``socle_by_slices`` ranks those maps in every degree,
-where the package reads the kernel of the seeded line below a quotient
-piece.  ``line_values_measure`` decides the middle locus by the values of
-its maximal minors at the points of the seeded line
+where the package builds a piece above t0 from its slice only until a
+seeded line is onto, and from there as a quotient V/W of the first piece
+V that the line is onto, and ``socle_by_slices`` ranks those maps in
+every degree, where the package reads the kernel of the seeded line below
+a quotient piece.  ``line_values_measure`` decides the middle locus by the
+values of its maximal minors at the points of the seeded line
 (``minors_at_points``), where the package ranks the map there and, for
 corank 1, eliminates the pencil and takes a Kalman rank.
 ``multiplication_map_loop``, ``substitute_line_loop`` (with

@@ -500,38 +500,41 @@ def test_finite_length_claim_reads_the_build_predicate():
 
 
 @pytest.mark.parametrize("argv,built", [
-    ("locus --a 4,4,4 --b 0", (set(range(0, 6)), set(), set(range(6, 11)))),
-    ("line --a 2,2,3,3 --b 0,1 --line 1,2,3", (set(range(0, 4)), {4}, set(range(5, 8)))),
-    ("hilbert --a 2,2,3,3 --b 0,1", (set(range(0, 4)), {4}, set(range(5, 8)))),
-    ("survey --a 4,4,4 --b 0", (set(range(0, 6)), set(), set(range(6, 11)))),
+    ("locus --a 4,4,4 --b 0", (set(range(0, 6)), set(range(6, 11)))),
+    ("locus --a 3,4,4 --b 0", (set(range(0, 6)), set(range(6, 10)))),
+    ("line --a 2,2,3,3 --b 0,1 --line 1,2,3", (set(range(0, 5)), set(range(5, 8)))),
+    ("hilbert --a 2,2,3,3 --b 0,1", (set(range(0, 5)), set(range(5, 8)))),
+    ("survey --a 4,4,4 --b 0", (set(range(0, 6)), set(range(6, 11)))),
 ])
 def test_commands_build_only_the_pieces_they_read(argv, built, capsys, monkeypatch):
-    # slices up to t0 = max(a_(n+2), b_n, i* + 1), the Koszul route above
-    # it until the seeded line is onto, quotients from there: build
-    # certifies degree e + 1 through that chain, Serre duality serves h and
-    # the Lefschetz scan above the middle, and the socle reads every piece.
-    # On (4,4,4), h(4) = h(5) and the line is onto at once; on (2,2,3,3|0,1),
-    # h(3) > h(2) leaves piece 4 to the Koszul complex
-    from lefschetz_locus.presentation import GradedModule, _KoszulPiece, _QuotientPiece
+    # slices up to t0 = max(a_(n+2), b_n) and above it until the seeded
+    # line is onto, quotients from there: build certifies degree e + 1
+    # through that chain, Serre duality serves h and the Lefschetz scan
+    # above the middle, and the socle reads every piece.  On (4,4,4),
+    # h(4) > h(3) leaves piece 5 to its slice and h(5) = h(4) makes the line
+    # onto; on (3,4,4) (odd d) and (2,2,3,3|0,1), h(t0) > h(t0 - 1) leaves
+    # piece t0 + 1 to its slice
+    from lefschetz_locus.presentation import GradedModule, _QuotientPiece
 
-    slices, koszul, quotient = set(), set(), set()
+    slices, quotient = set(), set()
     build_piece, upper_piece = GradedModule._build_piece, GradedModule._upper_piece
 
     def counted(pres, t):
+        assert t not in slices
         slices.add(t)
         return build_piece(pres, t)
 
     def counted_upper(self, t):
         piece = upper_piece(self, t)
-        route = koszul if type(piece) is _KoszulPiece else quotient
-        assert type(piece) in (_KoszulPiece, _QuotientPiece) and t not in route
-        route.add(t)
+        if type(piece) is _QuotientPiece:
+            assert t not in quotient
+            quotient.add(t)
         return piece
 
     monkeypatch.setattr(GradedModule, "_build_piece", staticmethod(counted))
     monkeypatch.setattr(GradedModule, "_upper_piece", counted_upper)
     code, _ = _run(capsys, argv.split())
-    assert code == 0 and (slices, koszul, quotient) == built
+    assert code == 0 and (slices, quotient) == built
 
 
 @pytest.mark.parametrize("argv", ["locus --a 4,4,4 --b 0", "locus --a 3,4,4 --b 0",

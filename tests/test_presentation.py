@@ -21,7 +21,6 @@ from lefschetz_locus.presentation import (
     GradedModule,
     NonFiniteLengthError,
     PresentationMatrix,
-    _KoszulPiece,
     _Piece,
     _QuotientPiece,
     _block_layout,
@@ -196,8 +195,9 @@ def test_multiplication_maps_match_lookup_oracle(deg, seed, line):
     # the variables; at 2^31 - 1 a sum of three unreduced products of
     # residues would overflow int64.  The module is taken as presented, so
     # a small prime's degenerate draw is a case too.  These are the maps
-    # between slice-built pieces, up to t0; the Koszul and quotient maps
-    # above are checked against the slices in another basis below.
+    # between slice-built pieces, up to t0; the maps above are checked
+    # against the slices, in another basis where a piece is a quotient,
+    # below.
     p, coeffs = line
     m = GradedModule(random_presentation(deg, seed, p), {})
     for t in range(deg.b[0] - 1, m.slice_top):
@@ -221,12 +221,12 @@ def _assert_upper_pieces_are_the_slice_pieces(m, top):
     """Every piece from b_1 - 1 through ``top`` against ``slice_maps``: up
     to t0 the maps are the slice maps themselves.  Above, M_(t+1) has the
     slice dimension and its maps are the slice maps in the basis P_(t+1),
-    P_(t0) = I, whose column j is the slice class of x_v * m_i for (v, i)
-    the j-th coordinate of a Koszul coset, and of l * m_(coset[j]) for a
-    quotient coset, l the seeded line and m_i the i-th column of P_t.  A
-    quotient piece's kernel rows are a basis of the kernel of l out of t.
-    Returns the route of each piece above t0, K or Q, and checks that no
-    Koszul piece follows a quotient."""
+    P_(t0) = I: a slice piece has P_(t+1) = I, and its maps are the slice
+    maps themselves; column j of a quotient piece's P_(t+1) is the slice
+    class of l * m_(coset[j]), l the seeded line and m_i the i-th column
+    of P_t, and its kernel rows are a basis of the kernel of l out of t.
+    Returns the route of each piece above t0, S or Q, and checks that no
+    slice follows a quotient."""
     p, t0 = m.prime, m.slice_top
     line = np.array(presentation._seeded_line(p), dtype=object)
     for t in range(m.degrees.b[0] - 1, t0):
@@ -238,32 +238,30 @@ def _assert_upper_pieces_are_the_slice_pieces(m, top):
         maps = m.variable_maps(t).astype(object)
         piece = m.piece(t + 1)
         assert piece.dim == slices.shape[1], t
-        coset = np.array(piece.coset, dtype=np.int64)
-        if isinstance(piece, _KoszulPiece):
-            routes += "K"
-            v, i = np.divmod(coset, m.piece(t).dim)
-            nxt = np.zeros((slices.shape[1], len(v)), dtype=object)
-            for j, (vj, ij) in enumerate(zip(v, i)):
-                nxt[:, j] = slices[vj].dot(basis[:, ij]) % p
+        if isinstance(piece, _Piece):
+            routes += "S"
+            assert np.array_equal(maps, slices), t
+            nxt = np.eye(piece.dim, dtype=object)
         else:
             assert isinstance(piece, _QuotientPiece), t
             routes += "Q"
+            coset = np.array(piece.coset, dtype=np.int64)
             l_slice = (line[:, None, None] * slices).sum(axis=0) % p
             nxt = l_slice.dot(basis[:, coset]) % p
             kernel = piece.kernel.astype(object)
             assert kernel.shape == (m.piece(t).dim - piece.dim, m.piece(t).dim), t
             assert rank(piece.kernel, p) == len(kernel), t
             assert not (l_slice.dot(basis).dot(kernel.T) % p).any(), t
-        assert rank(nxt.astype(np.int64), p) == len(coset), t  # a basis of M_(t+1)
+        assert rank(nxt.astype(np.int64), p) == piece.dim, t  # a basis of M_(t+1)
         for x in range(3):
             assert np.array_equal(slices[x].dot(basis) % p, nxt.dot(maps[x]) % p), (t, x)
         basis = nxt
-    assert "QK" not in routes
+    assert "QS" not in routes
     return routes
 
 
-# the seeded line; the zero form, onto no nonzero piece, so every step stays
-# Koszul; and x1, onto only from a higher degree than the seeded line on the
+# the seeded line; the zero form, onto no nonzero piece, so every piece above
+# t0 is a slice; and x1, onto only from a higher degree than the seeded line on the
 # pure powers (3,4,4)
 _LINES = {"seeded": None, "never": (0, 0, 0), "x1": (1, 0, 0)}
 
@@ -276,7 +274,7 @@ def _set_line(mp, name):
 @settings(max_examples=25, deadline=None)
 @given(deg=_twists(), seed=st.integers(0, 2**32),
        prime=st.sampled_from([13, 65521, 2**31 - 1]), line=st.sampled_from(sorted(_LINES)))
-def test_koszul_pieces_are_the_slice_pieces_in_another_basis(deg, seed, prime, line):
+def test_upper_pieces_are_the_slice_pieces_in_another_basis(deg, seed, prime, line):
     # taken as presented, so a degenerate draw at p = 13 is a case too
     with pytest.MonkeyPatch.context() as mp:
         _set_line(mp, line)
@@ -285,7 +283,7 @@ def test_koszul_pieces_are_the_slice_pieces_in_another_basis(deg, seed, prime, l
             m, max(deg.socle_degree, deg.b[-1]) + 1)
         _assert_socle_is_the_slice_socle(GradedModule(m.pres, {}))
     if line == "never":
-        assert set(routes) <= {"K"}
+        assert set(routes) <= {"S"}
 
 
 _INFINITE_GRIDS = [
@@ -307,15 +305,16 @@ _UPPER_FIXTURES = [
 # the route of each piece above t0 on the finite grids, by line, keyed by
 # the grid's first entry
 _GRID_ROUTES = {
-    "x1^3": {"seeded": "KQQQQQ", "never": "KKKKKK", "x1": "KKKQQQ"},
-    "x1^2 + x2*x3": {"seeded": "KQQQQ", "never": "KKKKK", "x1": "KQQQQ"},
+    "x1^3": {"seeded": "SQQQQQ", "never": "SSSSSS", "x1": "SSSQQQ"},
+    "x1^2 + x2*x3": {"seeded": "SQQQQ", "never": "SSSSS", "x1": "SQQQQ"},
 }
 
 
 def _assert_upper_pieces_on_fixture(a, b, grid, p, line):
     """The oracle two degrees past the socle.  No line is onto a piece of a
     module whose support holds a curve, as every line meets it, so the
-    infinite grids stay Koszul and are refused at e + 1 as before; the
+    infinite grids take every piece from its slice and are refused at
+    e + 1 as before; the
     seeded line is onto from some degree on every finite fixture; x1
     maps the pure powers' M_t onto M_(t+1) only from t = 6, where the
     seeded line already does from t = 4; and the last grid's first quotient
@@ -326,10 +325,10 @@ def _assert_upper_pieces_on_fixture(a, b, grid, p, line):
     m = GradedModule(pres, {})
     routes = _assert_upper_pieces_are_the_slice_pieces(m, max(deg.socle_degree, deg.b[-1]) + 2)
     if grid in _INFINITE_GRIDS:
-        assert set(routes) == {"K"}
+        assert set(routes) == {"S"}
         assert m.first_piece_beyond_socle() == deg.socle_degree + 1
     elif line == "never":
-        assert set(routes) == {"K"}
+        assert set(routes) == {"S"}
     elif line == "seeded":
         assert "Q" in routes
     if grid is not None and grid not in _INFINITE_GRIDS:
@@ -339,7 +338,7 @@ def _assert_upper_pieces_on_fixture(a, b, grid, p, line):
 
 @pytest.mark.parametrize("p", [13, 65521, 2**31 - 1])
 @pytest.mark.parametrize("a,b,grid", _UPPER_FIXTURES)
-def test_koszul_pieces_match_the_slices_on_fixtures(a, b, grid, p):
+def test_upper_pieces_match_the_slices_on_fixtures(a, b, grid, p):
     # three presented modules, the two of infinite length, whose pieces
     # beyond the socle degree are nonzero, the pure powers and a sparse
     # grid: neither route assumes finite length or duality
@@ -393,6 +392,16 @@ def test_pieces_below_a1_take_every_coordinate_with_no_slice(a, b, source, monke
         assert piece.coset_exponents.reshape(-1, 3).tolist() == [
             list(mono) for basis in bases for mono in basis.monomials], t
         assert np.array_equal(m.variable_maps(t), slice_maps(pres, t)), t
+
+
+def test_block_layouts_are_cached_read_only():
+    # one layout per (twists, t), shared by every slice and piece that reads it
+    bases, offsets, dim = _block_layout((0, 1), 3)
+    assert _block_layout((0, 1), 3)[1] is offsets and not offsets.flags.writeable
+    with pytest.raises(ValueError):
+        offsets[0] = 1
+    assert bases == (presentation.monomial_basis(3), presentation.monomial_basis(2))
+    assert offsets.tolist() == [0, 10] and dim == 16
 
 
 def test_graded_piece_empty_below_targets():
@@ -513,19 +522,19 @@ def _built(m, kind):
      (3, 4, 7)),
 ])
 def test_build_certifies_from_the_pieces_beyond_the_socle_alone(a, b, grid, built):
-    # the certificate at e + 1 rests on one Koszul step at t0 + 1, where
+    # the certificate at e + 1 rests on the slice at t0 + 1, where
     # h(t0) > h(t0 - 1) rules the line out, then on quotients up to e + 1,
-    # and on the two slices t0 - 1 and t0 whose maps start the chain
-    t0, koszul, top = built
+    # and on the slices t0 - 1 and t0 whose dimensions and maps start the
+    # chain
+    t0, sliced, top = built
     m = GradedModule.build(presentation_from_strings(DegreeData(a, b), grid))
     assert m.certified and m.slice_top == t0 and top == m.degrees.socle_degree + 1
     assert m.piece(t0).dim > m.piece(t0 - 1).dim
-    assert _built(m, _Piece) == [t0 - 1, t0]
-    assert _built(m, _KoszulPiece) == list(range(t0 + 1, koszul + 1))
-    assert _built(m, _QuotientPiece) == list(range(koszul + 1, top + 1))
+    assert _built(m, _Piece) == list(range(t0 - 1, sliced + 1))
+    assert _built(m, _QuotientPiece) == list(range(sliced + 1, top + 1))
     m.hilbert()  # the lower half of the support, up to (d - 3) / 2
     lower = set(range(b[0], (m.degrees.d - 3) // 2 + 1))
-    assert _built(m, _Piece) == sorted(lower | {t0 - 1, t0})
+    assert _built(m, _Piece) == sorted(lower | set(range(t0 - 1, sliced + 1)))
 
 
 @pytest.mark.parametrize("grid", _INFINITE_GRIDS)
