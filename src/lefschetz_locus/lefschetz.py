@@ -11,14 +11,17 @@ above s.  The forms stay coefficient rows in the grevlex column order of
 :mod:`.groebner` from the interpolation to the Groebner basis.
 
 ``middle_measure`` needs no minor when the middle map is square or has
-corank 1: the map on one seeded line settles the locus.  A square map has
-the one minor det, a principal ideal, so its locus is the curve V(det) of
-degree s once the map has rank s at one point.  An (s+1) x s pencil that
-keeps rank s at every point of the line, over the algebraic closure (one
-elimination and a Kalman rank, by the Popov-Belevitch-Hautus test), shows
-that the line misses V(I); a curve meets every line, so V(I) is finite,
-and as Eagon-Northcott bound the height of the proper ideal I by 2, the
-height is 2 and Hilbert-Burch fixes the degree at C(s+1, 2).  By
+corank 1: the map on one line through the module's seeded line l settles
+the locus, from the section of l that the build has often recorded
+already (``GradedModule.section``).  A square map has the one minor det, a
+principal ideal, so its locus is the curve V(det) of degree s once the
+map has rank s at one point, as it has at l where l is onto.  An
+(s+1) x s pencil that keeps rank s at every point of the line, over the
+algebraic closure (the section's elimination and a Kalman rank, by the
+Popov-Belevitch-Hautus test), shows that the line misses V(I); a curve
+meets every line, so V(I) is finite, and as Eagon-Northcott bound the
+height of the proper ideal I by 2, the height is 2 and Hilbert-Burch
+fixes the degree at C(s+1, 2).  By
 Kronecker's canonical form that certifies exactly the middles whose
 minors, restricted to the line, span every binary form of degree s.  Any
 other shape, and a line that certifies nothing, takes the Groebner basis
@@ -74,7 +77,7 @@ from .field_linalg import _matmul, _rref, rank
 from .groebner import (GroebnerBasis, IdealMeasure, _pos, _table, _variable_saturations,
                        buchberger, measure)
 from .polyring import Ring, monomial_basis
-from .presentation import GradedModule
+from .presentation import GradedModule, _seeded_line
 
 
 class ZeroLineError(ValueError):
@@ -198,15 +201,17 @@ def _weights(n: int, k: int, count: int, p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _line_points(s: int, p: int) -> np.ndarray:
-    """The s + 1 points P + lambda Q (lambda = 0..s) of one seeded line of
-    the dual plane, P and Q independent draws of a fixed-tag stream, the
-    same in every run and worker: distinct points for p > s.  Read-only,
-    as they are cached."""
+    """The s + 1 points l + lambda Q (lambda = 0..s) of one line of the dual
+    plane: l the module's seeded line (``presentation._seeded_line``), whose
+    sections the build records, and Q the first draw of a fixed-tag stream
+    that is not a multiple of l, the same in every run and worker: distinct
+    points for p > s.  Read-only, as they are cached."""
+    line = np.array(_seeded_line(p), dtype=np.int64)
     stream = rand.Stream(rand.derive(0, 0x11AE))
-    pq = stream.below_many(p, 6).reshape(2, 3)
-    while not (np.cross(*pq) % p).any():
-        pq = stream.below_many(p, 6).reshape(2, 3)
-    out = (pq[0] + np.arange(s + 1)[:, None] * pq[1]) % p
+    q = stream.below_many(p, 3)
+    while not (np.cross(line, q) % p).any():
+        q = stream.below_many(p, 3)
+    out = (line + np.arange(s + 1)[:, None] * q) % p
     out.flags.writeable = False
     return out
 
@@ -403,45 +408,50 @@ def _middle_rows(m: GradedModule) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64).reshape(-1, comb(s_mid + 2, 2)), s_mid
 
 
-def _observable(mq: np.ndarray, mp: np.ndarray, p: int) -> bool:
-    """Does the (s+1) x s pencil M(P) + lambda M(Q) (``mq``, ``mp`` taken
-    on the tall side) keep rank s at every point of its line over the
-    algebraic closure, lambda = infinity (the point Q) included?  One
-    Gauss-Jordan of [M(Q) | M(P)]: its first s pivots in the first s
-    columns show that M(Q) is injective and leave E M(Q) = [I; 0] and
-    E M(P) = [B; c], c a row, so E(M(P) + lambda M(Q)) = [B + lambda I; c]
-    loses rank exactly where an eigenvector of B with eigenvalue -lambda
-    lies in ker c.  By the Popov-Belevitch-Hautus test there is none
-    exactly when the Kalman matrix [c; cB; ...; cB^(s-1)] has rank s.  A
-    pivot that the elimination takes in row s scales c and adds multiples
-    of c to the rows of B, which changes neither that rank nor ker c."""
-    s = mq.shape[1]
-    red, pivots = _rref(np.hstack([mq, mp]), p)
-    if pivots[:s] != tuple(range(s)):
-        return False
-    b, rows = red[:s, s:], [red[s:, s:]]
-    for _ in range(s - 1):
-        rows.append(_matmul(rows[-1], b, p))
-    return rank(np.vstack(rows), p) == s
+def _observable(section: tuple[np.ndarray, np.ndarray], nq: np.ndarray, p: int) -> bool:
+    """Does the s x (s+1) pencil N(Q) + lambda N(l) keep rank s at every
+    point of its line over the algebraic closure, lambda = infinity (the
+    point l) included?  ``section`` = (sigma, k) is N(l)'s (``_section``):
+    N(l) sigma = I and k spans ker N(l), so T = [sigma | k^T] is invertible
+    and (N(Q) + lambda N(l)) T = [B + lambda I | c], B = N(Q) sigma and
+    c = N(Q) k^T, a column.  That loses rank exactly where a left
+    eigenvector of B with eigenvalue -lambda lies in the left kernel of c,
+    and by the Popov-Belevitch-Hautus test there is none exactly when the
+    Kalman matrix [c | Bc | ... | B^(s-1) c] has rank s.  No elimination
+    but that rank."""
+    sigma, kernel = section
+    b = _matmul(nq, sigma, p)
+    cols = [_matmul(nq, kernel.T, p)]
+    for _ in range(len(b) - 1):
+        cols.append(_matmul(b, cols[-1], p))
+    return rank(np.hstack(cols), p) == len(b)
 
 
 def middle_measure(m: GradedModule) -> IdealMeasure:
     """Dimension and degree of the middle locus V(I), I = I_(i*) the ideal
     of the maximal minors of the middle map, of degree s, read off the map
-    on one seeded line (``_line_points``: the points P + lambda Q,
-    lambda = 0..s) when that settles it, else from ``middle_basis``.  No
-    minor is evaluated.
+    on one line (``_line_points``: the points l + lambda Q, lambda = 0..s,
+    l the module's seeded line) when that settles it, else from
+    ``middle_basis``.  No minor is evaluated, and the line l enters
+    through its recorded ``GradedModule.section`` out of degree t: t = i*
+    where the middle map is square or wide, else its Serre dual
+    d - 4 - i*, whose map is the transpose of the middle one up to fixed
+    invertible changes of basis (module docstring), so it has the same
+    rank at every point and I_t = I_(i*); that needs a module certified
+    by ``GradedModule.build``, and any other takes the basis.
     - Square (h_(i*) = h_(i*+1) = s): I = (det), so a point of rank s
-      proves det != 0, and V(I) is the curve V(det) of degree s.  The
-      points are ranked in order, each only where the ones before it fell
-      short; det is a binary form of degree s on the line, so all s + 1
-      fall short exactly when it vanishes there.
-    - Corank 1 ((s+1) x s): ``_observable`` proves that no point of the
-      line over the algebraic closure drops rank, so the line misses V(I).
-      Every curve meets every line, so V(I) is finite.  By Eagon-Northcott
-      (Proc. R. Soc. A 269, 1962) the maximal minors of an (s+1) x s matrix
-      generate a proper ideal of height at most 2, so the height is 2, I is
-      perfect with the Hilbert-Burch resolution
+      proves det != 0, and V(I) is the curve V(det) of degree s.  Where l
+      is onto, it is such a point, and nothing is ranked.  Else the points
+      l + lambda Q, lambda = 1..s, are ranked in order, each only where the
+      ones before it fell short; det is a binary form of degree s on the
+      line, so all s + 1 fall short exactly when it vanishes there.
+    - Corank 1 ((s+1) x s): where l is onto out of t, ``_observable``
+      proves from its section and the map at Q alone that no point of the
+      line l-Q over the algebraic closure drops rank, so the line misses
+      V(I).  Every curve meets every line, so V(I) is finite.  By
+      Eagon-Northcott (Proc. R. Soc. A 269, 1962) the maximal minors of an
+      (s+1) x s matrix generate a proper ideal of height at most 2, so the
+      height is 2, I is perfect with the Hilbert-Burch resolution
       0 -> R(-s-1)^s -> R(-s)^(s+1) -> I -> 0, and V(I) is a finite scheme
       of degree C(s+1, 2), the measure its Groebner basis would give.
       This certifies exactly the middles whose s + 1 minors, restricted to
@@ -455,7 +465,8 @@ def middle_measure(m: GradedModule) -> IdealMeasure:
       monomials of degree s, and the constant invertible matrices of the
       equivalence act invertibly on the span of the minors.
     - Anything else: any other shape, a determinant vanishing on the whole
-      line, or a line through a point of V(I), takes the Groebner basis.
+      line, or a line through a point of V(I), l among them, takes the
+      Groebner basis.
     The middle's named errors (a prime not above s) come first, as from
     ``middle_basis``."""
     i, p = m.degrees.middle_degree, m.prime
@@ -463,13 +474,15 @@ def middle_measure(m: GradedModule) -> IdealMeasure:
     if size and n - size <= 1:
         _check_prime(p, i, size)
         points = _line_points(size, p)
+        t = i if m.h(i + 1) <= m.h(i) else m.degrees.d - 4 - i
+        onto = m.section(t) if t == i or m.certified else None
         if n == size:
-            if any(rank(m.multiplication_map(point, i), p) == size for point in points):
+            if onto is not None or any(rank(m.multiplication_map(point, t), p) == size
+                                       for point in points[1:]):
                 return IdealMeasure(1, size)
-        else:
-            pencil = [m.multiplication_map(v, i) for v in (points[1] - points[0], points[0])]
-            if _observable(*(pencil if len(pencil[0]) > size else [a.T for a in pencil]), p):
-                return IdealMeasure(0, comb(size + 1, 2))
+        elif onto is not None and _observable(
+                onto, m.multiplication_map((points[1] - points[0]) % p, t), p):
+            return IdealMeasure(0, comb(size + 1, 2))
     return measure(middle_basis(m))
 
 
@@ -575,7 +588,20 @@ def random_line(prime: int, stream: rand.Stream) -> tuple[int, int, int]:
 
 
 def find_lefschetz_line(m: GradedModule, seed: int, tries: int = 100):
-    """First seeded line that is a Lefschetz element, or None."""
+    """A line that is a Lefschetz element, or None.  The module's seeded
+    line l (``presentation._seeded_line``) is one with no rank where its
+    recorded sections (``GradedModule.onto_degrees``) show it onto out of
+    some degree j0 with w - 1 <= j0 and 2 j0 <= d - 3, w the top degree of
+    a minimal generator: l is then onto out of every degree >= j0, as
+    M/lM, generated in degrees <= w, vanishes above j0 (module docstring),
+    and by duality injective out of every degree <= d - 4 - j0 >= j0 - 1,
+    which together cover b_1 - 1 through e.  That needs a module certified
+    by ``GradedModule.build``.  Otherwise the first of ``tries`` seeded
+    lines that ``is_lefschetz`` passes, or None."""
+    gens = m.pres.generator_degrees
+    if m.certified and gens and any(gens[-1] - 1 <= j and 2 * j <= m.degrees.d - 3
+                                    for j in m.onto_degrees()):
+        return _seeded_line(m.prime)
     stream = rand.Stream(rand.derive(seed, 0x11FE))
     for _ in range(tries):
         coords = random_line(m.prime, stream)

@@ -62,15 +62,15 @@ class DegreeData:
     def n(self) -> int:
         return len(self.b)
 
-    @property
+    @cached_property  # computed once: every stage reads these
     def d(self) -> int:
         return sum(self.a) - sum(self.b)
 
-    @property
+    @cached_property
     def socle_degree(self) -> int:
         return self.d - 3 - self.b[0]
 
-    @property
+    @cached_property
     def middle_degree(self) -> int:
         """Degree index whose minor ideal carries the whole locus."""
         return (self.d - 4) // 2
@@ -224,11 +224,13 @@ class _QuotientPiece:
     def dim(self) -> int:
         return len(self.coset)
 
+    @cached_property
     def images(self) -> np.ndarray:
         """A v and B v for the kernel rows v, read in V's coordinates (the
         last rows of ``span``), reduced mod W_t to the coset coordinates of
         M_t: one (h(t), 2k) matrix, column u * k + i for the i-th row and
-        A (u = 0) or B (u = 1)."""
+        A (u = 0) or B (u = 1).  Computed once, for the step above and the
+        socle."""
         k, span = len(self.kernel), self.span
         rows = span.image_rref[len(span.pivots) - k:]
         out = _matmul(self.ab, rows.T, span.p).transpose(1, 0, 2)
@@ -255,7 +257,7 @@ def _section(l: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
     sigma is the transpose of E's first h rows and N is E's other rows."""
     h, k = l.shape
     red, pivots = _rref(np.hstack([l.T, np.eye(k, dtype=np.int64)]), p)
-    if pivots[h - 1] != h - 1:
+    if pivots[:h] != tuple(range(h)):
         return None
     return red[:h, h:].T, red[h:, h:]
 
@@ -270,6 +272,7 @@ class GradedModule:
         self.prime = pres.prime
         self._pieces = pieces
         self._maps: dict[int, np.ndarray] = {}  # x1, x2, x3 maps out of degree t
+        self._sections: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}  # ``section``
         self.audit: dict = {}
         self.certified = False  # finite length checked by ``build``
 
@@ -378,7 +381,7 @@ class GradedModule:
         maps out of s are not formed with the piece; ``variable_maps``
         reduces [I | A | B] at the coset of W_s mod W_(s+1) when they are
         first read.  The first step needs one elimination of [L^T | I] for
-        sigma and ker L (``_section``), tried only where
+        sigma and ker L (``section``, recorded by degree), tried only where
         0 < h(t-1) <= h(t-2); every other degree above t0 takes its slice
         until one succeeds.  Nothing assumes finite length or duality, so
         ``first_piece_beyond_socle`` stays exact on any input: where no
@@ -400,10 +403,26 @@ class GradedModule:
         if isinstance(below, _QuotientPiece):  # l is onto it
             return self._quotient_step(below)
         if 0 < below.dim <= self.piece(t - 2).dim:
-            onto = _section(self.multiplication_map(_seeded_line(self.prime), t - 2), self.prime)
+            onto = self.section(t - 2)
             if onto is not None:
                 return self._first_quotient(t, *onto)
         return self._build_piece(self.pres, t)
+
+    def section(self, t: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """``_section`` of the seeded line's map out of degree t: (sigma, N)
+        where the line maps M_t onto M_(t+1), else None.  Computed once and
+        recorded by degree, failures included, as the quotient chain, the
+        middle certificate and the Lefschetz witness all read it
+        (``onto_degrees``)."""
+        if t not in self._sections:
+            self._sections[t] = _section(
+                self.multiplication_map(_seeded_line(self.prime), t), self.prime)
+        return self._sections[t]
+
+    def onto_degrees(self) -> tuple[int, ...]:
+        """The degrees, ascending, whose recorded ``section`` shows the seeded
+        line onto."""
+        return tuple(sorted(t for t, onto in self._sections.items() if onto is not None))
 
     def _first_quotient(self, t: int, section: np.ndarray,
                         kernel: np.ndarray) -> _QuotientPiece:
@@ -422,7 +441,7 @@ class GradedModule:
         W gains those rows, each lifted by zeros on W's pivots, with W's
         rows reduced on their pivots."""
         w = below.span
-        coker = cokernel_basis(below.images(), w.p)
+        coker = cokernel_basis(below.images, w.p)
         free = np.array(w.coset, dtype=np.intp)
         new = np.zeros((len(coker.pivots), below.ab.shape[1]), dtype=np.int64)
         new[:, free] = coker.image_rref
@@ -494,16 +513,21 @@ class GradedModule:
     def socle(self) -> tuple[int, ...]:
         """Degrees (with multiplicity) annihilated by all three variables:
         in degree t, dim M_t less the rank of the three maps out of it,
-        stacked.  Where M_(t+1) = V/W is a quotient piece, the socle lies in
-        the kernel of l out of t, whose basis is that piece's kernel rows v;
-        as x1 = c1^-1 (l - c2 x2 - c3 x3), it is the part that x2 and x3
-        kill too, the kernel of v -> (A v, B v) mod W (``images``), and no
-        map out of t is formed."""
+        stacked.  Below a_1 - 1 there is none and nothing is formed: for
+        t <= a_1 - 2 no relation is born up to t + 1, so M_t and M_(t+1)
+        are the free module sum R(-b_j) in those degrees, and a nonzero
+        element of a free module times x1 is nonzero.  Where M_(t+1) = V/W
+        is a quotient piece, the socle lies in the kernel of l out of t,
+        whose basis is that piece's kernel rows v; as
+        x1 = c1^-1 (l - c2 x2 - c3 x3), it is the part that x2 and x3 kill
+        too, the kernel of v -> (A v, B v) mod W (``images``), and no map
+        out of t is formed."""
         out: list[int] = []
-        for t in self.support:
+        deg = self.degrees
+        for t in range(max(deg.b[0], deg.a[0] - 1), deg.socle_degree + 1):
             above = self.piece(t + 1)
             if isinstance(above, _QuotientPiece):
-                k, images = len(above.kernel), above.images()
+                k, images = len(above.kernel), above.images
                 out.extend([t] * (k - rank(np.vstack([images[:, :k], images[:, k:]]), self.prime)))
                 continue
             maps = self.variable_maps(t)

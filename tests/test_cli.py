@@ -566,6 +566,34 @@ def test_no_command_forms_a_map_into_a_quotient_piece(argv, capsys, monkeypatch)
         assert not [t for t in mod._maps if t + 1 in upper], mod.degrees
 
 
+@pytest.mark.parametrize("argv", ["locus --a 4,4,4 --b 0", "locus --a 3,4,4 --b 0",
+                                  "locus --a 2,2,4 --b 0",
+                                  "locus --a 3,4,4 --b 0 --prime 13 --seed 1",
+                                  "survey --grid ci:2-4 --localization",
+                                  "survey --grid n2 --samples 2 --localization",
+                                  "survey --a 3,3,4,4,5 --b 0,1,1"])
+def test_no_section_is_eliminated_twice(argv, capsys, monkeypatch):
+    # the seeded line's section out of a degree is recorded when first
+    # formed, failures included, and the quotient chain, the middle
+    # certificate and the Lefschetz witness read the record: one [L^T | I]
+    # elimination per recorded degree, and every module records some
+    from lefschetz_locus import presentation
+    from lefschetz_locus.presentation import GradedModule
+
+    modules, init, calls, section = [], GradedModule.__init__, [], presentation._section
+
+    def recorded(self, *args):
+        init(self, *args)
+        modules.append(self)
+
+    monkeypatch.setattr(GradedModule, "__init__", recorded)
+    monkeypatch.setattr(presentation, "_section", lambda l, p: calls.append(l) or section(l, p))
+    code, _ = _run(capsys, argv.split())
+    assert code == 0 and modules
+    assert all(mod._sections for mod in modules)
+    assert len(calls) == sum(len(mod._sections) for mod in modules)
+
+
 @pytest.mark.parametrize("argv", ["hilbert", "locus", "line --line 1,2,3",
                                   "survey --localization"])
 def test_the_zero_module_is_accepted(argv, capsys):

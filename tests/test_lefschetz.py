@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 from itertools import combinations
@@ -22,12 +23,13 @@ from helpers import (
     minors_at_points,
     rational_points_0dim,
     rows,
+    socle_by_slices,
     specialize,
     variable,
 )
 from test_acceptance import CI_GRID, N2_GRID
 from test_jumping import _WITNESS_FIXTURES, _monomial_344
-from lefschetz_locus import cli, groebner, rand
+from lefschetz_locus import cli, field_linalg, groebner, presentation, rand
 from lefschetz_locus import lefschetz as lef
 from lefschetz_locus.field_linalg import _matmul, _rref
 from lefschetz_locus.groebner import (IdealMeasure, _table, _variable_saturations, same_ideal,
@@ -48,6 +50,7 @@ from lefschetz_locus.presentation import (
     GradedModule,
     generic_module,
     presentation_from_strings,
+    random_presentation,
 )
 
 R = Ring()
@@ -1107,18 +1110,22 @@ def test_lattice_minors_at_given_points_match_cofactor_determinants(stack, point
 
 @pytest.mark.parametrize("p", [2, 13, 65521, 2**31 - 1])
 def test_line_points_are_one_seeded_line(p):
-    # s + 1 distinct points P + lambda Q of one line, P and Q the first
-    # independent pair of the fixed-tag stream; cached, so read-only
+    # s + 1 distinct points l + lambda Q of one line: l the module's seeded
+    # line, whose sections the build records, and Q the first draw of the
+    # fixed-tag stream that is not a multiple of l; cached, so read-only
+    line = presentation._seeded_line(p)
     stream = rand.Stream(rand.derive(0, 0x11AE))
     while True:
-        pq = [[stream.below(p) for _ in range(3)] for _ in range(2)]
-        (x1, x2, x3), (y1, y2, y3) = pq
+        q = [stream.below(p) for _ in range(3)]
+        (x1, x2, x3), (y1, y2, y3) = line, q
         if any(v % p for v in (x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)):
             break
     for s in range(min(p - 1, 6) + 1):
         got = lef._line_points(s, p)
         assert lef._line_points(s, p) is got and not got.flags.writeable
-        assert got.tolist() == [[(x + lam * y) % p for x, y in zip(*pq)] for lam in range(s + 1)]
+        assert got.tolist() == [[(x + lam * y) % p for x, y in zip(line, q)]
+                                for lam in range(s + 1)]
+        assert got[0].tolist() == list(line)
         assert len({tuple(point) for point in got.tolist()}) == s + 1
 
 
@@ -1144,33 +1151,46 @@ def _outcome(f, m):
 def test_middle_measure_is_the_measure_of_the_middle_basis(p, seed, twist):
     # the line's certificate, or its fallback, gives the measure of the
     # middle Groebner basis, or the same named error, on seeded modules with
-    # n = 1, 2 and 3 (square and corank-1 middles)
+    # n = 1, 2 and 3 (square and corank-1 middles).  The line l + lambda Q
+    # through the seeded line certifies exactly where the maximal minors'
+    # values at its s + 1 points do (``line_values_measure``), and only
+    # there is no basis measured
     try:
         m = generic_module(DegreeData(*twist), seed, p)
     except ValueError:  # no generic draw at a small prime
         assume(False)
-    got = _outcome(lef.middle_measure, m)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lef, "measure", lambda gb: calls.append(gb) or groebner.measure(gb))
+        got = _outcome(lef.middle_measure, m)
     lef.middle_basis.cache_clear()
     assert got == _outcome(lambda m: groebner.measure(lef.middle_basis(m)), m), m.degrees
+    if isinstance(got, IdealMeasure):
+        oracle = line_values_measure(m)
+        assert (oracle is None) == bool(calls) and oracle in (None, got), m.degrees
 
 
 class _Middle:
-    """A stand-in module whose middle degree 0 maps by three given target x
-    source matrices: all that ``middle_measure`` and ``middle_basis`` read,
-    the map of a line formed as the module's own.  Hashed by identity, as
-    ``middle_basis`` caches."""
+    """A stand-in certified module whose middle degree 0 maps by three given
+    target x source matrices and whose Serre-dual degree 1 (d = 5) maps by
+    their transposes: all that ``middle_measure`` and ``middle_basis``
+    read, the map of a line and the seeded line's sections formed as the
+    module's own.  Hashed by identity, as ``middle_basis`` caches."""
 
     multiplication_map = GradedModule.multiplication_map
+    section = GradedModule.section
+    certified = True
 
     def __init__(self, maps, p):
         self.maps, self.prime = np.array(maps, dtype=np.int64) % p, p
-        self.degrees = SimpleNamespace(middle_degree=0)
+        self.degrees = SimpleNamespace(middle_degree=0, d=5)
+        self._sections = {}
 
     def h(self, i):
-        return {0: self.maps.shape[2], 1: self.maps.shape[1]}.get(i, 0)
+        return {0: self.maps.shape[2], 1: self.maps.shape[1], 2: self.maps.shape[2]}.get(i, 0)
 
     def variable_maps(self, i):
-        return self.maps
+        return self.maps if i == 0 else self.maps.transpose(0, 2, 1)
 
 
 @st.composite
@@ -1178,10 +1198,10 @@ def _middles(draw):
     """Three (s + c) x s maps, c = 0, 1 or 2, mod p: random; a determinant
     or minors vanishing identically (a column repeated); minors sharing a
     linear factor (a first column L(l) w, so the locus holds the line
-    L = 0); or minors vanishing at a point u, with the seeded line moved
-    through u, as its first point P ("through-point") or as its point Q at
-    infinity, where M(Q) is then singular ("singular-q").  Returns the
-    prime, the maps, the kind and u."""
+    L = 0); or minors vanishing at a point u, with the line moved through
+    u, as its seeded point l, whose section then fails ("through-point"),
+    or as its other point Q, where M(Q) is then singular ("singular-q").
+    Returns the prime, the maps, the kind and u."""
     p = draw(st.sampled_from([13, 65521, 2**31 - 1]))
     s, c = draw(st.integers(1, 4)), draw(st.integers(0, 2))
     kind = draw(st.sampled_from(["random", "vanishing", "common-curve", "through-point",
@@ -1201,14 +1221,15 @@ def _middles(draw):
 
 
 def _move_line(mp, kind, u, q, p, s):
-    """Put the seeded line through u: as its first point P, or as its point
-    Q at infinity, from the other point q.  False where u and q span no
-    line, so nothing was moved."""
+    """Put the line through u: as its seeded point l, or as its other point
+    Q, from the other point q.  False where u and q span no line, so
+    nothing was moved."""
     if not any((u[j] * q[k] - u[k] * q[j]) % p for j, k in ((0, 1), (1, 2), (0, 2))):
         return False
     first, step = (u, q) if kind == "through-point" else (q, u)
     line = np.array([[(a + lam * b) % p for a, b in zip(first, step)] for lam in range(s + 1)])
     mp.setattr(lef, "_line_points", lambda size, prime: line)
+    mp.setattr(presentation, "_seeded_line", lambda prime: tuple(first))
     return True
 
 
@@ -1221,11 +1242,14 @@ def test_middle_measure_falls_back_where_the_line_certifies_nothing(middle, q):
     # read off the basis, by one ``measure`` call, wherever the line cannot
     # certify it: corank 2, minors vanishing identically, or corank 1 with a
     # locus that meets the line (a common curve meets every line; a line
-    # through u meets its point, at P or at Q).  Whatever the line
+    # through u meets its point, at l or at Q).  A square whose Q is
+    # singular certifies or declines on its merits.  Whatever the line
     # certifies is the square's curve of degree s or the Hilbert-Burch
-    # points.  The rank and Kalman certificates decide exactly as the
-    # maximal minors' values on the line did (``line_values_measure``, the
-    # oracle): the line certifies a middle exactly where its values do
+    # points.  The section and Kalman certificates, taken out of the dual
+    # degree for corank 1, decide exactly as the maximal minors' values on
+    # the line did (``line_values_measure``, the oracle): the line
+    # certifies a middle exactly where its values do.  The seeded line's
+    # section is formed once, out of one degree
     p, maps, kind, u = middle
     q = [x % p for x in q]
     m, calls = _Middle(maps, p), []
@@ -1240,6 +1264,7 @@ def test_middle_measure_falls_back_where_the_line_certifies_nothing(middle, q):
     want = groebner.measure(lef.middle_basis(m))
     assert got == want
     assert (oracle is None) == bool(calls) and oracle in (None, got)
+    assert list(m._sections) == ([] if n - s == 2 else [0 if n == s else 1])
     if n - s == 2 or kind == "vanishing" and s > 1 or n > s and kind in (
             "common-curve", "through-point", "singular-q"):
         assert len(calls) == 1
@@ -1247,24 +1272,26 @@ def test_middle_measure_falls_back_where_the_line_certifies_nothing(middle, q):
         assert got == (IdealMeasure(1, s) if n == s else IdealMeasure(0, comb(s + 1, 2)))
 
 
-@pytest.mark.parametrize("a,digest", [
-    ((2, 2, 4), "75592aa00156e4ba"),  # a 4 x 4 square: 5 values of det
-    ((2, 3, 3), "5e092414f50a4279"),  # a 5 x 5 square
-    ((3, 3, 3), "49f24a99361b8bf6"),  # 7 x 6: 7 minors at 7 points
-    ((3, 4, 4), "74bf1d3cb86bb2e5"),  # 10 x 9
-    ((4, 4, 5), "1af014c46acf453e"),  # 14 x 13
-    ((5, 5, 5), "4fcd81e844447774"),  # 19 x 18
+@pytest.mark.parametrize("a,digest,reads", [
+    ((2, 2, 4), "3926fe138e35afb4", "l"),  # a 4 x 4 square below t0 - 1: its own section
+    ((2, 3, 3), "d14ff576358b8c96", ""),  # a 5 x 5 square, its section the build's
+    ((3, 3, 3), "6bcf0ca75bfc7bb8", "Q"),  # 7 x 6: 7 minors at 7 points
+    ((3, 4, 4), "fa9d7beee415e33a", "Q"),  # 10 x 9
+    ((4, 4, 5), "29b524aa9a9ac0b9", "Q"),  # 14 x 13
+    ((5, 5, 5), "b35b62070874a1a8", "Q"),  # 19 x 18
 ], ids=["2,2,4", "2,3,3", "3,3,3", "3,4,4", "4,4,5", "5,5,5"])
-def test_middle_line_values_are_pinned(a, digest, monkeypatch):
+def test_middle_line_values_are_pinned(a, digest, reads, monkeypatch):
     # SHA-256 of the oracle's value array (``minors_at_points``) at
     # p = 2^31 - 1, seed 1, with its degree, minor size and shape: the
-    # middle's maximal minors at the s + 1 points of the seeded line, which
-    # certify every one of these middles (``line_values_measure``), as
-    # ``middle_measure`` once computed them.  ``middle_measure`` certifies
-    # each with no minor value and no basis: a square by the map at the
-    # first point alone, whose value, the array's first row, is nonzero, and
-    # a corank-1 middle by its pencil at Q and P.  Where s <= 6 each value
-    # is also the cofactor oracle's
+    # middle's maximal minors at the s + 1 points l + lambda Q of the line
+    # through the seeded line l, which certify every one of these middles
+    # (``line_values_measure``).  ``middle_measure`` certifies each with no
+    # minor value and no basis, from the seeded line's section: a square
+    # by l's section out of i*, onto, formed only where the build has not
+    # recorded it (l, whose value, the array's first row, is nonzero), and
+    # a corank-1 middle by the section out of the Serre-dual degree
+    # d - 4 - i*, which the build recorded, and that degree's map at Q.
+    # Where s <= 6 each value is also the cofactor oracle's
     import hashlib
 
     lines, forms = [], GradedModule.multiplication_map
@@ -1274,7 +1301,7 @@ def test_middle_line_values_are_pinned(a, digest, monkeypatch):
         return forms(m, line, t)
 
     m = generic_module(DegreeData(a, (0,)), 1, 2**31 - 1)
-    i = m.degrees.middle_degree
+    i, d = m.degrees.middle_degree, m.degrees.d
     monkeypatch.setattr(GradedModule, "multiplication_map", recorded)
     monkeypatch.setattr(lef, "_minor_values", None)  # no minor value
     monkeypatch.setattr(lef, "measure", None)  # no fallback
@@ -1287,11 +1314,72 @@ def test_middle_line_values_are_pinned(a, digest, monkeypatch):
     h = hashlib.sha256(np.array([i, s, 0, *out.shape], dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
     assert h.hexdigest()[:16] == digest
-    p, q = points[0].tolist(), ((points[1] - points[0]) % m.prime).tolist()
-    if n == s:
-        assert lines == [(i, p)] and out[0].any()
-    else:
-        assert [(t, [c % m.prime for c in line]) for t, line in lines] == [(i, q), (i, p)]
+    line, q = points[0].tolist(), ((points[1] - points[0]) % m.prime).tolist()
+    t = i if n == s else d - 4 - i
+    assert m.section(t) is not None and out[0].any()  # l has rank s
+    assert lines == [(t, {"l": line, "Q": q}[r]) for r in reads]
     if s <= 6:
         want = [_cofactor_minors(m, i, point) for point in points.tolist()]
         assert out.tolist() == want
+
+
+@pytest.mark.parametrize("a,calls", [((4, 4, 4), []), ((3, 4, 4), ["rank", (9, 9)])])
+def test_a_seeded_middle_takes_no_elimination_but_the_kalman_rank(a, calls, monkeypatch):
+    # ``locus`` on (4,4,4) and (3,4,4), seed 1: the build recorded the
+    # seeded line's section out of degree 4, i* of the square 12 x 12
+    # middle and the Serre dual of i* = 3 of the 10 x 9 one, so the square
+    # is certified with no rank and no elimination, and the corank-1
+    # middle with the 9 x 9 Kalman rank alone
+    m = cli.build_module({"a": list(a), "b": [0], "seed": 1, "prime": 65521, "matrix": None})
+    got, rref = [], field_linalg._rref
+
+    def counted(x, p):
+        got.append(x.shape)
+        return rref(x, p)
+
+    for module in (field_linalg, presentation, lef):
+        monkeypatch.setattr(module, "_rref", counted)
+    monkeypatch.setattr(lef, "rank", lambda x, p: got.append("rank") or field_linalg.rank(x, p))
+    monkeypatch.setattr(lef, "measure", None)  # no fallback
+    lef.middle_measure(m)
+    assert got == calls
+
+
+_WITNESS_TWISTS = [((a, (0,))) for a in CI_GRID] + N2_GRID + [
+    ((2, 2, 3, 3), (0, 1)), ((2, 3, 3, 4), (0, 1)), ((1, 1, 1, 2, 2), (0, 0, 0)),
+    ((2, 2, 2, 2, 2), (0, 1, 1)), ((3, 3, 4, 4, 5), (0, 1, 1)), ((1, 1, 1, 8), (0, 0))]
+
+
+@pytest.mark.parametrize("p", [13, 65521])
+@pytest.mark.parametrize("a,b", _WITNESS_TWISTS)
+def test_the_seeded_line_is_a_witness_only_where_it_is_lefschetz(a, b, p, monkeypatch):
+    # after the middle (as in a survey row), the witness is the seeded line
+    # with no rank wherever its recorded sections propagate; it is then a
+    # Lefschetz element by the full scan of every degree, and else the
+    # seeded stream is scanned as before.  Where the prime is not above the
+    # middle minor size, the build's sections alone are recorded
+    m = generic_module(DegreeData(a, b), 1, p)
+    with contextlib.suppress(ValueError):
+        lef.middle_measure(m)
+    scans = []
+    monkeypatch.setattr(lef, "is_lefschetz", lambda m, line: scans.append(line) or is_lefschetz(
+        m, line))
+    got = find_lefschetz_line(m, seed=1, tries=25)
+    if not scans:
+        assert got == presentation._seeded_line(p)
+        assert full_scan_is_lefschetz(m, got)[0]
+    else:
+        assert got is None or got == scans[-1]
+    if (a, b) in [((4, 4, 4), (0,)), ((3, 4, 4), (0,)), ((2, 2, 3, 3), (0, 1))] and p == 65521:
+        assert not scans
+
+
+@pytest.mark.parametrize("a,b", [((3, 4, 4), (0,)), ((4, 4, 5), (0,)), ((3, 3, 3, 3), (0, 0)),
+                                 ((3, 3, 4, 4), (0, 1)), ((3, 3, 4, 4, 5), (0, 1, 1))])
+@pytest.mark.parametrize("p", [13, 65521])
+def test_socle_forms_no_map_below_the_first_relation(a, b, p):
+    # below a_1 - 1 the pieces t and t + 1 are free, so the socle there is 0
+    # and no map out of t is formed; the socle is the slices' everywhere
+    m = GradedModule(random_presentation(DegreeData(a, b), 1, p), {})
+    assert m.socle() == socle_by_slices(m.pres)
+    assert min(m._maps, default=a[0] - 1) >= a[0] - 1
