@@ -1345,7 +1345,7 @@ def test_a_seeded_middle_takes_no_elimination_but_the_kalman_rank(a, calls, monk
     assert got == calls
 
 
-_WITNESS_TWISTS = [((a, (0,))) for a in CI_GRID] + N2_GRID + [
+_WITNESS_TWISTS = [(a, (0,)) for a in CI_GRID] + N2_GRID + [
     ((2, 2, 3, 3), (0, 1)), ((2, 3, 3, 4), (0, 1)), ((1, 1, 1, 2, 2), (0, 0, 0)),
     ((2, 2, 2, 2, 2), (0, 1, 1)), ((3, 3, 4, 4, 5), (0, 1, 1)), ((1, 1, 1, 8), (0, 0))]
 
