@@ -11,18 +11,12 @@ type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .presentation import DegreeData
+from .presentation import DegreeData, _dim_r
 
 
 class InconsistencyError(ArithmeticError):
     """A closed-form identity failed; the input is degenerate."""
-
-
-def _sections_line_bundle(m: int) -> int:
-    """h^0 of O(m) on the plane: C(m+2, 2) for m >= 0, else 0."""
-    return comb(m + 2, 2) if m >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -52,8 +46,8 @@ def h0(degrees: DegreeData, t: int) -> int:
     """Exact h^0 of the twisted bundle: sections of the middle free module
     minus sections of the left one (the section sequence is short exact)."""
     d = degrees.d
-    value = sum(_sections_line_bundle(t - d + ai) for ai in degrees.a)
-    value -= sum(_sections_line_bundle(t - d + bj) for bj in degrees.b)
+    value = sum(_dim_r(t - d + ai) for ai in degrees.a)
+    value -= sum(_dim_r(t - d + bj) for bj in degrees.b)
     if value < 0:
         raise InconsistencyError(f"negative section count at twist {t}")
     return value

@@ -21,9 +21,9 @@ from .field_linalg import DEFAULT_PRIME
 from .presentation import (
     DegreeData,
     GradedModule,
-    generic_hilbert_profile,
     generic_module,
     presentation_from_strings,
+    record_audit,
 )
 
 _N2_GRID: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (
@@ -111,15 +111,7 @@ def build_module(job: dict) -> GradedModule:
     degrees = DegreeData(tuple(job["a"]), tuple(job["b"]))
     if job.get("matrix") is not None:
         pres = presentation_from_strings(degrees, job["matrix"], job["prime"])
-        mod = GradedModule.build(pres)
-        profile = generic_hilbert_profile(degrees)
-        mod.audit = {
-            "requested_seed": job["seed"],
-            "seed": job["seed"],
-            "rejected_seeds": [],
-            "hilbert_matches_generic_profile": mod.hilbert() == profile,
-        }
-        return mod
+        return record_audit(GradedModule.build(pres), job["seed"], job["seed"], [])
     return generic_module(degrees, job["seed"], job["prime"])
 
 
@@ -248,7 +240,7 @@ def survey_row(job: dict) -> dict:
     mod = build_module(job)
     row = _locus_report(job, mod)
     claims = _structural_claims(mod)
-    witness = lefschetz.find_lefschetz_line(mod, job["seed"], tries=25)
+    witness = lefschetz.find_lefschetz_line(mod, job["seed"])
     claims.append(("wlp-witness", witness is not None))
     stab = row["stability"]
     if stab["class"] == "unstable" or stab["c1_normalized"] == 0:

@@ -135,8 +135,6 @@ class CokernelBasis:
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Map columns of ``vectors`` (target coords) to coset coordinates."""
         v = np.asarray(vectors, dtype=np.int64) % self.p
-        if v.ndim == 1:
-            v = v[:, None]
         free_part = v[list(self.coset), :]
         r_free = self.image_rref[:, list(self.coset)]
         return (free_part - _matmul(r_free.T, v[list(self.pivots), :], self.p)) % self.p

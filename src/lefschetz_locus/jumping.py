@@ -104,12 +104,12 @@ def section_matrix(rb: RestrictedBundle, t: int) -> np.ndarray:
     return m
 
 
-def splitting_type(rb: RestrictedBundle, d: int | None = None) -> SplittingType:
+def splitting_type(rb: RestrictedBundle) -> SplittingType:
     """Splitting type O(alpha) + O(beta), alpha >= beta, of the restricted
     kernel from one section count.  As alpha + beta is the total, at the
     twist t = -floor(total/2) - 1 only O(alpha) has sections, and
     alpha - floor(total/2) of them."""
-    total = -(d if d is not None else rb.degrees.d)
+    total = -rb.degrees.d
     half = total // 2
     m = section_matrix(rb, -half - 1)
     alpha = half + m.shape[1] - rank(m, rb.prime)
@@ -122,8 +122,11 @@ class NoGenericLineError(ValueError):
     """No seeded line attained the generic splitting type."""
 
 
+_TRIES = 25  # seeded lines that ``is_jumping`` restricts
+
+
 def is_jumping(pres: PresentationMatrix, split: SplittingType, stab: StabilityReport,
-               seed: int = 0, tries: int = 25) -> bool:
+               seed: int = 0) -> bool:
     """Is a line with splitting type ``split`` a jumping line, one whose
     type differs from the generic one?
 
@@ -138,7 +141,7 @@ def is_jumping(pres: PresentationMatrix, split: SplittingType, stab: StabilityRe
     with alpha_L = g is not jumping, and no other line is restricted.  A
     line with alpha_L > g is jumping exactly when some line attains g: the
     seeded lines are restricted until one does, which is the witness that
-    is observed, not assumed.  If none of ``tries`` does, a
+    is observed, not assumed.  If none of ``_TRIES`` does, a
     ``NoGenericLineError`` is raised rather than a guess."""
     g = generic_splitting(stab).alpha - stab.t0  # in the frame of ``split``
     if split.alpha < g:
@@ -147,9 +150,9 @@ def is_jumping(pres: PresentationMatrix, split: SplittingType, stab: StabilityRe
     if split.alpha == g:
         return False
     stream = rand.Stream(rand.derive(seed, 0x591))
-    for _ in range(tries):
+    for _ in range(_TRIES):
         coords = random_line(pres.prime, stream)
         if splitting_type(restrict(pres, line_point(coords, pres.prime))).alpha == g:
             return True
-    raise NoGenericLineError(f"none of {tries} seeded lines attains the generic splitting "
+    raise NoGenericLineError(f"none of {_TRIES} seeded lines attains the generic splitting "
                              f"type, alpha {g}")

@@ -28,7 +28,7 @@ other shape, and a line that certifies nothing, takes the Groebner basis
 (``middle_basis``).
 
 ``locus_ideal`` decides whether the middle degree alone cuts out the whole
-locus, against the module's own middle basis (``middle_basis``): a degree
+locus, against the module's own middle minors: a degree
 passes if its minor values have full rank, else by one Macaulay-matrix
 rank, and only where that falls short by normal forms against the three
 variable saturations I : l_v^infinity.  A
@@ -101,6 +101,7 @@ def dual_ring(m: GradedModule) -> Ring:
 # per point, a smaller batch leaves the [M | I] step a few points per call
 _BATCH = 1 << 16
 _MAX_VALUES = 1 << 25  # entries of an all-minors value matrix (256 MiB of int64)
+_WITNESS_TRIES = 25  # seeded lines that ``find_lefschetz_line`` scans
 
 
 def _minor_shape(n: int, size: int) -> tuple[bool, int]:
@@ -389,23 +390,11 @@ def _injective_below(m: GradedModule, i: int) -> bool:
     return m.h(i) <= m.h(i + 1) and i <= m.degrees.d - 3 - m.pres.generator_degrees[-1]
 
 
-@functools.lru_cache(maxsize=1)
 def middle_basis(m: GradedModule) -> GroebnerBasis:
-    """Reduced Groebner basis of the middle-degree minor ideal I_(i*), kept
-    for the last module asked about: a survey row may measure it
-    (``middle_measure``'s fallback) and then test a degree that falls short
-    against it (``locus_ideal``), one row at a time."""
+    """Reduced Groebner basis of the middle-degree minor ideal I_(i*),
+    ``middle_measure``'s fallback where the seeded line settles nothing."""
     ideal = locus_ideal_at(m, m.degrees.middle_degree)
     return buchberger(dual_ring(m), {ideal.degree: ideal.gens})
-
-
-def _middle_rows(m: GradedModule) -> tuple[np.ndarray, int]:
-    """The lowest-degree elements of ``middle_basis``, as rows, and their
-    degree s_mid."""
-    middle = middle_basis(m)
-    s_mid = min(middle.deg, default=0)
-    rows = [row for d, row in zip(middle.deg, middle.rows) if d == s_mid]
-    return np.array(rows, dtype=np.int64).reshape(-1, comb(s_mid + 2, 2)), s_mid
 
 
 def _observable(section: tuple[np.ndarray, np.ndarray], nq: np.ndarray, p: int) -> bool:
@@ -487,23 +476,21 @@ def middle_measure(m: GradedModule) -> IdealMeasure:
 
 
 def locus_ideal(m: GradedModule) -> bool:
-    """Does the middle-degree minor ideal I_mid (``middle_basis`` is its
-    reduced basis) cut out the whole locus, the scheme of the intersection
-    of the minor ideals I_i of all degrees?  That intersection lies in
-    I_mid, so, as saturation commutes with intersection, exactly when every
-    I_i^sat holds I_mid.  Value columns of full rank C(s+2, 2) (Vandermonde
+    """Does the middle-degree minor ideal I_mid cut out the whole locus,
+    the scheme of the intersection of the minor ideals I_i of all degrees?
+    That intersection lies in I_mid, so, as saturation commutes with
+    intersection, exactly when every I_i^sat holds I_mid.  Value columns
+    of full rank C(s+2, 2) (Vandermonde
     times coefficients) span R_s and pass the degree.  Where there are more
     than C(s+2, 2) + 4 minors, that many seeded combinations of them are
     tried first: each is a form of I_i, so their full rank passes it
     exactly.  Any shortfall takes every minor, and only then does a basis
-    of their span go to ``_in_saturation``, against the lowest-degree
-    elements of ``middle_basis``, which is built only then.  A prime not
-    above the middle minor size is refused first, with the middle's error.
-    The middle locus itself is ``middle_measure``'s: the curve of a
-    principal ideal (det) for a square middle, and for corank 1 a finite
-    scheme, as a curve would meet the seeded line, of height 2 by
-    Eagon-Northcott and degree C(s+1, 2) by Hilbert-Burch; any other middle
-    falls back to the same ``middle_basis``.
+    of their span go to ``_in_saturation``, against the middle minors
+    (``locus_ideal_at``), formed at most once a call: whether forms lie in
+    I_i^sat depends only on their span, and the lowest-degree elements of
+    a reduced Groebner basis of I_mid, generated in one degree, are the
+    reduced echelon form of the minors' span.  A prime not above the middle
+    minor size is refused first, with the middle's error.
 
     Degree i and its Serre dual d - 4 - i have one minor ideal (see the
     module docstring), so one degree of each pair is decided, and the
@@ -520,6 +507,7 @@ def locus_ideal(m: GradedModule) -> bool:
     deg = m.degrees
     mid_degree = deg.middle_degree
     _check_prime(m.prime, mid_degree, min(m.h(mid_degree), m.h(mid_degree + 1)))
+    middle = None
     for i in range(mid_degree - 1, deg.b[0] - 2, -1):
         size = min(m.h(i), m.h(i + 1))
         if size == 0:
@@ -531,10 +519,11 @@ def locus_ideal(m: GradedModule) -> bool:
             values = _minor_values(m, i, size)
             _, pivots = _rref(values, m.prime)
             full = len(pivots) == points
-            if not full and not _in_saturation(
-                    *_middle_rows(m), _interpolate(m, i, values[:, list(pivots)]), size,
-                    dual_ring(m)):
-                return False
+            if not full:
+                middle = middle or locus_ideal_at(m, mid_degree)
+                forms = _interpolate(m, i, values[:, list(pivots)])
+                if not _in_saturation(middle.gens, middle.degree, forms, size, dual_ring(m)):
+                    return False
         if full and _injective_below(m, i):
             break
     return True
@@ -587,7 +576,7 @@ def random_line(prime: int, stream: rand.Stream) -> tuple[int, int, int]:
             return coords
 
 
-def find_lefschetz_line(m: GradedModule, seed: int, tries: int = 100):
+def find_lefschetz_line(m: GradedModule, seed: int):
     """A line that is a Lefschetz element, or None.  The module's seeded
     line l (``presentation._seeded_line``) is one with no rank where its
     recorded sections (``GradedModule.onto_degrees``) show it onto out of
@@ -596,14 +585,14 @@ def find_lefschetz_line(m: GradedModule, seed: int, tries: int = 100):
     M/lM, generated in degrees <= w, vanishes above j0 (module docstring),
     and by duality injective out of every degree <= d - 4 - j0 >= j0 - 1,
     which together cover b_1 - 1 through e.  That needs a module certified
-    by ``GradedModule.build``.  Otherwise the first of ``tries`` seeded
-    lines that ``is_lefschetz`` passes, or None."""
+    by ``GradedModule.build``.  Otherwise the first of ``_WITNESS_TRIES``
+    seeded lines that ``is_lefschetz`` passes, or None."""
     gens = m.pres.generator_degrees
     if m.certified and gens and any(gens[-1] - 1 <= j and 2 * j <= m.degrees.d - 3
                                     for j in m.onto_degrees()):
         return _seeded_line(m.prime)
     stream = rand.Stream(rand.derive(seed, 0x11FE))
-    for _ in range(tries):
+    for _ in range(_WITNESS_TRIES):
         coords = random_line(m.prime, stream)
         if is_lefschetz(m, coords).ok:
             return coords

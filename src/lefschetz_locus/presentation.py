@@ -36,7 +36,7 @@ class NonGenericPresentationError(ValueError):
 
 
 def _dim_r(k: int) -> int:
-    """Dimension of the degree-k piece of k[x1,x2,x3]."""
+    """Dimension of the degree-k piece of k[x1,x2,x3], h^0 of O(k) on the plane."""
     return (k + 2) * (k + 1) // 2 if k >= 0 else 0
 
 
@@ -540,8 +540,9 @@ class GradedModule:
 
 
 def generic_hilbert_profile(degrees: DegreeData) -> dict[int, int]:
-    """Hilbert function forced by the degree data when the presentation is
-    generic (alternating sum of the four twisted free modules)."""
+    """Hilbert function of every finite-length cokernel with this degree
+    data: the alternating sum of the four twisted free modules of its
+    Buchsbaum-Rim resolution (``generic_module``)."""
     d = degrees.d
     lo, e = degrees.b[0], degrees.socle_degree
     profile = {}
@@ -556,33 +557,39 @@ def generic_hilbert_profile(degrees: DegreeData) -> dict[int, int]:
     return profile
 
 
-def generic_module(degrees: DegreeData, seed: int, prime: int = DEFAULT_PRIME,
-                   max_attempts: int = 8) -> GradedModule:
-    """Seeded generic module with a post-hoc audit: finite length and the
-    generic Hilbert profile.  Rejected draws are re-seeded deterministically
-    and recorded in ``module.audit``."""
-    profile = generic_hilbert_profile(degrees)
+_MAX_ATTEMPTS = 8  # seeded draws that ``generic_module`` tries
+
+
+def record_audit(mod: GradedModule, requested_seed: int, seed: int,
+                 rejected: list[int]) -> GradedModule:
+    """Write ``mod.audit``: the seeds asked for, drawn and rejected, and
+    whether ``mod.hilbert()`` is ``generic_hilbert_profile``, computed."""
+    mod.audit = {
+        "requested_seed": requested_seed,
+        "seed": seed,
+        "rejected_seeds": rejected,
+        "hilbert_matches_generic_profile": mod.hilbert() == generic_hilbert_profile(mod.degrees),
+    }
+    return mod
+
+
+def generic_module(degrees: DegreeData, seed: int, prime: int = DEFAULT_PRIME) -> GradedModule:
+    """Seeded module of finite length, audited (``record_audit``): a draw
+    that ``GradedModule.build`` refuses is re-seeded deterministically, up
+    to ``_MAX_ATTEMPTS`` draws.  An accepted draw has the generic profile:
+    the n x n minors of a presentation of finite length have grade 3, so
+    the Buchsbaum-Rim complex (Trans. AMS 111, 1964) resolves its cokernel
+    by the four twisted free modules that ``generic_hilbert_profile`` sums."""
     rejected: list[int] = []
-    attempt_seed = seed
-    for attempt in range(max_attempts):
-        pres = random_presentation(degrees, attempt_seed, prime)
+    for attempt in range(_MAX_ATTEMPTS):
+        attempt_seed = rand.derive(seed, attempt) if attempt else seed
         try:
-            mod = GradedModule.build(pres)
+            mod = GradedModule.build(random_presentation(degrees, attempt_seed, prime))
         except NonFiniteLengthError:
             rejected.append(attempt_seed)
-            attempt_seed = rand.derive(seed, attempt + 1)
             continue
-        if mod.hilbert() == profile:
-            mod.audit = {
-                "requested_seed": seed,
-                "seed": attempt_seed,
-                "rejected_seeds": list(rejected),
-                "hilbert_matches_generic_profile": True,
-            }
-            return mod
-        rejected.append(attempt_seed)
-        attempt_seed = rand.derive(seed, attempt + 1)
+        return record_audit(mod, seed, attempt_seed, rejected)
     raise NonGenericPresentationError(
         f"no generic presentation found for degrees {degrees} after "
-        f"{max_attempts} seeded attempts (rejected: {rejected})"
+        f"{_MAX_ATTEMPTS} seeded attempts (rejected: {rejected})"
     )

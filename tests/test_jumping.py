@@ -231,8 +231,10 @@ def test_is_jumping_refuses_to_guess_without_a_witness():
     m, lines = _f13_plane((3, 4, 4), (0,), None)
     stab = classify_stability(m.degrees)
     split = lines[(1, 0, 1)][0]  # jumping: a vote at seed 6 called it generic
-    with pytest.raises(NoGenericLineError, match="none of 0 seeded lines"):
-        is_jumping(m.pres, split, stab, 6, tries=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lefschetz_locus.jumping._TRIES", 0)
+        with pytest.raises(NoGenericLineError, match="none of 0 seeded lines"):
+            is_jumping(m.pres, split, stab, 6)
     assert is_jumping(m.pres, split, stab, 6)
 
 

@@ -197,15 +197,58 @@ def _held_by_every_other_degree(m, forms, s):
                if i != deg.middle_degree and (size := min(m.h(i), m.h(i + 1))))
 
 
-def test_middle_basis_is_the_middle_ideal_shared_per_module():
-    # the measurement and the localization of one row read one basis: it
-    # is built once for a module and again for the next one
+def test_middle_basis_is_the_middle_ideal():
     m, other = _module((2, 2, 3), (0,)), _module((2, 2, 3), (0,), seed=2)
     middle = lef.middle_basis(m)
     assert middle.basis == _middle(m).basis
-    assert lef.middle_basis(m) is middle
     assert lef.middle_basis(other).basis == _middle(other).basis
-    assert lef.middle_basis(m) is not middle and lef.middle_basis(m).basis == middle.basis
+    assert lef.middle_basis(m).basis == middle.basis
+
+
+def _falling_short(m):
+    """The degrees i other than the middle, with a nonzero map, whose
+    all-minors values fall short of C(s+2, 2), s the minor size, each with
+    s and the coefficient rows of a basis of the span of its minors, as
+    ``locus_ideal`` hands them to ``_in_saturation``."""
+    deg, p = m.degrees, m.prime
+    for i in range(deg.b[0] - 1, deg.socle_degree + 1):
+        size = min(m.h(i), m.h(i + 1))
+        if i == deg.middle_degree or not size:
+            continue
+        values = lef._minor_values(m, i, size)
+        _, pivots = _rref(values, p)
+        if len(pivots) < comb(size + 2, 2):
+            yield i, size, lef._interpolate(m, i, values[:, list(pivots)])
+
+
+def test_the_middle_minors_test_saturation_as_the_middle_basis_did():
+    # ``locus_ideal`` tests a degree that falls short against the middle
+    # minors themselves.  The lowest-degree elements of the reduced basis
+    # of the middle ideal, generated in one degree s, span what the minors
+    # span, so ``_in_saturation`` gives one verdict from either, here on
+    # every falling-short degree of the fixtures, against the module's own
+    # middle (it holds) and against another module's (it may not)
+    fixtures = [_module(a, b, seed=seed) for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID
+                for seed in (1, 2)]
+    fixtures += [_explicit(a, b, grid, 65521) for a, b, grid in EXPLICIT_PAIRS]
+    verdicts = []
+    for k, m in enumerate(fixtures):
+        ring = dual_ring(m)
+        for middle_of in (m, fixtures[k - 1]):
+            minors = locus_ideal_at(middle_of, middle_of.degrees.middle_degree)
+            basis = lef.middle_basis(middle_of)
+            s_mid = min(basis.deg, default=0)
+            low = np.array([r for d, r in zip(basis.deg, basis.rows) if d == s_mid],
+                           dtype=np.int64).reshape(-1, comb(s_mid + 2, 2))
+            if len(low):
+                assert s_mid == minors.degree and _rank(low, m.prime) == _rank(
+                    minors.gens, m.prime) == _rank(np.vstack([low, minors.gens]), m.prime)
+            for i, size, forms in _falling_short(m):
+                got = _in_saturation(minors.gens, minors.degree, forms, size, ring)
+                assert got is _in_saturation(low, s_mid, forms, size, ring), (m.degrees, i)
+                assert got or middle_of is not m, (m.degrees, i)
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -338,7 +381,7 @@ def test_localization_interpolates_only_degrees_whose_values_fall_short(a, calls
     # has 10 minors of degree 9, which cannot span the 55 forms of R_9, but
     # it is the Serre dual of the middle degree 3 and is never visited.  On
     # (2,2,4) the values of degree 1 fall short: only then is the middle
-    # degree 2 interpolated, for its basis, and then degree 1's forms
+    # degree 2 interpolated, for its minors, and then degree 1's forms
     seen = []
     original = lef._interpolate
     monkeypatch.setattr(lef, "_interpolate",
@@ -351,21 +394,21 @@ def test_localization_interpolates_only_degrees_whose_values_fall_short(a, calls
 
 def test_identically_vanishing_minors_fail_localization(monkeypatch):
     # a degree whose minors all vanish has the zero ideal, which holds no
-    # middle form: its values have rank 0 and the verdict is False.  The
-    # middle basis is built, and kept for the module, before the minors
-    # are zeroed
+    # middle form: its values have rank 0 and the verdict is False.  Only
+    # the other degrees' values are zeroed, not the middle minors that they
+    # are tested against
     m = _module((2, 2, 3), (0,))
-    lef.middle_basis(m)
-    minors = lef._lattice_minors
-    monkeypatch.setattr(lef, "_lattice_minors", lambda *args: minors(*args) * 0)
+    values, mid = lef._minor_values, m.degrees.middle_degree
+    monkeypatch.setattr(lef, "_minor_values",
+                        lambda m, i, *args: values(m, i, *args) * (i == mid))
     assert locus_ideal(m) is False
 
 
 def test_localization_names_a_prime_too_small_for_another_degree():
     # at p = 7 the minors of the middle degree 3 of (3,4,4) and of its dual
     # 4 (size 9) cannot be decided: each raises the named error of its own
-    # degree, and the localization test raises the middle's, whose basis
-    # it builds first.  At p = 11 every degree is decided
+    # degree, and the localization test raises the middle's, which it
+    # checks first.  At p = 11 every degree is decided
     m = generic_module(DegreeData((3, 4, 4), (0,)), 1, 7)
     for i in (3, 4):
         with pytest.raises(ValueError, match=f"degree-{i} minors: the locus needs a prime "
@@ -815,7 +858,7 @@ def test_minor_vanishing_matches_rank_deficiency():
 @pytest.mark.parametrize("a,b", [((2, 2, 3), (0,)), ((2, 2, 2, 3), (0, 1)), ((1, 1, 1, 8), (0, 0))])
 def test_wlp_witness_exists(a, b):
     m = _module(a, b)
-    assert find_lefschetz_line(m, seed=1, tries=100) is not None
+    assert find_lefschetz_line(m, seed=1) is not None
 
 
 def _rank(a, p):
@@ -943,22 +986,31 @@ def test_zeroed_weights_fall_back_to_every_minor(monkeypatch):
     # compressed values of rank 0 decide nothing: each visited degree then
     # takes all of its minors, and the verdicts stay as they were.  The
     # visits are one degree of each dual pair below the middle, down to the
-    # first injective one; the other degree of a pair, and the middle pair,
-    # are never evaluated.  The pure-power (3,4,4), whose maps drop rank at
-    # many chart points, is covered too: 3 of the grid's 18 calls and 2 of
-    # its 4 are compressed
+    # first injective one; the other degree of a pair is never evaluated,
+    # and the middle only for its minors, all of them, once, right after
+    # the first degree whose values fall short.  The pure-power (3,4,4),
+    # whose maps drop rank at many chart points, is covered too: 3 of the
+    # grid's 19 calls and 2 of its 5 are compressed, and the middle minors
+    # are taken on (2,2,4) and on the pure power
     monkeypatch.setattr(lef, "_weights", lambda n, k, count, p: np.zeros((count, n, k), np.int64))
     calls = _recorded_minors(monkeypatch)
-    visits = []
+    visits, middles = [], []
     modules = [_module(a, b) for a, b in [(a, (0,)) for a in CI_GRID] + N2_GRID]
     for m in modules + [GradedModule.build(_monomial_344(65521))]:
-        lef.middle_basis(m)
         del calls[:]
         assert locus_ideal(m) is True, m.degrees
-        assert calls == _propagated_visits(m), m.degrees
-        assert all(i < m.degrees.middle_degree for i, _, _ in calls), m.degrees
+        want, mid = _propagated_visits(m), m.degrees.middle_degree
+        assert all(i < mid for i, _, _ in want), m.degrees
+        short = next((k for k, (i, size, compressed) in enumerate(want) if not compressed
+                      and _rank(lef._lattice_minors(m.variable_maps(i), size, m.prime),
+                                m.prime) < comb(size + 2, 2)), None)
+        if short is not None:
+            want.insert(short + 1, (mid, min(m.h(mid), m.h(mid + 1)), False))
+            middles.append(m.degrees.a)
+        assert calls == want, m.degrees
         visits += calls
-    assert sum(call[2] for call in visits) == 5 and len(visits) == 22
+    assert middles == [(2, 2, 4), (3, 4, 4)]
+    assert sum(call[2] for call in visits) == 5 and len(visits) == 24
 
 
 @pytest.mark.parametrize("prime", [65521, 2**31 - 1])
@@ -975,7 +1027,6 @@ def test_every_skipped_degree_has_values_of_full_rank(prime, monkeypatch):
     for seed in (1, 2):
         for a, b in fixtures:
             m = generic_module(DegreeData(a, b), seed, prime)
-            lef.middle_basis(m)
             del calls[:]
             assert locus_ideal(m) is True, (a, b, seed)
             deg = m.degrees
@@ -1021,7 +1072,7 @@ def test_the_dual_of_the_middle_has_the_middle_minor_forms(prime):
 
 
 @pytest.mark.parametrize("a,digest", [
-    ((2, 2, 4), "c4daf70ee4c9b235"),  # a 4 x 4 square, kernel and subset minors of size 1
+    ((2, 2, 4), "1ea2dc6955c4173c"),  # a 4 x 4 square, kernel and subset minors of size 1
     ((2, 3, 3), "d51a03485d29c609"),  # a 5 x 5 square, kernel minors of size 2
     ((3, 3, 3), "825fa2bddaaf654d"),  # 14 seeded combinations of 3 x 3 subset minors
     ((3, 4, 4), "55d37233692ac830"),  # 32 seeded combinations of 3 x 3 kernel minors
@@ -1034,8 +1085,9 @@ def test_localization_minor_values_are_pinned(a, digest, monkeypatch):
     # with its degree, minor size and combination count (0 for all minors).
     # Outside the middle degree a value matrix is only ranked, so an inexact
     # value that keeps its rank leaves every report unchanged; this sees it.
-    # ``locus_ideal`` builds the middle basis only where a degree falls
-    # short, so it is asked for first, as the walk used to
+    # ``locus_ideal`` takes the middle minors only where a degree falls
+    # short, as on (2,2,4) after degree 1, so the basis asks for them first
+    # on every row
     import hashlib
 
     h, values = hashlib.sha256(), lef._minor_values
@@ -1163,7 +1215,6 @@ def test_middle_measure_is_the_measure_of_the_middle_basis(p, seed, twist):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lef, "measure", lambda gb: calls.append(gb) or groebner.measure(gb))
         got = _outcome(lef.middle_measure, m)
-    lef.middle_basis.cache_clear()
     assert got == _outcome(lambda m: groebner.measure(lef.middle_basis(m)), m), m.degrees
     if isinstance(got, IdealMeasure):
         oracle = line_values_measure(m)
@@ -1175,7 +1226,7 @@ class _Middle:
     target x source matrices and whose Serre-dual degree 1 (d = 5) maps by
     their transposes: all that ``middle_measure`` and ``middle_basis``
     read, the map of a line and the seeded line's sections formed as the
-    module's own.  Hashed by identity, as ``middle_basis`` caches."""
+    module's own."""
 
     multiplication_map = GradedModule.multiplication_map
     section = GradedModule.section
@@ -1260,7 +1311,6 @@ def test_middle_measure_falls_back_where_the_line_certifies_nothing(middle, q):
             assume(_move_line(mp, kind, u, q, p, s))
         got = lef.middle_measure(m)
         oracle = line_values_measure(m)
-    lef.middle_basis.cache_clear()
     want = groebner.measure(lef.middle_basis(m))
     assert got == want
     assert (oracle is None) == bool(calls) and oracle in (None, got)
@@ -1364,7 +1414,7 @@ def test_the_seeded_line_is_a_witness_only_where_it_is_lefschetz(a, b, p, monkey
     scans = []
     monkeypatch.setattr(lef, "is_lefschetz", lambda m, line: scans.append(line) or is_lefschetz(
         m, line))
-    got = find_lefschetz_line(m, seed=1, tries=25)
+    got = find_lefschetz_line(m, seed=1)
     if not scans:
         assert got == presentation._seeded_line(p)
         assert full_scan_is_lefschetz(m, got)[0]
